@@ -1,6 +1,7 @@
 """Command-line interface: solve, lp, sample, verify, oracle, batch, baseline.
 
-Exit codes: 0 success, 2 connectivity failure, 3 input error, 4 non-convergence.
+Exit codes: 0 success, 2 connectivity failure, 3 input error, 4 non-convergence
+or another LP solver failure.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numpy as np
 
 from .core import MultiEdgeSet, NotConnectedError
 from .instances import InstanceFormatError, load_instance
-from .lp import LPNotConvergedError, solve_lp
+from .lp import LPError, solve_lp
 from .pipeline import (
     ExperimentReport,
     run_baseline,
@@ -249,7 +250,7 @@ def main(argv=None) -> int:
     except (UsageError, InstanceFormatError, NotConnectedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (LPNotConvergedError, FitConvergenceError) as exc:
+    except (LPError, FitConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
 

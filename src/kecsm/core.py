@@ -24,6 +24,31 @@ def make_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def component_labels(n: int, edges) -> list[int]:
+    """Connected-component label of each vertex 0..n-1 under ``edges``.
+
+    Labels are 0, 1, ... in order of each component's smallest vertex.
+    """
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for a, b in edges:
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[max(ra, rb)] = min(ra, rb)
+    roots = [find(v) for v in range(n)]
+    relabel: dict[int, int] = {}
+    for r in roots:
+        if r not in relabel:
+            relabel[r] = len(relabel)
+    return [relabel[r] for r in roots]
+
+
 @dataclass(frozen=True)
 class MetricInstance:
     """Complete graph on vertices 0..n-1 with symmetric costs and connectivity target k.
@@ -45,6 +70,8 @@ class MetricInstance:
         cost = np.array(self.cost, dtype=float, copy=True)
         if cost.shape != (self.n, self.n):
             raise ValueError(f"cost matrix must be {self.n}x{self.n}, got {cost.shape}")
+        if not np.all(np.isfinite(cost)):
+            raise ValueError("costs must be finite")
         cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
 
@@ -111,6 +138,8 @@ def metric_closure(n: int, raw_cost: np.ndarray, k: int) -> MetricInstance:
         raise ValueError("raw cost matrix must be symmetric")
     if np.any(np.diag(d) != 0):
         raise ValueError("raw cost matrix must have a zero diagonal")
+    if np.any(np.isnan(d)):
+        raise ValueError("raw costs must not be NaN")
     finite = d[np.isfinite(d)]
     if np.any(finite < 0):
         raise ValueError("raw costs must be nonnegative")

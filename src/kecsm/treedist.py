@@ -19,9 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .core import Edge, NotConnectedError, make_edge
+from .core import Edge, NotConnectedError, component_labels, make_edge
 from .split import TreePolytopePoint
 
 # z at or above this is pinned into every tree; at or below the floor it is dropped.
@@ -58,30 +57,9 @@ def graph_of_split(g0) -> EdgeGraph:
     return EdgeGraph(n=g0.n0, edges=tuple(g0.edges))
 
 
-def _components(n: int, edges) -> list[int]:
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for a, b in edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    roots = [find(v) for v in range(n)]
-    relabel: dict[int, int] = {}
-    for r in roots:
-        if r not in relabel:
-            relabel[r] = len(relabel)
-    return [relabel[r] for r in roots]
-
-
 def is_connected(graph: EdgeGraph, active=None) -> bool:
     edges = [graph.edges[i] for i in active] if active is not None else graph.edges
-    return max(_components(graph.n, edges)) == 0
+    return max(component_labels(graph.n, edges)) == 0
 
 
 def weighted_laplacian(graph: EdgeGraph, lam: np.ndarray) -> np.ndarray:
@@ -96,14 +74,14 @@ def weighted_laplacian(graph: EdgeGraph, lam: np.ndarray) -> np.ndarray:
 
 
 def _grounded_inverse(graph: EdgeGraph, lam: np.ndarray) -> np.ndarray:
-    """Inverse of the Laplacian with vertex 0 grounded (dense Cholesky)."""
+    """Inverse of the Laplacian with vertex 0 grounded: L = C C^T gives L^-1 = C^-T C^-1."""
     lap = weighted_laplacian(graph, lam)
-    reduced = lap[1:, 1:]
     try:
-        factor = cho_factor(reduced)
+        factor = np.linalg.cholesky(lap[1:, 1:])
     except np.linalg.LinAlgError as exc:
         raise NotConnectedError(f"weight support is disconnected or singular: {exc}") from exc
-    return cho_solve(factor, np.eye(graph.n - 1))
+    inv_factor = np.linalg.inv(factor)
+    return inv_factor.T @ inv_factor
 
 
 def _pair_resistances(inv: np.ndarray, edges) -> np.ndarray:
@@ -191,7 +169,7 @@ def contract_edges(graph: EdgeGraph, forced, deleted) -> Contraction:
     """
     forced = set(forced)
     deleted = set(deleted)
-    vmap = _components(graph.n, [graph.edges[i] for i in sorted(forced)])
+    vmap = component_labels(graph.n, [graph.edges[i] for i in sorted(forced)])
     kept: list[int] = []
     reduced_edges: list[Edge] = []
     loops: list[int] = []

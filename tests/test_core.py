@@ -24,6 +24,11 @@ class TestValidateMetric:
     def test_equilateral_triangle_is_clean(self, triangle_unit):
         assert validate_metric(triangle_unit) == []
 
+    @pytest.mark.parametrize("bad", [float("nan"), INF, -INF])
+    def test_non_finite_cost_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MetricInstance(n=3, cost=[[0, 1, bad], [1, 0, 1], [bad, 1, 0]], k=2)
+
     def test_single_triangle_violation(self):
         inst = MetricInstance(n=3, cost=[[0, 1, 5], [1, 0, 1], [5, 1, 0]], k=2)
         violations = validate_metric(inst)
@@ -78,6 +83,10 @@ class TestMetricClosure:
     def test_negative_raw_rejected(self):
         with pytest.raises(ValueError):
             metric_closure(2, [[0, -3], [-3, 0]], k=2)
+
+    def test_nan_raw_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            metric_closure(3, [[0, 1, 2], [1, 0, float("nan")], [2, float("nan"), 0]], k=2)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(3, 7))
     @settings(max_examples=40, deadline=None)

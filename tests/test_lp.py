@@ -1,15 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from kecsm import lp
 from kecsm.core import MetricInstance, global_min_cut
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import (
+    LPError,
     LPNotConvergedError,
+    _two_phase,
     separate,
     simplex_min,
     solve_lp,
     solve_lp_enumeration,
+    violated_cuts,
 )
 
 
@@ -57,6 +63,63 @@ class TestSimplexEngine:
         assert x[0] == pytest.approx(4.0)
         assert obj == pytest.approx(20.0)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_rows_added_in_batches_match_cold_solve(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        nv = int(rng.integers(4, 9))
+        m_eq = int(rng.integers(1, 3))
+        m_ge = int(rng.integers(3, 8))
+        c = rng.random(nv)
+        a_eq = rng.random((m_eq, nv))
+        a_ge = rng.random((m_ge, nv))
+        x_feas = rng.random(nv) + 0.1
+        b_eq = a_eq @ x_feas
+        b_ge = a_ge @ x_feas
+        first, *later = np.array_split(np.arange(m_ge), 2 + seed % 2)
+        tab = _two_phase(c, a_eq, b_eq, a_ge[first], b_ge[first])
+        for rows in later:
+            cut_off = np.any(a_ge[rows] @ tab.solution(nv) < b_ge[rows] - 1e-9)
+            pivots = tab.pivots
+            tab.add_ge_rows(a_ge[rows], b_ge[rows])
+            assert (tab.pivots > pivots) == cut_off
+        x = tab.solution(nv)
+        _, cold_obj = simplex_min(c, a_eq, b_eq, a_ge, b_ge)
+        ref = linprog(c, A_ub=-a_ge, b_ub=-b_ge, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        assert c @ x == pytest.approx(cold_obj, rel=1e-9, abs=1e-9)
+        assert c @ x == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert np.all(x >= 0)
+        assert np.allclose(a_eq @ x, b_eq, atol=1e-9)
+        assert np.all(a_ge @ x >= b_ge - 1e-9)
+
+    def test_tied_dual_ratios_go_to_smallest_column(self):
+        # equal costs tie every entering ratio of the added row
+        tab = _two_phase(np.ones(3))
+        tab.add_ge_rows(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]))
+        assert tab.solution(3).tolist() == [1.0, 0.0, 0.0]
+
+    def test_degenerate_warm_solve_is_deterministic(self):
+        # every vertex of this LP is degenerate and every dual ratio ties
+        a = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]], dtype=float)
+        runs = []
+        for _ in range(2):
+            tab = _two_phase(np.ones(4), a_ge=a[:1], b_ge=[1.0])
+            tab.add_ge_rows(a[1:3], np.ones(2))
+            tab.add_ge_rows(a[3:], np.array([1.0, 2.0]))
+            runs.append((tab.solution(4), tab.basis.tolist(), tab.pivots))
+        (x, basis, pivots), again = runs
+        assert x.sum() == pytest.approx(2.0)
+        assert np.all(a @ x >= np.array([1, 1, 1, 1, 2]) - 1e-12)
+        assert x.tolist() == again[0].tolist() and (basis, pivots) == again[1:]
+
+    def test_pivot_cap_raises(self):
+        with pytest.raises(LPError, match="pivot limit"):
+            simplex_min(np.ones(3), a_ge=[[1.0, 1.0, 1.0]], b_ge=[1.0], max_pivots=0)
+        tab = _two_phase(np.ones(3))
+        tab.max_pivots = tab.pivots
+        with pytest.raises(LPError, match="pivot limit"):
+            tab.add_ge_rows(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]))
+
 
 class TestSolveLP:
     def test_triangle_k2(self, triangle_unit):
@@ -102,6 +165,46 @@ class TestSolveLP:
         assert err.value.report.cuts_added == 0
         assert err.value.report.objective > 0
 
+    def test_cut_cap_bounds_cuts_of_one_round(self):
+        # the first round finds more than one component cut
+        inst = euclidean_instance(16, 2, seed=1)
+        with pytest.raises(LPNotConvergedError) as err:
+            solve_lp(inst, max_cuts=1)
+        assert err.value.report.cuts_added == 1
+        assert err.value.report.iterations == 2
+
+    @pytest.mark.parametrize("seed,objective", [(5, 623.8533109649164), (10, 704.0687333060505)])
+    def test_round_off_below_zero_is_clamped(self, seed, objective):
+        # the simplex once handed -1e-12 edge values to the min-cut oracle here
+        frac, report = solve_lp(random_closure_instance(32, 256, seed=seed))
+        assert frac.objective == pytest.approx(objective, rel=1e-9)
+        assert min(frac.values.values()) >= 0.0
+        assert report.separation_slack <= 1e-6
+
+    def test_one_min_cut_per_connected_round(self, monkeypatch):
+        calls = []
+
+        def counted(x, n):
+            calls.append(n)
+            return global_min_cut(x, n)
+
+        monkeypatch.setattr(lp, "global_min_cut", counted)
+        _, report = solve_lp(euclidean_instance(12, 4, seed=2))
+        assert 1 <= len(calls) <= report.iterations
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from([euclidean_instance, random_closure_instance]),
+       n=st.integers(3, 10), k=st.integers(2, 6), seed=st.integers(0, 2**16),
+       data=st.data())
+def test_relabelled_vertices_keep_the_lp_value(family, n, k, seed, data):
+    inst = family(n, k, seed)
+    perm = np.array(data.draw(st.permutations(range(n))))
+    relabelled = MetricInstance(n=n, cost=inst.cost[np.ix_(perm, perm)], k=k)
+    frac, _ = solve_lp(relabelled)
+    ref = solve_lp_enumeration(inst)
+    assert abs(frac.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+
 
 class TestSeparate:
     def test_triangle_saturated(self):
@@ -114,6 +217,18 @@ class TestSeparate:
         assert spec is not None
         value = sum(w for (u, v), w in x.items() if (u in spec.side) != (v in spec.side))
         assert value == pytest.approx(2.0)
+
+    def test_disconnected_support_yields_component_cuts_without_min_cut(self, monkeypatch):
+        monkeypatch.setattr(lp, "global_min_cut", None)  # must not be called
+        x = {(0, 1): 2.0, (2, 3): 2.0, (4, 5): 2.0, (0, 2): 0.0}
+        sides, value = violated_cuts(x, 2, 6)
+        assert value == 0.0
+        assert [np.nonzero(s)[0].tolist() for s in sides] == [[0, 1], [0, 1, 4, 5], [0, 1, 2, 3]]
+        assert separate(x, 2, 6).side == frozenset({0, 1})
+
+    def test_two_components_give_one_cut(self):
+        sides, _ = violated_cuts({(0, 1): 1.0, (2, 3): 1.0}, 2, 4)
+        assert [np.nonzero(s)[0].tolist() for s in sides] == [[0, 1]]
 
     def test_star_like_not_violated(self):
         # all three cuts by hand: d(0)=4, d(1)=2, d(2)=2, so nothing below k=2

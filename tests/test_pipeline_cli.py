@@ -13,6 +13,7 @@ from kecsm.instances import (
     parse_tsplib_euc2d,
     random_closure_instance,
 )
+from kecsm.lp import InfeasibleLPError, LPError, UnboundedLPError
 from kecsm.pipeline import (
     CSV_COLUMNS,
     ExperimentReport,
@@ -296,6 +297,29 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_pipeline", lambda *a, **kw: boom(None))
         assert main(["solve", "--input", instance_file]) == 4
+
+    @pytest.mark.parametrize("closure", [[], ["--closure"]])
+    def test_nan_costs_are_input_error(self, tmp_path, capsys, closure):
+        path = tmp_path / "nan.json"
+        path.write_text('{"n": 3, "k": 2, "costs": [[0, 1, NaN], [1, 0, 1], [NaN, 1, 0]]}')
+        assert main(["lp", "--input", str(path), *closure]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("error", [
+        InfeasibleLPError("no feasible point (phase-1 residual 1)"),
+        UnboundedLPError("objective unbounded below"),
+        LPError("simplex pivot limit exceeded"),
+    ])
+    def test_lp_failures_are_exit_four(self, instance_file, monkeypatch, capsys, error):
+        from kecsm import cli
+
+        def fail(inst):
+            raise error
+
+        monkeypatch.setattr(cli, "solve_lp", fail)
+        assert main(["lp", "--input", instance_file]) == 4
+        assert capsys.readouterr().err == f"error: {error}\n"
 
     def test_determinism_identical_csv(self, instance_file, tmp_path):
         a, b = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
