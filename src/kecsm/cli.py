@@ -55,10 +55,32 @@ def _add_instance_flags(p: argparse.ArgumentParser):
 def _parse_alpha(text: str) -> float | None:
     if text == "auto":
         return None
+    message = f"--alpha must be a nonnegative number or 'auto', got {text!r}"
     try:
-        return float(text)
+        alpha = float(text)
     except ValueError:
-        raise UsageError(f"--alpha must be a number or 'auto', got {text!r}") from None
+        raise UsageError(message) from None
+    if not alpha >= 0:  # NaN too
+        raise UsageError(message)
+    return alpha
+
+
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``."""
+
+    def integer(text: str) -> int:
+        value = int(text)  # argparse reports a ValueError as "invalid integer value"
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
+def _split_vertex(args, inst) -> int:
+    if not 0 <= args.split_vertex < inst.n:
+        raise UsageError(f"--split-vertex must lie in 0..{inst.n - 1}, got {args.split_vertex}")
+    return args.split_vertex
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample spanning trees from the fitted distribution")
     _add_instance_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=10, help="number of trees to sample")
+    p.add_argument("--trials", type=_int_at_least(1), default=10, help="number of trees to sample")
     p.add_argument("--split-vertex", type=int, default=0)
 
     p = sub.add_parser("verify", help="certify k-connectivity of a solution file")
@@ -91,10 +113,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("batch", help="random-instance experiment grid")
     p.add_argument("--family", default="euclidean", choices=["euclidean", "random-closure"])
-    p.add_argument("--n", type=int, default=10)
+    p.add_argument("--n", type=_int_at_least(2), default=10)
     p.add_argument("--instances", type=int, default=5)
     p.add_argument("--k", required=True, help="comma-separated connectivity targets, e.g. 2,8,16")
-    p.add_argument("--trials", type=int, default=5)
+    p.add_argument("--trials", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0, help="base seed for the instance family")
     p.add_argument("--alpha", default="auto")
     p.add_argument("--emit", default=None, help="CSV path; a .summary.json lands beside it")
@@ -117,7 +139,7 @@ def _cmd_solve(args) -> int:
         inst,
         seed=args.seed,
         alpha=_parse_alpha(args.alpha),
-        split_vertex=args.split_vertex,
+        split_vertex=_split_vertex(args, inst),
         instance_id=args.input,
         with_opt=inst.n <= 5 and inst.k <= 6,
     )
@@ -153,7 +175,7 @@ def _cmd_sample(args) -> int:
     from .pipeline import prepare
 
     inst = _load(args)
-    prep = prepare(inst, split_vertex=args.split_vertex)
+    prep = prepare(inst, split_vertex=_split_vertex(args, inst))
     trees = sample_fitted_batch(prep.weights, args.trials, args.seed)
     g0 = prep.split_graph
     hits = np.zeros(len(g0.edges))
@@ -172,10 +194,11 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.solution) as fh:
             payload = json.load(fh)
-        edges = {(int(u), int(v)): int(m) for u, v, m in payload["edges"]}
+        mult = MultiEdgeSet({(int(u), int(v)): int(m) for u, v, m in payload["edges"]})
+        if any(not 0 <= v < inst.n for e in mult.multiplicity for v in e):
+            raise ValueError(f"edge endpoint outside 0..{inst.n - 1}")
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise InstanceFormatError(f"cannot read solution file: {exc}") from exc
-    mult = MultiEdgeSet(edges)
     cert = verify_k_connectivity(mult, inst.n, inst.k)
     cost = mult.total_cost(inst.cost)
     print(f"min_cut={cert.min_cut_value} required={inst.k} passes={cert.passes} "
@@ -200,8 +223,8 @@ def _cmd_batch(args) -> int:
         k_values = [int(part) for part in args.k.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"bad --k list {args.k!r}") from None
-    if not k_values:
-        raise UsageError("nothing to run: empty k list")
+    if not k_values or min(k_values) < 2:
+        raise UsageError(f"--k needs connectivity targets >= 2, got {args.k!r}")
     report = run_batch(
         family=args.family,
         n=args.n,

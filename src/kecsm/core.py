@@ -24,10 +24,12 @@ def make_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def component_labels(n: int, edges) -> list[int]:
-    """Connected-component label of each vertex 0..n-1 under ``edges``.
+def spanning_forest(n: int, edges) -> tuple[list[int], list[int]]:
+    """Greedy spanning forest: union-find over ``edges`` taken in order.
 
-    Labels are 0, 1, ... in order of each component's smallest vertex.
+    Returns the positions in ``edges`` of the edges that join two components,
+    stopping once there are n - 1 of them, and the component label of each
+    vertex 0..n-1: 0, 1, ... in order of each component's smallest vertex.
     """
     parent = list(range(n))
 
@@ -37,16 +39,42 @@ def component_labels(n: int, edges) -> list[int]:
             v = parent[v]
         return v
 
-    for a, b in edges:
+    chosen: list[int] = []
+    for pos, (a, b) in enumerate(edges):
         ra, rb = find(a), find(b)
         if ra != rb:
+            # the root is always the component's smallest vertex
             parent[max(ra, rb)] = min(ra, rb)
+            chosen.append(pos)
+            if len(chosen) == n - 1:
+                break
     roots = [find(v) for v in range(n)]
     relabel: dict[int, int] = {}
     for r in roots:
         if r not in relabel:
             relabel[r] = len(relabel)
-    return [relabel[r] for r in roots]
+    return chosen, [relabel[r] for r in roots]
+
+
+def component_labels(n: int, edges) -> list[int]:
+    """Connected-component label of each vertex 0..n-1 under ``edges``.
+
+    Labels are 0, 1, ... in order of each component's smallest vertex.
+    """
+    return spanning_forest(n, edges)[1]
+
+
+def min_spanning_tree(n: int, edges, costs) -> list[int]:
+    """Positions in ``edges`` of a minimum spanning tree, in Kruskal order.
+
+    Equal costs go to the smaller position.  Raises
+    :class:`NotConnectedError` when the edges do not connect all n vertices.
+    """
+    order = np.argsort(np.asarray(costs, dtype=float), kind="stable")
+    chosen, _ = spanning_forest(n, [edges[i] for i in order])
+    if len(chosen) != n - 1:
+        raise NotConnectedError("graph is not connected")
+    return [int(order[p]) for p in chosen]
 
 
 @dataclass(frozen=True)
@@ -81,6 +109,13 @@ class MetricInstance:
 
     def edge_cost(self, e: Edge) -> float:
         return float(self.cost[e[0], e[1]])
+
+    def mst(self) -> MultiEdgeSet:
+        """Minimum spanning tree, one copy per edge in Kruskal order; equal
+        costs go to the lexicographically smaller edge."""
+        edges = self.edges()
+        tree = min_spanning_tree(self.n, edges, self.cost[np.triu_indices(self.n, 1)])
+        return MultiEdgeSet({edges[i]: 1 for i in tree})
 
 
 @dataclass(frozen=True)
@@ -212,9 +247,6 @@ class MultiEdgeSet:
 
     def total_cost(self, cost: np.ndarray) -> float:
         return float(sum(m * cost[e[0], e[1]] for e, m in self.multiplicity.items()))
-
-    def vertices(self) -> set[int]:
-        return {v for e in self.multiplicity for v in e}
 
     def __eq__(self, other):
         return isinstance(other, MultiEdgeSet) and self.multiplicity == other.multiplicity

@@ -23,7 +23,7 @@ def parse_matrix_json(text: str, k: int | None = None, closure: bool = False) ->
         n = int(obj["n"])
         file_k = int(obj["k"]) if "k" in obj else None
         costs = np.array(obj["costs"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"matrix-json needs integer n, k and an n x n costs array: {exc}") from exc
     use_k = k if k is not None else file_k
     if use_k is None:
@@ -64,7 +64,10 @@ def parse_tsplib_euc2d(text: str, k: int | None = None, closure: bool = False) -
             key = key.strip().upper()
             value = value.strip()
             if key == "DIMENSION":
-                dimension = int(value)
+                try:
+                    dimension = int(value)
+                except ValueError:
+                    raise InstanceFormatError(f"DIMENSION must be an integer, got {value!r}") from None
             elif key == "EDGE_WEIGHT_TYPE":
                 weight_type = value.upper()
     if weight_type not in (None, "EUC_2D"):

@@ -7,7 +7,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,16 +19,9 @@ from .split import SplitGraph, build_split_graph, to_tree_point
 from .treedist import LambdaWeights, fit_max_entropy
 from .verify import ConnectivityCertificate, TooLargeError, brute_force_opt, verify_k_connectivity
 
-CSV_COLUMNS = [
-    "instance_id", "n", "k", "alpha", "t", "b", "seed", "lp_cost",
-    "cost_tstar", "cost_b", "cost_f", "total", "ratio_lp", "ratio_opt",
-    "connected", "augments", "ms",
-]
-
-
 @dataclass(frozen=True)
 class RunRecord:
-    """One report row; field order matches the CSV columns exactly."""
+    """One report row; its fields, in order, are the CSV columns."""
 
     instance_id: str
     n: int
@@ -49,38 +42,19 @@ class RunRecord:
     ms: float
 
     def as_row(self) -> list[str]:
-        return [
-            self.instance_id,
-            str(self.n),
-            str(self.k),
-            repr(self.alpha),
-            str(self.t),
-            str(self.b),
-            str(self.seed),
-            repr(self.lp_cost),
-            repr(self.cost_tstar),
-            repr(self.cost_b),
-            repr(self.cost_f),
-            repr(self.total),
-            repr(self.ratio_lp),
-            "" if self.ratio_opt is None else repr(self.ratio_opt),
-            "1" if self.connected else "0",
-            str(self.augments),
-            repr(self.ms),
-        ]
+        return [_csv_cell(getattr(self, f.name)) for f in fields(self)]
 
 
-@dataclass
-class PipelineResult:
-    """Record plus the intermediate artifacts of one full solve."""
+def _csv_cell(value) -> str:
+    """Floats by repr (exact round trip), None as empty, bools as 1/0."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "1" if value else "0"
+    return repr(value) if isinstance(value, float) else str(value)
 
-    record: RunRecord
-    fractional: FractionalSolution
-    lp_report: LPReport
-    split_graph: SplitGraph
-    weights: LambdaWeights
-    rounding: RoundingOutput
-    certificate: ConnectivityCertificate
+
+CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
 @dataclass
@@ -92,6 +66,16 @@ class SolvedRelaxation:
     lp_report: LPReport
     split_graph: SplitGraph
     weights: LambdaWeights
+
+
+@dataclass
+class PipelineResult:
+    """Record plus the intermediate artifacts of one full solve."""
+
+    record: RunRecord
+    relaxation: SolvedRelaxation
+    rounding: RoundingOutput
+    certificate: ConnectivityCertificate
 
 
 def prepare(inst: MetricInstance, split_vertex: int = 0,
@@ -139,15 +123,7 @@ def round_prepared(prep: SolvedRelaxation, seed: int, alpha: float | None = None
         augments=out.augmentation_count,
         ms=ms,
     )
-    return PipelineResult(
-        record=record,
-        fractional=prep.fractional,
-        lp_report=prep.lp_report,
-        split_graph=prep.split_graph,
-        weights=prep.weights,
-        rounding=out,
-        certificate=cert,
-    )
+    return PipelineResult(record=record, relaxation=prep, rounding=out, certificate=cert)
 
 
 def run_pipeline(inst: MetricInstance, seed: int = 0, alpha: float | None = None,
@@ -236,32 +212,31 @@ def run_baseline(inst: MetricInstance, which: str, seed: int = 0,
     naive-mst-double: ceil(k/2) copies of a doubled MST, k-connected by
     construction.
     """
+    if which not in ("naive-mst-double", "karger-independent"):
+        raise ValueError(f"unknown baseline {which!r}")
     started = time.perf_counter()
     k = inst.k
-    mst_set, mst_cost = _instance_mst(inst)
+    frac, _ = solve_lp(inst)
+    lp_cost = frac.objective
+    mst_set = inst.mst()
+    mst_cost = mst_set.total_cost(inst.cost)
     if which == "naive-mst-double":
-        frac_obj, _ = solve_lp(inst)
         copies = 2 * math.ceil(k / 2)
-        mult = {e: copies * m for e, m in mst_set.multiplicity.items()}
-        final = MultiEdgeSet(mult)
+        final = MultiEdgeSet({e: copies * m for e, m in mst_set.multiplicity.items()})
         cert = verify_k_connectivity(final, inst.n, k)
         sample_cost, repair_copies, repair_cost = 0.0, copies, copies * mst_cost
-        lp_cost = frac_obj.objective
-    elif which == "karger-independent":
-        frac_obj, _ = solve_lp(inst)
-        lp_cost = frac_obj.objective
+    else:
         gen = RngStream(seed=seed, stream=0).generator()
         mult: dict = {}
         for e in inst.edges():
-            xe = frac_obj.values.get(e, 0.0)
+            xe = frac.values.get(e, 0.0)
             m = int(math.floor(xe + 1e-12))
             if gen.random() < xe - m:
                 m += 1
             if m:
                 mult[e] = m
-        sampled = MultiEdgeSet(mult)
-        sample_cost = sampled.total_cost(inst.cost)
-        final = sampled
+        final = MultiEdgeSet(mult)
+        sample_cost = final.total_cost(inst.cost)
         repair_copies = 0
         cert = verify_k_connectivity(final, inst.n, k)
         while not cert.passes:
@@ -269,8 +244,6 @@ def run_baseline(inst: MetricInstance, which: str, seed: int = 0,
             repair_copies += 1
             cert = verify_k_connectivity(final, inst.n, k)
         repair_cost = repair_copies * mst_cost
-    else:
-        raise ValueError(f"unknown baseline {which!r}")
     total = final.total_cost(inst.cost)
     ms = (time.perf_counter() - started) * 1000.0
     return RunRecord(
@@ -292,26 +265,6 @@ def run_baseline(inst: MetricInstance, which: str, seed: int = 0,
         augments=0,
         ms=ms,
     )
-
-
-def _instance_mst(inst: MetricInstance) -> tuple[MultiEdgeSet, float]:
-    order = sorted(inst.edges(), key=lambda e: (inst.edge_cost(e), e))
-    parent = list(range(inst.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    mult = {}
-    for e in order:
-        ra, rb = find(e[0]), find(e[1])
-        if ra != rb:
-            parent[ra] = rb
-            mult[e] = 1
-    tree = MultiEdgeSet(mult)
-    return tree, tree.total_cost(inst.cost)
 
 
 def write_records(records, path: str) -> None:

@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .core import MultiEdgeSet
+from .core import MultiEdgeSet, min_spanning_tree
 from .sampler import SpanningTree, sample_fitted_batch, tree_from_edges
 from .split import SplitGraph, identify_back
 from .treedist import LambdaWeights, graph_of_split
@@ -67,31 +67,7 @@ class RoundingParams:
 
 def mst(g0: SplitGraph) -> SpanningTree:
     """Minimum spanning tree of the expanded graph; ties break by edge index."""
-    order = sorted(range(len(g0.edges)), key=lambda i: (g0.cost0[i], i))
-    parent = list(range(g0.n0))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    chosen = []
-    for i in order:
-        a, b = g0.edges[i]
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-            chosen.append(i)
-            if len(chosen) == g0.n0 - 1:
-                break
-    if len(chosen) != g0.n0 - 1:
-        raise ValueError("expanded graph is not connected")
-    return _as_tree(g0, chosen)
-
-
-def _as_tree(g0: SplitGraph, edge_indices) -> SpanningTree:
-    return tree_from_edges(graph_of_split(g0), edge_indices)
+    return tree_from_edges(graph_of_split(g0), min_spanning_tree(g0.n0, g0.edges, g0.cost0))
 
 
 def _depths(tree: SpanningTree) -> list[int]:
@@ -151,19 +127,12 @@ def fundamental_cut_counts(tree: SpanningTree, t_star: MultiEdgeSet,
 def u0v0_path_edges(tree: SpanningTree, u0: int, v0: int) -> frozenset[int]:
     """Edge indices on the unique tree path between the split twins."""
     depth = _depths(tree)
+    meet = _lca(tree, depth, u0, v0)
     edges = set()
-    a, b = u0, v0
-    while depth[a] > depth[b]:
-        edges.add(tree.parent_edge[a])
-        a = tree.parent[a]
-    while depth[b] > depth[a]:
-        edges.add(tree.parent_edge[b])
-        b = tree.parent[b]
-    while a != b:
-        edges.add(tree.parent_edge[a])
-        edges.add(tree.parent_edge[b])
-        a = tree.parent[a]
-        b = tree.parent[b]
+    for v in (u0, v0):
+        while v != meet:
+            edges.add(tree.parent_edge[v])
+            v = tree.parent[v]
     return frozenset(edges)
 
 

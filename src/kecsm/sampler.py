@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import NotConnectedError
+from .core import NotConnectedError, spanning_forest
 from .treedist import EdgeGraph, LambdaWeights, is_connected
 
 _MASK64 = (1 << 64) - 1
@@ -45,9 +45,6 @@ class SpanningTree:
     def __post_init__(self):
         if len(self.edge_indices) != self.n - 1:
             raise ValueError(f"a spanning tree on {self.n} vertices needs {self.n - 1} edges")
-
-    def edges_of(self, graph: EdgeGraph) -> list[tuple[int, int]]:
-        return [graph.edges[i] for i in self.edge_indices]
 
 
 def _tree_from_parents(n: int, parent: list[int], parent_edge: list[int]) -> SpanningTree:
@@ -143,29 +140,8 @@ def enumerate_spanning_trees(graph: EdgeGraph, max_vertices: int = 8) -> list[tu
     """All spanning trees as sorted edge-index tuples (small graphs only)."""
     if graph.n > max_vertices:
         raise ValueError(f"tree enumeration limited to {max_vertices} vertices, got {graph.n}")
-    if graph.n == 1:
-        return [()]
-    trees = []
-    for combo in combinations(range(len(graph.edges)), graph.n - 1):
-        parent = list(range(graph.n))
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        acyclic = True
-        for i in combo:
-            a, b = graph.edges[i]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                acyclic = False
-                break
-            parent[ra] = rb
-        if acyclic:
-            trees.append(tuple(combo))
-    return trees
+    return [combo for combo in combinations(range(len(graph.edges)), graph.n - 1)
+            if len(spanning_forest(graph.n, [graph.edges[i] for i in combo])[0]) == graph.n - 1]
 
 
 def tree_weight(lam, tree_indices) -> float:

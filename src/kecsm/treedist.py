@@ -113,9 +113,6 @@ class MarginalVector:
                 f"marginals sum to {total}, expected {self.graph.n - 1} (matrix-tree identity)"
             )
 
-    def as_dict(self) -> dict[int, float]:
-        return {i: float(v) for i, v in enumerate(self.p)}
-
 
 def effective_resistance(lam, graph: EdgeGraph, e) -> float:
     """Effective resistance across edge ``e`` (an index or an endpoint pair)."""
@@ -315,28 +312,21 @@ def _fit_split(graph: EdgeGraph, z: np.ndarray, eps: float, state: dict, tight: 
     inside_v = set(tight)
     rank = {v: r for r, v in enumerate(tight)}
     inner_idx = [i for i, (a, b) in enumerate(graph.edges) if a in inside_v and b in inside_v]
-    outer_idx = [i for i in range(len(graph.edges)) if i not in set(inner_idx)]
 
     inner_graph = EdgeGraph(
         n=len(tight),
         edges=tuple(make_edge(rank[a], rank[b]) for i in inner_idx
                     for (a, b) in [graph.edges[i]]),
     )
-    # outside: contract the tight set to one vertex at its representative's rank
-    rep = min(tight)
-    keys = sorted([rep] + [v for v in range(graph.n) if v not in inside_v])
-    label_of = {v: i for i, v in enumerate(keys)}
-    vmap = [label_of[rep] if v in inside_v else label_of[v] for v in range(graph.n)]
-    outer_graph = EdgeGraph(
-        n=graph.n - len(tight) + 1,
-        edges=tuple(make_edge(vmap[a], vmap[b]) for i in outer_idx
-                    for (a, b) in [graph.edges[i]]),
-    )
+    # outside: the inner edges connect the tight set, so contracting them
+    # leaves one vertex for it and keeps every other edge
+    outer = contract_edges(graph, inner_idx, ())
+    outer_idx = list(outer.kept)
 
     lam = np.zeros(len(graph.edges))
     p = np.zeros(len(graph.edges))
     pieces: list[SamplingPiece] = []
-    for idx, sub in ((inner_idx, inner_graph), (outer_idx, outer_graph)):
+    for idx, sub in ((inner_idx, inner_graph), (outer_idx, outer.graph)):
         sub_lam, sub_p, sub_pieces = _fit_interior(sub, z[idx], eps, state)
         lam[idx] = sub_lam
         p[idx] = sub_p

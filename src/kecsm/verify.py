@@ -58,7 +58,8 @@ def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float
     costs = np.array([inst.edge_cost(e) for e in edges])
 
     # incumbent: ceil(k/2) copies of a doubled spanning tree is always feasible
-    start = _doubled_tree_start(inst)
+    copies = 2 * math.ceil(k / 2)
+    start = MultiEdgeSet({e: copies for e in inst.mst().multiplicity})
     best_cost = start.total_cost(inst.cost)
     best_vec = [start.multiplicity.get(e, 0) for e in edges]
 
@@ -97,27 +98,6 @@ def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float
     search(0, 0.0, [0] * inst.n)
     solution = MultiEdgeSet({e: best_vec[i] for i, e in enumerate(edges) if best_vec[i]})
     return float(best_cost), solution
-
-
-def _doubled_tree_start(inst: MetricInstance) -> MultiEdgeSet:
-    """Feasible warm start: ceil(k/2) copies of a doubled greedy spanning tree."""
-    order = sorted(inst.edges(), key=lambda e: (inst.edge_cost(e), e))
-    parent = list(range(inst.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    copies = 2 * math.ceil(inst.k / 2)
-    mult = {}
-    for e in order:
-        ra, rb = find(e[0]), find(e[1])
-        if ra != rb:
-            parent[ra] = rb
-            mult[e] = copies
-    return MultiEdgeSet(mult)
 
 
 def chernoff_tail(q_prime: float, epsilon: float) -> float:

@@ -12,6 +12,8 @@ from kecsm.core import (
     global_min_cut,
     make_edge,
     metric_closure,
+    min_spanning_tree,
+    spanning_forest,
     validate_metric,
 )
 
@@ -126,6 +128,30 @@ class TestCutSize:
         s = CutSpec(side=side, n=n)
         assert cut_size(a.union(b), s) == cut_size(a, s) + cut_size(b, s)
         assert a.union(b).size() == a.size() + b.size()
+
+
+class TestSpanningForest:
+    def test_chosen_positions_and_labels(self):
+        # (2, 0) closes a cycle and (4, 3) repeats an edge; vertex 5 is isolated
+        chosen, labels = spanning_forest(6, [(1, 2), (0, 1), (2, 0), (3, 4), (4, 3)])
+        assert chosen == [0, 1, 3]
+        assert labels == [0, 0, 0, 1, 1, 2]
+
+    def test_stops_after_n_minus_one_edges(self):
+        # the out-of-range pair after the spanning edge is never read
+        assert spanning_forest(2, [(0, 1), (0, 1), (0, 7)]) == ([0], [0, 0])
+
+    def test_mst_ties_go_to_the_smallest_index(self):
+        assert min_spanning_tree(3, [(0, 1), (1, 2), (0, 2)], [1.0, 1.0, 1.0]) == [0, 1]
+        assert min_spanning_tree(3, [(0, 1), (1, 2), (0, 2)], [2.0, 1.0, 1.0]) == [1, 2]
+
+    def test_mst_of_a_disconnected_graph_raises(self):
+        with pytest.raises(NotConnectedError):
+            min_spanning_tree(4, [(0, 1), (2, 3), (0, 1)], [1.0, 1.0, 0.5])
+
+    def test_instance_mst_all_ties_is_lexicographic(self, k4_unit):
+        tree = k4_unit.mst()
+        assert list(tree.multiplicity.items()) == [((0, 1), 1), ((0, 2), 1), ((0, 3), 1)]
 
 
 class TestMultiEdgeSet:

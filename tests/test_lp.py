@@ -206,6 +206,18 @@ def test_relabelled_vertices_keep_the_lp_value(family, n, k, seed, data):
     assert abs(frac.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
 
 
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from([euclidean_instance, random_closure_instance]),
+       n=st.integers(3, 10), k=st.integers(2, 8), seed=st.integers(0, 2**16),
+       j=st.integers(-20, 20))
+def test_scaling_the_costs_scales_the_lp_value(family, n, k, seed, j):
+    inst = family(n, k, seed)
+    scaled = MetricInstance(n=n, cost=inst.cost * 2.0 ** j, k=k)
+    frac, _ = solve_lp(scaled)
+    ref, _ = solve_lp(inst)
+    assert frac.objective == pytest.approx(ref.objective * 2.0 ** j, rel=1e-9)
+
+
 class TestSeparate:
     def test_triangle_saturated(self):
         x = {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}

@@ -1,7 +1,10 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kecsm.cli import main
 from kecsm.core import MetricInstance
@@ -18,6 +21,8 @@ from kecsm.pipeline import (
     CSV_COLUMNS,
     ExperimentReport,
     derived_seed,
+    prepare,
+    round_prepared,
     run_baseline,
     run_batch,
     run_pipeline,
@@ -122,7 +127,20 @@ class TestRunPipeline:
         for v in range(inst.n):
             result = run_pipeline(inst, seed=2, split_vertex=v)
             assert result.record.connected
-            assert result.split_graph.u0 == v
+            assert result.relaxation.split_graph.u0 == v
+
+
+@settings(max_examples=10, deadline=None)
+@given(family=st.sampled_from([euclidean_instance, random_closure_instance]),
+       n=st.integers(3, 10), k=st.integers(2, 8), seed=st.integers(0, 2**16))
+def test_every_split_vertex_keeps_the_lp_value_and_the_certificate(family, n, k, seed):
+    inst = family(n, k, seed)
+    objectives = set()
+    for v in range(n):
+        prep = prepare(inst, split_vertex=v)  # raises if the fit fails
+        objectives.add(prep.fractional.objective)
+        assert round_prepared(prep, seed=seed).certificate.passes
+    assert len(objectives) == 1
 
 
 class TestRunBatch:
@@ -193,6 +211,10 @@ class TestReports:
             "connected", "augments", "ms",
         ]
         assert len(rows) == 2
+
+    def test_csv_columns_match_readme(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        assert ",".join(CSV_COLUMNS) in readme.splitlines()
 
     def test_csv_append_only(self, tmp_path):
         report = run_batch("euclidean", n=5, instances=1, k_values=[2], trials=1, seed_base=0)
@@ -297,6 +319,34 @@ class TestCli:
 
         monkeypatch.setattr(cli, "run_pipeline", lambda *a, **kw: boom(None))
         assert main(["solve", "--input", instance_file]) == 4
+
+    @pytest.mark.parametrize("argv,name,text", [
+        pytest.param("solve --input inst.json --split-vertex 9", None, None, id="split-vertex"),
+        pytest.param("solve --input inst.json --alpha nan", None, None, id="alpha-nan"),
+        pytest.param("solve --input inst.json --alpha=-1", None, None, id="alpha-negative"),
+        pytest.param("sample --input inst.json --trials 0", None, None, id="sample-trials"),
+        pytest.param("batch --k 2 --n 1", None, None, id="batch-n"),
+        pytest.param("batch --k 2 --trials 0", None, None, id="batch-trials"),
+        pytest.param("lp --input bad.tsp --format tsplib-euc2d --k 2", "bad.tsp",
+                     "DIMENSION: abc\nNODE_COORD_SECTION\n1 0 0\n2 3 4\nEOF\n", id="tsplib-dimension"),
+        pytest.param("lp --input bad.json", "bad.json", '{"n": 1e400, "k": 2, "costs": [[0]]}',
+                     id="json-overflow"),
+        pytest.param("verify --input inst.json --solution bad.json", "bad.json",
+                     '{"edges": [[0, 0, 2]]}', id="solution-self-loop"),
+        pytest.param("verify --input inst.json --solution bad.json", "bad.json",
+                     '{"edges": [[0, 9, 2]]}', id="solution-out-of-range"),
+        pytest.param("verify --input inst.json --solution bad.json", "bad.json",
+                     '{"edges": [[0, 1, -2]]}', id="solution-negative"),
+    ])
+    def test_bad_input_is_one_line_exit_three(self, tmp_path, monkeypatch, capsys, argv, name, text):
+        monkeypatch.chdir(tmp_path)
+        inst = euclidean_instance(4, 2, seed=1)
+        (tmp_path / "inst.json").write_text(json.dumps({"n": 4, "k": 2, "costs": inst.cost.tolist()}))
+        if name:
+            (tmp_path / name).write_text(text)
+        assert main(argv.split()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("closure", [[], ["--closure"]])
     def test_nan_costs_are_input_error(self, tmp_path, capsys, closure):
