@@ -43,12 +43,10 @@ from .treedist import (
 from .sampler import (
     RngStream,
     SpanningTree,
-    enumerate_spanning_trees,
     sample_batch,
     sample_fitted_batch,
     sample_fitted_tree,
     sample_tree,
-    sample_tree_enumeration,
     tree_from_edges,
 )
 from .rounding import (

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -194,7 +195,11 @@ def _cmd_verify(args) -> int:
     try:
         with open(args.solution) as fh:
             payload = json.load(fh)
-        mult = MultiEdgeSet({(int(u), int(v)): int(m) for u, v, m in payload["edges"]})
+        # a repeated edge, in either orientation, adds its multiplicities
+        counts: Counter = Counter()
+        for u, v, m in payload["edges"]:
+            counts.update(MultiEdgeSet({(int(u), int(v)): int(m)}).multiplicity)
+        mult = MultiEdgeSet(counts)
         if any(not 0 <= v < inst.n for e in mult.multiplicity for v in e):
             raise ValueError(f"edge endpoint outside 0..{inst.n - 1}")
     except (OSError, ValueError, KeyError, TypeError) as exc:

@@ -70,22 +70,6 @@ def mst(g0: SplitGraph) -> SpanningTree:
     return tree_from_edges(graph_of_split(g0), min_spanning_tree(g0.n0, g0.edges, g0.cost0))
 
 
-def _depths(tree: SpanningTree) -> list[int]:
-    depth = [-1] * tree.n
-    depth[0] = 0
-    for v in range(1, tree.n):
-        chain = []
-        u = v
-        while depth[u] < 0:
-            chain.append(u)
-            u = tree.parent[u]
-        d = depth[u]
-        for w in reversed(chain):
-            d += 1
-            depth[w] = d
-    return depth
-
-
 def _lca(tree: SpanningTree, depth: list[int], a: int, b: int) -> int:
     while depth[a] > depth[b]:
         a = tree.parent[a]
@@ -109,7 +93,7 @@ def fundamental_cut_counts(tree: SpanningTree, t_star: MultiEdgeSet,
 
     Returns a mapping from expanded-graph edge index (tree edges only) to count.
     """
-    depth = _depths(tree)
+    depth = tree.depth
     diff = [0] * tree.n
     for (a, b), mult in t_star.multiplicity.items():
         meet = _lca(tree, depth, a, b)
@@ -126,8 +110,7 @@ def fundamental_cut_counts(tree: SpanningTree, t_star: MultiEdgeSet,
 
 def u0v0_path_edges(tree: SpanningTree, u0: int, v0: int) -> frozenset[int]:
     """Edge indices on the unique tree path between the split twins."""
-    depth = _depths(tree)
-    meet = _lca(tree, depth, u0, v0)
+    meet = _lca(tree, tree.depth, u0, v0)
     edges = set()
     for v in (u0, v0):
         while v != meet:
@@ -185,12 +168,13 @@ def run_rounding(g0: SplitGraph, dist: LambdaWeights, params: RoundingParams) ->
 
     f_idx: Counter[int] = Counter()
     aug_counts = []
+    threshold = params.threshold
     for tr in trees:
         counts = fundamental_cut_counts(tr, t_star, g0)
         path = u0v0_path_edges(tr, g0.u0, g0.v0)
         n_aug = 0
         for e, covered in counts.items():
-            if covered < params.threshold and e not in path:
+            if covered < threshold and e not in path:
                 f_idx[e] += 1
                 n_aug += 1
         aug_counts.append(n_aug)

@@ -1,21 +1,23 @@
 """Exact spanning-tree sampling from weighted tree laws.
 
-The production path is Wilson's loop-erased random walk, which is exact for
-arbitrary positive weights and supports parallel edges.  A full-enumeration
-sampler doubles as a distributional oracle on tiny graphs.
+The sampler is Wilson's loop-erased random walk, which is exact for
+arbitrary positive weights and supports parallel edges.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import combinations
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
-from .core import NotConnectedError, spanning_forest
+from .core import NotConnectedError
 from .treedist import EdgeGraph, LambdaWeights, is_connected
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 32  # draws per generator call; a fitted tree on the n = 32 benchmark laws takes 2-20
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,23 @@ class SpanningTree:
         if len(self.edge_indices) != self.n - 1:
             raise ValueError(f"a spanning tree on {self.n} vertices needs {self.n - 1} edges")
 
+    @cached_property
+    def depth(self) -> list[int]:
+        """Edge count from each vertex up to the root, computed on first use."""
+        depth = [-1] * self.n
+        depth[0] = 0
+        for v in range(1, self.n):
+            chain = []
+            u = v
+            while depth[u] < 0:
+                chain.append(u)
+                u = self.parent[u]
+            d = depth[u]
+            for w in reversed(chain):
+                d += 1
+                depth[w] = d
+        return depth
+
 
 def _tree_from_parents(n: int, parent: list[int], parent_edge: list[int]) -> SpanningTree:
     idx = tuple(sorted(parent_edge[v] for v in range(n) if v != 0))
@@ -61,13 +80,19 @@ def tree_from_edges(graph: EdgeGraph, edge_indices) -> SpanningTree:
     return _tree_from_parents(graph.n, parent, parent_edge)
 
 
-def _rooted_arrays(graph: EdgeGraph, edge_indices) -> tuple[list[int], list[int]]:
-    """Parent arrays for the tree given by ``edge_indices``, rooted at 0."""
+def _incidence(graph: EdgeGraph, edge_indices) -> list[list[tuple[int, int]]]:
+    """(neighbour, edge index) pairs at each vertex, in the order of ``edge_indices``."""
     inc: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
     for i in edge_indices:
         a, b = graph.edges[i]
         inc[a].append((b, i))
         inc[b].append((a, i))
+    return inc
+
+
+def _rooted_arrays(graph: EdgeGraph, edge_indices) -> tuple[list[int], list[int]]:
+    """Parent arrays for the tree given by ``edge_indices``, rooted at 0."""
+    inc = _incidence(graph, edge_indices)
     parent = [-1] * graph.n
     parent_edge = [-1] * graph.n
     seen = [False] * graph.n
@@ -86,41 +111,55 @@ def _rooted_arrays(graph: EdgeGraph, edge_indices) -> tuple[list[int], list[int]
     return parent, parent_edge
 
 
-def _wilson(lam: np.ndarray, graph: EdgeGraph, gen: np.random.Generator) -> SpanningTree:
-    """Wilson's loop-erased random walk on an explicit generator."""
-    support = [i for i in range(len(graph.edges)) if lam[i] > 0.0]
-    if not is_connected(graph, active=support):
-        raise NotConnectedError("weight support does not connect the graph")
+class _Walk:
+    """Wilson's loop-erased random walk, built once per (lam, graph) for a whole batch.
 
-    neighbors: list[list[int]] = [[] for _ in range(graph.n)]
-    edge_ids: list[list[int]] = [[] for _ in range(graph.n)]
-    for i in support:
-        a, b = graph.edges[i]
-        neighbors[a].append(b)
-        edge_ids[a].append(i)
-        neighbors[b].append(a)
-        edge_ids[b].append(i)
-    cumw = [np.cumsum([lam[i] for i in edge_ids[v]]) for v in range(graph.n)]
+    ``itertools.accumulate`` adds left to right as ``np.cumsum`` does, so each
+    step picks the same edge as a walk rebuilt for every tree.
+    """
 
-    in_tree = [False] * graph.n
-    in_tree[0] = True
-    parent = [-1] * graph.n
-    parent_edge = [-1] * graph.n
-    for start in range(1, graph.n):
-        v = start
-        while not in_tree[v]:
-            # overwrite on revisit: this is the loop erasure
-            c = cumw[v]
-            j = int(np.searchsorted(c, gen.random() * c[-1], side="right"))
-            j = min(j, len(c) - 1)
-            parent[v] = neighbors[v][j]
-            parent_edge[v] = edge_ids[v][j]
-            v = parent[v]
-        v = start
-        while not in_tree[v]:
-            in_tree[v] = True
-            v = parent[v]
-    return _tree_from_parents(graph.n, parent, parent_edge)
+    def __init__(self, lam, graph: EdgeGraph):
+        lam = np.asarray(lam, dtype=float)
+        if np.any(lam < 0):
+            raise ValueError("edge weights must be nonnegative")
+        support = [i for i in range(len(graph.edges)) if lam[i] > 0.0]
+        if not is_connected(graph, active=support):
+            raise NotConnectedError("weight support does not connect the graph")
+        self.n = graph.n
+        self.inc = _incidence(graph, support)
+        weights = lam.tolist()
+        self.cumw = [list(accumulate(weights[i] for _, i in steps)) for steps in self.inc]
+
+    def parents(self, uniform) -> tuple[list[int], list[int]]:
+        """Parent and parent-edge arrays of one tree rooted at 0; ``uniform()`` gives each step's draw."""
+        n, inc, cumw = self.n, self.inc, self.cumw
+        in_tree = [False] * n
+        in_tree[0] = True
+        parent = [-1] * n
+        parent_edge = [-1] * n
+        for start in range(1, n):
+            v = start
+            while not in_tree[v]:
+                # overwrite on revisit: this is the loop erasure
+                c = cumw[v]
+                j = min(bisect_right(c, uniform() * c[-1]), len(c) - 1)
+                parent[v], parent_edge[v] = inc[v][j]
+                v = parent[v]
+            v = start
+            while not in_tree[v]:
+                in_tree[v] = True
+                v = parent[v]
+        return parent, parent_edge
+
+    def tree(self, rng: RngStream) -> SpanningTree:
+        return _tree_from_parents(self.n, *self.parents(_uniforms(rng).__next__))
+
+
+def _uniforms(rng: RngStream):
+    """Yield the stream's ``random()`` draws in order (``random(size)`` gives the same numbers)."""
+    gen = rng.generator()
+    while True:
+        yield from gen.random(_BLOCK).tolist()
 
 
 def sample_tree(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:
@@ -130,40 +169,7 @@ def sample_tree(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:
     be connected.  The walk steps to an incident edge with probability
     proportional to its weight, so parallel edges are handled natively.
     """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ValueError("edge weights must be nonnegative")
-    return _wilson(lam, graph, rng.generator())
-
-
-def enumerate_spanning_trees(graph: EdgeGraph, max_vertices: int = 8) -> list[tuple[int, ...]]:
-    """All spanning trees as sorted edge-index tuples (small graphs only)."""
-    if graph.n > max_vertices:
-        raise ValueError(f"tree enumeration limited to {max_vertices} vertices, got {graph.n}")
-    return [combo for combo in combinations(range(len(graph.edges)), graph.n - 1)
-            if len(spanning_forest(graph.n, [graph.edges[i] for i in combo])[0]) == graph.n - 1]
-
-
-def tree_weight(lam, tree_indices) -> float:
-    lam = np.asarray(lam, dtype=float)
-    out = 1.0
-    for i in tree_indices:
-        out *= float(lam[i])
-    return out
-
-
-def sample_tree_enumeration(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:
-    """Oracle sampler: enumerate all trees and draw one with probability ~ weight."""
-    lam = np.asarray(lam, dtype=float)
-    trees = enumerate_spanning_trees(graph)
-    weights = np.array([tree_weight(lam, t) for t in trees])
-    total = weights.sum()
-    if total <= 0:
-        raise NotConnectedError("no spanning tree has positive weight")
-    gen = rng.generator()
-    pick = int(np.searchsorted(np.cumsum(weights), gen.random() * total, side="right"))
-    pick = min(pick, len(trees) - 1)
-    return tree_from_edges(graph, trees[pick])
+    return _Walk(lam, graph).tree(rng)
 
 
 def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> list[SpanningTree]:
@@ -174,7 +180,22 @@ def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> list[SpanningTree]
     """
     if t < 1:
         raise ValueError("tree count must be at least 1")
-    return [sample_tree(lam, graph, RngStream(seed=seed, stream=s)) for s in range(t)]
+    walk = _Walk(lam, graph)
+    return [walk.tree(RngStream(seed=seed, stream=s)) for s in range(t)]
+
+
+def _fitted_sampler(dist: LambdaWeights):
+    """Draw function of the fitted law: forced edges plus one walk per piece, on one stream."""
+    walks = [(_Walk(piece.lam, piece.graph), piece.kept) for piece in dist.pieces]
+
+    def draw(rng: RngStream) -> SpanningTree:
+        uniform = _uniforms(rng).__next__
+        chosen: list[int] = list(dist.forced)
+        for walk, kept in walks:
+            chosen.extend(kept[i] for i in sorted(walk.parents(uniform)[1][1:]))
+        return tree_from_edges(dist.graph, chosen)
+
+    return draw
 
 
 def sample_fitted_tree(dist: LambdaWeights, rng: RngStream) -> SpanningTree:
@@ -182,18 +203,14 @@ def sample_fitted_tree(dist: LambdaWeights, rng: RngStream) -> SpanningTree:
 
     Pieces are independent factors of the law; their samples are lifted back
     to original edge indices and merged with the always-present edges, which
-    yields a spanning tree of the original graph.  One generator drives all
+    yields a spanning tree of the original graph.  One stream drives all
     pieces in order, so the draw is a pure function of the stream.
     """
-    gen = rng.generator()
-    chosen: list[int] = list(dist.forced)
-    for piece in dist.pieces:
-        sub = _wilson(piece.lam, piece.graph, gen)
-        chosen.extend(piece.kept[i] for i in sub.edge_indices)
-    return tree_from_edges(dist.graph, chosen)
+    return _fitted_sampler(dist)(rng)
 
 
 def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> list[SpanningTree]:
     if t < 1:
         raise ValueError("tree count must be at least 1")
-    return [sample_fitted_tree(dist, RngStream(seed=seed, stream=s)) for s in range(t)]
+    draw = _fitted_sampler(dist)
+    return [draw(RngStream(seed=seed, stream=s)) for s in range(t)]

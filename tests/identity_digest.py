@@ -1,0 +1,65 @@
+"""SHA-256 over deterministic solver outputs, to show that a change keeps results identical.
+
+Run from a checkout as ``PYTHONPATH=src python tests/identity_digest.py``; to
+hash another checkout with the same script, point ``PYTHONPATH`` at its
+``src``.  Two checkouts that print the same digest give byte-identical batch
+rows, LP vertices, fitted laws, MSTs, roundings, baselines and brute-force
+optima on the fixed seeds below.  pytest does not collect this file.
+"""
+
+import hashlib
+import itertools
+
+import numpy as np
+
+import kecsm
+from kecsm import rounding, treedist
+from kecsm.verify import brute_force_opt
+from oracles import enumerate_spanning_trees
+
+CELLS = [("euclidean", 32, 8), ("random-closure", 32, 8), ("euclidean", 48, 8),
+         ("random-closure", 48, 8), ("random-closure", 32, 64), ("random-closure", 32, 256),
+         ("euclidean", 32, 64), ("random-closure", 48, 4), ("random-closure", 48, 6),
+         ("euclidean", 40, 4), ("euclidean", 40, 6)]
+
+
+def main() -> None:
+    h = hashlib.sha256()
+    put = lambda *xs: h.update(repr(xs).encode())
+    arr = lambda a: np.asarray(a, dtype=float).tobytes().hex()
+
+    for family in ("euclidean", "random-closure"):
+        rep = kecsm.run_batch(family, n=10, instances=2, k_values=[2, 4, 8, 17], trials=3, seed_base=1)
+        for r in rep.records:
+            put(r.as_row()[:-1])  # every column but the wall time
+    gen = {"euclidean": kecsm.euclidean_instance, "random-closure": kecsm.random_closure_instance}
+    pieces = 0
+    for fam, n, k in CELLS:
+        prep = kecsm.prepare(gen[fam](n, k, 1))
+        put(sorted(prep.fractional.values.items()), prep.fractional.objective)
+        w = prep.weights
+        put(arr(w.lam), arr(w.fitted_marginals), w.forced, w.deleted, w.sweeps, w.max_ratio)
+        for pc in w.pieces:
+            put(pc.graph.n, pc.graph.edges, arr(pc.lam), pc.kept)
+        pieces += len(w.pieces)
+        put(rounding.mst(prep.split_graph).edge_indices)
+        for seed in (0, 1, 2):
+            out = rounding.run_rounding(prep.split_graph, w, rounding.RoundingParams.make(k, seed=seed))
+            for ms in (out.t_star, out.b_set, out.f_set, out.final):
+                put(sorted(ms.multiplicity.items()))
+            put(out.cost_t_star, out.cost_b, out.cost_f, out.augmentations_per_tree)
+    for seed in range(4):
+        inst = kecsm.random_closure_instance(8, 6, seed)
+        for which in ("naive-mst-double", "karger-independent"):
+            put(kecsm.run_baseline(inst, which, seed=seed).as_row()[:-1])
+    for n, k, seed in itertools.product((3, 4, 5), (2, 3), range(2)):
+        cost, sol = brute_force_opt(kecsm.euclidean_instance(n, k, seed))
+        put(cost, sorted(sol.multiplicity.items()))
+    g = treedist.EdgeGraph(n=5, edges=((0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (2, 4)))
+    put(enumerate_spanning_trees(g))
+    print("pieces", pieces)
+    print(h.hexdigest())
+
+
+if __name__ == "__main__":
+    main()

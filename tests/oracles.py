@@ -11,8 +11,8 @@ import itertools
 
 import numpy as np
 
-from kecsm.core import MetricInstance, MultiEdgeSet
-from kecsm.sampler import SpanningTree, enumerate_spanning_trees, tree_weight
+from kecsm.core import MetricInstance, MultiEdgeSet, NotConnectedError, spanning_forest
+from kecsm.sampler import RngStream, SpanningTree, tree_from_edges
 from kecsm.split import SplitGraph
 from kecsm.treedist import EdgeGraph
 
@@ -83,6 +83,36 @@ def _component_of(n: int, edges, start: int) -> set[int]:
                 seen.add(w)
                 stack.append(w)
     return seen
+
+
+def enumerate_spanning_trees(graph: EdgeGraph, max_vertices: int = 8) -> list[tuple[int, ...]]:
+    """All spanning trees as sorted edge-index tuples (small graphs only)."""
+    if graph.n > max_vertices:
+        raise ValueError(f"tree enumeration limited to {max_vertices} vertices, got {graph.n}")
+    return [combo for combo in itertools.combinations(range(len(graph.edges)), graph.n - 1)
+            if len(spanning_forest(graph.n, [graph.edges[i] for i in combo])[0]) == graph.n - 1]
+
+
+def tree_weight(lam, tree_indices) -> float:
+    lam = np.asarray(lam, dtype=float)
+    out = 1.0
+    for i in tree_indices:
+        out *= float(lam[i])
+    return out
+
+
+def sample_tree_enumeration(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:
+    """Oracle sampler: enumerate all trees and draw one with probability ~ weight."""
+    lam = np.asarray(lam, dtype=float)
+    trees = enumerate_spanning_trees(graph)
+    weights = np.array([tree_weight(lam, t) for t in trees])
+    total = weights.sum()
+    if total <= 0:
+        raise NotConnectedError("no spanning tree has positive weight")
+    gen = rng.generator()
+    pick = int(np.searchsorted(np.cumsum(weights), gen.random() * total, side="right"))
+    pick = min(pick, len(trees) - 1)
+    return tree_from_edges(graph, trees[pick])
 
 
 def enumerated_marginals(lam, graph: EdgeGraph) -> np.ndarray:

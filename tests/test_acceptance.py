@@ -18,19 +18,12 @@ from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import solve_lp, solve_lp_enumeration
 from kecsm.pipeline import prepare, round_prepared, run_batch, run_pipeline
 from kecsm.rounding import RoundingParams, run_rounding, u0v0_path_edges
-from kecsm.sampler import (
-    RngStream,
-    enumerate_spanning_trees,
-    sample_batch,
-    sample_fitted_batch,
-    sample_tree,
-    tree_weight,
-)
+from kecsm.sampler import RngStream, sample_batch, sample_fitted_batch, sample_tree
 from kecsm.split import TreePolytopePoint, build_split_graph, check_tree_polytope, to_tree_point
 from kecsm.treedist import fit_max_entropy
 from kecsm.verify import approx_factor, brute_force_opt, bs_stats
 
-from oracles import complete_graph
+from oracles import complete_graph, enumerate_spanning_trees, tree_weight
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> bool:

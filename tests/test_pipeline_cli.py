@@ -267,6 +267,18 @@ class TestCli:
                                              [3, 4, 1], [4, 5, 1]]}))
         assert main(["verify", "--input", instance_file, "--solution", str(sol)]) == 2
 
+    @pytest.mark.parametrize("edges", [
+        [[0, 1, 2], [0, 1, 3], [1, 2, 5], [2, 3, 5]],
+        [[0, 1, 2], [1, 0, 3], [1, 2, 5], [2, 3, 5]],
+    ], ids=["same-orientation", "reversed"])
+    def test_verify_sums_repeated_edges(self, tmp_path, capsys, edges):
+        inst = euclidean_instance(4, 5, seed=1)
+        (tmp_path / "inst.json").write_text(json.dumps({"n": 4, "k": 5, "costs": inst.cost.tolist()}))
+        (tmp_path / "sol.json").write_text(json.dumps({"edges": edges}))
+        assert main(["verify", "--input", str(tmp_path / "inst.json"),
+                     "--solution", str(tmp_path / "sol.json")]) == 0
+        assert "min_cut=5 " in capsys.readouterr().out
+
     def test_lp_command(self, instance_file, capsys):
         assert main(["lp", "--input", instance_file]) == 0
         assert "objective=" in capsys.readouterr().out

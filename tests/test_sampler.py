@@ -1,27 +1,33 @@
+import hashlib
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from kecsm import euclidean_instance, prepare, random_closure_instance
 from kecsm.core import NotConnectedError
 from kecsm.sampler import (
     RngStream,
-    enumerate_spanning_trees,
     sample_batch,
     sample_fitted_batch,
+    sample_fitted_tree,
     sample_tree,
-    sample_tree_enumeration,
     tree_from_edges,
-    tree_weight,
 )
 from kecsm.split import TreePolytopePoint
 from kecsm.treedist import EdgeGraph, fit_max_entropy, tree_marginals
 
-from oracles import complete_graph
+from oracles import complete_graph, enumerate_spanning_trees, sample_tree_enumeration, tree_weight
 
 TRIANGLE = EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
 PATH3 = EdgeGraph(n=3, edges=((0, 1), (1, 2)))
+# two tight pieces, {0,1,2} and {2,3,4}, plus the forced pendant edge (4, 5)
+TWO_PIECES = TreePolytopePoint(
+    n=6,
+    edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4), (4, 5)),
+    z=[0.7, 0.7, 0.6, 0.45, 0.45, 0.55, 0.55, 1.0],
+)
 
 
 def three_sigma(p: float, n: int) -> float:
@@ -156,6 +162,34 @@ class TestSampleBatch:
         with pytest.raises(ValueError):
             sample_batch(np.ones(3), TRIANGLE, 0, seed=0)
 
+    def test_disconnected_support_raises(self):
+        with pytest.raises(NotConnectedError):
+            sample_batch(np.array([1.0, 0.0]), PATH3, 3, seed=0)
+
+
+def _digest(trees) -> str:
+    return hashlib.sha256(repr([t.edge_indices for t in trees]).encode()).hexdigest()
+
+
+class TestGoldenDraws:
+    """Fixed batches pinned by hash: a change to the walk's draw order or step rule fails here.
+
+    The hashes were recorded with a walk that rebuilt its adjacency and
+    ``np.cumsum`` weights for every tree and drew each step with
+    ``np.searchsorted``.
+    """
+
+    def test_sample_batch(self):
+        g = complete_graph(6)
+        lam = 0.25 + np.arange(len(g.edges)) / 4.0
+        assert _digest(sample_batch(lam, g, 64, seed=2024)) == (
+            "6d6bd507a92d4683de7e8d4d6a1d2329d22d5cfbf69b206da692349a8b3f2530")
+
+    def test_sample_fitted_batch(self):
+        w = prepare(euclidean_instance(12, 8, 1)).weights
+        assert _digest(sample_fitted_batch(w, 64, seed=2024)) == (
+            "573e65504980c0829d8ca815ee8352500963ec417f5756a33aa563feb125e0b6")
+
 
 class TestEmpiricalMarginals:
     @pytest.mark.parametrize("n,seed", [(4, 0), (6, 1)])
@@ -175,6 +209,18 @@ class TestEmpiricalMarginals:
 
 
 class TestFittedSampling:
+    @pytest.mark.parametrize("law", [
+        lambda: fit_max_entropy(TWO_PIECES),
+        lambda: prepare(random_closure_instance(12, 4, 5)).weights,
+    ], ids=["two-pieces", "pipeline"])
+    def test_stream_isolation(self, law):
+        # tree s of a batch only depends on (seed, s), also across pieces and forced edges
+        w = law()
+        assert len(w.pieces) >= 2 and w.forced
+        batch = sample_fitted_batch(w, 16, seed=29)
+        for s, tree in enumerate(batch):
+            assert tree == sample_fitted_tree(w, RngStream(seed=29, stream=s))
+
     def test_forced_edges_always_present(self):
         pt = TreePolytopePoint(n=3, edges=PATH3.edges, z=[1.0, 1.0])
         w = fit_max_entropy(pt)

@@ -110,7 +110,7 @@ class TestSpanningTreeCount:
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
     def test_matches_enumeration(self, n):
-        from kecsm.sampler import enumerate_spanning_trees, tree_weight
+        from oracles import enumerate_spanning_trees, tree_weight
 
         rng = np.random.default_rng(n)
         g = complete_graph(n)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kecsm.core import MetricInstance, MultiEdgeSet
 from kecsm.instances import euclidean_instance
@@ -63,6 +65,27 @@ class TestVerifyConnectivity:
             {e: float(m) for e, m in ms.multiplicity.items()}, n
         )
 
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_relabelling_keeps_the_certificate(self, data):
+        n = data.draw(st.integers(2, 10), label="n")
+        vertex = st.integers(0, n - 1)
+        rows = data.draw(st.lists(st.tuples(vertex, vertex, st.integers(1, 4))
+                                  .filter(lambda r: r[0] != r[1]), max_size=30), label="edges")
+        perm = data.draw(st.permutations(range(n)), label="perm")
+        k = data.draw(st.integers(1, 8), label="k")
+        ms = MultiEdgeSet.from_pairs((u, v) for u, v, m in rows for _ in range(m))
+        moved = MultiEdgeSet({(perm[u], perm[v]): m for (u, v), m in ms.multiplicity.items()})
+
+        def cut(mult, side):
+            return sum(m for (u, v), m in mult.multiplicity.items() if (u in side) != (v in side))
+
+        cert, cert_moved = verify_k_connectivity(ms, n, k), verify_k_connectivity(moved, n, k)
+        assert cert_moved.min_cut_value == cert.min_cut_value
+        assert cert_moved.passes == cert.passes
+        assert cut(moved, {perm[v] for v in cert.witness.side}) == cert.min_cut_value
+        assert cut(moved, cert_moved.witness.side) == cert.min_cut_value
 
 class TestBruteForceOpt:
     def test_triangle_k2(self, triangle_unit):
