@@ -20,13 +20,11 @@ from .lp import (
     LPReport,
     separate,
     solve_lp,
-    solve_lp_enumeration,
 )
 from .split import (
     SplitGraph,
     TreePolytopePoint,
     build_split_graph,
-    check_tree_polytope,
     identify_back,
     to_tree_point,
 )
@@ -56,7 +54,6 @@ from .rounding import (
     fundamental_cut_counts,
     mst,
     run_rounding,
-    separates_u0_v0,
 )
 from .verify import (
     ApproxFactor,

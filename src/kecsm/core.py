@@ -275,47 +275,55 @@ def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
     """
     if n < 2:
         raise ValueError("min cut needs at least 2 vertices")
-    w = np.zeros((n, n))
+    rows = [[0.0] * n for _ in range(n)]
     for e, wt in dict(weights).items():
         u, v = make_edge(*e)
         if wt < 0:
             raise ValueError(f"negative weight {wt} on edge {e}")
-        w[u, v] += wt
-        w[v, u] += wt
+        wt = float(wt)
+        rows[u][v] += wt
+        rows[v][u] += wt
 
+    # The phases run on Python floats: a float list is read several times
+    # faster than numpy scalars.  Only entries between live vertices are
+    # kept up to date; rows and columns of contracted vertices go stale.
     groups: list[list[int]] = [[v] for v in range(n)]
     alive = list(range(n))
     best_value = np.inf
     best_side: list[int] = []
     while len(alive) > 1:
-        start = alive[0]
-        added = [start]
-        in_order = np.zeros(n, dtype=bool)
-        in_order[start] = True
-        conn = w[start].copy()
-        prev = start
-        last = start
-        for _ in range(len(alive) - 1):
+        free = alive[1:]
+        conn = [0.0] * n
+        prev = last = alive[0]
+        while free:
+            # add ``last`` to the order, then pick the free vertex most tightly
+            # connected to it; ties within 1e-15 go to the smallest index
+            row = rows[last]
             prev = last
-            best = -1.0
-            last = -1
-            for v in alive:
-                if not in_order[v] and (conn[v] > best + 1e-15):
-                    best = conn[v]
+            bar = -1.0 + 1e-15
+            for v in free:
+                c = conn[v] + row[v]
+                conn[v] = c
+                if c > bar:
+                    bar = c + 1e-15
                     last = v
-            in_order[last] = True
-            added.append(last)
-            conn += w[last]
-        phase_cut = float(sum(w[last, v] for v in alive if v != last))
+            free.remove(last)
+        # a plain left-to-right loop: from Python 3.12 on, sum() of floats is
+        # compensated and would round differently
+        row = rows[last]
+        phase_cut = 0.0
+        for v in alive:
+            if v != last:
+                phase_cut += row[v]
         if phase_cut < best_value - 1e-15:
             best_value = phase_cut
             best_side = list(groups[last])
         # contract last into prev (prev keeps the merged supervertex)
-        w[prev] += w[last]
-        w[:, prev] += w[:, last]
-        w[prev, prev] = 0.0
-        w[last, :] = 0.0
-        w[:, last] = 0.0
+        merged, gone = rows[prev], rows[last]
+        for v in alive:
+            if v != prev and v != last:
+                merged[v] += gone[v]
+                rows[v][prev] = merged[v]
         groups[prev].extend(groups[last])
         alive.remove(last)
 

@@ -75,7 +75,8 @@ def parse_tsplib_euc2d(text: str, k: int | None = None, closure: bool = False) -
     if not coords:
         raise InstanceFormatError("no NODE_COORD_SECTION found")
     n = dimension if dimension is not None else len(coords)
-    if sorted(coords) != list(range(1, n + 1)):
+    # the length test first: a huge DIMENSION must not build a huge id list
+    if len(coords) != n or sorted(coords) != list(range(1, n + 1)):
         raise InstanceFormatError(f"expected node ids 1..{n}")
     if k is None:
         raise InstanceFormatError("TSPLIB files carry no connectivity target; pass --k")

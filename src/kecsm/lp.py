@@ -1,12 +1,11 @@
-"""Cutting-plane and full-enumeration solvers for the degree-k cut relaxation.
+"""Cutting-plane solver for the degree-k cut relaxation.
 
 The relaxation minimizes total edge cost subject to fractional degree exactly
 k at every vertex, every cut carrying at least k, and nonnegative edge values.
 Cut constraints are generated lazily: the support graph's connected
 components first, then a global-min-cut separation oracle.  Cuts join one
 simplex tableau kept across rounds and are absorbed by dual simplex pivots
-from the previous optimal basis.  A materialized-constraint variant serves as
-ground truth on tiny instances.
+from the previous optimal basis.
 """
 
 from __future__ import annotations
@@ -342,24 +341,3 @@ def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSo
         seen.update(keys[:len(sides)])
         cuts_added += len(sides)
         tab.add_ge_rows(_cut_rows(np.array(sides), eu, ev), np.full(len(sides), k))
-
-
-def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSolution:
-    """Ground-truth solve with every cut constraint materialized.
-
-    Enumerates all 2^(n-1) - 1 cuts, so it is restricted to n <= 12.
-    """
-    if inst.n > max_n:
-        raise ValueError(f"enumeration LP limited to n <= {max_n}, got n={inst.n}")
-    edges = inst.edges()
-    eu, ev = _edge_ends(edges)
-    cost = inst.cost[eu, ev]
-    k = float(inst.k)
-
-    # every cut exactly once: sides containing vertex 0 (odd bit masks over
-    # the n vertices), excluding the full set
-    masks = 2 * np.arange((1 << (inst.n - 1)) - 1) + 1
-    sides = (masks[:, None] >> np.arange(inst.n) & 1).astype(bool)
-    x, obj = simplex_min(cost, _cut_rows(np.eye(inst.n, dtype=bool), eu, ev), np.full(inst.n, k),
-                         _cut_rows(sides, eu, ev), np.full(len(sides), k))
-    return FractionalSolution(values={e: float(v) for e, v in zip(edges, x)}, objective=obj)

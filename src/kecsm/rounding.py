@@ -119,11 +119,6 @@ def u0v0_path_edges(tree: SpanningTree, u0: int, v0: int) -> frozenset[int]:
     return frozenset(edges)
 
 
-def separates_u0_v0(tree: SpanningTree, e: int, u0: int, v0: int) -> bool:
-    """True iff removing tree edge ``e`` puts u0 and v0 on opposite sides."""
-    return e in u0v0_path_edges(tree, u0, v0)
-
-
 @dataclass(frozen=True)
 class RoundingOutput:
     """One rounding run: the three building blocks and the identified result."""

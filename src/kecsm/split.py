@@ -56,10 +56,6 @@ class SplitGraph:
     def edge_index(self, e: Edge) -> int:
         return self._index[make_edge(*e)]
 
-    def degree_value(self, v: int) -> float:
-        """Total x0 mass incident to vertex v."""
-        return float(sum(self.x0[i] for i, (a, b) in enumerate(self.edges) if v in (a, b)))
-
 
 def build_split_graph(inst: MetricInstance, x: FractionalSolution,
                       split_vertex: int = 0) -> SplitGraph:
@@ -117,45 +113,10 @@ class TreePolytopePoint:
         z.flags.writeable = False
         object.__setattr__(self, "z", z)
 
-    def total(self) -> float:
-        return float(self.z.sum())
-
 
 def to_tree_point(g0: SplitGraph, k: float) -> TreePolytopePoint:
     """Scale the split fractional solution by 2/k into the tree polytope."""
     return TreePolytopePoint(n=g0.n0, edges=g0.edges, z=(2.0 / k) * g0.x0)
-
-
-def check_tree_polytope(pt: TreePolytopePoint, tol: float = 1e-6) -> list[frozenset[int]]:
-    """Exhaustive membership check; returns the violated vertex subsets.
-
-    Verifies z(E) = n - 1 and z(E(S)) <= |S| - 1 for every subset S, plus
-    z >= 0 (a negative entry is reported as a singleton violation).  Meant as
-    a small-graph oracle: enumeration of 2^n subsets caps n at 14.
-    """
-    if pt.n > 14:
-        raise ValueError(f"enumeration infeasible for n={pt.n} > 14")
-    bad: list[frozenset[int]] = []
-    for i, e in enumerate(pt.edges):
-        if pt.z[i] < -tol:
-            bad.append(frozenset(e))
-    ea = np.array([e[0] for e in pt.edges], dtype=np.int64)
-    eb = np.array([e[1] for e in pt.edges], dtype=np.int64)
-    for mask in range(3, 1 << pt.n):
-        size = int(mask).bit_count()
-        if size < 2:
-            continue
-        inside = ((mask >> ea) & 1).astype(bool) & ((mask >> eb) & 1).astype(bool)
-        bound = size - 1 + tol
-        if size == pt.n:
-            # the full set carries the equality z(E) = n - 1
-            total = pt.z.sum()
-            if abs(total - (pt.n - 1)) > tol:
-                bad.append(frozenset(range(pt.n)))
-            continue
-        if float(pt.z[inside].sum()) > bound:
-            bad.append(frozenset(v for v in range(pt.n) if mask >> v & 1))
-    return bad
 
 
 def identify_back(g0: SplitGraph, m0: MultiEdgeSet) -> MultiEdgeSet:

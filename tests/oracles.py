@@ -2,7 +2,11 @@
 
 The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
-with the implementations they cross-check.
+with the implementations they cross-check.  Two exceptions:
+``solve_lp_enumeration`` materializes every cut constraint but shares the
+simplex with ``solve_lp``, and ``global_min_cut_reference`` is the
+Stoer-Wagner over a numpy matrix that ``core.global_min_cut`` replaced,
+kept frozen so that tests can require bit-identical cuts.
 """
 
 from __future__ import annotations
@@ -11,9 +15,12 @@ import itertools
 
 import numpy as np
 
-from kecsm.core import MetricInstance, MultiEdgeSet, NotConnectedError, spanning_forest
+from kecsm.core import (CutSpec, MetricInstance, MultiEdgeSet, NotConnectedError, make_edge,
+                        spanning_forest)
+from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, simplex_min
+from kecsm.rounding import u0v0_path_edges
 from kecsm.sampler import RngStream, SpanningTree, tree_from_edges
-from kecsm.split import SplitGraph
+from kecsm.split import SplitGraph, TreePolytopePoint
 from kecsm.treedist import EdgeGraph
 
 
@@ -130,3 +137,131 @@ def enumerated_marginals(lam, graph: EdgeGraph) -> np.ndarray:
 
 def complete_graph(n: int) -> EdgeGraph:
     return EdgeGraph(n=n, edges=tuple((u, v) for u in range(n) for v in range(u + 1, n)))
+
+
+def global_min_cut_reference(weights, n: int) -> tuple[float, CutSpec]:
+    """Global minimum cut of a weighted undirected graph via Stoer-Wagner.
+
+    ``weights`` maps edges to nonnegative reals; missing edges weigh zero.
+    Deterministic: every phase starts at the smallest live vertex and
+    adjacency ties are broken toward the smallest vertex index.  Disconnected
+    inputs yield value 0 with a witnessing side.  The witness is normalized
+    to the side containing vertex 0.
+    """
+    if n < 2:
+        raise ValueError("min cut needs at least 2 vertices")
+    w = np.zeros((n, n))
+    for e, wt in dict(weights).items():
+        u, v = make_edge(*e)
+        if wt < 0:
+            raise ValueError(f"negative weight {wt} on edge {e}")
+        w[u, v] += wt
+        w[v, u] += wt
+
+    groups: list[list[int]] = [[v] for v in range(n)]
+    alive = list(range(n))
+    best_value = np.inf
+    best_side: list[int] = []
+    while len(alive) > 1:
+        start = alive[0]
+        added = [start]
+        in_order = np.zeros(n, dtype=bool)
+        in_order[start] = True
+        conn = w[start].copy()
+        prev = start
+        last = start
+        for _ in range(len(alive) - 1):
+            prev = last
+            best = -1.0
+            last = -1
+            for v in alive:
+                if not in_order[v] and (conn[v] > best + 1e-15):
+                    best = conn[v]
+                    last = v
+            in_order[last] = True
+            added.append(last)
+            conn += w[last]
+        phase_cut = float(sum(w[last, v] for v in alive if v != last))
+        if phase_cut < best_value - 1e-15:
+            best_value = phase_cut
+            best_side = list(groups[last])
+        # contract last into prev (prev keeps the merged supervertex)
+        w[prev] += w[last]
+        w[:, prev] += w[:, last]
+        w[prev, prev] = 0.0
+        w[last, :] = 0.0
+        w[:, last] = 0.0
+        groups[prev].extend(groups[last])
+        alive.remove(last)
+
+    side = frozenset(best_side)
+    if 0 not in side:
+        side = frozenset(range(n)) - side
+    return best_value, CutSpec(side=side, n=n)
+
+
+def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSolution:
+    """Ground-truth solve with every cut constraint materialized.
+
+    Enumerates all 2^(n-1) - 1 cuts, so it is restricted to n <= 12.
+    """
+    if inst.n > max_n:
+        raise ValueError(f"enumeration LP limited to n <= {max_n}, got n={inst.n}")
+    edges = inst.edges()
+    eu, ev = _edge_ends(edges)
+    cost = inst.cost[eu, ev]
+    k = float(inst.k)
+
+    # every cut exactly once: sides containing vertex 0 (odd bit masks over
+    # the n vertices), excluding the full set
+    masks = 2 * np.arange((1 << (inst.n - 1)) - 1) + 1
+    sides = (masks[:, None] >> np.arange(inst.n) & 1).astype(bool)
+    x, obj = simplex_min(cost, _cut_rows(np.eye(inst.n, dtype=bool), eu, ev), np.full(inst.n, k),
+                         _cut_rows(sides, eu, ev), np.full(len(sides), k))
+    return FractionalSolution(values={e: float(v) for e, v in zip(edges, x)}, objective=obj)
+
+
+def check_tree_polytope(pt: TreePolytopePoint, tol: float = 1e-6) -> list[frozenset[int]]:
+    """Exhaustive membership check; returns the violated vertex subsets.
+
+    Verifies z(E) = n - 1 and z(E(S)) <= |S| - 1 for every subset S, plus
+    z >= 0 (a negative entry is reported as a singleton violation).  Meant as
+    a small-graph oracle: enumeration of 2^n subsets caps n at 14.
+    """
+    if pt.n > 14:
+        raise ValueError(f"enumeration infeasible for n={pt.n} > 14")
+    bad: list[frozenset[int]] = []
+    for i, e in enumerate(pt.edges):
+        if pt.z[i] < -tol:
+            bad.append(frozenset(e))
+    ea = np.array([e[0] for e in pt.edges], dtype=np.int64)
+    eb = np.array([e[1] for e in pt.edges], dtype=np.int64)
+    for mask in range(3, 1 << pt.n):
+        size = int(mask).bit_count()
+        if size < 2:
+            continue
+        inside = ((mask >> ea) & 1).astype(bool) & ((mask >> eb) & 1).astype(bool)
+        bound = size - 1 + tol
+        if size == pt.n:
+            # the full set carries the equality z(E) = n - 1
+            total = pt.z.sum()
+            if abs(total - (pt.n - 1)) > tol:
+                bad.append(frozenset(range(pt.n)))
+            continue
+        if float(pt.z[inside].sum()) > bound:
+            bad.append(frozenset(v for v in range(pt.n) if mask >> v & 1))
+    return bad
+
+
+def degree_value(g0: SplitGraph, v: int) -> float:
+    """Total x0 mass incident to vertex v."""
+    return float(sum(g0.x0[i] for i, (a, b) in enumerate(g0.edges) if v in (a, b)))
+
+
+def tree_point_total(pt: TreePolytopePoint) -> float:
+    return float(pt.z.sum())
+
+
+def separates_u0_v0(tree: SpanningTree, e: int, u0: int, v0: int) -> bool:
+    """True iff removing tree edge ``e`` puts u0 and v0 on opposite sides."""
+    return e in u0v0_path_edges(tree, u0, v0)

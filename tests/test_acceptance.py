@@ -15,15 +15,21 @@ from scipy.stats import chi2
 from kecsm.cli import main
 from kecsm.core import MetricInstance
 from kecsm.instances import euclidean_instance, random_closure_instance
-from kecsm.lp import solve_lp, solve_lp_enumeration
+from kecsm.lp import solve_lp
 from kecsm.pipeline import prepare, round_prepared, run_batch, run_pipeline
 from kecsm.rounding import RoundingParams, run_rounding, u0v0_path_edges
 from kecsm.sampler import RngStream, sample_batch, sample_fitted_batch, sample_tree
-from kecsm.split import TreePolytopePoint, build_split_graph, check_tree_polytope, to_tree_point
+from kecsm.split import TreePolytopePoint, build_split_graph, to_tree_point
 from kecsm.treedist import fit_max_entropy
 from kecsm.verify import approx_factor, brute_force_opt, bs_stats
 
-from oracles import complete_graph, enumerate_spanning_trees, tree_weight
+from oracles import (
+    check_tree_polytope,
+    complete_graph,
+    enumerate_spanning_trees,
+    solve_lp_enumeration,
+    tree_weight,
+)
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> bool:

@@ -1,3 +1,7 @@
+import math
+import random
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,9 +21,41 @@ from kecsm.core import (
     validate_metric,
 )
 
-from oracles import exhaustive_min_cut
+from oracles import exhaustive_min_cut, global_min_cut_reference
 
 INF = float("inf")
+
+# Weight families for the exact min-cut comparison: integers, halves,
+# floats one ulp or up to 1e-15 off one base value (the adjacency tie-break
+# treats values within 1e-15 of the leader as ties), and arbitrary floats,
+# whose sums depend on the order of the additions.
+_TIE_OFFSETS = (-1e-15, -5e-16, 0.0, 5e-16, 1e-15)
+_WEIGHT_FAMILIES = {
+    "integer": lambda rng, base: float(rng.randint(0, 4)),
+    "half": lambda rng, base: rng.randint(0, 8) / 2,
+    "near-tie": lambda rng, base: (math.nextafter(base, rng.choice((0.0, 3.0))) if rng.random() < 0.3
+                                   else base + rng.choice(_TIE_OFFSETS)),
+    "float": lambda rng, base: rng.uniform(0.0, 4.0),
+}
+
+
+@st.composite
+def _min_cut_inputs(draw):
+    """(weights, n) over ordered pairs, so both orientations of a pair can be
+    separate keys, with one weight family per graph and zeros mixed in.
+    About half the graphs lose every edge across a vertex split point."""
+    n = draw(st.integers(2, 12))
+    weight = _WEIGHT_FAMILIES[draw(st.sampled_from(sorted(_WEIGHT_FAMILIES)))]
+    base = draw(st.sampled_from((0.1, 0.2, 1 / 3, 0.7, 1.0, 1.5, 2.0)))
+    density = draw(st.sampled_from((0.2, 0.5, 0.9)))
+    split = draw(st.integers(1, 2 * n - 1))  # >= n keeps the graph whole
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    weights = {}
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < density and (u < split) == (v < split):
+                weights[(u, v)] = 0.0 if rng.random() < 0.1 else weight(rng, base)
+    return weights, n
 
 
 class TestValidateMetric:
@@ -232,3 +268,27 @@ class TestGlobalMinCut:
         assert value == pytest.approx(exhaustive_min_cut(weights, n), abs=1e-9)
         cut_weight = sum(w for (u, v), w in weights.items() if (u in side.side) != (v in side.side))
         assert cut_weight == pytest.approx(value, abs=1e-9)
+
+    @given(_min_cut_inputs())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_reference_exactly(self, case):
+        weights, n = case
+        value, spec = global_min_cut(weights, n)
+        ref_value, ref_spec = global_min_cut_reference(weights, n)
+        assert value == ref_value
+        assert spec.side == ref_spec.side
+
+    @pytest.mark.parametrize("weights", [
+        {(0, 1): 1.0, (2, 2): 1.0, (1, 2): -1.0},
+        {(0, 1): 1.0, (2, 1): -0.5, (2, 2): 1.0},
+    ])
+    def test_bad_weights_raise_the_reference_message(self, weights):
+        with pytest.raises(ValueError) as expected:
+            global_min_cut_reference(weights, 3)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            global_min_cut(weights, 3)
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_raise(self, n):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            global_min_cut({}, n)

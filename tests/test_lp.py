@@ -14,9 +14,10 @@ from kecsm.lp import (
     separate,
     simplex_min,
     solve_lp,
-    solve_lp_enumeration,
     violated_cuts,
 )
+
+from oracles import solve_lp_enumeration
 
 
 class TestSimplexEngine:

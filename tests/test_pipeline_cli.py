@@ -97,6 +97,98 @@ class TestLoadInstance:
             load_instance(str(path), "csv")
 
 
+# Fuzz inputs for the two parsers.  Values stay small: a parse that succeeds
+# goes on to build and validate an n x n metric.
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8), st.integers(-2**70, 2**70),
+    st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=6),
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_NUMBERS = st.one_of(st.integers(-2, 9), st.floats(allow_nan=True, allow_infinity=True))
+
+
+@st.composite
+def _matrix_json_texts(draw):
+    """Arbitrary JSON, and objects whose n, k and costs are each missing,
+    mistyped, out of range, ragged, non-metric or well formed."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.one_of(st.text(max_size=30), _JSON_VALUES.map(json.dumps)))
+    m = draw(st.integers(0, 5))
+    costs = [[0 if i == j else 2 + (i + j) % 2 for j in range(m)] for i in range(m)]
+    if m and draw(st.booleans()):
+        # one entry off: negative, asymmetric, breaking a triangle, or not finite
+        costs[draw(st.integers(0, m - 1))][draw(st.integers(0, m - 1))] = draw(_NUMBERS)
+    plausible = {
+        "n": st.one_of(st.just(m), st.integers(-3, 8)),
+        "k": st.integers(-3, 8),
+        "costs": st.one_of(st.just(costs), st.lists(st.lists(_NUMBERS, max_size=5), max_size=5)),
+    }
+    obj = draw(st.dictionaries(st.text(max_size=4), _JSON_VALUES, max_size=2))
+    for key, values in plausible.items():
+        mode = draw(st.sampled_from(("plausible",) * 6 + ("any", "absent")))
+        if mode != "absent":
+            obj[key] = draw(values if mode == "plausible" else _JSON_VALUES)
+    return json.dumps(obj)
+
+
+_TSPLIB_NUMBERS = st.one_of(
+    st.integers(-2, 9).map(str), st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["", "x", "1e999", "3.5", "-0", "10" * 9]),
+)
+_TSPLIB_LINES = st.one_of(
+    st.sampled_from(["NAME: t", "TYPE: TSP", "COMMENT: c : d", "NODE_COORD_SECTION", "EOF", "",
+                     "EDGE_WEIGHT_TYPE: EUC_2D", "EDGE_WEIGHT_TYPE: euc_2d",
+                     "EDGE_WEIGHT_TYPE: GEO", "DIMENSION:", "dimension : 3"]),
+    st.builds("DIMENSION: {}".format, st.one_of(_TSPLIB_NUMBERS, st.just(str(10**18)))),
+    st.lists(_TSPLIB_NUMBERS, max_size=4).map(" ".join),
+    st.text(max_size=12),
+)
+
+
+@st.composite
+def _tsplib_texts(draw):
+    """Line mixes, some grown from a well-formed file with 1..6 nodes."""
+    lines = draw(st.lists(_TSPLIB_LINES, max_size=12))
+    if draw(st.booleans()):
+        m = draw(st.integers(1, 6))
+        valid = [f"DIMENSION: {m}", "EDGE_WEIGHT_TYPE: EUC_2D", "NODE_COORD_SECTION"]
+        valid += [f"{i + 1} {draw(st.integers(0, 20))} {draw(st.integers(0, 20))}" for i in range(m)]
+        cut = draw(st.integers(0, len(lines)))
+        lines = lines[:cut] + valid + lines[cut:]
+    return "\n".join(lines)
+
+
+class TestParserFuzz:
+    """Any input gives an instance or InstanceFormatError, never another exception."""
+
+    @given(text=_matrix_json_texts(), k=st.one_of(st.none(), st.integers(-2, 6)), closure=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_matrix_json(self, text, k, closure):
+        try:
+            inst = parse_matrix_json(text, k=k, closure=closure)
+        except InstanceFormatError:
+            return
+        assert isinstance(inst, MetricInstance)
+
+    @given(text=_tsplib_texts(), k=st.one_of(st.none(), st.integers(-2, 6)), closure=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_tsplib_euc2d(self, text, k, closure):
+        try:
+            inst = parse_tsplib_euc2d(text, k=k, closure=closure)
+        except InstanceFormatError:
+            return
+        assert isinstance(inst, MetricInstance)
+
+    def test_huge_dimension_is_rejected_without_allocating(self):
+        text = f"DIMENSION: {10**18}\nNODE_COORD_SECTION\n1 0 0\n2 1 0\nEOF"
+        with pytest.raises(InstanceFormatError, match="node ids"):
+            parse_tsplib_euc2d(text, k=2)
+
+
 class TestRunPipeline:
     def test_triangle_k2_ratio_bound(self, triangle_unit):
         result = run_pipeline(triangle_unit, seed=1)

@@ -13,7 +13,6 @@ from kecsm.rounding import (
     fundamental_cut_counts,
     mst,
     run_rounding,
-    separates_u0_v0,
     u0v0_path_edges,
 )
 from kecsm.sampler import sample_fitted_batch, tree_from_edges
@@ -21,7 +20,7 @@ from kecsm.split import SplitGraph, build_split_graph, to_tree_point
 from kecsm.treedist import graph_of_split
 from kecsm.verify import verify_k_connectivity
 
-from oracles import direct_fundamental_counts
+from oracles import direct_fundamental_counts, separates_u0_v0
 
 
 def split_graph_fixture(n0_edges, costs=None):

@@ -4,13 +4,9 @@ import pytest
 from kecsm.core import CutSpec, MetricInstance, MultiEdgeSet, cut_size
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import FractionalSolution, solve_lp
-from kecsm.split import (
-    TreePolytopePoint,
-    build_split_graph,
-    check_tree_polytope,
-    identify_back,
-    to_tree_point,
-)
+from kecsm.split import TreePolytopePoint, build_split_graph, identify_back, to_tree_point
+
+from oracles import check_tree_polytope, degree_value, tree_point_total
 
 
 def hamiltonian_cycle_solution(n: int) -> FractionalSolution:
@@ -37,8 +33,8 @@ class TestBuildSplitGraph:
         assert by_pair[(2, 3)] == pytest.approx(0.5)
         assert by_pair[(1, 2)] == pytest.approx(1.0)
         assert (0, 3) not in by_pair
-        assert g0.degree_value(g0.u0) == pytest.approx(triangle_unit.k / 2)
-        assert g0.degree_value(g0.v0) == pytest.approx(triangle_unit.k / 2)
+        assert degree_value(g0, g0.u0) == pytest.approx(triangle_unit.k / 2)
+        assert degree_value(g0, g0.v0) == pytest.approx(triangle_unit.k / 2)
         assert g0.x0.sum() == pytest.approx(sum(frac.values.values()))
 
     def test_two_vertices(self):
@@ -53,8 +49,8 @@ class TestBuildSplitGraph:
         frac = hamiltonian_cycle_solution(4)
         g0 = build_split_graph(k4_unit, frac, split_vertex=0)
         assert g0.x0.sum() == pytest.approx(4.0)
-        assert g0.degree_value(g0.u0) == pytest.approx(1.0)
-        assert g0.degree_value(g0.v0) == pytest.approx(1.0)
+        assert degree_value(g0, g0.u0) == pytest.approx(1.0)
+        assert degree_value(g0, g0.v0) == pytest.approx(1.0)
 
     def test_cost_inherited_from_origin(self):
         inst = euclidean_instance(6, 2, seed=1)
@@ -75,7 +71,7 @@ class TestToTreePoint:
         frac, _ = solve_lp(triangle_unit)
         g0 = build_split_graph(triangle_unit, frac)
         pt = to_tree_point(g0, 2)
-        assert pt.total() == pytest.approx(3.0)  # n0 - 1
+        assert tree_point_total(pt) == pytest.approx(3.0)  # n0 - 1
         assert sorted(pt.z) == pytest.approx([0.5, 0.5, 0.5, 0.5, 1.0])
 
     def test_two_vertices_k6(self):
@@ -83,12 +79,12 @@ class TestToTreePoint:
         frac, _ = solve_lp(inst)
         pt = to_tree_point(build_split_graph(inst, frac), 6)
         assert np.allclose(pt.z, [1.0, 1.0])
-        assert pt.total() == pytest.approx(2.0)
+        assert tree_point_total(pt) == pytest.approx(2.0)
 
     def test_k4_cycle_total(self, k4_unit):
         frac = hamiltonian_cycle_solution(4)
         pt = to_tree_point(build_split_graph(k4_unit, frac), 2)
-        assert pt.total() == pytest.approx(4.0)
+        assert tree_point_total(pt) == pytest.approx(4.0)
 
 
 class TestCheckTreePolytope:

@@ -15,7 +15,7 @@ from kecsm.treedist import (
     tree_marginals,
 )
 
-from oracles import complete_graph, enumerated_marginals
+from oracles import check_tree_polytope, complete_graph, enumerated_marginals
 
 TRIANGLE = EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
 PATH3 = EdgeGraph(n=3, edges=((0, 1), (1, 2)))
@@ -187,8 +187,6 @@ class TestFitMaxEntropy:
         z = np.array([0.7, 0.7, 0.6, 0.45, 0.45, 0.55, 0.55])
         # subsets: E({0,1,2}) sums to 2.0 exactly -> tight, interior elsewhere
         pt = TreePolytopePoint(n=5, edges=edges, z=z)
-        from kecsm.split import check_tree_polytope
-
         assert check_tree_polytope(pt) == []
         w = fit_max_entropy(pt)
         assert np.all(w.fitted_marginals <= z * (1 + 1e-6) + 1e-15)
