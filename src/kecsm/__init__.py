@@ -8,7 +8,6 @@ from .core import (
     MetricViolation,
     MultiEdgeSet,
     NotConnectedError,
-    cut_size,
     global_min_cut,
     make_edge,
     metric_closure,
@@ -18,7 +17,6 @@ from .lp import (
     FractionalSolution,
     LPNotConvergedError,
     LPReport,
-    separate,
     solve_lp,
 )
 from .split import (
@@ -33,9 +31,7 @@ from .treedist import (
     FitConvergenceError,
     LambdaWeights,
     MarginalVector,
-    effective_resistance,
     fit_max_entropy,
-    spanning_tree_count,
     tree_marginals,
 )
 from .sampler import (
@@ -56,13 +52,8 @@ from .rounding import (
     run_rounding,
 )
 from .verify import (
-    ApproxFactor,
-    BernoulliSumStats,
     ConnectivityCertificate,
-    approx_factor,
     brute_force_opt,
-    bs_stats,
-    chernoff_tail,
     verify_k_connectivity,
 )
 from .instances import (

@@ -140,22 +140,24 @@ def validate_metric(inst: MetricInstance, tol: float = TOL) -> list[MetricViolat
     c = inst.cost
     n = inst.n
     out: list[MetricViolation] = []
+    skew = np.abs(c - c.T)
+    low = np.minimum(c, c.T)
+    pair_bad = np.triu((skew > tol) | (low < -tol), 1)
     for u in range(n):
         if abs(c[u, u]) > tol:
             out.append(MetricViolation("diagonal", (u,), abs(float(c[u, u]))))
-        for v in range(u + 1, n):
-            if abs(c[u, v] - c[v, u]) > tol:
-                out.append(MetricViolation("symmetry", (u, v), abs(float(c[u, v] - c[v, u]))))
-            if c[u, v] < -tol or c[v, u] < -tol:
-                out.append(MetricViolation("negative", (u, v), -float(min(c[u, v], c[v, u]))))
-    for x in range(n):
-        for z in range(x + 1, n):
-            for y in range(n):
-                if y == x or y == z:
-                    continue
-                excess = c[x, z] - (c[x, y] + c[y, z])
-                if excess > tol:
-                    out.append(MetricViolation("triangle", (x, y, z), float(excess)))
+        for v in np.nonzero(pair_bad[u])[0].tolist():
+            if skew[u, v] > tol:
+                out.append(MetricViolation("symmetry", (u, v), float(skew[u, v])))
+            if low[u, v] < -tol:
+                out.append(MetricViolation("negative", (u, v), -float(low[u, v])))
+    for x in range(n - 1):
+        # excess[z - x - 1, y] = c[x, z] - (c[x, y] + c[y, z]) for every z > x
+        excess = c[x, x + 1:, None] - (c[x] + c[:, x + 1:].T)
+        excess[:, x] = -np.inf
+        excess[np.arange(n - x - 1), np.arange(x + 1, n)] = -np.inf
+        for dz, y in zip(*np.nonzero(excess > tol)):
+            out.append(MetricViolation("triangle", (x, int(y), x + 1 + int(dz)), float(excess[dz, y])))
     return out
 
 
@@ -201,9 +203,6 @@ class CutSpec:
         if any(v < 0 or v >= self.n for v in side):
             raise ValueError("cut side contains out-of-range vertices")
 
-    def crosses(self, e: Edge) -> bool:
-        return (e[0] in self.side) != (e[1] in self.side)
-
 
 class MultiEdgeSet:
     """Multiset of undirected edges with nonnegative integer multiplicities.
@@ -225,25 +224,12 @@ class MultiEdgeSet:
                     mult[make_edge(*e)] = mult.get(make_edge(*e), 0) + m
         self.multiplicity = mult
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "MultiEdgeSet":
-        """Build from an iterable of (u, v) pairs, counting repeats."""
-        mult: dict[Edge, int] = {}
-        for u, v in pairs:
-            e = make_edge(u, v)
-            mult[e] = mult.get(e, 0) + 1
-        return cls(mult)
-
     def union(self, other: "MultiEdgeSet") -> "MultiEdgeSet":
         """Multiset union: multiplicities add, so |A + B| = |A| + |B|."""
         mult = dict(self.multiplicity)
         for e, m in other.multiplicity.items():
             mult[e] = mult.get(e, 0) + m
         return MultiEdgeSet(mult)
-
-    def size(self) -> int:
-        """Total edge count with multiplicity."""
-        return sum(self.multiplicity.values())
 
     def total_cost(self, cost: np.ndarray) -> float:
         return float(sum(m * cost[e[0], e[1]] for e, m in self.multiplicity.items()))
@@ -257,11 +243,6 @@ class MultiEdgeSet:
     def __repr__(self):
         items = ", ".join(f"{e}x{m}" for e, m in sorted(self.multiplicity.items()))
         return f"MultiEdgeSet({{{items}}})"
-
-
-def cut_size(m: MultiEdgeSet, s: CutSpec) -> int:
-    """Number of multiset edges crossing the cut, counted with multiplicity."""
-    return sum(mult for e, mult in m.multiplicity.items() if s.crosses(e))
 
 
 def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
@@ -280,6 +261,8 @@ def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
         u, v = make_edge(*e)
         if wt < 0:
             raise ValueError(f"negative weight {wt} on edge {e}")
+        if not wt >= 0:
+            raise ValueError(f"NaN weight on edge {e}")
         wt = float(wt)
         rows[u][v] += wt
         rows[v][u] += wt

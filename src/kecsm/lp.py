@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CutSpec, Edge, MetricInstance, component_labels, global_min_cut
+from .core import Edge, MetricInstance, component_labels, global_min_cut
 
 # A cut is treated as violated when it carries less than k minus this slack.
 SEPARATION_TOL = 1e-7
@@ -285,12 +285,6 @@ def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarr
     side = np.zeros(n, dtype=bool)
     side[list(spec.side)] = True
     return [side], value
-
-
-def separate(x: dict[Edge, float], k: float, n: int) -> CutSpec | None:
-    """A most-violated cut of the fractional solution, or None when all cuts carry >= k."""
-    sides, _ = violated_cuts(x, k, n)
-    return CutSpec(side=frozenset(np.nonzero(sides[0])[0].tolist()), n=n) if sides else None
 
 
 def _edge_ends(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:

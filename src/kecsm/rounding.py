@@ -13,6 +13,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .core import MultiEdgeSet, min_spanning_tree
 from .sampler import SpanningTree, sample_fitted_batch, tree_from_edges
 from .split import SplitGraph, identify_back
@@ -70,53 +72,31 @@ def mst(g0: SplitGraph) -> SpanningTree:
     return tree_from_edges(graph_of_split(g0), min_spanning_tree(g0.n0, g0.edges, g0.cost0))
 
 
-def _lca(tree: SpanningTree, depth: list[int], a: int, b: int) -> int:
-    while depth[a] > depth[b]:
-        a = tree.parent[a]
-    while depth[b] > depth[a]:
-        b = tree.parent[b]
-    while a != b:
-        a = tree.parent[a]
-        b = tree.parent[b]
-    return a
+def fundamental_cut_counts(trees: list[SpanningTree], t_star: MultiEdgeSet,
+                           g0: SplitGraph) -> tuple[np.ndarray, np.ndarray]:
+    """Union-tree coverage of every fundamental cut of every tree, and which cuts split the twins.
 
-
-def fundamental_cut_counts(tree: SpanningTree, t_star: MultiEdgeSet,
-                           g0: SplitGraph) -> dict[int, int]:
-    """Union-tree coverage of every fundamental cut of ``tree``.
-
-    For each tree edge e, counts the t_star edges (with multiplicity) crossing
-    the cut that removing e creates.  Computed by path increments: an edge
-    (a, b) of t_star crosses exactly the fundamental cuts of the tree edges on
-    the a-b tree path, so difference counters at a, b, and their meeting point
-    accumulate all counts in one subtree-sum pass.
-
-    Returns a mapping from expanded-graph edge index (tree edges only) to count.
+    Entry (t, v) of both (T, n0) arrays belongs to the cut that removing the
+    edge between v and its parent in ``trees[t]`` creates: the count of t_star
+    edges (with multiplicity) crossing it, and whether u0 and v0 lie on
+    opposite sides.  Column 0, the root, reads 0 and False.  A vertex w lies
+    below that edge when tin[v] <= tin[w] < tin[v] + size[v], tin being the
+    preorder position; an edge crosses the cut when exactly one end does.
     """
-    depth = tree.depth
-    diff = [0] * tree.n
-    for (a, b), mult in t_star.multiplicity.items():
-        meet = _lca(tree, depth, a, b)
-        diff[a] += mult
-        diff[b] += mult
-        diff[meet] -= 2 * mult
-    order = sorted(range(tree.n), key=lambda v: depth[v], reverse=True)
-    sub = list(diff)
-    for v in order:
-        if tree.parent[v] >= 0:
-            sub[tree.parent[v]] += sub[v]
-    return {tree.parent_edge[v]: sub[v] for v in range(tree.n) if v != 0}
-
-
-def u0v0_path_edges(tree: SpanningTree, u0: int, v0: int) -> frozenset[int]:
-    """Edge indices on the unique tree path between the split twins."""
-    meet = _lca(tree, tree.depth, u0, v0)
-    edges = set()
-    for v in (u0, v0):
-        while v != meet:
-            edges.add(tree.parent_edge[v])
-            v = tree.parent[v]
-    return frozenset(edges)
+    n0 = g0.n0
+    # unsigned positions that hold n0: a w before v wraps around above every size
+    dtype = np.min_scalar_type(n0)
+    tin = np.empty((len(trees), n0), dtype=dtype)
+    np.put_along_axis(tin, np.array([tr.preorder for tr in trees]), np.arange(n0, dtype=dtype), axis=1)
+    size = np.array([tr.size for tr in trees], dtype=dtype)
+    # below[t, w, v]: w lies below the edge above v
+    below = (tin[:, :, None] - tin[:, None, :]) < size[:, None, :]
+    ends = np.array(list(t_star.multiplicity), dtype=np.intp).reshape(-1, 2)
+    mult = np.fromiter(t_star.multiplicity.values(), dtype=np.int64, count=len(ends))
+    crosses = below[:, ends[:, 0]]
+    crosses ^= below[:, ends[:, 1]]
+    counts = np.einsum("tev,e->tv", crosses, mult)
+    return counts, below[:, g0.u0] != below[:, g0.v0]
 
 
 @dataclass(frozen=True)
@@ -161,18 +141,12 @@ def run_rounding(g0: SplitGraph, dist: LambdaWeights, params: RoundingParams) ->
             b_idx[i] = params.mst_copies
     b_set = MultiEdgeSet({g0.edges[i]: m for i, m in b_idx.items()})
 
-    f_idx: Counter[int] = Counter()
-    aug_counts = []
-    threshold = params.threshold
-    for tr in trees:
-        counts = fundamental_cut_counts(tr, t_star, g0)
-        path = u0v0_path_edges(tr, g0.u0, g0.v0)
-        n_aug = 0
-        for e, covered in counts.items():
-            if covered < threshold and e not in path:
-                f_idx[e] += 1
-                n_aug += 1
-        aug_counts.append(n_aug)
+    counts, splits_twins = fundamental_cut_counts(trees, t_star, g0)
+    # column 0 is the root, which has no tree edge
+    augment = ((counts < params.threshold) & ~splits_twins)[:, 1:]
+    edges = np.array([tr.parent_edge[1:] for tr in trees])
+    f_idx = Counter(edges[augment].tolist())
+    aug_counts = augment.sum(axis=1).tolist()
     f_set = MultiEdgeSet({g0.edges[i]: m for i, m in f_idx.items()})
 
     final = identify_back(g0, t_star.union(b_set).union(f_set))

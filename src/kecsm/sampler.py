@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate
 
 import numpy as np
@@ -31,53 +30,67 @@ class RngStream:
     seed: int
     stream: int = 0
 
+    @property
+    def key(self) -> np.ndarray:
+        # the conversion Philox applies to a key list: a masked value of 2**63
+        # or more passes through float64 on the way to uint64
+        return np.asarray([self.seed & _MASK64, self.stream & _MASK64]).astype(np.uint64)
+
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=[self.seed & _MASK64, self.stream & _MASK64]))
+        return np.random.Generator(np.random.Philox(key=self.key))
 
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """A spanning tree as edge indices into its graph, rooted at vertex 0."""
+    """A spanning tree as edge indices into its graph, rooted at vertex 0.
+
+    ``preorder`` lists the vertices in the order a stack DFS from the root
+    visits them, so the subtree of v is the block of ``size[v]`` vertices
+    that starts at v.
+    """
 
     n: int
     edge_indices: tuple[int, ...]
     parent: tuple[int, ...]
     parent_edge: tuple[int, ...]
+    preorder: tuple[int, ...]
+    size: tuple[int, ...]
 
     def __post_init__(self):
         if len(self.edge_indices) != self.n - 1:
             raise ValueError(f"a spanning tree on {self.n} vertices needs {self.n - 1} edges")
 
-    @cached_property
-    def depth(self) -> list[int]:
-        """Edge count from each vertex up to the root, computed on first use."""
-        depth = [-1] * self.n
-        depth[0] = 0
-        for v in range(1, self.n):
-            chain = []
-            u = v
-            while depth[u] < 0:
-                chain.append(u)
-                u = self.parent[u]
-            d = depth[u]
-            for w in reversed(chain):
-                d += 1
-                depth[w] = d
-        return depth
-
-
-def _tree_from_parents(n: int, parent: list[int], parent_edge: list[int]) -> SpanningTree:
-    idx = tuple(sorted(parent_edge[v] for v in range(n) if v != 0))
-    return SpanningTree(n=n, edge_indices=idx, parent=tuple(parent), parent_edge=tuple(parent_edge))
-
 
 def tree_from_edges(graph: EdgeGraph, edge_indices) -> SpanningTree:
-    """Build a rooted SpanningTree from explicit edge indices (validating spanning)."""
-    idx = list(edge_indices)
-    if len(set(idx)) != graph.n - 1:
-        raise ValueError(f"a spanning tree on {graph.n} vertices needs {graph.n - 1} distinct edges")
-    parent, parent_edge = _rooted_arrays(graph, idx)
-    return _tree_from_parents(graph.n, parent, parent_edge)
+    """Root the tree given by ``edge_indices`` at 0, validating that they are
+    n - 1 distinct edges that span ``graph``."""
+    n = graph.n
+    idx = sorted(set(edge_indices))
+    if len(idx) != n - 1:
+        raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
+    inc = _incidence(graph, idx)
+    parent = [-1] * n
+    parent_edge = [-1] * n
+    seen = [False] * n
+    seen[0] = True
+    order = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w, i in inc[v]:
+            if not seen[w]:
+                seen[w] = True
+                parent[w] = v
+                parent_edge[w] = i
+                stack.append(w)
+    if len(order) != n:
+        raise ValueError("edge set does not span the graph")
+    size = [1] * n
+    for v in reversed(order[1:]):  # every vertex after its ancestors
+        size[parent[v]] += size[v]
+    return SpanningTree(n=n, edge_indices=tuple(idx), parent=tuple(parent),
+                        parent_edge=tuple(parent_edge), preorder=tuple(order), size=tuple(size))
 
 
 def _incidence(graph: EdgeGraph, edge_indices) -> list[list[tuple[int, int]]]:
@@ -88,27 +101,6 @@ def _incidence(graph: EdgeGraph, edge_indices) -> list[list[tuple[int, int]]]:
         inc[a].append((b, i))
         inc[b].append((a, i))
     return inc
-
-
-def _rooted_arrays(graph: EdgeGraph, edge_indices) -> tuple[list[int], list[int]]:
-    """Parent arrays for the tree given by ``edge_indices``, rooted at 0."""
-    inc = _incidence(graph, edge_indices)
-    parent = [-1] * graph.n
-    parent_edge = [-1] * graph.n
-    seen = [False] * graph.n
-    stack = [0]
-    seen[0] = True
-    while stack:
-        v = stack.pop()
-        for w, i in inc[v]:
-            if not seen[w]:
-                seen[w] = True
-                parent[w] = v
-                parent_edge[w] = i
-                stack.append(w)
-    if not all(seen):
-        raise ValueError("edge set does not span the graph")
-    return parent, parent_edge
 
 
 class _Walk:
@@ -125,14 +117,15 @@ class _Walk:
         support = [i for i in range(len(graph.edges)) if lam[i] > 0.0]
         if not is_connected(graph, active=support):
             raise NotConnectedError("weight support does not connect the graph")
-        self.n = graph.n
+        self.graph = graph
         self.inc = _incidence(graph, support)
         weights = lam.tolist()
         self.cumw = [list(accumulate(weights[i] for _, i in steps)) for steps in self.inc]
 
-    def parents(self, uniform) -> tuple[list[int], list[int]]:
-        """Parent and parent-edge arrays of one tree rooted at 0; ``uniform()`` gives each step's draw."""
-        n, inc, cumw = self.n, self.inc, self.cumw
+    def parent_edges(self, uniform) -> list[int]:
+        """Parent edge of each vertex in one tree rooted at 0 (-1 at the root);
+        ``uniform()`` gives each step's draw."""
+        n, inc, cumw = self.graph.n, self.inc, self.cumw
         in_tree = [False] * n
         in_tree[0] = True
         parent = [-1] * n
@@ -149,17 +142,39 @@ class _Walk:
             while not in_tree[v]:
                 in_tree[v] = True
                 v = parent[v]
-        return parent, parent_edge
+        return parent_edge
 
-    def tree(self, rng: RngStream) -> SpanningTree:
-        return _tree_from_parents(self.n, *self.parents(_uniforms(rng).__next__))
+    def tree(self, uniform) -> SpanningTree:
+        return tree_from_edges(self.graph, self.parent_edges(uniform)[1:])
 
 
-def _uniforms(rng: RngStream):
-    """Yield the stream's ``random()`` draws in order (``random(size)`` gives the same numbers)."""
-    gen = rng.generator()
-    while True:
-        yield from gen.random(_BLOCK).tolist()
+def _draw_streams(draw, rngs) -> list:
+    """``draw(uniform)`` once per stream, ``uniform()`` giving the stream's
+    ``random()`` draws in order (``random(size)`` gives the same numbers).
+
+    One Philox serves every stream: reset to the stream's key with counter 0
+    and an empty buffer, it is in the state of a fresh ``rng.generator()``,
+    at a quarter of the cost of building one.
+    """
+    bits = np.random.Philox(key=0)
+    gen = np.random.Generator(bits)
+
+    def uniforms():
+        while True:
+            yield from gen.random(_BLOCK).tolist()
+
+    out = []
+    for rng in rngs:
+        bits.state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": rng.key},
+                      "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        out.append(draw(uniforms().__next__))
+    return out
+
+
+def _streams(t: int, seed: int) -> list[RngStream]:
+    if t < 1:
+        raise ValueError("tree count must be at least 1")
+    return [RngStream(seed=seed, stream=s) for s in range(t)]
 
 
 def sample_tree(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:
@@ -169,7 +184,7 @@ def sample_tree(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:
     be connected.  The walk steps to an incident edge with probability
     proportional to its weight, so parallel edges are handled natively.
     """
-    return _Walk(lam, graph).tree(rng)
+    return _draw_streams(_Walk(lam, graph).tree, [rng])[0]
 
 
 def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> list[SpanningTree]:
@@ -178,21 +193,18 @@ def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> list[SpanningTree]
     Stream indexing makes the result independent of draw order, so the batch
     could be filled concurrently and still assemble identically.
     """
-    if t < 1:
-        raise ValueError("tree count must be at least 1")
-    walk = _Walk(lam, graph)
-    return [walk.tree(RngStream(seed=seed, stream=s)) for s in range(t)]
+    rngs = _streams(t, seed)
+    return _draw_streams(_Walk(lam, graph).tree, rngs)
 
 
 def _fitted_sampler(dist: LambdaWeights):
     """Draw function of the fitted law: forced edges plus one walk per piece, on one stream."""
     walks = [(_Walk(piece.lam, piece.graph), piece.kept) for piece in dist.pieces]
 
-    def draw(rng: RngStream) -> SpanningTree:
-        uniform = _uniforms(rng).__next__
+    def draw(uniform) -> SpanningTree:
         chosen: list[int] = list(dist.forced)
         for walk, kept in walks:
-            chosen.extend(kept[i] for i in sorted(walk.parents(uniform)[1][1:]))
+            chosen.extend(kept[i] for i in walk.parent_edges(uniform)[1:])
         return tree_from_edges(dist.graph, chosen)
 
     return draw
@@ -206,11 +218,9 @@ def sample_fitted_tree(dist: LambdaWeights, rng: RngStream) -> SpanningTree:
     yields a spanning tree of the original graph.  One stream drives all
     pieces in order, so the draw is a pure function of the stream.
     """
-    return _fitted_sampler(dist)(rng)
+    return _draw_streams(_fitted_sampler(dist), [rng])[0]
 
 
 def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> list[SpanningTree]:
-    if t < 1:
-        raise ValueError("tree count must be at least 1")
-    draw = _fitted_sampler(dist)
-    return [draw(RngStream(seed=seed, stream=s)) for s in range(t)]
+    rngs = _streams(t, seed)
+    return _draw_streams(_fitted_sampler(dist), rngs)

@@ -114,16 +114,6 @@ class MarginalVector:
             )
 
 
-def effective_resistance(lam, graph: EdgeGraph, e) -> float:
-    """Effective resistance across edge ``e`` (an index or an endpoint pair)."""
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("edge weights must be positive")
-    a, b = graph.edges[e] if isinstance(e, (int, np.integer)) else make_edge(*e)
-    inv = _grounded_inverse(graph, lam)
-    return float(_pair_resistances(inv, [(a, b)])[0])
-
-
 def tree_marginals(lam, graph: EdgeGraph) -> MarginalVector:
     """Marginal inclusion probability of every edge under the weighted tree law."""
     lam = np.asarray(lam, dtype=float)
@@ -136,15 +126,6 @@ def tree_marginals(lam, graph: EdgeGraph) -> MarginalVector:
     inv = _grounded_inverse(graph, lam)
     p = lam * _pair_resistances(inv, graph.edges)
     return MarginalVector(graph=graph, p=p)
-
-
-def spanning_tree_count(lam, graph: EdgeGraph) -> float:
-    """Weighted spanning-tree count: any cofactor of the weighted Laplacian."""
-    lam = np.asarray(lam, dtype=float)
-    if graph.n == 1:
-        return 1.0
-    lap = weighted_laplacian(graph, lam)
-    return float(np.linalg.det(lap[1:, 1:]))
 
 
 @dataclass(frozen=True)

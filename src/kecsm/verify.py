@@ -1,5 +1,4 @@
-"""Certification and ground truth: connectivity checks, exact tiny-instance
-optimum, tail-bound and approximation-factor formulas, Bernoulli-sum statistics."""
+"""Certification and ground truth: connectivity checks and the exact tiny-instance optimum."""
 
 from __future__ import annotations
 
@@ -98,67 +97,3 @@ def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float
     search(0, 0.0, [0] * inst.n)
     solution = MultiEdgeSet({e: best_vec[i] for i, e in enumerate(edges) if best_vec[i]})
     return float(best_cost), solution
-
-
-def chernoff_tail(q_prime: float, epsilon: float) -> float:
-    """Lower-tail bound exp(-epsilon^2 * q' / 2) for Bernoulli-sum variables.
-
-    epsilon = 1 is accepted: the bound extends there by continuity (the event
-    becomes "below zero").
-    """
-    if q_prime <= 0:
-        raise ValueError(f"q_prime must be positive, got {q_prime}")
-    if not 0 < epsilon <= 1:
-        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
-    return math.exp(-epsilon * epsilon * q_prime / 2.0)
-
-
-@dataclass(frozen=True)
-class ApproxFactor:
-    """Guarantee at connectivity k: headline closed form and the sharper expression."""
-
-    k: int
-    alpha: float
-    headline: float
-    precise: float
-
-
-def approx_factor(k: int) -> ApproxFactor:
-    """Expected approximation factor: 1 + sqrt(8 ln k / k), and the sharper
-    1 + alpha/sqrt(k/2) + exp(-alpha^2/2) at alpha = sqrt(ln(k/2))."""
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    headline = 1.0 + math.sqrt(8.0 * math.log(k) / k)
-    alpha = math.sqrt(max(math.log(k / 2.0), 0.0))
-    precise = 1.0 + alpha / math.sqrt(k / 2.0) + math.exp(-alpha * alpha / 2.0)
-    return ApproxFactor(k=k, alpha=alpha, headline=headline, precise=precise)
-
-
-@dataclass(frozen=True)
-class BernoulliSumStats:
-    """Sample mean/variance of integer counts; Bernoulli sums have variance <= mean.
-
-    ``slack_stderr`` is the standard error of (variance - mean), the quantity
-    the dispersion tests band with 3 sigma.
-    """
-
-    mean: float
-    variance: float
-    count: int
-    slack_stderr: float
-
-    @property
-    def variance_minus_mean(self) -> float:
-        return self.variance - self.mean
-
-
-def bs_stats(samples) -> BernoulliSumStats:
-    """Summary statistics used by the variance-vs-mean dispersion checks."""
-    x = np.asarray(list(samples), dtype=float)
-    if x.size < 2:
-        raise ValueError("need at least 2 samples")
-    mean = float(x.mean())
-    var = float(x.var(ddof=1))
-    d = (x - mean) ** 2 - x
-    stderr = float(d.std(ddof=1) / math.sqrt(x.size))
-    return BernoulliSumStats(mean=mean, variance=var, count=int(x.size), slack_stderr=stderr)

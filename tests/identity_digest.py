@@ -4,7 +4,8 @@ Run from a checkout as ``PYTHONPATH=src python tests/identity_digest.py``; to
 hash another checkout with the same script, point ``PYTHONPATH`` at its
 ``src``.  Two checkouts that print the same digest give byte-identical batch
 rows, LP vertices, fitted laws, MSTs, roundings, baselines and brute-force
-optima on the fixed seeds below.  pytest does not collect this file.
+optima on the fixed seeds below.  ``tests/test_identity_digest.py`` pins
+the digest; pytest does not collect this file.
 """
 
 import hashlib
@@ -23,7 +24,8 @@ CELLS = [("euclidean", 32, 8), ("random-closure", 32, 8), ("euclidean", 48, 8),
          ("euclidean", 40, 4), ("euclidean", 40, 6)]
 
 
-def main() -> None:
+def digest() -> str:
+    """SHA-256 (hex) over the outputs listed in the module docstring."""
     h = hashlib.sha256()
     put = lambda *xs: h.update(repr(xs).encode())
     arr = lambda a: np.asarray(a, dtype=float).tobytes().hex()
@@ -33,7 +35,6 @@ def main() -> None:
         for r in rep.records:
             put(r.as_row()[:-1])  # every column but the wall time
     gen = {"euclidean": kecsm.euclidean_instance, "random-closure": kecsm.random_closure_instance}
-    pieces = 0
     for fam, n, k in CELLS:
         prep = kecsm.prepare(gen[fam](n, k, 1))
         put(sorted(prep.fractional.values.items()), prep.fractional.objective)
@@ -41,7 +42,6 @@ def main() -> None:
         put(arr(w.lam), arr(w.fitted_marginals), w.forced, w.deleted, w.sweeps, w.max_ratio)
         for pc in w.pieces:
             put(pc.graph.n, pc.graph.edges, arr(pc.lam), pc.kept)
-        pieces += len(w.pieces)
         put(rounding.mst(prep.split_graph).edge_indices)
         for seed in (0, 1, 2):
             out = rounding.run_rounding(prep.split_graph, w, rounding.RoundingParams.make(k, seed=seed))
@@ -57,9 +57,8 @@ def main() -> None:
         put(cost, sorted(sol.multiplicity.items()))
     g = treedist.EdgeGraph(n=5, edges=((0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (2, 4)))
     put(enumerate_spanning_trees(g))
-    print("pieces", pieces)
-    print(h.hexdigest())
+    return h.hexdigest()
 
 
 if __name__ == "__main__":
-    main()
+    print(digest())

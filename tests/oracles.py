@@ -2,26 +2,35 @@
 
 The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
-with the implementations they cross-check.  Two exceptions:
+with the implementations they cross-check.  The exceptions:
 ``solve_lp_enumeration`` materializes every cut constraint but shares the
-simplex with ``solve_lp``, and ``global_min_cut_reference`` is the
-Stoer-Wagner over a numpy matrix that ``core.global_min_cut`` replaced,
-kept frozen so that tests can require bit-identical cuts.
+simplex with ``solve_lp``, and three references are earlier versions of
+library code, kept frozen so that tests can require identical results:
+``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
+``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
+per-tree LCA walk that the batched ``rounding.fundamental_cut_counts``
+replaced, and ``validate_metric_reference`` the triple loop that the
+vectorised ``core.validate_metric`` replaced.
+
+The formulas and helpers at the end (tail bounds, approximation factors,
+dispersion statistics, effective resistance, tree counts, cut sizes) are
+used by the tests only.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from kecsm.core import (CutSpec, MetricInstance, MultiEdgeSet, NotConnectedError, make_edge,
-                        spanning_forest)
-from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, simplex_min
-from kecsm.rounding import u0v0_path_edges
+from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
+                        NotConnectedError, make_edge, spanning_forest)
+from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, simplex_min, violated_cuts
 from kecsm.sampler import RngStream, SpanningTree, tree_from_edges
 from kecsm.split import SplitGraph, TreePolytopePoint
-from kecsm.treedist import EdgeGraph
+from kecsm.treedist import EdgeGraph, _grounded_inverse, _pair_resistances, weighted_laplacian
 
 
 def exhaustive_min_cut(weights: dict, n: int) -> float:
@@ -265,3 +274,206 @@ def tree_point_total(pt: TreePolytopePoint) -> float:
 def separates_u0_v0(tree: SpanningTree, e: int, u0: int, v0: int) -> bool:
     """True iff removing tree edge ``e`` puts u0 and v0 on opposite sides."""
     return e in u0v0_path_edges(tree, u0, v0)
+
+
+def tree_depth(tree: SpanningTree) -> list[int]:
+    """Edge count from each vertex up to the root."""
+    depth = [-1] * tree.n
+    depth[0] = 0
+    for v in range(1, tree.n):
+        chain = []
+        u = v
+        while depth[u] < 0:
+            chain.append(u)
+            u = tree.parent[u]
+        d = depth[u]
+        for w in reversed(chain):
+            d += 1
+            depth[w] = d
+    return depth
+
+
+def _lca(tree: SpanningTree, depth: list[int], a: int, b: int) -> int:
+    while depth[a] > depth[b]:
+        a = tree.parent[a]
+    while depth[b] > depth[a]:
+        b = tree.parent[b]
+    while a != b:
+        a = tree.parent[a]
+        b = tree.parent[b]
+    return a
+
+
+def fundamental_cut_counts_reference(tree: SpanningTree, t_star: MultiEdgeSet,
+                                     g0: SplitGraph) -> dict[int, int]:
+    """Union-tree coverage of every fundamental cut of ``tree``.
+
+    For each tree edge e, counts the t_star edges (with multiplicity) crossing
+    the cut that removing e creates.  Computed by path increments: an edge
+    (a, b) of t_star crosses exactly the fundamental cuts of the tree edges on
+    the a-b tree path, so difference counters at a, b, and their meeting point
+    accumulate all counts in one subtree-sum pass.
+
+    Returns a mapping from expanded-graph edge index (tree edges only) to count.
+    """
+    depth = tree_depth(tree)
+    diff = [0] * tree.n
+    for (a, b), mult in t_star.multiplicity.items():
+        meet = _lca(tree, depth, a, b)
+        diff[a] += mult
+        diff[b] += mult
+        diff[meet] -= 2 * mult
+    order = sorted(range(tree.n), key=lambda v: depth[v], reverse=True)
+    sub = list(diff)
+    for v in order:
+        if tree.parent[v] >= 0:
+            sub[tree.parent[v]] += sub[v]
+    return {tree.parent_edge[v]: sub[v] for v in range(tree.n) if v != 0}
+
+
+def u0v0_path_edges(tree: SpanningTree, u0: int, v0: int) -> frozenset[int]:
+    """Edge indices on the unique tree path between the split twins."""
+    meet = _lca(tree, tree_depth(tree), u0, v0)
+    edges = set()
+    for v in (u0, v0):
+        while v != meet:
+            edges.add(tree.parent_edge[v])
+            v = tree.parent[v]
+    return frozenset(edges)
+
+
+def validate_metric_reference(inst: MetricInstance, tol: float = TOL) -> list[MetricViolation]:
+    """Check symmetry, zero diagonal, nonnegativity, and the triangle inequality.
+
+    Returns an empty list iff the instance is a metric within ``tol``.  A
+    triangle entry (x, y, z) means cost(x,z) > cost(x,y) + cost(y,z); each
+    unordered endpoint pair with a given midpoint is reported once.
+    """
+    c = inst.cost
+    n = inst.n
+    out: list[MetricViolation] = []
+    for u in range(n):
+        if abs(c[u, u]) > tol:
+            out.append(MetricViolation("diagonal", (u,), abs(float(c[u, u]))))
+        for v in range(u + 1, n):
+            if abs(c[u, v] - c[v, u]) > tol:
+                out.append(MetricViolation("symmetry", (u, v), abs(float(c[u, v] - c[v, u]))))
+            if c[u, v] < -tol or c[v, u] < -tol:
+                out.append(MetricViolation("negative", (u, v), -float(min(c[u, v], c[v, u]))))
+    for x in range(n):
+        for z in range(x + 1, n):
+            for y in range(n):
+                if y == x or y == z:
+                    continue
+                excess = c[x, z] - (c[x, y] + c[y, z])
+                if excess > tol:
+                    out.append(MetricViolation("triangle", (x, y, z), float(excess)))
+    return out
+
+
+def separate(x: dict[Edge, float], k: float, n: int) -> CutSpec | None:
+    """A most-violated cut of the fractional solution, or None when all cuts carry >= k."""
+    sides, _ = violated_cuts(x, k, n)
+    return CutSpec(side=frozenset(np.nonzero(sides[0])[0].tolist()), n=n) if sides else None
+
+
+def cut_size(m: MultiEdgeSet, s: CutSpec) -> int:
+    """Number of multiset edges crossing the cut, counted with multiplicity."""
+    return sum(mult for (a, b), mult in m.multiplicity.items() if (a in s.side) != (b in s.side))
+
+
+def multiset_from_pairs(pairs) -> MultiEdgeSet:
+    """Build from an iterable of (u, v) pairs, counting repeats."""
+    mult: dict[Edge, int] = {}
+    for u, v in pairs:
+        e = make_edge(u, v)
+        mult[e] = mult.get(e, 0) + 1
+    return MultiEdgeSet(mult)
+
+
+def multiset_size(m: MultiEdgeSet) -> int:
+    """Total edge count with multiplicity."""
+    return sum(m.multiplicity.values())
+
+
+def effective_resistance(lam, graph: EdgeGraph, e) -> float:
+    """Effective resistance across edge ``e`` (an index or an endpoint pair)."""
+    lam = np.asarray(lam, dtype=float)
+    if np.any(lam <= 0):
+        raise ValueError("edge weights must be positive")
+    a, b = graph.edges[e] if isinstance(e, (int, np.integer)) else make_edge(*e)
+    inv = _grounded_inverse(graph, lam)
+    return float(_pair_resistances(inv, [(a, b)])[0])
+
+
+def spanning_tree_count(lam, graph: EdgeGraph) -> float:
+    """Weighted spanning-tree count: any cofactor of the weighted Laplacian."""
+    lam = np.asarray(lam, dtype=float)
+    if graph.n == 1:
+        return 1.0
+    lap = weighted_laplacian(graph, lam)
+    return float(np.linalg.det(lap[1:, 1:]))
+
+
+def chernoff_tail(q_prime: float, epsilon: float) -> float:
+    """Lower-tail bound exp(-epsilon^2 * q' / 2) for Bernoulli-sum variables.
+
+    epsilon = 1 is accepted: the bound extends there by continuity (the event
+    becomes "below zero").
+    """
+    if q_prime <= 0:
+        raise ValueError(f"q_prime must be positive, got {q_prime}")
+    if not 0 < epsilon <= 1:
+        raise ValueError(f"epsilon must lie in (0, 1], got {epsilon}")
+    return math.exp(-epsilon * epsilon * q_prime / 2.0)
+
+
+@dataclass(frozen=True)
+class ApproxFactor:
+    """Guarantee at connectivity k: headline closed form and the sharper expression."""
+
+    k: int
+    alpha: float
+    headline: float
+    precise: float
+
+
+def approx_factor(k: int) -> ApproxFactor:
+    """Expected approximation factor: 1 + sqrt(8 ln k / k), and the sharper
+    1 + alpha/sqrt(k/2) + exp(-alpha^2/2) at alpha = sqrt(ln(k/2))."""
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    headline = 1.0 + math.sqrt(8.0 * math.log(k) / k)
+    alpha = math.sqrt(max(math.log(k / 2.0), 0.0))
+    precise = 1.0 + alpha / math.sqrt(k / 2.0) + math.exp(-alpha * alpha / 2.0)
+    return ApproxFactor(k=k, alpha=alpha, headline=headline, precise=precise)
+
+
+@dataclass(frozen=True)
+class BernoulliSumStats:
+    """Sample mean/variance of integer counts; Bernoulli sums have variance <= mean.
+
+    ``slack_stderr`` is the standard error of (variance - mean), the quantity
+    the dispersion tests band with 3 sigma.
+    """
+
+    mean: float
+    variance: float
+    count: int
+    slack_stderr: float
+
+    @property
+    def variance_minus_mean(self) -> float:
+        return self.variance - self.mean
+
+
+def bs_stats(samples) -> BernoulliSumStats:
+    """Summary statistics used by the variance-vs-mean dispersion checks."""
+    x = np.asarray(list(samples), dtype=float)
+    if x.size < 2:
+        raise ValueError("need at least 2 samples")
+    mean = float(x.mean())
+    var = float(x.var(ddof=1))
+    d = (x - mean) ** 2 - x
+    stderr = float(d.std(ddof=1) / math.sqrt(x.size))
+    return BernoulliSumStats(mean=mean, variance=var, count=int(x.size), slack_stderr=stderr)

@@ -17,18 +17,21 @@ from kecsm.core import MetricInstance
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import solve_lp
 from kecsm.pipeline import prepare, round_prepared, run_batch, run_pipeline
-from kecsm.rounding import RoundingParams, run_rounding, u0v0_path_edges
+from kecsm.rounding import RoundingParams, run_rounding
 from kecsm.sampler import RngStream, sample_batch, sample_fitted_batch, sample_tree
 from kecsm.split import TreePolytopePoint, build_split_graph, to_tree_point
 from kecsm.treedist import fit_max_entropy
-from kecsm.verify import approx_factor, brute_force_opt, bs_stats
+from kecsm.verify import brute_force_opt
 
 from oracles import (
+    approx_factor,
+    bs_stats,
     check_tree_polytope,
     complete_graph,
     enumerate_spanning_trees,
     solve_lp_enumeration,
     tree_weight,
+    u0v0_path_edges,
 )
 
 

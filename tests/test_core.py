@@ -12,7 +12,6 @@ from kecsm.core import (
     MetricInstance,
     MultiEdgeSet,
     NotConnectedError,
-    cut_size,
     global_min_cut,
     make_edge,
     metric_closure,
@@ -21,7 +20,14 @@ from kecsm.core import (
     validate_metric,
 )
 
-from oracles import exhaustive_min_cut, global_min_cut_reference
+from oracles import (
+    cut_size,
+    exhaustive_min_cut,
+    global_min_cut_reference,
+    multiset_from_pairs,
+    multiset_size,
+    validate_metric_reference,
+)
 
 INF = float("inf")
 
@@ -58,7 +64,29 @@ def _min_cut_inputs(draw):
     return weights, n
 
 
+@st.composite
+def _near_metrics(draw):
+    """Euclidean costs with up to six entries moved: on the diagonal, on one
+    side of a pair only, below zero, or by amounts around the tolerance."""
+    n = draw(st.integers(2, 9))
+    points = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((n, 2)) * 10
+    cost = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1))
+    for _ in range(draw(st.integers(0, 6))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        cost[u, v] += draw(st.sampled_from((-30.0, -1e-9, 2e-9, 1e-3)) | st.floats(-12.0, 12.0))
+        if draw(st.booleans()):
+            cost[v, u] = cost[u, v]
+    return MetricInstance(n=n, cost=cost, k=2)
+
+
 class TestValidateMetric:
+    @given(_near_metrics())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_loop_reference(self, inst):
+        found = validate_metric(inst)
+        assert found == validate_metric_reference(inst)
+        assert [str(v) for v in found] == [str(v) for v in validate_metric_reference(inst)]
+
     def test_equilateral_triangle_is_clean(self, triangle_unit):
         assert validate_metric(triangle_unit) == []
 
@@ -163,7 +191,7 @@ class TestCutSize:
             side = frozenset({0})
         s = CutSpec(side=side, n=n)
         assert cut_size(a.union(b), s) == cut_size(a, s) + cut_size(b, s)
-        assert a.union(b).size() == a.size() + b.size()
+        assert multiset_size(a.union(b)) == multiset_size(a) + multiset_size(b)
 
 
 class TestSpanningForest:
@@ -200,7 +228,7 @@ class TestMultiEdgeSet:
             MultiEdgeSet({(0, 1): -1})
 
     def test_from_pairs_counts(self):
-        m = MultiEdgeSet.from_pairs([(0, 1), (1, 0), (1, 2)])
+        m = multiset_from_pairs([(0, 1), (1, 0), (1, 2)])
         assert m.multiplicity == {(0, 1): 2, (1, 2): 1}
 
     def test_total_cost(self, triangle_unit):
@@ -287,6 +315,11 @@ class TestGlobalMinCut:
             global_min_cut_reference(weights, 3)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
             global_min_cut(weights, 3)
+
+    @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])
+    def test_nan_weight_raises_naming_the_edge(self, nan):
+        with pytest.raises(ValueError, match=r"^NaN weight on edge \(0, 1\)$"):
+            global_min_cut({(0, 1): nan, (1, 2): 1.0, (0, 2): 1.0}, 3)
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_vertices_raise(self, n):

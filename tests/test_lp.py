@@ -11,13 +11,12 @@ from kecsm.lp import (
     LPError,
     LPNotConvergedError,
     _two_phase,
-    separate,
     simplex_min,
     solve_lp,
     violated_cuts,
 )
 
-from oracles import solve_lp_enumeration
+from oracles import separate, solve_lp_enumeration
 
 
 class TestSimplexEngine:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kecsm.core import MetricInstance, MultiEdgeSet
+from kecsm.core import MetricInstance, MultiEdgeSet, spanning_forest
 from kecsm.instances import euclidean_instance, random_closure_instance
-from kecsm.lp import solve_lp
+from kecsm.lp import FractionalSolution, solve_lp
 from kecsm.pipeline import prepare
 from kecsm.rounding import (
     RoundingParams,
@@ -13,14 +15,19 @@ from kecsm.rounding import (
     fundamental_cut_counts,
     mst,
     run_rounding,
-    u0v0_path_edges,
 )
 from kecsm.sampler import sample_fitted_batch, tree_from_edges
 from kecsm.split import SplitGraph, build_split_graph, to_tree_point
 from kecsm.treedist import graph_of_split
 from kecsm.verify import verify_k_connectivity
 
-from oracles import direct_fundamental_counts, separates_u0_v0
+from oracles import (
+    direct_fundamental_counts,
+    fundamental_cut_counts_reference,
+    multiset_size,
+    separates_u0_v0,
+    u0v0_path_edges,
+)
 
 
 def split_graph_fixture(n0_edges, costs=None):
@@ -36,6 +43,12 @@ def split_graph_fixture(n0_edges, costs=None):
         x0=np.zeros(len(edges)),
         cost0=costs,
     )
+
+
+def cut_counts(tree, t_star, g0) -> dict[int, int]:
+    """The batched counts of a batch of one tree, keyed by tree edge."""
+    counts, _ = fundamental_cut_counts([tree], t_star, g0)
+    return {tree.parent_edge[v]: int(counts[0, v]) for v in range(1, tree.n)}
 
 
 class TestParams:
@@ -96,27 +109,27 @@ class TestFundamentalCutCounts:
     def test_path_single_edge(self):
         g0 = split_graph_fixture([(0, 1), (1, 2)])
         tree = tree_from_edges(graph_of_split(g0), [0, 1])
-        counts = fundamental_cut_counts(tree, MultiEdgeSet({(0, 1): 1}), g0)
+        counts = cut_counts(tree, MultiEdgeSet({(0, 1): 1}), g0)
         assert counts == {0: 1, 1: 0}
 
     def test_tree_against_itself(self):
         g0 = split_graph_fixture([(0, 1), (1, 2), (2, 3), (0, 2)])
         tree = tree_from_edges(graph_of_split(g0), [0, 1, 2])
         t_star = MultiEdgeSet({(0, 1): 1, (1, 2): 1, (2, 3): 1})
-        counts = fundamental_cut_counts(tree, t_star, g0)
+        counts = cut_counts(tree, t_star, g0)
         assert counts == {0: 1, 1: 1, 2: 1}
 
     def test_star_example(self):
         # star center 0 with leaves 1,2,3; t_star edges (1,2) and (1,3)
         g0 = split_graph_fixture([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         tree = tree_from_edges(graph_of_split(g0), [0, 1, 2])
-        counts = fundamental_cut_counts(tree, MultiEdgeSet({(1, 2): 1, (1, 3): 1}), g0)
+        counts = cut_counts(tree, MultiEdgeSet({(1, 2): 1, (1, 3): 1}), g0)
         assert counts == {0: 2, 1: 1, 2: 1}
 
     def test_multiplicity_counts(self):
         g0 = split_graph_fixture([(0, 1), (1, 2)])
         tree = tree_from_edges(graph_of_split(g0), [0, 1])
-        counts = fundamental_cut_counts(tree, MultiEdgeSet({(0, 2): 3}), g0)
+        counts = cut_counts(tree, MultiEdgeSet({(0, 2): 3}), g0)
         assert counts == {0: 3, 1: 3}
 
     @pytest.mark.parametrize("seed", range(6))
@@ -145,9 +158,41 @@ class TestFundamentalCutCounts:
                 chosen.append(i)
         tree = tree_from_edges(graph, chosen)
         t_star = MultiEdgeSet({e: int(rng.integers(0, 4)) for e in edges})
-        fast = fundamental_cut_counts(tree, t_star, g0)
+        fast = cut_counts(tree, t_star, g0)
         slow = direct_fundamental_counts(tree, t_star, g0)
         assert fast == slow
+
+
+@st.composite
+def tree_batches(draw):
+    """A split graph on 3 to 10 vertices, 1 to 8 spanning trees of it, and a
+    union multiset with multiplicities 0 to 4 on its edges."""
+    n = draw(st.integers(2, 9))
+    inst = MetricInstance(n=n, cost=np.ones((n, n)) - np.eye(n), k=2)
+    g0 = build_split_graph(inst, FractionalSolution(values={}, objective=0.0),
+                           split_vertex=draw(st.integers(0, n - 1)))
+    trees = []
+    for _ in range(draw(st.integers(1, 8))):
+        order = draw(st.permutations(range(len(g0.edges))))
+        chosen, _ = spanning_forest(g0.n0, [g0.edges[i] for i in order])
+        trees.append(tree_from_edges(graph_of_split(g0), [order[p] for p in chosen]))
+    mult = draw(st.lists(st.integers(0, 4), min_size=len(g0.edges), max_size=len(g0.edges)))
+    return g0, trees, MultiEdgeSet(dict(zip(g0.edges, mult)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tree_batches())
+def test_batched_counts_match_the_per_tree_reference(case):
+    g0, trees, t_star = case
+    counts, splits_twins = fundamental_cut_counts(trees, t_star, g0)
+    assert counts.shape == splits_twins.shape == (len(trees), g0.n0)
+    for t, tree in enumerate(trees):
+        assert counts[t, 0] == 0 and not splits_twins[t, 0]
+        edges = tree.parent_edge[1:]
+        assert dict(zip(edges, counts[t, 1:].tolist())) == fundamental_cut_counts_reference(
+            tree, t_star, g0)
+        assert {e for e, s in zip(edges, splits_twins[t, 1:]) if s} == u0v0_path_edges(
+            tree, g0.u0, g0.v0)
 
 
 class TestSeparatesTwins:
@@ -185,7 +230,7 @@ class TestRunRounding:
         path = u0v0_path_edges(tree, g0.u0, g0.v0)
         expected_f = {g0.edges[i]: 1 for i in tree.edge_indices if i not in path}
         assert out.f_set.multiplicity == expected_f
-        assert out.b_set.size() == 0
+        assert multiset_size(out.b_set) == 0
         cert = verify_k_connectivity(out.final, triangle_unit.n, 2)
         assert cert.passes
 
@@ -197,7 +242,7 @@ class TestRunRounding:
             out = run_rounding(prep.split_graph, prep.weights, params)
             copies = 2 * params.tree_count + 2 * params.mst_copies
             assert out.final.multiplicity == {(0, 1): copies}
-            assert out.f_set.size() == 0  # every tree edge separates the twins
+            assert multiset_size(out.f_set) == 0  # every tree edge separates the twins
             assert verify_k_connectivity(out.final, 2, k).passes
 
     def test_union_size_exact(self):
@@ -205,7 +250,7 @@ class TestRunRounding:
         prep = prepare(inst)
         params = RoundingParams.make(8, seed=0)
         out = run_rounding(prep.split_graph, prep.weights, params)
-        assert out.t_star.size() == params.tree_count * (prep.split_graph.n0 - 1)
+        assert multiset_size(out.t_star) == params.tree_count * (prep.split_graph.n0 - 1)
 
     def test_cost_identities(self):
         inst = euclidean_instance(8, 16, seed=6)

@@ -8,7 +8,9 @@ import pytest
 from kecsm import euclidean_instance, prepare, random_closure_instance
 from kecsm.core import NotConnectedError
 from kecsm.sampler import (
+    _BLOCK,
     RngStream,
+    _draw_streams,
     sample_batch,
     sample_fitted_batch,
     sample_fitted_tree,
@@ -16,9 +18,9 @@ from kecsm.sampler import (
     tree_from_edges,
 )
 from kecsm.split import TreePolytopePoint
-from kecsm.treedist import EdgeGraph, fit_max_entropy, tree_marginals
+from kecsm.treedist import EdgeGraph, LambdaWeights, SamplingPiece, fit_max_entropy, tree_marginals
 
-from oracles import complete_graph, enumerate_spanning_trees, sample_tree_enumeration, tree_weight
+from oracles import bs_stats, complete_graph, enumerate_spanning_trees, sample_tree_enumeration, tree_weight
 
 TRIANGLE = EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
 PATH3 = EdgeGraph(n=3, edges=((0, 1), (1, 2)))
@@ -69,6 +71,16 @@ class TestTreeFromEdges:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             tree_from_edges(TRIANGLE, [0, 1, 2])
+
+
+@pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
+def test_reset_generator_matches_a_fresh_philox(seed):
+    # one generator, reset per stream, draws what each stream's own generator draws
+    count = 2 * _BLOCK + 5
+    draws = _draw_streams(lambda uniform: [uniform() for _ in range(count)],
+                  [RngStream(seed=seed, stream=s) for s in range(64)])
+    for s, got in enumerate(draws):
+        assert got == RngStream(seed=seed, stream=s).generator().random(count).tolist()
 
 
 class TestSampleTree:
@@ -221,6 +233,16 @@ class TestFittedSampling:
         for s, tree in enumerate(batch):
             assert tree == sample_fitted_tree(w, RngStream(seed=29, stream=s))
 
+    def test_repeated_edge_raises(self):
+        # a forced edge that a piece holds too: the draw repeats it and cannot span
+        graph = EdgeGraph(n=3, edges=((0, 1), (1, 2), (0, 2)))
+        piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(0,))
+        w = LambdaWeights(graph=graph, lam=np.ones(3), fitted_marginals=np.ones(3), forced=(0,),
+                          deleted=(), epsilon_marginal=1e-6, sweeps=0, max_ratio=1.0,
+                          pieces=(piece,))
+        with pytest.raises(ValueError, match="distinct edges"):
+            sample_fitted_tree(w, RngStream(seed=0))
+
     def test_forced_edges_always_present(self):
         pt = TreePolytopePoint(n=3, edges=PATH3.edges, z=[1.0, 1.0])
         w = fit_max_entropy(pt)
@@ -230,8 +252,6 @@ class TestFittedSampling:
     def test_piecewise_law_has_bernoulli_sum_cut_counts(self):
         # dispersion check: tree-edge counts across fixed cuts never exceed
         # their mean in variance terms (sums of independent indicator draws)
-        from kecsm.verify import bs_stats
-
         rng = np.random.default_rng(3)
         g = complete_graph(6)
         lam = rng.random(len(g.edges)) + 0.2
@@ -249,8 +269,6 @@ class TestFittedSampling:
 
     def test_arbitrary_edge_set_counts_underdispersed(self):
         # the Bernoulli-sum property holds for any fixed edge set, not just cuts
-        from kecsm.verify import bs_stats
-
         rng = np.random.default_rng(8)
         g = complete_graph(5)
         lam = rng.random(len(g.edges)) + 0.2

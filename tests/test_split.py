@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from kecsm.core import CutSpec, MetricInstance, MultiEdgeSet, cut_size
+from kecsm.core import CutSpec, MetricInstance, MultiEdgeSet
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import FractionalSolution, solve_lp
 from kecsm.split import TreePolytopePoint, build_split_graph, identify_back, to_tree_point
 
-from oracles import check_tree_polytope, degree_value, tree_point_total
+from oracles import check_tree_polytope, cut_size, degree_value, multiset_size, tree_point_total
 
 
 def hamiltonian_cycle_solution(n: int) -> FractionalSolution:
@@ -145,7 +145,7 @@ class TestIdentifyBack:
         g0 = build_split_graph(triangle_unit, frac)
         tree = MultiEdgeSet({(0, 1): 1, (1, 2): 1, (2, 3): 1})
         merged = identify_back(g0, tree)
-        assert merged.size() == triangle_unit.n
+        assert multiset_size(merged) == triangle_unit.n
         assert merged.multiplicity == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
 
     def test_cost_preserved(self):

@@ -9,13 +9,17 @@ from kecsm.treedist import (
     EdgeGraph,
     FitConvergenceError,
     contract_edges,
-    effective_resistance,
     fit_max_entropy,
-    spanning_tree_count,
     tree_marginals,
 )
 
-from oracles import check_tree_polytope, complete_graph, enumerated_marginals
+from oracles import (
+    check_tree_polytope,
+    complete_graph,
+    effective_resistance,
+    enumerated_marginals,
+    spanning_tree_count,
+)
 
 TRIANGLE = EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
 PATH3 = EdgeGraph(n=3, edges=((0, 1), (1, 2)))

@@ -11,14 +11,18 @@ from kecsm.lp import solve_lp
 from kecsm.pipeline import run_pipeline
 from kecsm.verify import (
     TooLargeError,
-    approx_factor,
     brute_force_opt,
-    bs_stats,
-    chernoff_tail,
     verify_k_connectivity,
 )
 
-from oracles import exhaustive_min_cut, exhaustive_opt
+from oracles import (
+    approx_factor,
+    bs_stats,
+    chernoff_tail,
+    exhaustive_min_cut,
+    exhaustive_opt,
+    multiset_from_pairs,
+)
 
 
 class TestVerifyConnectivity:
@@ -75,7 +79,7 @@ class TestVerifyConnectivity:
                                   .filter(lambda r: r[0] != r[1]), max_size=30), label="edges")
         perm = data.draw(st.permutations(range(n)), label="perm")
         k = data.draw(st.integers(1, 8), label="k")
-        ms = MultiEdgeSet.from_pairs((u, v) for u, v, m in rows for _ in range(m))
+        ms = multiset_from_pairs((u, v) for u, v, m in rows for _ in range(m))
         moved = MultiEdgeSet({(perm[u], perm[v]): m for (u, v), m in ms.multiplicity.items()})
 
         def cut(mult, side):
