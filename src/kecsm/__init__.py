@@ -21,16 +21,13 @@ from .lp import (
 )
 from .split import (
     SplitGraph,
-    TreePolytopePoint,
     build_split_graph,
     identify_back,
-    to_tree_point,
 )
 from .treedist import (
     EdgeGraph,
     FitConvergenceError,
     LambdaWeights,
-    MarginalVector,
     fit_max_entropy,
     tree_marginals,
 )

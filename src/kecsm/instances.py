@@ -13,6 +13,16 @@ class InstanceFormatError(ValueError):
     """Unreadable or invalid instance input."""
 
 
+def json_int(value) -> int:
+    """A JSON integer field as an int; an integral float such as 8.0 passes, a
+    bool, string or fractional value raises ValueError."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return value
+
+
 def parse_matrix_json(text: str, k: int | None = None, closure: bool = False) -> MetricInstance:
     """Instance from a JSON object with fields n, k, costs (n x n array)."""
     try:
@@ -20,8 +30,8 @@ def parse_matrix_json(text: str, k: int | None = None, closure: bool = False) ->
     except json.JSONDecodeError as exc:
         raise InstanceFormatError(f"invalid JSON: {exc}") from exc
     try:
-        n = int(obj["n"])
-        file_k = int(obj["k"]) if "k" in obj else None
+        n = json_int(obj["n"])
+        file_k = json_int(obj["k"]) if "k" in obj else None
         costs = np.array(obj["costs"], dtype=float)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InstanceFormatError(f"matrix-json needs integer n, k and an n x n costs array: {exc}") from exc

@@ -51,9 +51,6 @@ class FractionalSolution:
     values: dict[Edge, float]
     objective: float
 
-    def as_array(self, edges: list[Edge]) -> np.ndarray:
-        return np.array([self.values.get(e, 0.0) for e in edges])
-
 
 @dataclass(frozen=True)
 class LPReport:

@@ -15,7 +15,7 @@ from .core import MetricInstance, MultiEdgeSet
 from .lp import FractionalSolution, LPReport, solve_lp
 from .rounding import RoundingOutput, RoundingParams, run_rounding
 from .sampler import RngStream
-from .split import SplitGraph, build_split_graph, to_tree_point
+from .split import SplitGraph, build_split_graph
 from .treedist import LambdaWeights, fit_max_entropy
 from .verify import ConnectivityCertificate, TooLargeError, brute_force_opt, verify_k_connectivity
 
@@ -78,13 +78,11 @@ class PipelineResult:
     certificate: ConnectivityCertificate
 
 
-def prepare(inst: MetricInstance, split_vertex: int = 0,
-            epsilon_marginal: float = 1e-6) -> SolvedRelaxation:
-    """Deterministic half of the pipeline: relaxation, split, max-entropy fit."""
+def prepare(inst: MetricInstance, split_vertex: int = 0) -> SolvedRelaxation:
+    """Deterministic half of the pipeline: relaxation, split, max-entropy fit of (2/k) x0."""
     frac, report = solve_lp(inst)
     g0 = build_split_graph(inst, frac, split_vertex=split_vertex)
-    point = to_tree_point(g0, float(inst.k))
-    weights = fit_max_entropy(point, epsilon_marginal=epsilon_marginal)
+    weights = fit_max_entropy(g0.graph, (2.0 / float(inst.k)) * g0.x0)
     return SolvedRelaxation(
         instance=inst,
         fractional=frac,

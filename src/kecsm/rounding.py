@@ -18,7 +18,7 @@ import numpy as np
 from .core import MultiEdgeSet, min_spanning_tree
 from .sampler import SpanningTree, sample_fitted_batch, tree_from_edges
 from .split import SplitGraph, identify_back
-from .treedist import LambdaWeights, graph_of_split
+from .treedist import LambdaWeights
 
 
 def default_alpha(k: int) -> float:
@@ -69,7 +69,7 @@ class RoundingParams:
 
 def mst(g0: SplitGraph) -> SpanningTree:
     """Minimum spanning tree of the expanded graph; ties break by edge index."""
-    return tree_from_edges(graph_of_split(g0), min_spanning_tree(g0.n0, g0.edges, g0.cost0))
+    return tree_from_edges(g0.graph, min_spanning_tree(g0.n0, g0.edges, g0.cost0))
 
 
 def fundamental_cut_counts(trees: list[SpanningTree], t_star: MultiEdgeSet,

@@ -32,9 +32,7 @@ class RngStream:
 
     @property
     def key(self) -> np.ndarray:
-        # the conversion Philox applies to a key list: a masked value of 2**63
-        # or more passes through float64 on the way to uint64
-        return np.asarray([self.seed & _MASK64, self.stream & _MASK64]).astype(np.uint64)
+        return np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self.key))

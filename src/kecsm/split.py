@@ -1,4 +1,4 @@
-"""Vertex splitting, the scaled tree-polytope point, and identification back.
+"""Vertex splitting and identification back.
 
 One chosen vertex u is split into twin nodes u0/v0, every incident edge is
 duplicated toward both twins at half its fractional value, and the scaled
@@ -9,12 +9,13 @@ edge) of the original graph once the twins are identified again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import Edge, MetricInstance, MultiEdgeSet, make_edge
 from .lp import FractionalSolution
+from .treedist import EdgeGraph
 
 
 @dataclass(frozen=True)
@@ -23,6 +24,7 @@ class SplitGraph:
 
     ``edges[i]`` is the expanded-graph pair, ``origin[i]`` the original-graph
     edge it identifies back to; ``x0`` and ``cost0`` run parallel to ``edges``.
+    ``graph`` is the expanded graph on n0 vertices, built once.
     """
 
     n: int
@@ -31,6 +33,7 @@ class SplitGraph:
     origin: tuple[Edge, ...]
     x0: np.ndarray
     cost0: np.ndarray
+    graph: EdgeGraph = field(init=False, repr=False, compare=False)
 
     @property
     def n0(self) -> int:
@@ -52,6 +55,7 @@ class SplitGraph:
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "cost0", cost0)
         object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.edges)})
+        object.__setattr__(self, "graph", EdgeGraph(n=self.n0, edges=tuple(self.edges)))
 
     def edge_index(self, e: Edge) -> int:
         return self._index[make_edge(*e)]
@@ -96,27 +100,6 @@ def build_split_graph(inst: MetricInstance, x: FractionalSolution,
         x0=np.array(vals),
         cost0=np.array(costs),
     )
-
-
-@dataclass(frozen=True)
-class TreePolytopePoint:
-    """A candidate point of the spanning tree polytope of an explicit graph."""
-
-    n: int
-    edges: tuple[Edge, ...]
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float).copy()
-        if z.size != len(self.edges):
-            raise ValueError("z must have one entry per edge")
-        z.flags.writeable = False
-        object.__setattr__(self, "z", z)
-
-
-def to_tree_point(g0: SplitGraph, k: float) -> TreePolytopePoint:
-    """Scale the split fractional solution by 2/k into the tree polytope."""
-    return TreePolytopePoint(n=g0.n0, edges=g0.edges, z=(2.0 / k) * g0.x0)
 
 
 def identify_back(g0: SplitGraph, m0: MultiEdgeSet) -> MultiEdgeSet:

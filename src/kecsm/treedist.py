@@ -21,13 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Edge, NotConnectedError, component_labels, make_edge
-from .split import TreePolytopePoint
 
 # z at or above this is pinned into every tree; at or below the floor it is dropped.
 FORCED_Z = 1.0 - 1e-9
 DELETED_Z = 1e-12
 # slack accepted when testing z(E(S)) = |S| - 1 for tight-set decomposition
 TIGHT_SET_TOL = 1e-8
+# a fitted marginal may exceed its target z_e by at most this relative slack
+EPSILON_MARGINAL = 1e-6
 
 
 class FitConvergenceError(RuntimeError):
@@ -50,11 +51,6 @@ class EdgeGraph:
         for a, b in self.edges:
             if a == b or not (0 <= a < self.n and 0 <= b < self.n):
                 raise ValueError(f"bad edge ({a},{b}) for n={self.n}")
-
-
-def graph_of_split(g0) -> EdgeGraph:
-    """Tree-layer view of a split graph."""
-    return EdgeGraph(n=g0.n0, edges=tuple(g0.edges))
 
 
 def is_connected(graph: EdgeGraph, active=None) -> bool:
@@ -96,36 +92,24 @@ def _pair_resistances(inv: np.ndarray, edges) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MarginalVector:
-    """Edge marginals of a weighted tree law; they must sum to n - 1."""
+def tree_marginals(lam, graph: EdgeGraph) -> np.ndarray:
+    """Marginal inclusion probability of every edge under the weighted tree law.
 
-    graph: EdgeGraph
-    p: np.ndarray
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).copy()
-        p.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        total = float(p.sum())
-        if abs(total - (self.graph.n - 1)) > 1e-9:
-            raise ArithmeticError(
-                f"marginals sum to {total}, expected {self.graph.n - 1} (matrix-tree identity)"
-            )
-
-
-def tree_marginals(lam, graph: EdgeGraph) -> MarginalVector:
-    """Marginal inclusion probability of every edge under the weighted tree law."""
+    The marginals must sum to n - 1 (matrix-tree identity); an ArithmeticError
+    reports a sum that lost that precision.
+    """
     lam = np.asarray(lam, dtype=float)
     if lam.size != len(graph.edges):
         raise ValueError("one weight per edge required")
     if np.any(lam <= 0):
         raise ValueError("edge weights must be positive")
     if graph.n == 1:
-        return MarginalVector(graph=graph, p=np.zeros(0))
-    inv = _grounded_inverse(graph, lam)
-    p = lam * _pair_resistances(inv, graph.edges)
-    return MarginalVector(graph=graph, p=p)
+        return np.zeros(0)
+    p = lam * _pair_resistances(_grounded_inverse(graph, lam), graph.edges)
+    total = float(p.sum())
+    if abs(total - (graph.n - 1)) > 1e-9:
+        raise ArithmeticError(f"marginals sum to {total}, expected {graph.n - 1} (matrix-tree identity)")
+    return p
 
 
 @dataclass(frozen=True)
@@ -134,7 +118,6 @@ class Contraction:
 
     graph: EdgeGraph
     kept: tuple[int, ...]
-    vmap: tuple[int, ...]
     loops: tuple[int, ...]
 
 
@@ -164,7 +147,6 @@ def contract_edges(graph: EdgeGraph, forced, deleted) -> Contraction:
     return Contraction(
         graph=EdgeGraph(n=nc, edges=tuple(reduced_edges)),
         kept=tuple(kept),
-        vmap=tuple(vmap),
         loops=tuple(loops),
     )
 
@@ -198,7 +180,6 @@ class LambdaWeights:
     fitted_marginals: np.ndarray
     forced: tuple[int, ...]
     deleted: tuple[int, ...]
-    epsilon_marginal: float
     sweeps: int
     max_ratio: float
     pieces: tuple[SamplingPiece, ...]
@@ -218,47 +199,41 @@ def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
     yields one candidate component to test.  Returns the vertex list or None.
     """
     order = sorted(range(len(graph.edges)), key=lambda i: (-lam[i], i))
-    parent = list(range(graph.n))
-    members: dict[int, set[int]] = {v: {v} for v in range(graph.n)}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
+    # comp[v] is the vertex set of v's component; the smaller set joins the larger
+    comp = [{v} for v in range(graph.n)]
     for i in order:
         a, b = graph.edges[i]
-        ra, rb = find(a), find(b)
-        if ra == rb:
+        big, small = comp[a], comp[b]
+        if big is small:
             continue
-        if len(members[ra]) < len(members[rb]):
-            ra, rb = rb, ra
-        parent[rb] = ra
-        members[ra] |= members.pop(rb)
-        comp = members[ra]
-        if len(comp) < 2 or len(comp) >= graph.n:
-            continue
+        if len(big) < len(small):
+            big, small = small, big
+        big |= small
+        for v in small:
+            comp[v] = big
+        if len(big) == graph.n:
+            return None
         internal = sum(
-            float(z[j]) for j, (u, w) in enumerate(graph.edges) if u in comp and w in comp
+            float(z[j]) for j, (u, w) in enumerate(graph.edges) if u in big and w in big
         )
-        if internal >= len(comp) - 1 - TIGHT_SET_TOL * max(1, len(comp) - 1):
-            return sorted(comp)
+        if internal >= len(big) - 1 - TIGHT_SET_TOL * max(1, len(big) - 1):
+            return sorted(big)
     return None
 
 
-def _fit_interior(graph: EdgeGraph, z: np.ndarray, eps: float, state: dict):
+def _fit_interior(graph: EdgeGraph, z: np.ndarray, orig: list[int], state: dict):
     """Fit one connected piece, decomposing on tight sets when they surface.
 
-    Returns (lam, p, pieces) with lam/p indexed by this graph's edges and
-    pieces carrying local edge indices into this graph.
+    ``orig[j]`` is the original edge index of local edge j.  A converged piece
+    writes its weights and marginals into ``state["lam"]`` and ``state["p"]``
+    and appends its SamplingPiece, all in original indices.
     """
     m = len(graph.edges)
     lam = np.ones(m)
     sweeps_here = 0
     while True:
         try:
-            p = tree_marginals(lam, graph).p
+            p = tree_marginals(lam, graph)
         except ArithmeticError as exc:
             raise FitConvergenceError(
                 f"marginal computation lost precision after {state['sweeps']} sweeps: {exc}",
@@ -267,14 +242,16 @@ def _fit_interior(graph: EdgeGraph, z: np.ndarray, eps: float, state: dict):
             ) from exc
         max_ratio = float((p / z).max())
         state["max_ratio"] = max_ratio
-        if max_ratio <= 1.0 + eps:
-            piece = SamplingPiece(graph=graph, lam=lam.copy(), kept=tuple(range(m)))
-            return lam, p, [piece]
+        if max_ratio <= 1.0 + EPSILON_MARGINAL:
+            state["lam"][orig] = lam
+            state["p"][orig] = p
+            state["pieces"].append(SamplingPiece(graph=graph, lam=lam.copy(), kept=tuple(orig)))
+            return
         spread = float(lam.max() / lam.min())
         if sweeps_here >= 3 and (sweeps_here % 10 == 0 or spread > 1e5):
             tight = _induced_tight_set(graph, z, lam)
             if tight is not None:
-                return _fit_split(graph, z, eps, state, tight)
+                return _fit_split(graph, z, orig, state, tight)
         if state["sweeps"] * m >= state["max_updates"]:
             raise FitConvergenceError(
                 f"marginal fitting stalled at max ratio {max_ratio:.3e} "
@@ -288,8 +265,8 @@ def _fit_interior(graph: EdgeGraph, z: np.ndarray, eps: float, state: dict):
         state["sweeps"] += 1
 
 
-def _fit_split(graph: EdgeGraph, z: np.ndarray, eps: float, state: dict, tight: list[int]):
-    """Factor the law at a tight vertex set: fit inside and outside independently."""
+def _fit_split(graph: EdgeGraph, z: np.ndarray, orig: list[int], state: dict, tight: list[int]):
+    """Factor the law at a tight vertex set: fit inside, then outside, independently."""
     inside_v = set(tight)
     rank = {v: r for r, v in enumerate(tight)}
     inner_idx = [i for i, (a, b) in enumerate(graph.edges) if a in inside_v and b in inside_v]
@@ -302,75 +279,53 @@ def _fit_split(graph: EdgeGraph, z: np.ndarray, eps: float, state: dict, tight: 
     # outside: the inner edges connect the tight set, so contracting them
     # leaves one vertex for it and keeps every other edge
     outer = contract_edges(graph, inner_idx, ())
-    outer_idx = list(outer.kept)
-
-    lam = np.zeros(len(graph.edges))
-    p = np.zeros(len(graph.edges))
-    pieces: list[SamplingPiece] = []
-    for idx, sub in ((inner_idx, inner_graph), (outer_idx, outer.graph)):
-        sub_lam, sub_p, sub_pieces = _fit_interior(sub, z[idx], eps, state)
-        lam[idx] = sub_lam
-        p[idx] = sub_p
-        for piece in sub_pieces:
-            pieces.append(SamplingPiece(
-                graph=piece.graph,
-                lam=piece.lam,
-                kept=tuple(idx[j] for j in piece.kept),
-            ))
-    return lam, p, pieces
+    for idx, sub in ((inner_idx, inner_graph), (list(outer.kept), outer.graph)):
+        _fit_interior(sub, z[idx], [orig[i] for i in idx], state)
 
 
-def fit_max_entropy(z: TreePolytopePoint, epsilon_marginal: float = 1e-6,
-                    max_iters: int = 100_000) -> LambdaWeights:
-    """Fit weights so every edge marginal is at most z_e * (1 + epsilon_marginal).
+def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeights:
+    """Fit weights so every edge marginal is at most z_e * (1 + EPSILON_MARGINAL).
 
-    Multiplicative fixed-point scheme: each sweep recomputes all marginals,
-    then rescales every weight by z_e / p_e and renormalizes the geometric
-    mean to 1.  Boundary targets are decomposed (contracted z=1 edges, tight
-    vertex sets) into independent pieces fitted separately.  ``max_iters``
-    counts coordinate updates (sweeps times edges).
+    ``z`` holds one target per edge of ``graph``, a point of its spanning
+    tree polytope.  Multiplicative fixed-point scheme: each sweep recomputes
+    all marginals, then rescales every weight by z_e / p_e and renormalizes
+    the geometric mean to 1.  Boundary targets are decomposed (contracted z=1
+    edges, tight vertex sets) into independent pieces fitted separately.
+    ``max_iters`` counts coordinate updates (sweeps times edges).
     """
-    graph = EdgeGraph(n=z.n, edges=z.edges)
-    zv = np.asarray(z.z, dtype=float)
-    if np.any(zv < -1e-9) or np.any(zv > 1.0 + 1e-9):
+    z = np.asarray(z, dtype=float)
+    if z.shape != (len(graph.edges),):
+        raise ValueError("z must have one entry per edge")
+    if np.any(z < -1e-9) or np.any(z > 1.0 + 1e-9):
         raise ValueError("z outside polytope: entries must lie in [0, 1]")
-    if abs(zv.sum() - (z.n - 1)) > 1e-6:
-        raise ValueError(f"z outside polytope: total {zv.sum():.9f} != {z.n - 1}")
+    if abs(z.sum() - (graph.n - 1)) > 1e-6:
+        raise ValueError(f"z outside polytope: total {z.sum():.9f} != {graph.n - 1}")
 
-    forced = tuple(int(i) for i in np.nonzero(zv >= FORCED_Z)[0])
-    deleted = tuple(int(i) for i in np.nonzero(zv <= DELETED_Z)[0])
+    forced = tuple(int(i) for i in np.nonzero(z >= FORCED_Z)[0])
+    deleted = tuple(int(i) for i in np.nonzero(z <= DELETED_Z)[0])
     red = contract_edges(graph, forced, deleted)
-    if any(zv[i] > 1e-6 for i in red.loops):
+    if any(z[i] > 1e-6 for i in red.loops):
         raise ValueError("z outside polytope: positive value on a forced cycle chord")
     deleted = tuple(sorted(set(deleted) | set(red.loops)))
     if not is_connected(red.graph):
         raise NotConnectedError("support of z does not connect the graph")
 
-    lam_full = np.zeros(len(graph.edges))
-    lam_full[list(forced)] = 1.0
-    marg_full = np.zeros(len(graph.edges))
-    marg_full[list(forced)] = 1.0
-
+    lam = np.zeros(len(graph.edges))
+    lam[list(forced)] = 1.0
+    p = lam.copy()
     kept = list(red.kept)
-    state = {"sweeps": 0, "max_ratio": 0.0, "max_updates": max(1, max_iters)}
-    pieces: tuple[SamplingPiece, ...] = ()
+    state = {"sweeps": 0, "max_ratio": 0.0, "max_updates": max(1, max_iters),
+             "lam": lam, "p": p, "pieces": []}
     if kept:
-        lam_red, p_red, red_pieces = _fit_interior(red.graph, zv[kept], epsilon_marginal, state)
-        lam_full[kept] = lam_red
-        marg_full[kept] = p_red
-        pieces = tuple(
-            SamplingPiece(graph=pc.graph, lam=pc.lam, kept=tuple(kept[j] for j in pc.kept))
-            for pc in red_pieces
-        )
+        _fit_interior(red.graph, z[kept], kept, state)
 
     return LambdaWeights(
         graph=graph,
-        lam=lam_full,
-        fitted_marginals=marg_full,
+        lam=lam,
+        fitted_marginals=p,
         forced=forced,
         deleted=deleted,
-        epsilon_marginal=epsilon_marginal,
         sweeps=state["sweeps"],
-        max_ratio=float((marg_full[kept] / zv[kept]).max()) if kept else 0.0,
-        pieces=pieces,
+        max_ratio=float((p[kept] / z[kept]).max()) if kept else 0.0,
+        pieces=tuple(state["pieces"]),
     )

@@ -29,7 +29,7 @@ from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, Mul
                         NotConnectedError, make_edge, spanning_forest)
 from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, simplex_min, violated_cuts
 from kecsm.sampler import RngStream, SpanningTree, tree_from_edges
-from kecsm.split import SplitGraph, TreePolytopePoint
+from kecsm.split import SplitGraph
 from kecsm.treedist import EdgeGraph, _grounded_inverse, _pair_resistances, weighted_laplacian
 
 
@@ -230,35 +230,38 @@ def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSol
     return FractionalSolution(values={e: float(v) for e, v in zip(edges, x)}, objective=obj)
 
 
-def check_tree_polytope(pt: TreePolytopePoint, tol: float = 1e-6) -> list[frozenset[int]]:
-    """Exhaustive membership check; returns the violated vertex subsets.
+def check_tree_polytope(graph: EdgeGraph, z, tol: float = 1e-6) -> list[frozenset[int]]:
+    """Exhaustive membership check of ``z`` (one entry per edge of ``graph``);
+    returns the violated vertex subsets.
 
     Verifies z(E) = n - 1 and z(E(S)) <= |S| - 1 for every subset S, plus
     z >= 0 (a negative entry is reported as a singleton violation).  Meant as
     a small-graph oracle: enumeration of 2^n subsets caps n at 14.
     """
-    if pt.n > 14:
-        raise ValueError(f"enumeration infeasible for n={pt.n} > 14")
+    n = graph.n
+    z = np.asarray(z, dtype=float)
+    if n > 14:
+        raise ValueError(f"enumeration infeasible for n={n} > 14")
     bad: list[frozenset[int]] = []
-    for i, e in enumerate(pt.edges):
-        if pt.z[i] < -tol:
+    for i, e in enumerate(graph.edges):
+        if z[i] < -tol:
             bad.append(frozenset(e))
-    ea = np.array([e[0] for e in pt.edges], dtype=np.int64)
-    eb = np.array([e[1] for e in pt.edges], dtype=np.int64)
-    for mask in range(3, 1 << pt.n):
+    ea = np.array([e[0] for e in graph.edges], dtype=np.int64)
+    eb = np.array([e[1] for e in graph.edges], dtype=np.int64)
+    for mask in range(3, 1 << n):
         size = int(mask).bit_count()
         if size < 2:
             continue
         inside = ((mask >> ea) & 1).astype(bool) & ((mask >> eb) & 1).astype(bool)
         bound = size - 1 + tol
-        if size == pt.n:
+        if size == n:
             # the full set carries the equality z(E) = n - 1
-            total = pt.z.sum()
-            if abs(total - (pt.n - 1)) > tol:
-                bad.append(frozenset(range(pt.n)))
+            total = z.sum()
+            if abs(total - (n - 1)) > tol:
+                bad.append(frozenset(range(n)))
             continue
-        if float(pt.z[inside].sum()) > bound:
-            bad.append(frozenset(v for v in range(pt.n) if mask >> v & 1))
+        if float(z[inside].sum()) > bound:
+            bad.append(frozenset(v for v in range(n) if mask >> v & 1))
     return bad
 
 
@@ -267,8 +270,8 @@ def degree_value(g0: SplitGraph, v: int) -> float:
     return float(sum(g0.x0[i] for i, (a, b) in enumerate(g0.edges) if v in (a, b)))
 
 
-def tree_point_total(pt: TreePolytopePoint) -> float:
-    return float(pt.z.sum())
+def tree_point_total(z) -> float:
+    return float(np.sum(z))
 
 
 def separates_u0_v0(tree: SpanningTree, e: int, u0: int, v0: int) -> bool:

@@ -19,8 +19,8 @@ from kecsm.lp import solve_lp
 from kecsm.pipeline import prepare, round_prepared, run_batch, run_pipeline
 from kecsm.rounding import RoundingParams, run_rounding
 from kecsm.sampler import RngStream, sample_batch, sample_fitted_batch, sample_tree
-from kecsm.split import TreePolytopePoint, build_split_graph, to_tree_point
-from kecsm.treedist import fit_max_entropy
+from kecsm.split import build_split_graph
+from kecsm.treedist import EdgeGraph, fit_max_entropy
 from kecsm.verify import brute_force_opt
 
 from oracles import (
@@ -79,8 +79,8 @@ def test_02_scaled_optima_in_tree_polytope():
         inst = family_instance(idx, n, k)
         idx += 1
         frac, _ = solve_lp(inst)
-        pt = to_tree_point(build_split_graph(inst, frac), inst.k)
-        if check_tree_polytope(pt, tol=1e-6):
+        g0 = build_split_graph(inst, frac)
+        if check_tree_polytope(g0.graph, (2 / inst.k) * g0.x0, tol=1e-6):
             bad += 1
         checked += 1
     ok = report(2, "tree-polytope membership", bad == 0, f"{checked} optima, {bad} violations")
@@ -98,10 +98,10 @@ def test_03_fitted_marginals_dominated_and_sampled():
     for inst in cases:
         frac, _ = solve_lp(inst)
         g0 = build_split_graph(inst, frac)
-        pt = to_tree_point(g0, inst.k)
-        w = fit_max_entropy(pt)
+        z = (2 / inst.k) * g0.x0
+        w = fit_max_entropy(g0.graph, z)
         with np.errstate(invalid="ignore", divide="ignore"):
-            ratios = np.where(pt.z > 0, w.fitted_marginals / pt.z, 1.0)
+            ratios = np.where(z > 0, w.fitted_marginals / z, 1.0)
         worst = max(worst, float(np.nanmax(ratios)))
         fitted.append((g0, w))
     dominated = worst <= 1 + 1e-6
@@ -111,16 +111,14 @@ def test_03_fitted_marginals_dominated_and_sampled():
     sampled_ok = True
     pipeline_small = euclidean_instance(7, 3, seed=4)
     frac_small, _ = solve_lp(pipeline_small)
+    g0_small = build_split_graph(pipeline_small, frac_small)
     small = [
-        fit_max_entropy(to_tree_point(build_split_graph(pipeline_small, frac_small), 3)),
-        fit_max_entropy(TreePolytopePoint(
-            n=5,
-            edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4)),
-            z=[0.7, 0.7, 0.6, 0.45, 0.45, 0.55, 0.55],
-        )),
-        fit_max_entropy(TreePolytopePoint(
-            n=3, edges=((0, 1), (0, 2), (1, 2)), z=[0.8, 0.6, 0.6],
-        )),
+        fit_max_entropy(g0_small.graph, (2 / 3) * g0_small.x0),
+        fit_max_entropy(
+            EdgeGraph(n=5, edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4))),
+            [0.7, 0.7, 0.6, 0.45, 0.45, 0.55, 0.55],
+        ),
+        fit_max_entropy(EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2))), [0.8, 0.6, 0.6]),
     ]
     for w in small:
         assert w.graph.n <= 8

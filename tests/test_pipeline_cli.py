@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +34,8 @@ from kecsm.pipeline import (
     write_summary,
 )
 
+UNIT3 = "[[0, 1, 1], [1, 0, 1], [1, 1, 0]]"
+
 
 class TestLoadInstance:
     def test_matrix_json_roundtrip(self, tmp_path):
@@ -39,6 +44,12 @@ class TestLoadInstance:
         inst = load_instance(str(path), "matrix-json")
         assert inst.n == 2 and inst.k == 3
         assert inst.cost[0, 1] == 5
+
+    def test_matrix_json_integral_floats_are_integers(self, tmp_path):
+        path = tmp_path / "inst.json"
+        path.write_text('{"n": 2.0, "k": 8.0, "costs": [[0, 5], [5, 0]]}')
+        inst = load_instance(str(path), "matrix-json")
+        assert (inst.n, inst.k) == (2, 8) and type(inst.k) is int
 
     def test_tsplib_345(self):
         text = "\n".join([
@@ -441,6 +452,18 @@ class TestCli:
                      '{"edges": [[0, 9, 2]]}', id="solution-out-of-range"),
         pytest.param("verify --input inst.json --solution bad.json", "bad.json",
                      '{"edges": [[0, 1, -2]]}', id="solution-negative"),
+        pytest.param("lp --input bad.json", "bad.json", '{"n": 3, "k": 2.9, "costs": %s}' % UNIT3,
+                     id="json-k-fraction"),
+        pytest.param("lp --input bad.json", "bad.json", '{"n": 3.5, "k": "2", "costs": %s}' % UNIT3,
+                     id="json-n-fraction-k-string"),
+        pytest.param("verify --input inst.json --solution bad.json", "bad.json",
+                     '{"edges": [[0.9, 1, 2]]}', id="solution-fractional-endpoint"),
+        pytest.param("verify --input inst.json --solution bad.json", "bad.json",
+                     '{"edges": [[0, 1, 2.9]]}', id="solution-fractional-multiplicity"),
+        pytest.param("verify --input inst.json --solution bad.json", "bad.json",
+                     '{"edges": [[0, 1, true]]}', id="solution-bool-multiplicity"),
+        pytest.param("verify --input inst.json --solution bad.json", "bad.json",
+                     '{"edges": [[0, 1, 1e400]]}', id="solution-overflow"),
     ])
     def test_bad_input_is_one_line_exit_three(self, tmp_path, monkeypatch, capsys, argv, name, text):
         monkeypatch.chdir(tmp_path)
@@ -484,3 +507,14 @@ class TestCli:
         rows_b = list(csv.reader(open(b)))
         # all numeric columns identical except wall-clock ms
         assert rows_a[1][:-1] == rows_b[1][:-1]
+
+
+def test_import_needs_numpy_only():
+    # scipy added about 28 MB RSS and 0.25 s to `import kecsm`; it and the
+    # test tools stay out of the library's imports
+    code = ("import sys, kecsm, kecsm.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'hypothesis', 'pytest'}))")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "[]\n"

@@ -17,8 +17,7 @@ from kecsm.rounding import (
     run_rounding,
 )
 from kecsm.sampler import sample_fitted_batch, tree_from_edges
-from kecsm.split import SplitGraph, build_split_graph, to_tree_point
-from kecsm.treedist import graph_of_split
+from kecsm.split import SplitGraph, build_split_graph
 from kecsm.verify import verify_k_connectivity
 
 from oracles import (
@@ -99,22 +98,22 @@ class TestMst:
             inst = euclidean_instance(8, 4, seed=seed)
             frac, _ = solve_lp(inst)
             g0 = build_split_graph(inst, frac)
-            pt = to_tree_point(g0, inst.k)
+            z = (2 / inst.k) * g0.x0
             tree = mst(g0)
             mst_cost = sum(g0.cost0[i] for i in tree.edge_indices)
-            assert mst_cost <= float(np.dot(g0.cost0, pt.z)) + 1e-9
+            assert mst_cost <= float(np.dot(g0.cost0, z)) + 1e-9
 
 
 class TestFundamentalCutCounts:
     def test_path_single_edge(self):
         g0 = split_graph_fixture([(0, 1), (1, 2)])
-        tree = tree_from_edges(graph_of_split(g0), [0, 1])
+        tree = tree_from_edges(g0.graph, [0, 1])
         counts = cut_counts(tree, MultiEdgeSet({(0, 1): 1}), g0)
         assert counts == {0: 1, 1: 0}
 
     def test_tree_against_itself(self):
         g0 = split_graph_fixture([(0, 1), (1, 2), (2, 3), (0, 2)])
-        tree = tree_from_edges(graph_of_split(g0), [0, 1, 2])
+        tree = tree_from_edges(g0.graph, [0, 1, 2])
         t_star = MultiEdgeSet({(0, 1): 1, (1, 2): 1, (2, 3): 1})
         counts = cut_counts(tree, t_star, g0)
         assert counts == {0: 1, 1: 1, 2: 1}
@@ -122,13 +121,13 @@ class TestFundamentalCutCounts:
     def test_star_example(self):
         # star center 0 with leaves 1,2,3; t_star edges (1,2) and (1,3)
         g0 = split_graph_fixture([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-        tree = tree_from_edges(graph_of_split(g0), [0, 1, 2])
+        tree = tree_from_edges(g0.graph, [0, 1, 2])
         counts = cut_counts(tree, MultiEdgeSet({(1, 2): 1, (1, 3): 1}), g0)
         assert counts == {0: 2, 1: 1, 2: 1}
 
     def test_multiplicity_counts(self):
         g0 = split_graph_fixture([(0, 1), (1, 2)])
-        tree = tree_from_edges(graph_of_split(g0), [0, 1])
+        tree = tree_from_edges(g0.graph, [0, 1])
         counts = cut_counts(tree, MultiEdgeSet({(0, 2): 3}), g0)
         assert counts == {0: 3, 1: 3}
 
@@ -138,7 +137,7 @@ class TestFundamentalCutCounts:
         n0 = int(rng.integers(4, 9))
         edges = [(u, v) for u in range(n0) for v in range(u + 1, n0)]
         g0 = split_graph_fixture(edges)
-        graph = graph_of_split(g0)
+        graph = g0.graph
         # random spanning tree via random edge order
         order = list(rng.permutation(len(edges)))
         parent = list(range(n0))
@@ -175,7 +174,7 @@ def tree_batches(draw):
     for _ in range(draw(st.integers(1, 8))):
         order = draw(st.permutations(range(len(g0.edges))))
         chosen, _ = spanning_forest(g0.n0, [g0.edges[i] for i in order])
-        trees.append(tree_from_edges(graph_of_split(g0), [order[p] for p in chosen]))
+        trees.append(tree_from_edges(g0.graph, [order[p] for p in chosen]))
     mult = draw(st.lists(st.integers(0, 4), min_size=len(g0.edges), max_size=len(g0.edges)))
     return g0, trees, MultiEdgeSet(dict(zip(g0.edges, mult)))
 
@@ -198,13 +197,13 @@ def test_batched_counts_match_the_per_tree_reference(case):
 class TestSeparatesTwins:
     def test_path_edge_separates(self):
         g0 = split_graph_fixture([(0, 1), (1, 2)])  # u0=0, v0=2
-        tree = tree_from_edges(graph_of_split(g0), [0, 1])
+        tree = tree_from_edges(g0.graph, [0, 1])
         assert separates_u0_v0(tree, 0, 0, 2)
         assert separates_u0_v0(tree, 1, 0, 2)
 
     def test_star_edge_does_not_separate(self):
         g0 = split_graph_fixture([(0, 1), (0, 2), (0, 3)])  # u0=0, v0=3
-        tree = tree_from_edges(graph_of_split(g0), [0, 1, 2])
+        tree = tree_from_edges(g0.graph, [0, 1, 2])
         assert not separates_u0_v0(tree, 0, 0, 3)
         assert not separates_u0_v0(tree, 1, 0, 3)
         assert separates_u0_v0(tree, 2, 0, 3)

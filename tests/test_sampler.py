@@ -17,7 +17,6 @@ from kecsm.sampler import (
     sample_tree,
     tree_from_edges,
 )
-from kecsm.split import TreePolytopePoint
 from kecsm.treedist import EdgeGraph, LambdaWeights, SamplingPiece, fit_max_entropy, tree_marginals
 
 from oracles import bs_stats, complete_graph, enumerate_spanning_trees, sample_tree_enumeration, tree_weight
@@ -25,11 +24,8 @@ from oracles import bs_stats, complete_graph, enumerate_spanning_trees, sample_t
 TRIANGLE = EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
 PATH3 = EdgeGraph(n=3, edges=((0, 1), (1, 2)))
 # two tight pieces, {0,1,2} and {2,3,4}, plus the forced pendant edge (4, 5)
-TWO_PIECES = TreePolytopePoint(
-    n=6,
-    edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4), (4, 5)),
-    z=[0.7, 0.7, 0.6, 0.45, 0.45, 0.55, 0.55, 1.0],
-)
+TWO_PIECES = EdgeGraph(n=6, edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4), (4, 5)))
+TWO_PIECES_Z = [0.7, 0.7, 0.6, 0.45, 0.45, 0.55, 0.55, 1.0]
 
 
 def three_sigma(p: float, n: int) -> float:
@@ -81,6 +77,15 @@ def test_reset_generator_matches_a_fresh_philox(seed):
                   [RngStream(seed=seed, stream=s) for s in range(64)])
     for s, got in enumerate(draws):
         assert got == RngStream(seed=seed, stream=s).generator().random(count).tolist()
+
+
+@pytest.mark.filterwarnings("error")
+def test_negative_seeds_draw_their_own_trees():
+    # a seed is its value modulo 2**64, exactly: -1 and -7 are the keys 2**64 - 1 and 2**64 - 7
+    assert RngStream(seed=-7, stream=-1).key.tolist() == [2**64 - 7, 2**64 - 1]
+    g = complete_graph(6)
+    batches = [sample_batch(np.ones(len(g.edges)), g, 8, seed=seed) for seed in (-1, -7, 0)]
+    assert len({_digest(batch) for batch in batches}) == 3
 
 
 class TestSampleTree:
@@ -209,7 +214,7 @@ class TestEmpiricalMarginals:
         rng = np.random.default_rng(seed)
         g = complete_graph(n)
         lam = rng.random(len(g.edges)) + 0.3
-        p = tree_marginals(lam, g).p
+        p = tree_marginals(lam, g)
         n_samples = 12_000
         hits = np.zeros(len(g.edges))
         for tree in sample_batch(lam, g, n_samples, seed=77):
@@ -222,7 +227,7 @@ class TestEmpiricalMarginals:
 
 class TestFittedSampling:
     @pytest.mark.parametrize("law", [
-        lambda: fit_max_entropy(TWO_PIECES),
+        lambda: fit_max_entropy(TWO_PIECES, TWO_PIECES_Z),
         lambda: prepare(random_closure_instance(12, 4, 5)).weights,
     ], ids=["two-pieces", "pipeline"])
     def test_stream_isolation(self, law):
@@ -238,14 +243,13 @@ class TestFittedSampling:
         graph = EdgeGraph(n=3, edges=((0, 1), (1, 2), (0, 2)))
         piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(0,))
         w = LambdaWeights(graph=graph, lam=np.ones(3), fitted_marginals=np.ones(3), forced=(0,),
-                          deleted=(), epsilon_marginal=1e-6, sweeps=0, max_ratio=1.0,
+                          deleted=(), sweeps=0, max_ratio=1.0,
                           pieces=(piece,))
         with pytest.raises(ValueError, match="distinct edges"):
             sample_fitted_tree(w, RngStream(seed=0))
 
     def test_forced_edges_always_present(self):
-        pt = TreePolytopePoint(n=3, edges=PATH3.edges, z=[1.0, 1.0])
-        w = fit_max_entropy(pt)
+        w = fit_max_entropy(PATH3, [1.0, 1.0])
         for tree in sample_fitted_batch(w, 20, seed=5):
             assert tree.edge_indices == (0, 1)
 
@@ -284,7 +288,7 @@ class TestFittedSampling:
     def test_decomposed_distribution_marginals(self):
         edges = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4))
         z = np.array([0.7, 0.7, 0.6, 0.45, 0.45, 0.55, 0.55])
-        w = fit_max_entropy(TreePolytopePoint(n=5, edges=edges, z=z))
+        w = fit_max_entropy(EdgeGraph(n=5, edges=edges), z)
         assert len(w.pieces) >= 2
         n_samples = 20_000
         hits = np.zeros(len(edges))

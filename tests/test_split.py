@@ -4,7 +4,8 @@ import pytest
 from kecsm.core import CutSpec, MetricInstance, MultiEdgeSet
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import FractionalSolution, solve_lp
-from kecsm.split import TreePolytopePoint, build_split_graph, identify_back, to_tree_point
+from kecsm.split import build_split_graph, identify_back
+from kecsm.treedist import EdgeGraph
 
 from oracles import check_tree_polytope, cut_size, degree_value, multiset_size, tree_point_total
 
@@ -70,21 +71,21 @@ class TestToTreePoint:
     def test_triangle_total(self, triangle_unit):
         frac, _ = solve_lp(triangle_unit)
         g0 = build_split_graph(triangle_unit, frac)
-        pt = to_tree_point(g0, 2)
-        assert tree_point_total(pt) == pytest.approx(3.0)  # n0 - 1
-        assert sorted(pt.z) == pytest.approx([0.5, 0.5, 0.5, 0.5, 1.0])
+        z = (2 / 2) * g0.x0
+        assert tree_point_total(z) == pytest.approx(3.0)  # n0 - 1
+        assert sorted(z) == pytest.approx([0.5, 0.5, 0.5, 0.5, 1.0])
 
     def test_two_vertices_k6(self):
         inst = MetricInstance(n=2, cost=[[0, 5], [5, 0]], k=6)
         frac, _ = solve_lp(inst)
-        pt = to_tree_point(build_split_graph(inst, frac), 6)
-        assert np.allclose(pt.z, [1.0, 1.0])
-        assert tree_point_total(pt) == pytest.approx(2.0)
+        z = (2 / 6) * build_split_graph(inst, frac).x0
+        assert np.allclose(z, [1.0, 1.0])
+        assert tree_point_total(z) == pytest.approx(2.0)
 
     def test_k4_cycle_total(self, k4_unit):
         frac = hamiltonian_cycle_solution(4)
-        pt = to_tree_point(build_split_graph(k4_unit, frac), 2)
-        assert tree_point_total(pt) == pytest.approx(4.0)
+        z = (2 / 2) * build_split_graph(k4_unit, frac).x0
+        assert tree_point_total(z) == pytest.approx(4.0)
 
 
 class TestCheckTreePolytope:
@@ -97,33 +98,28 @@ class TestCheckTreePolytope:
         ]
         for inst in cases:
             frac, _ = solve_lp(inst)
-            pt = to_tree_point(build_split_graph(inst, frac), inst.k)
-            assert check_tree_polytope(pt) == []
+            g0 = build_split_graph(inst, frac)
+            assert check_tree_polytope(g0.graph, (2 / inst.k) * g0.x0) == []
 
     def test_all_ones_triangle_violates_at_full_set(self):
-        pt = TreePolytopePoint(n=3, edges=((0, 1), (0, 2), (1, 2)), z=[1, 1, 1])
-        violations = check_tree_polytope(pt)
+        graph = EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
+        violations = check_tree_polytope(graph, [1, 1, 1])
         assert frozenset({0, 1, 2}) in violations
 
     def test_tree_indicator_is_member(self):
-        pt = TreePolytopePoint(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 3)), z=[1, 1, 1, 0])
-        assert check_tree_polytope(pt) == []
+        graph = EdgeGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 3)))
+        assert check_tree_polytope(graph, [1, 1, 1, 0]) == []
 
     def test_subset_violation_detected(self):
         # triangle 0-1-2 overloaded inside a 4-vertex graph
-        pt = TreePolytopePoint(
-            n=4,
-            edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)),
-            z=[0.9, 0.9, 0.9, 0.15, 0.15],
-        )
-        violations = check_tree_polytope(pt)
+        graph = EdgeGraph(n=4, edges=((0, 1), (0, 2), (1, 2), (0, 3), (1, 3)))
+        violations = check_tree_polytope(graph, [0.9, 0.9, 0.9, 0.15, 0.15])
         assert frozenset({0, 1, 2}) in violations
 
     def test_too_large_rejected(self):
         edges = tuple((0, v) for v in range(1, 15))
-        pt = TreePolytopePoint(n=15, edges=edges, z=[1.0] * 14)
         with pytest.raises(ValueError, match="enumeration infeasible"):
-            check_tree_polytope(pt)
+            check_tree_polytope(EdgeGraph(n=15, edges=edges), [1.0] * 14)
 
 
 class TestIdentifyBack:

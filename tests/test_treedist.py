@@ -4,8 +4,10 @@ import pytest
 from kecsm.core import NotConnectedError
 from kecsm.instances import random_closure_instance
 from kecsm.lp import solve_lp
-from kecsm.split import TreePolytopePoint, build_split_graph, to_tree_point
+from kecsm import treedist
+from kecsm.split import build_split_graph
 from kecsm.treedist import (
+    EPSILON_MARGINAL,
     EdgeGraph,
     FitConvergenceError,
     contract_edges,
@@ -26,18 +28,26 @@ PATH3 = EdgeGraph(n=3, edges=((0, 1), (1, 2)))
 CYCLE4 = EdgeGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 3)))
 
 
+@pytest.fixture
+def drifted_resistances(monkeypatch):
+    """Resistances off by a relative 1e-6, so the marginals miss n - 1 by more than 1e-9."""
+    pair_resistances = treedist._pair_resistances
+    monkeypatch.setattr(treedist, "_pair_resistances",
+                        lambda inv, edges: pair_resistances(inv, edges) * (1 + 1e-6))
+
+
 class TestTreeMarginals:
     def test_uniform_triangle(self):
-        p = tree_marginals(np.ones(3), TRIANGLE).p
+        p = tree_marginals(np.ones(3), TRIANGLE)
         assert np.allclose(p, 2.0 / 3.0)
 
     def test_unique_tree_path(self):
-        p = tree_marginals(np.array([3.0, 0.5]), PATH3).p
+        p = tree_marginals(np.array([3.0, 0.5]), PATH3)
         assert np.allclose(p, 1.0)
 
     def test_weighted_triangle_matches_enumeration(self):
         lam = np.array([2.0, 1.0, 1.0])
-        p = tree_marginals(lam, TRIANGLE).p
+        p = tree_marginals(lam, TRIANGLE)
         # trees and weights by hand: {e0,e1}=2, {e0,e2}=2, {e1,e2}=1, total 5
         assert np.allclose(p, [0.8, 0.6, 0.6])
         assert np.allclose(p, enumerated_marginals(lam, TRIANGLE))
@@ -53,20 +63,20 @@ class TestTreeMarginals:
         if not all(any(v in e for e in graph.edges) for v in range(n)):
             pytest.skip("degenerate draw")
         lam = rng.random(len(graph.edges)) + 0.2
-        p = tree_marginals(lam, graph).p
+        p = tree_marginals(lam, graph)
         assert np.allclose(p, enumerated_marginals(lam, graph), atol=1e-9)
 
     def test_parallel_edges_share_resistance(self):
         graph = EdgeGraph(n=2, edges=((0, 1), (0, 1), (0, 1)))
-        p = tree_marginals(np.array([1.0, 2.0, 3.0]), graph).p
+        p = tree_marginals(np.array([1.0, 2.0, 3.0]), graph)
         assert np.allclose(p, [1 / 6, 2 / 6, 3 / 6])
 
     def test_scaling_invariance(self):
         rng = np.random.default_rng(5)
         lam = rng.random(6) + 0.1
         g = complete_graph(4)
-        p1 = tree_marginals(lam, g).p
-        p2 = tree_marginals(lam * 37.5, g).p
+        p1 = tree_marginals(lam, g)
+        p2 = tree_marginals(lam * 37.5, g)
         assert np.allclose(p1, p2, atol=1e-12)
 
     def test_disconnected_raises(self):
@@ -77,6 +87,10 @@ class TestTreeMarginals:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             tree_marginals(np.array([1.0, 0.0, 1.0]), TRIANGLE)
+
+    def test_matrix_tree_sum_check(self, drifted_resistances):
+        with pytest.raises(ArithmeticError, match="matrix-tree"):
+            tree_marginals(np.ones(3), TRIANGLE)
 
 
 class TestEffectiveResistance:
@@ -139,14 +153,12 @@ class TestContractEdges:
 
 class TestFitMaxEntropy:
     def test_symmetric_triangle(self):
-        pt = TreePolytopePoint(n=3, edges=TRIANGLE.edges, z=[2 / 3] * 3)
-        w = fit_max_entropy(pt)
+        w = fit_max_entropy(TRIANGLE, [2 / 3] * 3)
         assert np.allclose(w.fitted_marginals, 2 / 3, atol=1e-6)
         assert np.allclose(w.lam, w.lam[0])
 
     def test_forced_path(self):
-        pt = TreePolytopePoint(n=3, edges=PATH3.edges, z=[1.0, 1.0])
-        w = fit_max_entropy(pt)
+        w = fit_max_entropy(PATH3, [1.0, 1.0])
         assert w.forced == (0, 1)
         assert np.allclose(w.fitted_marginals, 1.0)
         assert w.pieces == ()
@@ -166,8 +178,7 @@ class TestFitMaxEntropy:
         r = (lo + hi) / 2
         assert r == pytest.approx(2.0, abs=1e-9)
 
-        pt = TreePolytopePoint(n=3, edges=TRIANGLE.edges, z=target)
-        w = fit_max_entropy(pt)
+        w = fit_max_entropy(TRIANGLE, target)
         assert np.allclose(w.fitted_marginals, target, atol=1e-6)
         assert w.lam[0] / w.lam[1] == pytest.approx(r, abs=1e-4)
         # independent route: enumerate trees under the fitted weights
@@ -177,12 +188,12 @@ class TestFitMaxEntropy:
         inst = random_closure_instance(10, 2, seed=22)
         frac, _ = solve_lp(inst)
         g0 = build_split_graph(inst, frac)
-        pt = to_tree_point(g0, inst.k)
-        w = fit_max_entropy(pt)
-        eps = w.epsilon_marginal
-        assert np.all(w.fitted_marginals <= pt.z * (1 + eps) + 1e-15)
-        assert np.all(w.fitted_marginals >= pt.z - pt.n * eps)
-        assert w.fitted_marginals.sum() == pytest.approx(pt.n - 1, abs=1e-6)
+        z = (2 / inst.k) * g0.x0
+        w = fit_max_entropy(g0.graph, z)
+        eps = EPSILON_MARGINAL
+        assert np.all(w.fitted_marginals <= z * (1 + eps) + 1e-15)
+        assert np.all(w.fitted_marginals >= z - g0.n0 * eps)
+        assert w.fitted_marginals.sum() == pytest.approx(g0.n0 - 1, abs=1e-6)
 
     def test_tight_set_decomposition_marginals(self):
         # two triangles sharing no vertex, joined by a perfectly tight bond:
@@ -190,9 +201,9 @@ class TestFitMaxEntropy:
         edges = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 4), (3, 4))
         z = np.array([0.7, 0.7, 0.6, 0.45, 0.45, 0.55, 0.55])
         # subsets: E({0,1,2}) sums to 2.0 exactly -> tight, interior elsewhere
-        pt = TreePolytopePoint(n=5, edges=edges, z=z)
-        assert check_tree_polytope(pt) == []
-        w = fit_max_entropy(pt)
+        graph = EdgeGraph(n=5, edges=edges)
+        assert check_tree_polytope(graph, z) == []
+        w = fit_max_entropy(graph, z)
         assert np.all(w.fitted_marginals <= z * (1 + 1e-6) + 1e-15)
         assert np.allclose(w.fitted_marginals, z, atol=1e-5)
         assert len(w.pieces) >= 2
@@ -201,39 +212,45 @@ class TestFitMaxEntropy:
         for seed, n in [(8, 8), (19, 8), (22, 10)]:
             inst = random_closure_instance(n, 2, seed)
             frac, _ = solve_lp(inst)
-            pt = to_tree_point(build_split_graph(inst, frac), inst.k)
-            w = fit_max_entropy(pt)
+            g0 = build_split_graph(inst, frac)
+            w = fit_max_entropy(g0.graph, (2 / inst.k) * g0.x0)
             assert w.max_ratio <= 1 + 1e-6
 
     def test_z_outside_polytope_bad_total(self):
-        pt = TreePolytopePoint(n=3, edges=TRIANGLE.edges, z=[1.0, 1.0, 1.0])
         with pytest.raises(ValueError, match="outside polytope"):
-            fit_max_entropy(pt)
+            fit_max_entropy(TRIANGLE, [1.0, 1.0, 1.0])
+
+    @pytest.mark.parametrize("z", [[2 / 3] * 2, [2 / 3] * 4, [[2 / 3] * 3]])
+    def test_z_of_wrong_shape_rejected(self, z):
+        with pytest.raises(ValueError, match="one entry per edge"):
+            fit_max_entropy(TRIANGLE, z)
+
+    def test_lost_precision_is_convergence_error(self, drifted_resistances):
+        with pytest.raises(FitConvergenceError, match="lost precision") as info:
+            fit_max_entropy(TRIANGLE, [2 / 3] * 3)
+        assert isinstance(info.value.__cause__, ArithmeticError)
 
     def test_forced_chord_is_fine_when_consistent(self):
         # z = 1 on one triangle edge plus two half edges is a legal point:
         # the halves become a tight parallel pair after contraction
-        pt = TreePolytopePoint(n=3, edges=TRIANGLE.edges, z=[1.0, 0.5, 0.5])
-        w = fit_max_entropy(pt)
+        w = fit_max_entropy(TRIANGLE, [1.0, 0.5, 0.5])
         assert np.allclose(w.fitted_marginals, [1.0, 0.5, 0.5], atol=1e-9)
 
     def test_z_on_forced_cycle_chord_rejected(self):
         # forced path 0-1-2 contracted, so the half chord (0,2) becomes a loop
         edges = ((0, 1), (1, 2), (0, 2), (2, 3))
-        pt = TreePolytopePoint(n=4, edges=edges, z=[1.0, 1.0, 0.5, 0.5])
         with pytest.raises(ValueError, match="chord"):
-            fit_max_entropy(pt)
+            fit_max_entropy(EdgeGraph(n=4, edges=edges), [1.0, 1.0, 0.5, 0.5])
 
     def test_disconnected_support_rejected(self):
-        pt = TreePolytopePoint(n=4, edges=((0, 1), (2, 3), (1, 2)), z=[1.0, 1.0, 0.0])
-        # sum is 2 but should be 3; make a genuinely disconnected support instead
-        pt = TreePolytopePoint(n=4, edges=((0, 1), (2, 3), (0, 1)), z=[1.0, 1.0, 1.0])
+        # z = (1, 1, 0) on edges (0,1), (2,3), (1,2) sums to 2, not 3; a
+        # genuinely disconnected support instead:
+        graph = EdgeGraph(n=4, edges=((0, 1), (2, 3), (0, 1)))
         with pytest.raises((NotConnectedError, ValueError)):
-            fit_max_entropy(pt)
+            fit_max_entropy(graph, [1.0, 1.0, 1.0])
 
     def test_budget_exhaustion_raises(self):
         # infeasible inner structure: subset {0,1,2} over its tree bound
         edges = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3))
-        pt = TreePolytopePoint(n=4, edges=edges, z=[0.9, 0.9, 0.9, 0.15, 0.15])
         with pytest.raises(FitConvergenceError):
-            fit_max_entropy(pt, max_iters=2000)
+            fit_max_entropy(EdgeGraph(n=4, edges=edges), [0.9, 0.9, 0.9, 0.15, 0.15], max_iters=2000)
