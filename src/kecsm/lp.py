@@ -84,10 +84,9 @@ class _Tableau:
         t[row] /= t[row, col]
         column = t[:, col].copy()
         column[row] = 0.0
-        # only entries in a nonzero row and a nonzero column of the pivot change
+        # entry (r, j) changes only if t[r, col] and t[row, j] are nonzero
         rows = np.nonzero(column)[0]
-        cols = np.nonzero(t[row])[0]
-        t[np.ix_(rows, cols)] -= np.outer(column[rows], t[row, cols])
+        t[rows] -= np.outer(column[rows], t[row])
         t[rows, col] = 0.0
         self.basis[row] = col
         self.pivots += 1
@@ -193,9 +192,9 @@ def _two_phase(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
     """Optimal tableau of min c.x subject to a_eq x = b_eq, a_ge x >= b_ge, x >= 0.
 
     Phase 1 drives artificial variables to zero; they are then pivoted out
-    or their redundant rows dropped, and their columns and the phase-1 row
-    are removed before phase 2.  Columns of the result: the structural
-    variables, one surplus per >= row, the right-hand side.
+    or their redundant rows dropped.  They never enter, so they have basis
+    ids (from ``art_start`` on) but no columns.  Columns of the result: the
+    structural variables, one surplus per >= row, the right-hand side.
     """
     c = np.asarray(c, dtype=float)
     nv = c.size
@@ -211,13 +210,12 @@ def _two_phase(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
     m_eq, m_ge = b_eq.size, b_ge.size
     m = m_eq + m_ge
     art_start = nv + m_ge
-    t = np.zeros((m + 2, art_start + m + 1))  # structural, surplus, artificial, rhs
+    t = np.zeros((m + 2, art_start + 1))  # structural, surplus, rhs
     t[:m_eq, :nv] = sign[:, None] * a_eq
     t[:m_eq, -1] = sign * b_eq
     t[m_eq:m, :nv] = a_ge
     t[m_eq:m, -1] = b_ge
     t[np.arange(m_eq, m), np.arange(nv, art_start)] = -1.0
-    t[np.arange(m), np.arange(art_start, art_start + m)] = 1.0
     t[m, :nv] = c
     # phase-1 reduced costs after eliminating the basic artificials
     t[m + 1, :art_start] = -t[:m, :art_start].sum(axis=0)
@@ -239,7 +237,7 @@ def _two_phase(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
             else:
                 keep[i] = False
     keep[m + 1] = False
-    tab.t = np.delete(t[keep], np.s_[art_start:-1], axis=1)
+    tab.t = t[keep]
     tab.basis = tab.basis[keep[:m]]
     tab.primal(-1, art_start)
     return tab
@@ -249,12 +247,8 @@ def simplex_min(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
                 tol: float = 1e-9, max_pivots: int = 200_000):
     """Two-phase primal simplex on a dense tableau, from a cold start.
 
-    Minimizes c.x subject to a_eq x = b_eq, a_ge x >= b_ge, x >= 0.  Pricing
-    is Dantzig's rule with a permanent switch to Bland's rule once the
-    objective stalls, which rules out cycling.  Ties in the ratio test go to
-    the smallest basis index, so the pivot sequence is deterministic.
-
-    Returns (x, objective).
+    Minimizes c.x subject to a_eq x = b_eq, a_ge x >= b_ge, x >= 0, with the
+    deterministic pricing of ``_Tableau``.  Returns (x, objective).
     """
     c = np.asarray(c, dtype=float)
     x = _two_phase(c, a_eq, b_eq, a_ge, b_ge, tol, max_pivots).solution(c.size)
@@ -299,8 +293,9 @@ def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSo
     """Solve the relaxation by cut generation.
 
     Solves the degree equalities alone, then repeatedly adds the violated
-    cuts that ``violated_cuts`` finds (at most ``max_cuts`` in all) and
-    re-optimizes the same tableau by dual simplex, until none is left.
+    cuts that ``violated_cuts`` finds on the support of x (at most
+    ``max_cuts`` in all) and re-optimizes the same tableau by dual simplex,
+    until none is left.  The returned values hold every edge, zeros included.
     Deterministic: the pivot order, the component order and the min-cut
     witness are all index-tie-broken.
     """
@@ -317,12 +312,12 @@ def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSo
         iterations += 1
         x = tab.solution(len(edges))
         obj = float(cost @ x)
-        xmap = dict(zip(edges, x.tolist()))
-        sides, value = violated_cuts(xmap, k, inst.n)
+        xs = x.tolist()
+        sides, value = violated_cuts({edges[i]: xs[i] for i in np.flatnonzero(x).tolist()}, k, inst.n)
         if not sides:
             report = LPReport(objective=obj, iterations=iterations, cuts_added=cuts_added,
                               separation_slack=float(k - value))
-            return FractionalSolution(values=xmap, objective=obj), report
+            return FractionalSolution(values=dict(zip(edges, xs)), objective=obj), report
         keys = [side.tobytes() for side in sides]
         if seen.intersection(keys) or cuts_added >= max_cuts:
             report = LPReport(objective=obj, iterations=iterations, cuts_added=cuts_added,

@@ -33,8 +33,9 @@ INF = float("inf")
 
 # Weight families for the exact min-cut comparison: integers, halves,
 # floats one ulp or up to 1e-15 off one base value (the adjacency tie-break
-# treats values within 1e-15 of the leader as ties), and arbitrary floats,
-# whose sums depend on the order of the additions.
+# treats values within 1e-15 of the leader as ties), weights so small that a
+# connection ties with no connection at all, and arbitrary floats, whose
+# sums depend on the order of the additions.
 _TIE_OFFSETS = (-1e-15, -5e-16, 0.0, 5e-16, 1e-15)
 _WEIGHT_FAMILIES = {
     "integer": lambda rng, base: float(rng.randint(0, 4)),
@@ -42,6 +43,7 @@ _WEIGHT_FAMILIES = {
     "near-tie": lambda rng, base: (math.nextafter(base, rng.choice((0.0, 3.0))) if rng.random() < 0.3
                                    else base + rng.choice(_TIE_OFFSETS)),
     "float": lambda rng, base: rng.uniform(0.0, 4.0),
+    "tiny": lambda rng, base: rng.choice((1e-16, 5e-16, 2e-15)),
 }
 
 
@@ -305,6 +307,46 @@ class TestGlobalMinCut:
         ref_value, ref_spec = global_min_cut_reference(weights, n)
         assert value == ref_value
         assert spec.side == ref_spec.side
+
+    def test_a_free_vertex_at_zero_can_lead_on_tiny_weights(self):
+        # vertex 2 is isolated; in the first phase it leads with connection 0
+        # and vertex 3 at 5e-16 ties with it, so 3 comes last and is merged
+        # into 2, and the cut of value 0 is never a phase cut
+        weights = {(0, 1): 2e-15, (0, 3): 5e-16}
+        value, spec = global_min_cut(weights, 4)
+        ref_value, ref_spec = global_min_cut_reference(weights, 4)
+        assert (value, spec.side) == (ref_value, ref_spec.side) == (5e-16, frozenset({0, 1, 2}))
+
+    def test_matches_the_reference_on_solver_inputs(self, monkeypatch):
+        # every min cut the LP separation asks for on the benchmark's
+        # cold-solve and small-k cells, at n = 32 to 48, and the certificates
+        # of three roundings on each small-k cell
+        from kecsm import lp, verify
+        from kecsm.instances import euclidean_instance, random_closure_instance
+        from kecsm.pipeline import prepare, round_prepared
+
+        calls = []
+
+        def recorded(weights, n):
+            calls.append((weights, n, global_min_cut(weights, n)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(lp, "global_min_cut", recorded)
+        monkeypatch.setattr(verify, "global_min_cut", recorded)
+        cells = [(euclidean_instance, 32, 8), (random_closure_instance, 32, 8),
+                 (euclidean_instance, 48, 8), (random_closure_instance, 48, 8),
+                 (random_closure_instance, 48, 4), (random_closure_instance, 48, 6),
+                 (euclidean_instance, 40, 4), (euclidean_instance, 40, 6)]
+        for family, n, k in cells:
+            for instance_seed in (1, 2):
+                prep = prepare(family(n, k, instance_seed))
+                for seed in range(3 if k < 8 else 0):
+                    round_prepared(prep, seed)
+        assert len({n for _, n, _ in calls}) == 3 and len(calls) > 40
+        for weights, n, (value, spec) in calls:
+            ref_value, ref_spec = global_min_cut_reference(weights, n)
+            assert value == ref_value
+            assert spec.side == ref_spec.side
 
     @pytest.mark.parametrize("weights", [
         {(0, 1): 1.0, (2, 2): 1.0, (1, 2): -1.0},

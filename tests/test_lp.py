@@ -10,6 +10,7 @@ from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import (
     LPError,
     LPNotConvergedError,
+    _Tableau,
     _two_phase,
     simplex_min,
     solve_lp,
@@ -112,6 +113,31 @@ class TestSimplexEngine:
         assert np.all(a @ x >= np.array([1, 1, 1, 1, 2]) - 1e-12)
         assert x.tolist() == again[0].tolist() and (basis, pivots) == again[1:]
 
+    @pytest.mark.parametrize("seed", range(10))
+    def test_pivot_matches_the_submatrix_update(self, seed):
+        # sparse tableaux, pivoted a few times: the row-only update must give
+        # the same array as the update of the nonzero rows x nonzero columns
+        rng = np.random.default_rng(seed)
+        m, width = int(rng.integers(2, 12)), int(rng.integers(3, 40))
+        t = rng.standard_normal((m, width)) * (rng.random((m, width)) < 0.3)
+        tab = _Tableau(t.copy(), np.arange(m - 1), tol=1e-9, max_pivots=100)
+        expected = t.copy()
+        for _ in range(5):
+            row = int(rng.integers(m - 1))
+            col = int(rng.integers(width - 1))
+            if expected[row, col] == 0.0:
+                expected[row, col] = tab.t[row, col] = 1.0 + rng.random()
+            expected[row] /= expected[row, col]
+            column = expected[:, col].copy()
+            column[row] = 0.0
+            rows = np.nonzero(column)[0]
+            cols = np.nonzero(expected[row])[0]
+            expected[np.ix_(rows, cols)] -= np.outer(column[rows], expected[row, cols])
+            expected[rows, col] = 0.0
+            tab.pivot(row, col)
+            assert np.array_equal(tab.t, expected)
+            assert tab.basis[row] == col
+
     def test_pivot_cap_raises(self):
         with pytest.raises(LPError, match="pivot limit"):
             simplex_min(np.ones(3), a_ge=[[1.0, 1.0, 1.0]], b_ge=[1.0], max_pivots=0)
@@ -191,6 +217,20 @@ class TestSolveLP:
         monkeypatch.setattr(lp, "global_min_cut", counted)
         _, report = solve_lp(euclidean_instance(12, 4, seed=2))
         assert 1 <= len(calls) <= report.iterations
+
+    def test_separation_sees_only_the_support(self, monkeypatch):
+        weights = []
+
+        def recorded(x, n):
+            weights.extend(x.values())
+            return global_min_cut(x, n)
+
+        monkeypatch.setattr(lp, "global_min_cut", recorded)
+        inst = euclidean_instance(12, 4, seed=2)
+        frac, _ = solve_lp(inst)
+        assert weights and min(weights) > 0.0
+        assert list(frac.values) == inst.edges()
+        assert 0.0 in frac.values.values()
 
 
 @settings(max_examples=20, deadline=None)
