@@ -263,6 +263,8 @@ def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
     adj: list[dict[int, float]] = [{} for _ in range(n)]
     for e, wt in dict(weights).items():
         u, v = make_edge(*e)
+        if not 0 <= u < v < n:
+            raise ValueError(f"edge {e} has an endpoint outside 0..{n - 1}")
         if wt < 0:
             raise ValueError(f"negative weight {wt} on edge {e}")
         if not wt >= 0:

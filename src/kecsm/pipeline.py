@@ -7,7 +7,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -127,7 +127,8 @@ def round_prepared(prep: SolvedRelaxation, seed: int, alpha: float | None = None
 def run_pipeline(inst: MetricInstance, seed: int = 0, alpha: float | None = None,
                  split_vertex: int = 0, instance_id: str = "",
                  with_opt: bool = False) -> PipelineResult:
-    """Full pipeline on one instance: relax, split, fit, round, certify."""
+    """Full pipeline on one instance: relax, split, fit, round, certify; ``ms`` times it all."""
+    started = time.perf_counter()
     prep = prepare(inst, split_vertex=split_vertex)
     opt_cost = None
     if with_opt:
@@ -135,7 +136,9 @@ def run_pipeline(inst: MetricInstance, seed: int = 0, alpha: float | None = None
             opt_cost, _ = brute_force_opt(inst)
         except TooLargeError:
             opt_cost = None
-    return round_prepared(prep, seed=seed, alpha=alpha, instance_id=instance_id, opt_cost=opt_cost)
+    result = round_prepared(prep, seed=seed, alpha=alpha, instance_id=instance_id, opt_cost=opt_cost)
+    result.record = replace(result.record, ms=(time.perf_counter() - started) * 1000.0)
+    return result
 
 
 @dataclass

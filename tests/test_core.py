@@ -320,19 +320,30 @@ class TestGlobalMinCut:
     def test_matches_the_reference_on_solver_inputs(self, monkeypatch):
         # every min cut the LP separation asks for on the benchmark's
         # cold-solve and small-k cells, at n = 32 to 48, and the certificates
-        # of three roundings on each small-k cell
-        from kecsm import lp, verify
+        # of three roundings on each small-k cell: the min cuts they run on
+        # their shrunk multigraphs, and their values against the reference
+        # on the whole multigraph
+        from kecsm import lp, pipeline, verify
         from kecsm.instances import euclidean_instance, random_closure_instance
         from kecsm.pipeline import prepare, round_prepared
 
-        calls = []
+        calls, lp_sizes, certificates = [], [], []
 
         def recorded(weights, n):
             calls.append((weights, n, global_min_cut(weights, n)))
             return calls[-1][2]
 
-        monkeypatch.setattr(lp, "global_min_cut", recorded)
+        def separation(weights, n):
+            lp_sizes.append(n)
+            return recorded(weights, n)
+
+        def certified(m, n, k):
+            certificates.append((m, n, verify.verify_k_connectivity(m, n, k)))
+            return certificates[-1][2]
+
+        monkeypatch.setattr(lp, "global_min_cut", separation)
         monkeypatch.setattr(verify, "global_min_cut", recorded)
+        monkeypatch.setattr(pipeline, "verify_k_connectivity", certified)
         cells = [(euclidean_instance, 32, 8), (random_closure_instance, 32, 8),
                  (euclidean_instance, 48, 8), (random_closure_instance, 48, 8),
                  (random_closure_instance, 48, 4), (random_closure_instance, 48, 6),
@@ -342,11 +353,16 @@ class TestGlobalMinCut:
                 prep = prepare(family(n, k, instance_seed))
                 for seed in range(3 if k < 8 else 0):
                     round_prepared(prep, seed)
-        assert len({n for _, n, _ in calls}) == 3 and len(calls) > 40
+        assert set(lp_sizes) == {32, 40, 48} and len(calls) > 40
+        assert len(calls) > len(lp_sizes)  # the certificates' shrunk min cuts are checked too
         for weights, n, (value, spec) in calls:
             ref_value, ref_spec = global_min_cut_reference(weights, n)
             assert value == ref_value
             assert spec.side == ref_spec.side
+        assert len(certificates) == 24
+        for m, n, cert in certificates:
+            ref_value, _ = global_min_cut_reference({e: float(w) for e, w in m.multiplicity.items()}, n)
+            assert cert.min_cut_value == ref_value
 
     @pytest.mark.parametrize("weights", [
         {(0, 1): 1.0, (2, 2): 1.0, (1, 2): -1.0},
@@ -356,6 +372,14 @@ class TestGlobalMinCut:
         with pytest.raises(ValueError) as expected:
             global_min_cut_reference(weights, 3)
         with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            global_min_cut(weights, 3)
+
+    @pytest.mark.parametrize("weights, edge", [
+        ({(-1, 2): 3, (0, 1): 3, (1, 2): 3}, "(-1, 2)"),  # -1 would wrap around to vertex 2
+        ({(0, 1): 3, (1, 5): 3}, "(1, 5)"),
+    ])
+    def test_out_of_range_endpoints_raise_naming_the_edge(self, weights, edge):
+        with pytest.raises(ValueError, match=rf"^edge {re.escape(edge)} has an endpoint outside 0\.\.2$"):
             global_min_cut(weights, 3)
 
     @pytest.mark.parametrize("nan", [float("nan"), np.float64("nan")])

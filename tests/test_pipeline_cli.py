@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,7 @@ from kecsm.instances import (
     parse_tsplib_euc2d,
     random_closure_instance,
 )
-from kecsm.lp import InfeasibleLPError, LPError, UnboundedLPError
+from kecsm.lp import InfeasibleLPError, LPError, UnboundedLPError, solve_lp
 from kecsm.pipeline import (
     CSV_COLUMNS,
     ExperimentReport,
@@ -224,6 +225,16 @@ class TestRunPipeline:
         rec = run_pipeline(inst, seed=0, with_opt=True).record
         assert rec.ratio_opt is not None
         assert rec.ratio_opt >= 1 - 1e-9
+
+    def test_ms_covers_the_whole_solve(self, triangle_unit, monkeypatch):
+        from kecsm import pipeline
+
+        def slow_lp(inst):
+            time.sleep(0.05)
+            return solve_lp(inst)
+
+        monkeypatch.setattr(pipeline, "solve_lp", slow_lp)
+        assert run_pipeline(triangle_unit, seed=1).record.ms >= 50.0
 
     def test_split_vertex_choice_is_robust(self):
         inst = euclidean_instance(6, 4, seed=12)

@@ -1,11 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecsm.core import MetricInstance, MultiEdgeSet
+from kecsm import verify
+from kecsm.core import MetricInstance, MultiEdgeSet, global_min_cut
 from kecsm.instances import euclidean_instance
 from kecsm.lp import solve_lp
 from kecsm.pipeline import run_pipeline
@@ -21,8 +23,17 @@ from oracles import (
     chernoff_tail,
     exhaustive_min_cut,
     exhaustive_opt,
+    global_min_cut_reference,
     multiset_from_pairs,
 )
+
+
+def _crossing(m: MultiEdgeSet, side) -> int:
+    return sum(mult for (u, v), mult in m.multiplicity.items() if (u in side) != (v in side))
+
+
+def _clique(vertices, mult: int) -> dict:
+    return {(u, v): mult for i, u in enumerate(vertices) for v in vertices[i + 1:]}
 
 
 class TestVerifyConnectivity:
@@ -90,6 +101,85 @@ class TestVerifyConnectivity:
         assert cert_moved.passes == cert.passes
         assert cut(moved, {perm[v] for v in cert.witness.side}) == cert.min_cut_value
         assert cut(moved, cert_moved.witness.side) == cert.min_cut_value
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_fewer_than_two_vertices_raise(self, n):
+        with pytest.raises(ValueError, match="at least 2 vertices"):
+            verify_k_connectivity(MultiEdgeSet({}), n, 2)
+
+    @pytest.mark.parametrize("mult, edge", [
+        ({(-1, 2): 3, (0, 1): 3, (1, 2): 3}, "(-1, 2)"),  # -1 would wrap around to vertex 2
+        ({(0, 1): 3, (1, 5): 3}, "(1, 5)"),
+    ])
+    def test_out_of_range_endpoints_raise_naming_the_edge(self, mult, edge):
+        with pytest.raises(ValueError, match=rf"^edge {re.escape(edge)} has an endpoint outside 0\.\.2$"):
+            verify_k_connectivity(MultiEdgeSet(mult), 3, 2)
+
+
+class TestShrink:
+    """The certificate contracts edges before its one min cut; the sizes that
+    min cut sees show which contraction test did the work."""
+
+    @staticmethod
+    def certify(monkeypatch, mult: dict, n: int):
+        sizes = []
+
+        def recorded(weights, r):
+            sizes.append(r)
+            return global_min_cut(weights, r)
+
+        monkeypatch.setattr(verify, "global_min_cut", recorded)
+        m = MultiEdgeSet(mult)
+        cert = verify_k_connectivity(m, n, 3)
+        assert 0 in cert.witness.side and _crossing(m, cert.witness.side) == cert.min_cut_value
+        return cert, sizes
+
+    def test_heavy_edges_start_the_shrink(self, monkeypatch):
+        # three K4 blobs of 3 copies per edge, joined in a triangle and to
+        # vertex 0 by single copies: 2 w < d on every edge, so only the heavy
+        # edge test (w >= 3, the degree of vertex 0) applies at the start
+        mult = {(0, 1): 1, (0, 5): 1, (0, 9): 1, (2, 6): 1, (7, 10): 1, (11, 3): 1}
+        for blob in ([1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]):
+            mult.update(_clique(blob, 3))
+        cert, sizes = self.certify(monkeypatch, mult, 13)
+        assert sizes == [4] and cert.min_cut_value == 3 and cert.passes
+
+    def test_dominant_edges_alone_shrink(self, monkeypatch):
+        # vertex 5 (degree 5) hangs on a K5 of 2 copies per edge: 2 w(0, 5) >= d(5),
+        # while no edge ever carries the 5 copies the heavy edge test needs
+        mult = {**_clique([0, 1, 2, 3, 4], 2), (0, 5): 3, (1, 5): 2}
+        cert, sizes = self.certify(monkeypatch, mult, 6)
+        assert sizes == [5] and cert.min_cut_value == 5
+        assert cert.witness.side == frozenset(range(5))
+
+    def test_shrinks_to_two_supervertices(self, monkeypatch):
+        # 2 w(0, 1) >= d(1) merges 0 and 1 into a supervertex of degree 3;
+        # only then is every edge of the K5 of 3 copies heavy, far from that
+        # merge, and the min cut is never called
+        mult = {(0, 1): 3, (0, 2): 1, (1, 3): 1, (1, 4): 1, **_clique([2, 3, 4, 5, 6], 3)}
+        cert, sizes = self.certify(monkeypatch, mult, 7)
+        assert sizes == [] and cert.min_cut_value == 3 and cert.passes
+        assert cert.witness.side == frozenset({0, 1})
+
+    def test_isolated_vertex_reads_zero(self, monkeypatch):
+        cert, sizes = self.certify(monkeypatch, {(0, 1): 3, (1, 2): 3, (0, 2): 3}, 4)
+        assert sizes == [] and cert.min_cut_value == 0 and not cert.passes
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_value_matches_the_references(self, data):
+        # disconnected multigraphs and isolated vertices included
+        n = data.draw(st.integers(2, 12), label="n")
+        vertex = st.integers(0, n - 1)
+        rows = data.draw(st.lists(st.tuples(vertex, vertex, st.integers(0, 6))
+                                  .filter(lambda r: r[0] != r[1]), max_size=n * n // 2), label="edges")
+        m = multiset_from_pairs((u, v) for u, v, mult in rows for _ in range(mult))
+        cert = verify_k_connectivity(m, n, 4)
+        weights = {e: float(mult) for e, mult in m.multiplicity.items()}
+        assert cert.min_cut_value == global_min_cut_reference(weights, n)[0] == exhaustive_min_cut(weights, n)
+        assert 0 in cert.witness.side and _crossing(m, cert.witness.side) == cert.min_cut_value
+        assert cert.passes == (cert.min_cut_value >= 4)
+
 
 class TestBruteForceOpt:
     def test_triangle_k2(self, triangle_unit):
