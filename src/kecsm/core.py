@@ -246,6 +246,71 @@ class MultiEdgeSet:
         return f"MultiEdgeSet({{{items}}})"
 
 
+def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], list[list[int]]]:
+    """Contract the edges that no minimum cut needs to cross (the exact tests
+    of Padberg and Rinaldi).  ``weights`` maps pairs u != v to nonnegative
+    weights; both orientations of a pair add up and Python ints stay exact.
+    Returns (cuts, rest, members): ``cuts`` holds (degree, side) of a
+    lightest vertex and of every supervertex when it was formed; ``rest`` is
+    the graph left on supervertices 0, 1, ..., with ``members[i]`` the
+    vertices of supervertex i, and is empty when at most two are left or a
+    cut of value 0 was recorded.  The minimum cut is the smaller of the
+    least recorded cut and the minimum cut of ``rest``.
+    """
+    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    for (u, v), w in weights.items():
+        adj[u][v] = adj[v][u] = adj[u].get(v, 0) + w
+    deg = [sum(a.values()) for a in adj]
+    members = [[v] for v in range(n)]
+    low = min(range(n), key=deg.__getitem__)
+    best = deg[low]
+    cuts = [(best, [low])]
+    # The degree of a supervertex is the cut around it, and it is recorded
+    # when the supervertex is formed, so the min cut is always min(best, min
+    # cut of the shrunk graph).  Contracting uv keeps that:
+    # 1. if w(uv) >= best, as a cut crossing uv carries at least w(uv);
+    # 2. if 2 w(uv) >= d(u): for a side S with u in S, v not in S and S != {u},
+    #    cut(S - u) - cut(S) = w(u, S - u) - w(u, V - S) <= d(u) - 2 w(uv) <= 0,
+    #    so some minimum cut is {u}, already recorded, or keeps u and v together.
+    # On float weights both tests hold exactly over the reals, while the
+    # float degrees differ from the exact sums by about n * eps * sum(w), near
+    # 1e-11 on the LP supports.  A contraction thus loses at most that much
+    # of the minimum, and a recorded value is that close to its side's cut:
+    # far below the LP's SEPARATION_TOL of 1e-7, so separation misses no
+    # cut below k - 1e-7 and returns no side that carries k or more.
+    # A merged-away vertex keeps an empty dict; while best > 0 no live
+    # supervertex has one.
+    alive, work = n, list(range(n))
+    while work and best and alive > 2:
+        u = work.pop()
+        for v, w in adj[u].items():
+            if w >= best or 2 * w >= deg[u] or 2 * w >= deg[v]:
+                break
+        else:
+            continue
+        if len(adj[u]) < len(adj[v]):
+            u, v = v, u
+        keep, gone = adj[u], adj[v]  # merge the smaller dict, v's, into u's
+        del keep[v]
+        for x, wx in gone.items():
+            if x != u:
+                del adj[x][v]
+                keep[x] = adj[x][u] = keep.get(x, 0) + wx
+        gone.clear()
+        deg[u] += deg[v] - 2 * w
+        members[u] = members[u] + members[v]  # a new list: recorded sides never change
+        alive -= 1
+        work.append(u)
+        cuts.append((deg[u], members[u]))
+        if deg[u] < best:
+            best = deg[u]
+            work = [x for x in range(n) if adj[x]]  # rule 1 may now hold anywhere
+    live = [v for v in range(n) if adj[v]] if best else []
+    label = {v: i for i, v in enumerate(live)}
+    rest = {(label[u], label[v]): w for u in live for v, w in adj[u].items() if u < v and alive > 2}
+    return cuts, rest, [members[v] for v in live]
+
+
 def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
     """Global minimum cut of a weighted undirected graph via Stoer-Wagner.
 

@@ -3,9 +3,10 @@
 The relaxation minimizes total edge cost subject to fractional degree exactly
 k at every vertex, every cut carrying at least k, and nonnegative edge values.
 Cut constraints are generated lazily: the support graph's connected
-components first, then a global-min-cut separation oracle.  Cuts join one
-simplex tableau kept across rounds and are absorbed by dual simplex pivots
-from the previous optimal basis.
+components first, then the violated cuts that the shrink of the support
+records and one global min cut of what it leaves.  Cuts join one simplex
+tableau kept across rounds and are absorbed by dual simplex pivots from the
+previous optimal basis.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Edge, MetricInstance, component_labels, global_min_cut
+from .core import Edge, MetricInstance, component_labels, global_min_cut, shrink_min_cut
 
 # A cut is treated as violated when it carries less than k minus this slack.
 SEPARATION_TOL = 1e-7
@@ -259,9 +260,10 @@ def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarr
     """Cuts of the fractional solution carrying less than k, and the min cut value.
 
     Cuts are vertex masks holding vertex 0.  A disconnected support yields
-    every component's cut, each carrying 0, with no min-cut call; a
-    connected one yields the global minimum cut when it is violated, which
-    is the most violated cut under x.
+    every component's cut, each carrying 0, with no min-cut call.  A
+    connected one is shrunk (``shrink_min_cut``); its min cut, the least
+    recorded cut or one min cut of what is left, comes first, then every
+    recorded supervertex side below k in the order the shrink formed them.
     """
     labels = np.array(component_labels(n, [e for e, v in x.items() if v > 0]))
     count = int(labels.max()) + 1
@@ -270,12 +272,20 @@ def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarr
         # components its cut is the other's
         sides = [labels != i for i in range(1, count)]
         return ([labels == 0] if count > 2 else []) + sides, 0.0
-    value, spec = global_min_cut(x, n)
-    if value >= k - SEPARATION_TOL:
-        return [], value
-    side = np.zeros(n, dtype=bool)
-    side[list(spec.side)] = True
-    return [side], value
+    cuts, rest, members = shrink_min_cut(x, n)
+    if rest:
+        value, spec = global_min_cut(rest, len(members))
+        cuts.append((value, [v for i in spec.side for v in members[i]]))
+    least = min(cuts, key=lambda cut: cut[0])
+    sides: dict[bytes, np.ndarray] = {}
+    for value, side in [least] + cuts:
+        if value < k - SEPARATION_TOL:
+            mask = np.zeros(n, dtype=bool)
+            mask[side] = True
+            if not mask[0]:
+                mask = ~mask
+            sides.setdefault(mask.tobytes(), mask)
+    return list(sides.values()), least[0]
 
 
 def _edge_ends(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:

@@ -198,24 +198,24 @@ def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
     components formed while merging edges in decreasing lam order; each merge
     yields one candidate component to test.  Returns the vertex list or None.
     """
-    order = sorted(range(len(graph.edges)), key=lambda i: (-lam[i], i))
-    # comp[v] is the vertex set of v's component; the smaller set joins the larger
-    comp = [{v} for v in range(graph.n)]
-    for i in order:
-        a, b = graph.edges[i]
-        big, small = comp[a], comp[b]
-        if big is small:
+    ends = np.array(graph.edges).reshape(-1, 2)
+    # label[v] names v's component and comp[r] lists the component named r;
+    # the smaller component joins the larger and takes its name
+    label = np.arange(graph.n)
+    comp = {v: [v] for v in range(graph.n)}
+    for i in np.argsort(-lam, kind="stable").tolist():
+        a, b = label[ends[i]].tolist()
+        if a == b:
             continue
-        if len(big) < len(small):
-            big, small = small, big
-        big |= small
-        for v in small:
-            comp[v] = big
+        if len(comp[a]) < len(comp[b]):
+            a, b = b, a
+        big = comp[a]
+        big += comp.pop(b)
         if len(big) == graph.n:
             return None
-        internal = sum(
-            float(z[j]) for j, (u, w) in enumerate(graph.edges) if u in big and w in big
-        )
+        label[big] = a
+        inside = label[ends] == a
+        internal = float(z[inside[:, 0] & inside[:, 1]].sum())
         if internal >= len(big) - 1 - TIGHT_SET_TOL * max(1, len(big) - 1):
             return sorted(big)
     return None
@@ -247,8 +247,7 @@ def _fit_interior(graph: EdgeGraph, z: np.ndarray, orig: list[int], state: dict)
             state["p"][orig] = p
             state["pieces"].append(SamplingPiece(graph=graph, lam=lam.copy(), kept=tuple(orig)))
             return
-        spread = float(lam.max() / lam.min())
-        if sweeps_here >= 3 and (sweeps_here % 10 == 0 or spread > 1e5):
+        if sweeps_here:
             tight = _induced_tight_set(graph, z, lam)
             if tight is not None:
                 return _fit_split(graph, z, orig, state, tight)

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CutSpec, MetricInstance, MultiEdgeSet, global_min_cut
+from .core import CutSpec, MetricInstance, MultiEdgeSet, global_min_cut, shrink_min_cut
 
 
 @dataclass(frozen=True)
@@ -22,63 +22,22 @@ class ConnectivityCertificate:
 def verify_k_connectivity(m: MultiEdgeSet, n: int, k: int) -> ConnectivityCertificate:
     """Certify that every cut of the multiset carries at least k edges.
 
-    Contracts edges that no minimum cut needs to cross (the exact tests of
-    Padberg and Rinaldi, on the integer multiplicities), then runs the one
-    global min cut on the supervertices left.  The value is exact and the
+    Contracts edges that no minimum cut needs to cross (``shrink_min_cut``,
+    on the integer multiplicities), then runs the one global min cut on the
+    supervertices left.  The value is exact and the
     witness is one of the minimum cuts, on the side of vertex 0.  A multiset
     that misses some vertex fails with value 0.
     """
     if n < 2:
         raise ValueError("min cut needs at least 2 vertices")
-    adj: list[dict[int, int]] = [{} for _ in range(n)]
-    for (u, v), mult in m.multiplicity.items():
+    for u, v in m.multiplicity:
         if not 0 <= u < v < n:
             raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{n - 1}")
-        adj[u][v] = adj[v][u] = mult
-    deg = [sum(a.values()) for a in adj]
-    members = [[v] for v in range(n)]
-    low = min(range(n), key=deg.__getitem__)
-    best_value, best_side = deg[low], [low]
-    # The degree of a supervertex is the cut around it, and it is recorded in
-    # best_value when the supervertex is formed, so the min cut of m is always
-    # min(best_value, min cut of the shrunk graph).  Contracting uv keeps that:
-    # 1. if w(uv) >= best_value, as a cut crossing uv carries at least w(uv);
-    # 2. if 2 w(uv) >= d(u): for a side S with u in S, v not in S and S != {u},
-    #    cut(S - u) - cut(S) = w(u, S - u) - w(u, V - S) <= d(u) - 2 w(uv) <= 0,
-    #    so some minimum cut is {u}, already recorded, or keeps u and v together.
-    # A merged-away vertex keeps an empty dict; while best_value > 0 no live
-    # supervertex has one.
-    alive, work = n, list(range(n))
-    while work and best_value and alive > 2:
-        u = work.pop()
-        for v, w in adj[u].items():
-            if w >= best_value or 2 * w >= deg[u] or 2 * w >= deg[v]:
-                break
-        else:
-            continue
-        if len(adj[u]) < len(adj[v]):
-            u, v = v, u
-        keep, gone = adj[u], adj[v]  # merge the smaller dict, v's, into u's
-        del keep[v]
-        for x, wx in gone.items():
-            if x != u:
-                del adj[x][v]
-                keep[x] = adj[x][u] = keep.get(x, 0) + wx
-        gone.clear()
-        deg[u] += deg[v] - 2 * w
-        members[u] += members[v]
-        alive -= 1
-        work.append(u)
-        if deg[u] < best_value:
-            best_value, best_side = deg[u], list(members[u])
-            work = [x for x in range(n) if adj[x]]  # rule 1 may now hold anywhere
-    rest = [v for v in range(n) if adj[v]]
-    if best_value and len(rest) > 2:
-        label = {v: i for i, v in enumerate(rest)}
-        weights = {(label[u], label[v]): w for u in rest for v, w in adj[u].items() if u < v}
-        value, spec = global_min_cut(weights, len(rest))
-        if value < best_value:
-            best_value, best_side = int(value), [x for i in spec.side for x in members[rest[i]]]
+    cuts, rest, members = shrink_min_cut(m.multiplicity, n)
+    if rest:
+        value, spec = global_min_cut(rest, len(members))
+        cuts.append((int(value), [x for i in spec.side for x in members[i]]))
+    best_value, best_side = min(cuts, key=lambda cut: cut[0])
     side = frozenset(best_side)
     if 0 not in side:
         side = frozenset(range(n)) - side

@@ -4,13 +4,15 @@ The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
 with the implementations they cross-check.  The exceptions:
 ``solve_lp_enumeration`` materializes every cut constraint but shares the
-simplex with ``solve_lp``, and three references are earlier versions of
+simplex with ``solve_lp``, and four references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
 per-tree LCA walk that the batched ``rounding.fundamental_cut_counts``
-replaced, and ``validate_metric_reference`` the triple loop that the
-vectorised ``core.validate_metric`` replaced.
+replaced, ``validate_metric_reference`` the triple loop that the
+vectorised ``core.validate_metric`` replaced, and
+``induced_tight_set_reference`` the per-merge edge loop that the label
+array of ``treedist._induced_tight_set`` replaced.
 
 The formulas and helpers at the end (tail bounds, approximation factors,
 dispersion statistics, effective resistance, tree counts, cut sizes) are
@@ -30,7 +32,8 @@ from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, Mul
 from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, simplex_min, violated_cuts
 from kecsm.sampler import RngStream, SpanningTree, tree_from_edges
 from kecsm.split import SplitGraph
-from kecsm.treedist import EdgeGraph, _grounded_inverse, _pair_resistances, weighted_laplacian
+from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, _grounded_inverse, _pair_resistances,
+                            weighted_laplacian)
 
 
 def exhaustive_min_cut(weights: dict, n: int) -> float:
@@ -207,6 +210,32 @@ def global_min_cut_reference(weights, n: int) -> tuple[float, CutSpec]:
     if 0 not in side:
         side = frozenset(range(n)) - side
     return best_value, CutSpec(side=side, n=n)
+
+
+def induced_tight_set_reference(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
+    """Proper vertex set S with z(E(S)) >= |S| - 1 - tol among the components
+    formed while merging edges in decreasing lam order, or None."""
+    order = sorted(range(len(graph.edges)), key=lambda i: (-lam[i], i))
+    # comp[v] is the vertex set of v's component; the smaller set joins the larger
+    comp = [{v} for v in range(graph.n)]
+    for i in order:
+        a, b = graph.edges[i]
+        big, small = comp[a], comp[b]
+        if big is small:
+            continue
+        if len(big) < len(small):
+            big, small = small, big
+        big |= small
+        for v in small:
+            comp[v] = big
+        if len(big) == graph.n:
+            return None
+        internal = sum(
+            float(z[j]) for j, (u, w) in enumerate(graph.edges) if u in big and w in big
+        )
+        if internal >= len(big) - 1 - TIGHT_SET_TOL * max(1, len(big) - 1):
+            return sorted(big)
+    return None
 
 
 def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSolution:

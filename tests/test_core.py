@@ -16,6 +16,7 @@ from kecsm.core import (
     make_edge,
     metric_closure,
     min_spanning_tree,
+    shrink_min_cut,
     spanning_forest,
     validate_metric,
 )
@@ -318,30 +319,38 @@ class TestGlobalMinCut:
         assert (value, spec.side) == (ref_value, ref_spec.side) == (5e-16, frozenset({0, 1, 2}))
 
     def test_matches_the_reference_on_solver_inputs(self, monkeypatch):
-        # every min cut the LP separation asks for on the benchmark's
-        # cold-solve and small-k cells, at n = 32 to 48, and the certificates
-        # of three roundings on each small-k cell: the min cuts they run on
-        # their shrunk multigraphs, and their values against the reference
-        # on the whole multigraph
+        # every separation of the LP on the benchmark's cold-solve and
+        # small-k cells, at n = 32 to 48: its value against the reference on
+        # the unshrunk support, and the min cuts it runs on the shrunk
+        # supports; and the certificates of three roundings on each small-k
+        # cell: the min cuts they run on their shrunk multigraphs, and their
+        # values against the reference on the whole multigraph
         from kecsm import lp, pipeline, verify
         from kecsm.instances import euclidean_instance, random_closure_instance
         from kecsm.pipeline import prepare, round_prepared
 
-        calls, lp_sizes, certificates = [], [], []
+        calls, lp_sizes, separations, certificates = [], [], [], []
+        violated_cuts = lp.violated_cuts
 
         def recorded(weights, n):
             calls.append((weights, n, global_min_cut(weights, n)))
             return calls[-1][2]
 
-        def separation(weights, n):
+        def separation_min_cut(weights, n):
             lp_sizes.append(n)
             return recorded(weights, n)
+
+        def separated(x, k, n):
+            sides, value = violated_cuts(x, k, n)
+            separations.append((x, n, value))
+            return sides, value
 
         def certified(m, n, k):
             certificates.append((m, n, verify.verify_k_connectivity(m, n, k)))
             return certificates[-1][2]
 
-        monkeypatch.setattr(lp, "global_min_cut", separation)
+        monkeypatch.setattr(lp, "global_min_cut", separation_min_cut)
+        monkeypatch.setattr(lp, "violated_cuts", separated)
         monkeypatch.setattr(verify, "global_min_cut", recorded)
         monkeypatch.setattr(pipeline, "verify_k_connectivity", certified)
         cells = [(euclidean_instance, 32, 8), (random_closure_instance, 32, 8),
@@ -353,7 +362,11 @@ class TestGlobalMinCut:
                 prep = prepare(family(n, k, instance_seed))
                 for seed in range(3 if k < 8 else 0):
                     round_prepared(prep, seed)
-        assert set(lp_sizes) == {32, 40, 48} and len(calls) > 40
+        assert {n for _, n, _ in separations} == {32, 40, 48} and len(separations) > 40
+        for x, n, value in separations:
+            ref_value, _ = global_min_cut_reference(x, n)
+            assert abs(value - ref_value) <= 1e-9 * max(1.0, sum(x.values()))
+        assert lp_sizes and max(lp_sizes) < 32  # separation runs it on shrunk supports
         assert len(calls) > len(lp_sizes)  # the certificates' shrunk min cuts are checked too
         for weights, n, (value, spec) in calls:
             ref_value, ref_spec = global_min_cut_reference(weights, n)
@@ -391,3 +404,44 @@ class TestGlobalMinCut:
     def test_fewer_than_two_vertices_raise(self, n):
         with pytest.raises(ValueError, match="at least 2 vertices"):
             global_min_cut({}, n)
+
+
+class TestShrinkMinCut:
+    """The one shrink on float weights, as the LP separation runs it."""
+
+    @given(case=_min_cut_inputs(), isolated=st.integers(0, 2),
+           gap=st.sampled_from((-0.5, -1e-6, 0.0, 1.5e-7, 3e-7, 1e-6, 0.5)))
+    @settings(max_examples=250, deadline=None)
+    def test_matches_the_reference_and_separates(self, case, isolated, gap):
+        from kecsm.lp import SEPARATION_TOL, violated_cuts
+
+        weights, n = case
+        n += isolated  # vertices after the last one drawn carry no edge
+        total = sum(weights.values())
+        tol = 1e-9 * max(1.0, total)
+        ref_value, _ = global_min_cut_reference(weights, n)
+
+        def crossing(side):
+            return sum(w for (u, v), w in weights.items() if (u in side) != (v in side))
+
+        cuts, rest, members = shrink_min_cut(weights, n)
+        for value, side in cuts:
+            assert abs(crossing(set(side)) - value) <= tol
+        assert sorted(v for group in members for v in group) == (list(range(n)) if members else [])
+        value = min(value for value, _ in cuts)
+        if rest:
+            assert len(members) > 2
+            rest_value, spec = global_min_cut(rest, len(members))
+            side = {v for i in spec.side for v in members[i]}
+            assert abs(crossing(side) - rest_value) <= tol
+            value = min(value, rest_value)
+        assert abs(value - ref_value) <= tol
+
+        k = max(ref_value + gap, 1e-6)
+        sides, _ = violated_cuts(weights, k, n)
+        if ref_value < k - 2 * SEPARATION_TOL:
+            assert sides
+        if ref_value >= k:
+            assert not sides
+        for mask in sides:
+            assert mask[0] and crossing(set(np.nonzero(mask)[0].tolist())) < k - SEPARATION_TOL

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from kecsm import lp
-from kecsm.core import MetricInstance, global_min_cut
+from kecsm.core import MetricInstance, component_labels, global_min_cut, shrink_min_cut
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import (
     LPError,
@@ -207,25 +207,53 @@ class TestSolveLP:
         assert min(frac.values.values()) >= 0.0
         assert report.separation_slack <= 1e-6
 
-    def test_one_min_cut_per_connected_round(self, monkeypatch):
-        calls = []
+    @staticmethod
+    def separation_rounds(monkeypatch, inst):
+        """Per round: whether the support is connected, and the shrink and
+        min-cut calls separation made; checks one shrink per connected round
+        and at most one min cut per shrink.  Returns the min-cut calls."""
+        shrinks, min_cuts, rounds = [], [], []
+
+        def shrunk(x, n):
+            shrinks.append(n)
+            return shrink_min_cut(x, n)
 
         def counted(x, n):
-            calls.append(n)
+            min_cuts.append(n)
             return global_min_cut(x, n)
 
+        def separated(x, k, n):
+            before = len(shrinks), len(min_cuts)
+            out = violated_cuts(x, k, n)
+            connected = max(component_labels(n, [e for e, v in x.items() if v > 0])) == 0
+            rounds.append((connected, len(shrinks) - before[0], len(min_cuts) - before[1]))
+            return out
+
+        monkeypatch.setattr(lp, "shrink_min_cut", shrunk)
         monkeypatch.setattr(lp, "global_min_cut", counted)
-        _, report = solve_lp(euclidean_instance(12, 4, seed=2))
-        assert 1 <= len(calls) <= report.iterations
+        monkeypatch.setattr(lp, "violated_cuts", separated)
+        _, report = solve_lp(inst)
+        assert len(rounds) == report.iterations
+        assert 1 <= sum(connected for connected, _, _ in rounds) <= report.iterations
+        for connected, shrink_calls, min_cut_calls in rounds:
+            assert shrink_calls == connected and min_cut_calls <= shrink_calls
+        return min_cuts
+
+    def test_one_min_cut_per_connected_round(self, monkeypatch):
+        # the shrink settles every round here, so the min cut never runs
+        assert self.separation_rounds(monkeypatch, euclidean_instance(12, 4, seed=2)) == []
+
+    def test_min_cut_runs_on_what_the_shrink_leaves(self, monkeypatch):
+        assert self.separation_rounds(monkeypatch, random_closure_instance(32, 4, seed=1)) == [5]
 
     def test_separation_sees_only_the_support(self, monkeypatch):
         weights = []
 
         def recorded(x, n):
             weights.extend(x.values())
-            return global_min_cut(x, n)
+            return shrink_min_cut(x, n)
 
-        monkeypatch.setattr(lp, "global_min_cut", recorded)
+        monkeypatch.setattr(lp, "shrink_min_cut", recorded)
         inst = euclidean_instance(12, 4, seed=2)
         frac, _ = solve_lp(inst)
         assert weights and min(weights) > 0.0

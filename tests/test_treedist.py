@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kecsm.core import NotConnectedError
+from kecsm.core import NotConnectedError, min_spanning_tree
 from kecsm.instances import random_closure_instance
 from kecsm.lp import solve_lp
 from kecsm import treedist
@@ -20,6 +20,7 @@ from oracles import (
     complete_graph,
     effective_resistance,
     enumerated_marginals,
+    induced_tight_set_reference,
     spanning_tree_count,
 )
 
@@ -254,3 +255,48 @@ class TestFitMaxEntropy:
         edges = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3))
         with pytest.raises(FitConvergenceError):
             fit_max_entropy(EdgeGraph(n=4, edges=edges), [0.9, 0.9, 0.9, 0.15, 0.15], max_iters=2000)
+
+
+def _fit_of_the_lp_target(n: int, k: int, seed: int):
+    inst = random_closure_instance(n, k, seed)
+    frac, _ = solve_lp(inst)
+    g0 = build_split_graph(inst, frac)
+    z = (2 / inst.k) * g0.x0
+    return z, fit_max_entropy(g0.graph, z)
+
+
+class TestTightSetSplits:
+    """The fitter looks for a tight set on every sweep after the first, so a
+    boundary target splits into its pieces within a few sweeps."""
+
+    def test_all_half_target_reaches_its_pieces_within_ten_sweeps(self):
+        z, w = _fit_of_the_lp_target(32, 8, 1)
+        free = np.setdiff1d(np.arange(z.size), w.forced + w.deleted)
+        assert np.all(z[free] == 0.5)
+        assert len(w.pieces) > 1 and w.sweeps <= 10
+        assert w.max_ratio <= 1 + EPSILON_MARGINAL
+
+    def test_mixed_target_takes_at_most_forty_sweeps(self):
+        _, w = _fit_of_the_lp_target(48, 8, 1)
+        assert w.sweeps <= 40
+        assert w.max_ratio <= 1 + EPSILON_MARGINAL
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_search_matches_the_edge_loop(self, seed):
+        # multigraphs with targets that average a few spanning trees, so that
+        # tight sets are common, or arbitrary targets in [0, 1]
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        edges = [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(3 * n)]
+        edges += [(v, int(rng.integers(v))) for v in range(1, n)]  # connected
+        graph = EdgeGraph(n=n, edges=tuple(edges))
+        if seed % 4:
+            trees = [min_spanning_tree(n, edges, rng.random(len(edges))) for _ in range(seed % 4)]
+            z = np.zeros(len(edges))
+            for tree in trees:
+                z[tree] += 1 / len(trees)
+        else:
+            z = rng.random(len(edges))
+        lam = np.exp(rng.normal(0.0, 2.0, len(edges)))
+        lam[rng.random(len(edges)) < 0.2] = 1.0  # ties go to the smaller index
+        assert treedist._induced_tight_set(graph, z, lam) == induced_tight_set_reference(graph, z, lam)
