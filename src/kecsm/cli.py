@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="random-instance experiment grid")
     p.add_argument("--family", default="euclidean", choices=["euclidean", "random-closure"])
     p.add_argument("--n", type=_int_at_least(2), default=10)
-    p.add_argument("--instances", type=int, default=5)
+    p.add_argument("--instances", type=_int_at_least(1), default=5)
     p.add_argument("--k", required=True, help="comma-separated connectivity targets, e.g. 2,8,16")
     p.add_argument("--trials", type=_int_at_least(1), default=5)
     p.add_argument("--seed", type=int, default=0, help="base seed for the instance family")
@@ -186,7 +186,7 @@ def _cmd_sample(args) -> int:
     print(f"sampled {len(trees)} trees on {g0.n0} vertices (seed {args.seed})")
     for i, e in enumerate(g0.edges):
         fitted = prep.weights.fitted_marginals[i]
-        print(f"edge {e} origin {g0.origin[i]}: fitted={fitted:.4f} empirical={hits[i] / len(trees):.4f}")
+        print(f"edge {e} origin {g0.origin(e)}: fitted={fitted:.4f} empirical={hits[i] / len(trees):.4f}")
     return EXIT_OK
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -222,7 +221,8 @@ class MultiEdgeSet:
                 if m < 0:
                     raise ValueError(f"negative multiplicity {m} for edge {e}")
                 if m:
-                    mult[make_edge(*e)] = mult.get(make_edge(*e), 0) + m
+                    e = make_edge(*e)
+                    mult[e] = mult.get(e, 0) + m
         self.multiplicity = mult
 
     def union(self, other: "MultiEdgeSet") -> "MultiEdgeSet":
@@ -319,13 +319,13 @@ def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
     adjacency ties (within 1e-15) go to the smallest vertex index.
     Disconnected inputs yield value 0 with a witnessing side, unless a weight
     near 1e-15 ties with no connection and its cut is returned instead.  The
-    witness is normalized to the side containing vertex 0.  A phase step
-    costs the degree of the added vertex plus the size of the frontier.
+    witness is normalized to the side containing vertex 0.  The solver calls
+    it only on what :func:`shrink_min_cut` leaves, a few dozen supervertices
+    at most, so each phase step is a plain scan of the free vertices.
     """
     if n < 2:
         raise ValueError("min cut needs at least 2 vertices")
-    # nonzero weights only, as Python floats: adj[u][v] is the weight of uv
-    adj: list[dict[int, float]] = [{} for _ in range(n)]
+    rows = [[0.0] * n for _ in range(n)]
     for e, wt in dict(weights).items():
         u, v = make_edge(*e)
         if not 0 <= u < v < n:
@@ -334,59 +334,50 @@ def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
             raise ValueError(f"negative weight {wt} on edge {e}")
         if not wt >= 0:
             raise ValueError(f"NaN weight on edge {e}")
-        if wt:
-            adj[u][v] = adj[v][u] = adj[u].get(v, 0.0) + float(wt)
+        wt = float(wt)
+        rows[u][v] += wt
+        rows[v][u] += wt
 
+    # The phases run on Python floats: a float list is read several times
+    # faster than numpy scalars.  Only entries between live vertices are
+    # kept up to date; rows and columns of contracted vertices go stale.
     groups: list[list[int]] = [[v] for v in range(n)]
     alive = list(range(n))
     best_value = np.inf
     best_side: list[int] = []
     while len(alive) > 1:
-        conn: list[float | None] = [0.0] * n  # to the order; None once in it
-        front: list[int] = []  # the frontier: free vertices with conn > 0, ascending
-        low = 0  # alive[low] is the smallest free vertex
+        free = alive[1:]
+        conn = [0.0] * n
         prev = last = alive[0]
-        conn[last] = None
-        for _ in range(len(alive) - 1):
+        while free:
             # add ``last`` to the order, then pick the free vertex most tightly
             # connected to it; ties within 1e-15 go to the smallest index
+            row = rows[last]
             prev = last
-            for v, wt in adj[last].items():
-                c = conn[v]
-                if c is not None:
-                    conn[v] = c + wt
-                    if not c:
-                        bisect.insort(front, v)
-            while conn[alive[low]] is None:
-                low += 1
-            # the smallest free vertex leads first, as in a scan of all free
-            # vertices; after it only a vertex of the front can pass the bar
-            last = alive[low]
-            bar = conn[last] + 1e-15
-            for v in front:
-                c = conn[v]
+            bar = -1.0 + 1e-15
+            for v in free:
+                c = conn[v] + row[v]
+                conn[v] = c
                 if c > bar:
                     bar = c + 1e-15
                     last = v
-            if conn[last]:
-                front.remove(last)
-            conn[last] = None
-        # a plain left-to-right loop over ascending vertices: from Python 3.12
-        # on, sum() of floats is compensated and would round differently
-        gone = adj[last]
+            free.remove(last)
+        # a plain left-to-right loop: from Python 3.12 on, sum() of floats is
+        # compensated and would round differently
+        row = rows[last]
         phase_cut = 0.0
-        for v in sorted(gone):
-            phase_cut += gone[v]
+        for v in alive:
+            if v != last:
+                phase_cut += row[v]
         if phase_cut < best_value - 1e-15:
             best_value = phase_cut
             best_side = list(groups[last])
         # contract last into prev (prev keeps the merged supervertex)
-        merged = adj[prev]
-        merged.pop(last, None)
-        for v, wt in gone.items():
-            if v != prev:
-                merged[v] = adj[v][prev] = merged.get(v, 0.0) + wt
-                del adj[v][last]
+        merged, gone = rows[prev], rows[last]
+        for v in alive:
+            if v != prev and v != last:
+                merged[v] += gone[v]
+                rows[v][prev] = merged[v]
         groups[prev].extend(groups[last])
         alive.remove(last)
 

@@ -187,6 +187,8 @@ def run_batch(family: str, n: int, instances: int, k_values, trials: int,
     k_values = list(k_values)
     if not k_values:
         raise ValueError("nothing to run: empty k list")
+    if instances < 1:
+        raise ValueError("instances must be at least 1")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     report = ExperimentReport()

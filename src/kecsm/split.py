@@ -4,7 +4,8 @@ One chosen vertex u is split into twin nodes u0/v0, every incident edge is
 duplicated toward both twins at half its fractional value, and the scaled
 vector (2/k)x0 then lies in the spanning tree polytope of the expanded graph.
 Spanning trees of the expanded graph correspond to 1-trees (tree plus one
-edge) of the original graph once the twins are identified again.
+edge) of the original graph once the twins are identified again: an edge
+at v0 goes back to the same edge at u0, and every other edge is its own.
 """
 
 from __future__ import annotations
@@ -22,15 +23,14 @@ from .treedist import EdgeGraph
 class SplitGraph:
     """Expanded graph with split vertex twins u0 (original index) and v0 (= n).
 
-    ``edges[i]`` is the expanded-graph pair, ``origin[i]`` the original-graph
-    edge it identifies back to; ``x0`` and ``cost0`` run parallel to ``edges``.
-    ``graph`` is the expanded graph on n0 vertices, built once.
+    ``edges[i]`` is the expanded-graph pair; ``x0`` and ``cost0`` run
+    parallel to ``edges``.  ``graph`` is the expanded graph on n0 vertices,
+    built once.
     """
 
     n: int
     split_vertex: int
     edges: tuple[Edge, ...]
-    origin: tuple[Edge, ...]
     x0: np.ndarray
     cost0: np.ndarray
     graph: EdgeGraph = field(init=False, repr=False, compare=False)
@@ -54,11 +54,11 @@ class SplitGraph:
         cost0.flags.writeable = False
         object.__setattr__(self, "x0", x0)
         object.__setattr__(self, "cost0", cost0)
-        object.__setattr__(self, "_index", {e: i for i, e in enumerate(self.edges)})
         object.__setattr__(self, "graph", EdgeGraph(n=self.n0, edges=tuple(self.edges)))
 
-    def edge_index(self, e: Edge) -> int:
-        return self._index[make_edge(*e)]
+    def origin(self, e: Edge) -> Edge:
+        """The original edge that the canonical expanded-graph edge ``e`` identifies back to."""
+        return make_edge(self.u0, e[0]) if e[1] == self.v0 else e
 
 
 def build_split_graph(inst: MetricInstance, x: FractionalSolution,
@@ -74,7 +74,6 @@ def build_split_graph(inst: MetricInstance, x: FractionalSolution,
     u = split_vertex
     v0 = inst.n
     edges: list[Edge] = []
-    origin: list[Edge] = []
     vals: list[float] = []
     costs: list[float] = []
     for e in inst.edges():
@@ -84,28 +83,31 @@ def build_split_graph(inst: MetricInstance, x: FractionalSolution,
             w = e[0] if e[1] == u else e[1]
             edges.append(make_edge(u, w))
             edges.append(make_edge(v0, w))
-            origin.extend([e, e])
             vals.extend([xe / 2.0, xe / 2.0])
             costs.extend([ce, ce])
         else:
             edges.append(e)
-            origin.append(e)
             vals.append(xe)
             costs.append(ce)
     return SplitGraph(
         n=inst.n,
         split_vertex=u,
         edges=tuple(edges),
-        origin=tuple(origin),
         x0=np.array(vals),
         cost0=np.array(costs),
     )
 
 
 def identify_back(g0: SplitGraph, m0: MultiEdgeSet) -> MultiEdgeSet:
-    """Merge twin multiplicities onto the original edges; cost is preserved exactly."""
+    """Merge twin multiplicities onto the original edges; cost is preserved exactly.
+
+    An edge between the twins has no original edge and raises ValueError,
+    as does an edge with an endpoint outside the expanded graph.
+    """
     merged: dict[Edge, int] = {}
     for e, mult in m0.multiplicity.items():
-        orig = g0.origin[g0.edge_index(e)]
+        if not 0 <= e[0] < e[1] <= g0.v0:
+            raise ValueError(f"edge {e} has an endpoint outside 0..{g0.v0}")
+        orig = g0.origin(e)
         merged[orig] = merged.get(orig, 0) + mult
     return MultiEdgeSet(merged)

@@ -53,10 +53,11 @@ def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float
     """Exact minimum-cost k-edge-connected multi-subgraph by branch and bound.
 
     Searches multiplicity vectors edge by edge, pruning on cost against the
-    incumbent and on unreachable vertex degrees.  Multiplicity per edge is
-    capped at k: lowering any multiplicity above k keeps every cut at k or
-    more, so some optimum respects the cap (unit-tested against a 2k-cap
-    search).  Limited to n <= 5, k <= 6.
+    incumbent and on unreachable vertex degrees; each complete vector is
+    certified by :func:`verify_k_connectivity` on its exact multiplicities.
+    Multiplicity per edge is capped at k: lowering any multiplicity above k
+    keeps every cut at k or more, so some optimum respects the cap
+    (unit-tested against a 2k-cap search).  Limited to n <= 5, k <= 6.
     """
     if inst.n > 5 or inst.k > 6:
         raise TooLargeError(f"exact search limited to n <= 5 and k <= 6, got n={inst.n}, k={inst.k}")
@@ -85,9 +86,8 @@ def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float
         if cost_so_far >= best_cost - 1e-12:
             return
         if j == m:
-            mult = MultiEdgeSet({e: vec[i] for i, e in enumerate(edges) if vec[i]})
-            value, _ = global_min_cut({e: float(mu) for e, mu in mult.multiplicity.items()}, inst.n)
-            if value >= k - 1e-9 and cost_so_far < best_cost - 1e-12:
+            # the cost test on entry already holds, so only k-connectivity is left
+            if verify_k_connectivity(MultiEdgeSet(dict(zip(edges, vec))), inst.n, k).passes:
                 best_cost = cost_so_far
                 best_vec = list(vec)
             return

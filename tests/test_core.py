@@ -377,6 +377,29 @@ class TestGlobalMinCut:
             ref_value, _ = global_min_cut_reference({e: float(w) for e, w in m.multiplicity.items()}, n)
             assert cert.min_cut_value == ref_value
 
+    def test_matches_the_reference_on_large_shrunk_graphs(self, monkeypatch):
+        # the certificates of roundings at n = 128 leave 43 supervertices,
+        # about twice the most that the benchmark cells leave
+        from kecsm import verify
+        from kecsm.instances import random_closure_instance
+        from kecsm.pipeline import prepare, round_prepared
+
+        calls = []
+
+        def recorded(weights, n):
+            calls.append((weights, n, global_min_cut(weights, n)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(verify, "global_min_cut", recorded)
+        prep = prepare(random_closure_instance(128, 8, 1))
+        for seed in range(3):
+            round_prepared(prep, seed)
+        assert len(calls) == 3 and all(n > 40 for _, n, _ in calls)
+        for weights, n, (value, spec) in calls:
+            ref_value, ref_spec = global_min_cut_reference(weights, n)
+            assert value == ref_value
+            assert spec.side == ref_spec.side
+
     @pytest.mark.parametrize("weights", [
         {(0, 1): 1.0, (2, 2): 1.0, (1, 2): -1.0},
         {(0, 1): 1.0, (2, 1): -0.5, (2, 2): 1.0},

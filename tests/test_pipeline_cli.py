@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -270,6 +271,11 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="nothing to run"):
             run_batch("euclidean", n=6, instances=1, k_values=[], trials=1, seed_base=0)
 
+    @pytest.mark.parametrize("instances", [0, -2])
+    def test_no_instances_rejected(self, instances):
+        with pytest.raises(ValueError, match="instances must be at least 1"):
+            run_batch("euclidean", n=6, instances=instances, k_values=[2], trials=1, seed_base=0)
+
     def test_aggregates_keyed_by_k(self):
         report = run_batch("random-closure", n=6, instances=1, k_values=[2, 3],
                            trials=2, seed_base=4)
@@ -406,6 +412,26 @@ class TestCli:
     def test_sample_command(self, instance_file, capsys):
         assert main(["sample", "--input", instance_file, "--trials", "5"]) == 0
         assert "sampled 5 trees" in capsys.readouterr().out
+
+    def test_sample_prints_each_twin_edge_with_its_original(self, instance_file, capsys):
+        # split vertex 2 of 6: the twin v0 = 6 gets an edge (w, 6) for every
+        # w != 2, printed next to the edge (w, 2) it identifies back to
+        assert main(["sample", "--input", instance_file, "--trials", "5", "--split-vertex", "2"]) == 0
+        origins = {}
+        for line in capsys.readouterr().out.splitlines()[1:]:
+            edge, origin = line.split(":")[0].removeprefix("edge ").split(" origin ")
+            origins[ast.literal_eval(edge)] = ast.literal_eval(origin)
+        assert len(origins) == 15 + 5
+        for (a, b), origin in origins.items():
+            assert origin == ((min(a, 2), max(a, 2)) if b == 6 else (a, b))
+
+    @pytest.mark.parametrize("instances", ["0", "-2"])
+    def test_batch_without_instances_is_exit_three_and_writes_nothing(self, tmp_path, capsys, instances):
+        out_csv = tmp_path / "batch.csv"
+        assert main(["batch", "--k", "2", "--instances", instances, "--emit", str(out_csv)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "must be at least 1" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_batch_emits_reports(self, tmp_path, capsys):
         out_csv = str(tmp_path / "batch.csv")

@@ -30,7 +30,7 @@ from oracles import (
 
 
 def split_graph_fixture(n0_edges, costs=None):
-    """Hand-built expanded graph over vertices 0..max; origins are synthetic."""
+    """Hand-built expanded graph over vertices 0..max, split at vertex 0."""
     edges = tuple(tuple(sorted(e)) for e in n0_edges)
     n0 = max(max(e) for e in edges) + 1
     costs = np.ones(len(edges)) if costs is None else np.asarray(costs, dtype=float)
@@ -38,7 +38,6 @@ def split_graph_fixture(n0_edges, costs=None):
         n=n0 - 1,
         split_vertex=0,
         edges=edges,
-        origin=tuple((0, 1) for _ in edges),
         x0=np.zeros(len(edges)),
         cost0=costs,
     )

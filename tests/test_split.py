@@ -53,12 +53,14 @@ class TestBuildSplitGraph:
         assert degree_value(g0, g0.u0) == pytest.approx(1.0)
         assert degree_value(g0, g0.v0) == pytest.approx(1.0)
 
-    def test_cost_inherited_from_origin(self):
+    @pytest.mark.parametrize("u", [0, 3, 5])
+    def test_cost_inherited_from_origin(self, u):
         inst = euclidean_instance(6, 2, seed=1)
         frac, _ = solve_lp(inst)
-        g0 = build_split_graph(inst, frac)
+        g0 = build_split_graph(inst, frac, split_vertex=u)
         for i, e in enumerate(g0.edges):
-            assert g0.cost0[i] == pytest.approx(inst.edge_cost(g0.origin[i]))
+            assert g0.cost0[i] == pytest.approx(inst.edge_cost(g0.origin(e)))
+            assert g0.origin(e) == (tuple(sorted((e[0], u))) if e[1] == g0.v0 else e)
 
     def test_split_vertex_flag(self, triangle_unit):
         frac, _ = solve_lp(triangle_unit)
@@ -144,15 +146,30 @@ class TestIdentifyBack:
         assert multiset_size(merged) == triangle_unit.n
         assert merged.multiplicity == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
 
-    def test_cost_preserved(self):
+    @pytest.mark.parametrize("u", [0, 3, 6])
+    def test_cost_preserved(self, u):
         inst = euclidean_instance(7, 2, seed=3)
         frac, _ = solve_lp(inst)
-        g0 = build_split_graph(inst, frac)
+        g0 = build_split_graph(inst, frac, split_vertex=u)
         rng = np.random.default_rng(0)
-        mult = {e: int(rng.integers(0, 3)) for e in g0.edges}
-        m0 = MultiEdgeSet(mult)
-        cost0 = sum(g0.cost0[g0.edge_index(e)] * m for e, m in m0.multiplicity.items())
+        mult = [int(rng.integers(0, 3)) for _ in g0.edges]
+        m0 = MultiEdgeSet(dict(zip(g0.edges, mult)))
+        cost0 = float(np.dot(g0.cost0, mult))
         assert identify_back(g0, m0).total_cost(inst.cost) == pytest.approx(cost0)
+
+    @pytest.mark.parametrize("u", [0, 1, 2])
+    def test_edge_between_the_twins_rejected(self, triangle_unit, u):
+        frac, _ = solve_lp(triangle_unit)
+        g0 = build_split_graph(triangle_unit, frac, split_vertex=u)
+        with pytest.raises(ValueError):
+            identify_back(g0, MultiEdgeSet({(u, g0.v0): 1}))
+
+    @pytest.mark.parametrize("edge", [(-1, 2), (1, 4), (3, 4)])
+    def test_edge_outside_the_split_graph_rejected(self, triangle_unit, edge):
+        frac, _ = solve_lp(triangle_unit)
+        g0 = build_split_graph(triangle_unit, frac)
+        with pytest.raises(ValueError, match=r"endpoint outside 0\.\.3$"):
+            identify_back(g0, MultiEdgeSet({edge: 1}))
 
     def test_cut_sizes_preserved_when_twins_together(self):
         inst = euclidean_instance(6, 2, seed=5)
