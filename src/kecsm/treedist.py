@@ -128,15 +128,16 @@ def contract_edges(graph: EdgeGraph, forced, deleted) -> Contraction:
     graph is deterministic.  Edges that close a contracted component become
     loops and are excluded from the reduced edge list.
     """
-    forced = set(forced)
-    deleted = set(deleted)
-    vmap = component_labels(graph.n, [graph.edges[i] for i in sorted(forced)])
+    forced = np.asarray(forced, dtype=int)
+    rest = np.ones(len(graph.edges), dtype=bool)
+    rest[forced] = False
+    rest[np.asarray(deleted, dtype=int)] = False
+    vmap = component_labels(graph.n, [graph.edges[i] for i in forced.tolist()])
     kept: list[int] = []
     reduced_edges: list[Edge] = []
     loops: list[int] = []
-    for i, (a, b) in enumerate(graph.edges):
-        if i in forced or i in deleted:
-            continue
+    for i in np.flatnonzero(rest).tolist():
+        a, b = graph.edges[i]
         ra, rb = vmap[a], vmap[b]
         if ra == rb:
             loops.append(i)
@@ -300,17 +301,17 @@ def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeig
     if abs(z.sum() - (graph.n - 1)) > 1e-6:
         raise ValueError(f"z outside polytope: total {z.sum():.9f} != {graph.n - 1}")
 
-    forced = tuple(int(i) for i in np.nonzero(z >= FORCED_Z)[0])
-    deleted = tuple(int(i) for i in np.nonzero(z <= DELETED_Z)[0])
+    forced = np.flatnonzero(z >= FORCED_Z)
+    deleted = np.flatnonzero(z <= DELETED_Z)
     red = contract_edges(graph, forced, deleted)
     if any(z[i] > 1e-6 for i in red.loops):
         raise ValueError("z outside polytope: positive value on a forced cycle chord")
-    deleted = tuple(sorted(set(deleted) | set(red.loops)))
+    deleted = sorted(deleted.tolist() + list(red.loops))
     if not is_connected(red.graph):
         raise NotConnectedError("support of z does not connect the graph")
 
     lam = np.zeros(len(graph.edges))
-    lam[list(forced)] = 1.0
+    lam[forced] = 1.0
     p = lam.copy()
     kept = list(red.kept)
     state = {"sweeps": 0, "max_ratio": 0.0, "max_updates": max(1, max_iters),
@@ -322,8 +323,8 @@ def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeig
         graph=graph,
         lam=lam,
         fitted_marginals=p,
-        forced=forced,
-        deleted=deleted,
+        forced=tuple(forced.tolist()),
+        deleted=tuple(deleted),
         sweeps=state["sweeps"],
         max_ratio=float((p[kept] / z[kept]).max()) if kept else 0.0,
         pieces=tuple(state["pieces"]),
