@@ -165,7 +165,8 @@ def _cmd_lp(args) -> int:
     inst = _load(args)
     frac, report = solve_lp(inst)
     print(f"objective={frac.objective:.9f} cuts={report.cuts_added} "
-          f"iterations={report.iterations} separation_slack={report.separation_slack:.3e}")
+          f"iterations={report.iterations} core={report.core} priced={report.priced} "
+          f"separation_slack={report.separation_slack:.3e}")
     positive = {e: v for e, v in sorted(frac.values.items()) if v > 1e-9}
     for e, v in positive.items():
         print(f"x[{e[0]},{e[1]}] = {v:.6f}")

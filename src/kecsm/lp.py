@@ -7,6 +7,10 @@ components first, then the violated cuts that the shrink of the support
 records and one global min cut of what it leaves.  Cuts join one simplex
 tableau kept across rounds and are absorbed by dual simplex pivots from the
 previous optimal basis.
+The tableau starts on a core of near-neighbour edges, as in the core LP of
+Applegate, Bixby, Chvatal and Cook (2006, ch. 12); the other edges are
+priced against the duals and join as columns when their reduced cost is
+negative.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ SEPARATION_TOL = 1e-7
 RATIO_TIE = 1e-12
 # Pivots without objective change before pricing falls back to Bland's rule.
 STALL_PIVOTS = 30
+# Nearest neighbours of each vertex whose edges start in the LP's core.
+CORE_NEIGHBOURS = 8
 
 
 class LPError(RuntimeError):
@@ -59,6 +65,8 @@ class LPReport:
     iterations: int
     cuts_added: int
     separation_slack: float
+    core: int = 0  # edges the tableau started with
+    priced: int = 0  # edges pricing added to it
 
 
 class _Tableau:
@@ -178,6 +186,13 @@ class _Tableau:
         self.dual()
         # a ratio tie taken within RATIO_TIE can leave a reduced cost below -tol
         self.primal(-1, t.shape[1] - 1)
+
+    def add_columns(self, at: int, cols: np.ndarray):
+        """Insert columns in tableau form (B^-1 a, reduced cost last) before
+        column ``at``; they start nonbasic, so primal simplex re-optimizes."""
+        self.t = np.concatenate((self.t[:, :at], cols, self.t[:, at:]), axis=1)
+        self.basis = np.where(self.basis >= at, self.basis + cols.shape[1], self.basis)
+        self.primal(-1, self.t.shape[1] - 1)
 
     def solution(self, nv: int) -> np.ndarray:
         """Structural values, with round-off below 1e-12 (negative included) set to 0."""
@@ -299,41 +314,103 @@ def _cut_rows(sides: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     return (sides[:, eu] != sides[:, ev]).astype(float)
 
 
-def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSolution, LPReport]:
-    """Solve the relaxation by cut generation.
+def core_edges(cost: np.ndarray) -> np.ndarray:
+    """Lexicographic indices of the edges whose columns the LP starts with:
+    each vertex's ``CORE_NEIGHBOURS`` nearest neighbours (ties to the smaller
+    index) and the nearest-neighbour tour from vertex 0, on which k/2 per
+    edge is feasible.  A core without a triangle gets the one of vertex 0 and
+    its two nearest neighbours, since the degree rows of a connected graph
+    are independent only if it is not bipartite.  Up to n =
+    ``CORE_NEIGHBOURS`` + 1 the core is every edge."""
+    n = len(cost)
+    if n <= CORE_NEIGHBOURS + 1:
+        return np.arange(n * (n - 1) // 2)
+    order = np.argsort(cost + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
+    pick = np.zeros((n, n), dtype=bool)
+    pick[np.arange(n)[:, None], order[:, :CORE_NEIGHBOURS]] = True
+    rows, seen, tour = order.tolist(), [True] + [False] * (n - 1), [0]
+    for _ in range(n - 1):
+        tour.append(next(w for w in rows[tour[-1]] if not seen[w]))
+        seen[tour[-1]] = True
+    pick[tour, np.roll(tour, -1)] = True
+    pick |= pick.T
+    if not (pick @ pick & pick).any():
+        triangle = np.r_[0, order[0, :2]]
+        pick[np.ix_(triangle, triangle)] = True
+    return np.flatnonzero(pick[np.triu_indices(n, 1)])
 
-    Solves the degree equalities alone, then repeatedly adds the violated
-    cuts that ``violated_cuts`` finds on the support of x (at most
-    ``max_cuts`` in all) and re-optimizes the same tableau by dual simplex,
-    until none is left.  The returned values hold every edge, zeros included.
-    Deterministic: the pivot order, the component order and the min-cut
-    witness are all index-tie-broken.
+
+def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.ndarray,
+                    ev: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """The edges outside ``cols`` with reduced cost below -tol, and their tableau columns.
+
+    ``cols`` holds the edges of the structural columns and ``sides`` the
+    masks S of the cut rows, in tableau order.  One solve with the basis
+    gives the duals y (degree rows) and pi (cut rows).  As an edge crosses S
+    when s_u + s_v - 2 s_u s_v is 1, the reduced costs form the matrix
+    C - y_u - y_v - a_u - a_v + 2 Q_uv, a = S^T pi, Q = S^T diag(pi) S."""
+    n, p = sides.shape[1], len(sides)
+    if len(cols) == len(eu):
+        return cols[:0], None
+    if len(tab.basis) != n + p:
+        raise LPError("a degree row of the core was dropped as dependent")
+    masks = np.vstack([np.eye(n, dtype=bool), sides])
+    sign = np.r_[np.ones(n), -np.ones(p)]  # a cut row is kept as -a x + s = -b
+    matrix = lambda e: sign[:, None] * _cut_rows(masks, eu[e], ev[e])
+    basis = np.hstack([matrix(cols), np.eye(n + p)[:, n:]])[:, tab.basis]
+    duals = np.linalg.solve(basis.T, np.r_[cost[eu[cols], ev[cols]], np.zeros(p)][tab.basis])
+    y, pi, s = duals[:n], -duals[n:], sides.astype(float)
+    a = pi @ s
+    reduced = (cost - y[:, None] - y - a[:, None] - a + 2.0 * (s.T * pi) @ s)[eu, ev]
+    reduced[cols] = np.inf
+    new = np.flatnonzero(reduced < -tab.tol)
+    return new, np.vstack([np.linalg.solve(basis, matrix(new)), reduced[new]])
+
+
+def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSolution, LPReport]:
+    """Solve the relaxation by cut generation on a priced core of edges.
+
+    Solves the degree equalities over the ``core_edges``, then adds the
+    violated cuts that ``violated_cuts`` finds on the support of x (at most
+    ``max_cuts`` in all), re-optimizing the same tableau by dual simplex.
+    When none is left, the edges that ``_priced_columns`` finds join after
+    the core columns and primal simplex re-optimizes, until separation and
+    pricing both come back clean.  The returned values hold every edge,
+    zeros included.  Deterministic: every pivot, component and min-cut tie
+    goes to the smallest index.
     """
     edges = inst.edges()
     eu, ev = _edge_ends(edges)
     cost = inst.cost[eu, ev]
     k = float(inst.k)
-    tab = _two_phase(cost, _cut_rows(np.eye(inst.n, dtype=bool), eu, ev), np.full(inst.n, k))
+    cols = core = core_edges(inst.cost)
+    tab = _two_phase(cost[cols], _cut_rows(np.eye(inst.n, dtype=bool), eu[cols], ev[cols]),
+                     np.full(inst.n, k))
+    cut_sides = np.zeros((0, inst.n), dtype=bool)
 
-    cuts_added = 0
-    seen: set[bytes] = set()
+    def report(objective, slack):
+        return LPReport(objective=objective, iterations=iterations, cuts_added=len(cut_sides),
+                        separation_slack=slack, core=len(core), priced=len(cols) - len(core))
+
     iterations = 0
     while True:
         iterations += 1
-        x = tab.solution(len(edges))
+        x = np.zeros(len(edges))
+        x[cols] = tab.solution(len(cols))
         obj = float(cost @ x)
         xs = x.tolist()
         sides, value = violated_cuts({edges[i]: xs[i] for i in np.flatnonzero(x).tolist()}, k, inst.n)
         if not sides:
-            report = LPReport(objective=obj, iterations=iterations, cuts_added=cuts_added,
-                              separation_slack=float(k - value))
-            return FractionalSolution(values=dict(zip(edges, xs)), objective=obj), report
-        keys = [side.tobytes() for side in sides]
-        if seen.intersection(keys) or cuts_added >= max_cuts:
-            report = LPReport(objective=obj, iterations=iterations, cuts_added=cuts_added,
-                              separation_slack=float("nan"))
-            raise LPNotConvergedError("LP did not converge", report)
-        sides = sides[:max_cuts - cuts_added]
-        seen.update(keys[:len(sides)])
-        cuts_added += len(sides)
-        tab.add_ge_rows(_cut_rows(np.array(sides), eu, ev), np.full(len(sides), k))
+            new, columns = _priced_columns(tab, cols, cut_sides, eu, ev, inst.cost)
+            if not new.size:
+                return (FractionalSolution(values=dict(zip(edges, xs)), objective=obj),
+                        report(obj, float(k - value)))
+            tab.add_columns(len(cols), columns)
+            cols = np.concatenate([cols, new])
+            continue
+        sides = np.array(sides)
+        if (cut_sides[:, None] == sides).all(axis=2).any() or len(cut_sides) >= max_cuts:
+            raise LPNotConvergedError("LP did not converge", report(obj, float("nan")))
+        sides = sides[:max_cuts - len(cut_sides)]
+        cut_sides = np.vstack([cut_sides, sides])
+        tab.add_ge_rows(_cut_rows(sides, eu[cols], ev[cols]), np.full(len(sides), k))

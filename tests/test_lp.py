@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from scipy.optimize import linprog
 from kecsm import lp
 from kecsm.core import MetricInstance, component_labels, global_min_cut, shrink_min_cut
 from kecsm.instances import euclidean_instance, random_closure_instance
+from kecsm.pipeline import run_pipeline
 from kecsm.lp import (
     LPError,
     LPNotConvergedError,
@@ -18,6 +22,18 @@ from kecsm.lp import (
 )
 
 from oracles import separate, solve_lp_enumeration
+
+REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
+FAMILIES = {"euclidean": euclidean_instance, "random-closure": random_closure_instance}
+
+
+def reference_cells(instance_seed):
+    """(cell name, instance, objective) for every objective recorded at one instance seed."""
+    table = json.loads(REFERENCES.read_text())["instance_seeds"][str(instance_seed)]["objectives"]
+    for key, objective in sorted(table.items()):
+        if objective is not None:
+            family, n, k = key.rsplit("-", 2)
+            yield key, FAMILIES[family](int(n[1:]), int(k[1:]), instance_seed), objective
 
 
 class TestSimplexEngine:
@@ -284,6 +300,85 @@ def test_scaling_the_costs_scales_the_lp_value(family, n, k, seed, j):
     frac, _ = solve_lp(scaled)
     ref, _ = solve_lp(inst)
     assert frac.objective == pytest.approx(ref.objective * 2.0 ** j, rel=1e-9)
+
+
+class TestPricedCore:
+    """The tableau starts on ``core_edges`` and pricing adds the rest it needs."""
+
+    @pytest.mark.parametrize("instance_seed", range(1, 11))
+    def test_reproduces_the_recorded_objectives(self, instance_seed):
+        for key, inst, objective in reference_cells(instance_seed):
+            frac, _ = solve_lp(inst)
+            assert frac.objective == pytest.approx(objective, rel=1e-9), key
+
+    def test_every_recorded_objective_is_checked(self):
+        assert sum(1 for seed in range(1, 11) for _ in reference_cells(seed)) == 108
+
+    def test_pricing_recovers_a_recorded_optimum_from_a_tour_core(self, monkeypatch):
+        # with no neighbours the core is the nearest-neighbour tour and the
+        # two chords that close a triangle at vertex 0
+        monkeypatch.setattr(lp, "CORE_NEIGHBOURS", 0)
+        inst = random_closure_instance(48, 8, 1)
+        objective = dict((key, obj) for key, _, obj in reference_cells(1))["random-closure-n48-k8"]
+        frac, report = solve_lp(inst)
+        assert report.core == 49 and report.priced > 100
+        assert frac.objective == pytest.approx(objective, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 10])
+    def test_small_cores(self, n):
+        inst = random_closure_instance(n, 3, seed=2)
+        core = lp.core_edges(inst.cost)
+        everything = n * (n - 1) // 2
+        assert core.tolist() == sorted(set(core.tolist())) and core[-1] < everything
+        assert len(core) == everything if n <= 9 else len(core) < everything
+        frac, report = solve_lp(inst)
+        assert report.core == len(core)
+        ref = solve_lp_enumeration(inst)
+        assert frac.objective == pytest.approx(ref.objective, rel=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_all_equal_costs_tie_every_choice(self, k):
+        n, c = 20, 2.5
+        inst = MetricInstance(n=n, cost=c * (1.0 - np.eye(n)), k=k)
+        # the 8 nearest neighbours are the 8 smallest other indices and the
+        # tour visits 0, 1, ..., 19 in order
+        edges = inst.edges()
+        core = [edges[i] for i in lp.core_edges(inst.cost)]
+        assert core == [(u, v) for u, v in edges if u <= 7 or v == u + 1]
+        frac, report = solve_lp(inst)
+        assert frac.objective == pytest.approx(n * k / 2 * c, rel=1e-12)
+        assert report.core == len(core) and report.separation_slack <= 1e-9
+        assert global_min_cut(frac.values, n)[0] >= k - 1e-9
+        assert run_pipeline(inst, seed=0).record.connected
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_a_bipartite_core_gets_a_triangle(self, k):
+        # cost 1 across two halves and 2 within: the nearest neighbours and
+        # the tour all cross, so only the added triangle keeps the degree
+        # rows independent for pricing
+        n = 20
+        half = np.arange(n) < n // 2
+        inst = MetricInstance(n=n, cost=np.where(half[:, None] == half, 2.0, 1.0) - 2.0 * np.eye(n), k=k)
+        edges = inst.edges()
+        within = [edges[i] for i in lp.core_edges(inst.cost) if half[edges[i][0]] == half[edges[i][1]]]
+        assert within == [(10, 11)]  # vertex 0 and its nearest neighbours 10 and 11
+        frac, report = solve_lp(inst)
+        assert frac.objective == pytest.approx(n * k / 2, rel=1e-12)
+        assert run_pipeline(inst, seed=0).record.connected
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from([euclidean_instance, random_closure_instance]),
+       n=st.integers(3, 10), k=st.integers(2, 6), seed=st.integers(0, 2**16))
+def test_pricing_recovers_the_optimum_from_a_tour_core(family, n, k, seed):
+    inst = family(n, k, seed)
+    with pytest.MonkeyPatch.context() as patch:
+        # no neighbours: the core is the tour, plus the triangle at vertex 0
+        patch.setattr(lp, "CORE_NEIGHBOURS", 0)
+        frac, report = solve_lp(inst)
+    assert n <= report.core <= n + 2
+    ref = solve_lp_enumeration(inst)
+    assert abs(frac.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
 
 
 class TestSeparate:

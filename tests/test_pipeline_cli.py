@@ -403,6 +403,17 @@ class TestCli:
         assert main(["lp", "--input", instance_file]) == 0
         assert "objective=" in capsys.readouterr().out
 
+    def test_lp_command_reports_the_core_and_the_priced_edges(self, tmp_path, capsys):
+        # rc n = 48 at seed 2 starts on 252 of 1128 edges, and pricing adds 4
+        inst = random_closure_instance(48, 4, seed=2)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"n": 48, "k": 4, "costs": inst.cost.tolist()}))
+        _, report = solve_lp(inst)
+        assert (report.core, report.priced) == (252, 4)
+        assert main(["lp", "--input", str(path)]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert f"iterations={report.iterations} core=252 priced=4 separation_slack=" in first
+
     def test_oracle_command(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"
         path.write_text('{"n": 3, "k": 2, "costs": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}')

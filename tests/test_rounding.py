@@ -314,11 +314,11 @@ class TestRunRounding:
         assert abs(mean - expected) <= 4 * se
 
 
-@pytest.mark.xfail(strict=True, reason="the simplex tolerances are absolute: at costs times 2^15 "
+@pytest.mark.xfail(strict=True, reason="the simplex tolerances are absolute: at costs times 2^17 "
                    "the LP returns another optimal vertex (same objective, max |dx| = 3)")
 def test_scaling_the_costs_keeps_the_rounding():
-    inst = random_closure_instance(12, 6, seed=1)
-    scaled = MetricInstance(n=inst.n, cost=inst.cost * 2.0 ** 15, k=inst.k)
+    inst = random_closure_instance(12, 6, seed=9)
+    scaled = MetricInstance(n=inst.n, cost=inst.cost * 2.0 ** 17, k=inst.k)
     params = RoundingParams.make(inst.k, seed=0)
     outs = []
     for case in (inst, scaled):
