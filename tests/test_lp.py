@@ -10,7 +10,6 @@ from scipy.optimize import linprog
 from kecsm import lp
 from kecsm.core import MetricInstance, component_labels, global_min_cut, shrink_min_cut
 from kecsm.instances import euclidean_instance, random_closure_instance
-from kecsm.pipeline import run_pipeline
 from kecsm.lp import (
     LPError,
     LPNotConvergedError,
@@ -20,6 +19,7 @@ from kecsm.lp import (
     solve_lp,
     violated_cuts,
 )
+from kecsm.pipeline import run_pipeline
 
 from oracles import separate, solve_lp_enumeration
 
@@ -316,10 +316,10 @@ class TestPricedCore:
 
     def test_pricing_recovers_a_recorded_optimum_from_a_tour_core(self, monkeypatch):
         # with no neighbours the core is the nearest-neighbour tour and the
-        # two chords that close a triangle at vertex 0
+        # chords that close a triangle at vertex 0 (one chord here)
         monkeypatch.setattr(lp, "CORE_NEIGHBOURS", 0)
         inst = random_closure_instance(48, 8, 1)
-        objective = dict((key, obj) for key, _, obj in reference_cells(1))["random-closure-n48-k8"]
+        objective = {key: obj for key, _, obj in reference_cells(1)}["random-closure-n48-k8"]
         frac, report = solve_lp(inst)
         assert report.core == 49 and report.priced > 100
         assert frac.objective == pytest.approx(objective, rel=1e-9)
@@ -362,7 +362,7 @@ class TestPricedCore:
         edges = inst.edges()
         within = [edges[i] for i in lp.core_edges(inst.cost) if half[edges[i][0]] == half[edges[i][1]]]
         assert within == [(10, 11)]  # vertex 0 and its nearest neighbours 10 and 11
-        frac, report = solve_lp(inst)
+        frac, _ = solve_lp(inst)
         assert frac.objective == pytest.approx(n * k / 2, rel=1e-12)
         assert run_pipeline(inst, seed=0).record.connected
 
