@@ -253,9 +253,10 @@ def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], lis
     Returns (cuts, rest, members): ``cuts`` holds (degree, side) of a
     lightest vertex and of every supervertex when it was formed; ``rest`` is
     the graph left on supervertices 0, 1, ..., with ``members[i]`` the
-    vertices of supervertex i, and is empty when at most two are left or a
-    cut of value 0 was recorded.  The minimum cut is the smaller of the
-    least recorded cut and the minimum cut of ``rest``.
+    vertices of supervertex i, and is empty when at most two are left.  The
+    minimum cut is the smaller of the least recorded cut and the minimum cut
+    of ``rest``.  Once a cut of about 0 is recorded, rule 1 below contracts
+    every positive edge, so each component with an edge ends as a supervertex.
     """
     adj: list[dict[int, float]] = [{} for _ in range(n)]
     for (u, v), w in weights.items():
@@ -278,13 +279,12 @@ def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], lis
     # of the minimum, and a recorded value is that close to its side's cut:
     # far below the LP's SEPARATION_TOL of 1e-7, so separation misses no
     # cut below k - 1e-7 and returns no side that carries k or more.
-    # A merged-away vertex keeps an empty dict; while best > 0 no live
-    # supervertex has one.
+    # A zero weight joins no components; a merged-away vertex keeps no edges or members.
     alive, work = n, list(range(n))
-    while work and best and alive > 2:
+    while work and alive > 2:
         u = work.pop()
         for v, w in adj[u].items():
-            if w >= best or 2 * w >= deg[u] or 2 * w >= deg[v]:
+            if w > 0 and (w >= best or 2 * w >= deg[u] or 2 * w >= deg[v]):
                 break
         else:
             continue
@@ -298,14 +298,14 @@ def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], lis
                 keep[x] = adj[x][u] = keep.get(x, 0) + wx
         gone.clear()
         deg[u] += deg[v] - 2 * w
-        members[u] = members[u] + members[v]  # a new list: recorded sides never change
+        members[u], members[v] = members[u] + members[v], []  # recorded sides never change
         alive -= 1
         work.append(u)
         cuts.append((deg[u], members[u]))
         if deg[u] < best:
             best = deg[u]
             work = [x for x in range(n) if adj[x]]  # rule 1 may now hold anywhere
-    live = [v for v in range(n) if adj[v]] if best else []
+    live = [v for v in range(n) if members[v]]
     label = {v: i for i, v in enumerate(live)}
     rest = {(label[u], label[v]): w for u in live for v, w in adj[u].items() if u < v and alive > 2}
     return cuts, rest, [members[v] for v in live]

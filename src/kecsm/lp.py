@@ -2,9 +2,9 @@
 
 The relaxation minimizes total edge cost subject to fractional degree exactly
 k at every vertex, every cut carrying at least k, and nonnegative edge values.
-Cut constraints are generated lazily: the support graph's connected
-components first, then the violated cuts that the shrink of the support
-records and one global min cut of what it leaves.  Cuts join one simplex
+Cut constraints are generated lazily: the violated cuts that the shrink of
+the support records (one per component while it is disconnected) and one
+global min cut of what it leaves.  Cuts join one simplex
 tableau kept across rounds and are absorbed by dual simplex pivots from the
 previous optimal basis.
 The tableau starts on a core of near-neighbour edges, as in the core LP of
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Edge, MetricInstance, component_labels, global_min_cut, shrink_min_cut
+from .core import Edge, MetricInstance, global_min_cut, shrink_min_cut
 
 # A cut is treated as violated when it carries less than k minus this slack.
 SEPARATION_TOL = 1e-7
@@ -274,33 +274,29 @@ def simplex_min(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
 def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarray], float]:
     """Cuts of the fractional solution carrying less than k, and the min cut value.
 
-    Cuts are vertex masks holding vertex 0.  A disconnected support yields
-    every component's cut, each carrying 0, with no min-cut call.  A
-    connected one is shrunk (``shrink_min_cut``); its min cut, the least
-    recorded cut or one min cut of what is left, comes first, then every
-    recorded supervertex side below k in the order the shrink formed them.
+    Cuts are vertex masks holding vertex 0, taken from the shrunk support
+    (``shrink_min_cut``).  A disconnected one ends as a supervertex per
+    component, and just their cuts of about 0 come back, by smallest vertex.
+    Otherwise the min cut (the least recorded cut or one min cut of what is
+    left) comes first, then every recorded side below k in the order formed.
     """
-    labels = np.array(component_labels(n, [e for e, v in x.items() if v > 0]))
-    count = int(labels.max()) + 1
-    if count > 1:
-        # the component of vertex 0 is the complement of the rest; with two
-        # components its cut is the other's
-        sides = [labels != i for i in range(1, count)]
-        return ([labels == 0] if count > 2 else []) + sides, 0.0
     cuts, rest, members = shrink_min_cut(x, n)
-    if rest:
-        value, spec = global_min_cut(rest, len(members))
-        cuts.append((value, [v for i in spec.side for v in members[i]]))
-    least = min(cuts, key=lambda cut: cut[0])
+    if min(value for value, _ in cuts) < SEPARATION_TOL:
+        cuts = sorted((cut for cut in cuts if cut[0] < SEPARATION_TOL), key=lambda cut: min(cut[1]))
+    else:
+        if rest:
+            value, spec = global_min_cut(rest, len(members))
+            cuts.append((value, [v for i in spec.side for v in members[i]]))
+        cuts.insert(0, min(cuts, key=lambda cut: cut[0]))
     sides: dict[bytes, np.ndarray] = {}
-    for value, side in [least] + cuts:
+    for value, side in cuts:
         if value < k - SEPARATION_TOL:
             mask = np.zeros(n, dtype=bool)
             mask[side] = True
             if not mask[0]:
                 mask = ~mask
             sides.setdefault(mask.tobytes(), mask)
-    return list(sides.values()), least[0]
+    return list(sides.values()), min(value for value, _ in cuts)
 
 
 def _edge_ends(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:

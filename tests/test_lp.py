@@ -226,8 +226,9 @@ class TestSolveLP:
     @staticmethod
     def separation_rounds(monkeypatch, inst):
         """Per round: whether the support is connected, and the shrink and
-        min-cut calls separation made; checks one shrink per connected round
-        and at most one min cut per shrink.  Returns the min-cut calls."""
+        min-cut calls separation made; checks one shrink per round and at
+        most one min cut per shrink, on connected rounds only.  Returns the
+        min-cut calls."""
         shrinks, min_cuts, rounds = [], [], []
 
         def shrunk(x, n):
@@ -252,7 +253,7 @@ class TestSolveLP:
         assert len(rounds) == report.iterations
         assert 1 <= sum(connected for connected, _, _ in rounds) <= report.iterations
         for connected, shrink_calls, min_cut_calls in rounds:
-            assert shrink_calls == connected and min_cut_calls <= shrink_calls
+            assert shrink_calls == 1 and min_cut_calls <= connected
         return min_cuts
 
     def test_one_min_cut_per_connected_round(self, monkeypatch):
@@ -400,6 +401,35 @@ class TestSeparate:
         assert value == 0.0
         assert [np.nonzero(s)[0].tolist() for s in sides] == [[0, 1], [0, 1, 4, 5], [0, 1, 2, 3]]
         assert separate(x, 2, 6).side == frozenset({0, 1})
+
+    @settings(max_examples=150, deadline=None)
+    @given(sizes=st.lists(st.integers(2, 4), min_size=2, max_size=5), data=st.data())
+    def test_components_come_back_in_order_without_min_cut(self, sizes, data):
+        # each component is a tree on scattered labels, with dyadic weights so
+        # that its cut sums to exactly 0; zero weights may join components
+        n = sum(sizes)
+        perm = data.draw(st.permutations(range(n)))
+        comps, x, start = [], {}, 0
+        for size in sizes:
+            comp = perm[start:start + size]
+            start += size
+            comps.append(set(comp))
+            for i in range(1, size):
+                parent = comp[data.draw(st.integers(0, i - 1))]
+                x[(parent, comp[i])] = data.draw(st.sampled_from((0.25, 0.5, 1.0, 1.5, 3.0)))
+        for _ in range(data.draw(st.integers(0, 3))):
+            a, b = data.draw(st.sampled_from(range(len(comps)))), data.draw(st.sampled_from(range(len(comps))))
+            if a != b:
+                x[(min(comps[a]), max(comps[b]))] = 0.0
+        comps.sort(key=min)
+        everything = set(range(n))
+        expected = ([comps[0]] if len(comps) > 2 else []) + [everything - c for c in comps[1:]]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lp, "global_min_cut", None)  # must not be called
+            sides, value = violated_cuts(x, 2, n)
+        assert value == 0.0
+        assert [set(np.nonzero(s)[0].tolist()) for s in sides] == expected
+        assert all(s[0] for s in sides)
 
     def test_two_components_give_one_cut(self):
         sides, _ = violated_cuts({(0, 1): 1.0, (2, 3): 1.0}, 2, 4)
