@@ -3,8 +3,8 @@
 The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
 with the implementations they cross-check.  The exceptions:
-``solve_lp_enumeration`` materializes every cut constraint but shares the
-simplex with ``solve_lp``, and four references are earlier versions of
+``solve_lp_enumeration`` checks every cut but shares the simplex with
+``solve_lp``, and four references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
@@ -239,9 +239,11 @@ def induced_tight_set_reference(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray
 
 
 def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSolution:
-    """Ground-truth solve with every cut constraint materialized.
+    """Ground-truth solve by exhaustive separation.
 
-    Enumerates all 2^(n-1) - 1 cuts, so it is restricted to n <= 12.
+    Solves the degree equalities from a cold start, checks x against all
+    2^(n-1) - 1 cuts, adds every cut carrying less than k - 1e-9 as a >= row
+    and solves again, until none does; restricted to n <= 12.
     """
     if inst.n > max_n:
         raise ValueError(f"enumeration LP limited to n <= {max_n}, got n={inst.n}")
@@ -253,10 +255,17 @@ def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSol
     # every cut exactly once: sides containing vertex 0 (odd bit masks over
     # the n vertices), excluding the full set
     masks = 2 * np.arange((1 << (inst.n - 1)) - 1) + 1
-    sides = (masks[:, None] >> np.arange(inst.n) & 1).astype(bool)
-    x, obj = simplex_min(cost, _cut_rows(np.eye(inst.n, dtype=bool), eu, ev), np.full(inst.n, k),
-                         _cut_rows(sides, eu, ev), np.full(len(sides), k))
-    return FractionalSolution(values={e: float(v) for e, v in zip(edges, x)}, objective=obj)
+    rows = _cut_rows((masks[:, None] >> np.arange(inst.n) & 1).astype(bool), eu, ev)
+    added = np.zeros(len(rows), dtype=bool)
+    while True:
+        x, obj = simplex_min(cost, _cut_rows(np.eye(inst.n, dtype=bool), eu, ev), np.full(inst.n, k),
+                             rows[added], np.full(int(added.sum()), k))
+        violated = rows @ x < k - 1e-9
+        if not violated.any():
+            return FractionalSolution(values={e: float(v) for e, v in zip(edges, x)}, objective=obj)
+        if (violated & added).any():
+            raise RuntimeError("the simplex left an added cut violated")
+        added |= violated
 
 
 def check_tree_polytope(graph: EdgeGraph, z, tol: float = 1e-6) -> list[frozenset[int]]:

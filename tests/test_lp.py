@@ -280,7 +280,7 @@ class TestSolveLP:
 
 @settings(max_examples=20, deadline=None)
 @given(family=st.sampled_from([euclidean_instance, random_closure_instance]),
-       n=st.integers(3, 10), k=st.integers(2, 6), seed=st.integers(0, 2**16),
+       n=st.integers(3, 12), k=st.integers(2, 6), seed=st.integers(0, 2**16),
        data=st.data())
 def test_relabelled_vertices_keep_the_lp_value(family, n, k, seed, data):
     inst = family(n, k, seed)
@@ -325,7 +325,7 @@ class TestPricedCore:
         assert report.core == 49 and report.priced > 100
         assert frac.objective == pytest.approx(objective, rel=1e-9)
 
-    @pytest.mark.parametrize("n", [2, 3, 9, 10])
+    @pytest.mark.parametrize("n", [2, 3, 9, 10, 12])
     def test_small_cores(self, n):
         inst = random_closure_instance(n, 3, seed=2)
         core = lp.core_edges(inst.cost)
@@ -370,7 +370,7 @@ class TestPricedCore:
 
 @settings(max_examples=20, deadline=None)
 @given(family=st.sampled_from([euclidean_instance, random_closure_instance]),
-       n=st.integers(3, 10), k=st.integers(2, 6), seed=st.integers(0, 2**16))
+       n=st.integers(3, 12), k=st.integers(2, 6), seed=st.integers(0, 2**16))
 def test_pricing_recovers_the_optimum_from_a_tour_core(family, n, k, seed):
     inst = family(n, k, seed)
     with pytest.MonkeyPatch.context() as patch:
