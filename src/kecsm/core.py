@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,6 +78,13 @@ def min_spanning_tree(n: int, edges, costs) -> list[int]:
     return [int(order[p]) for p in chosen]
 
 
+def check_cost_magnitude(top: float, n: int, k: int):
+    """Raise ValueError when n^2 k times the largest cost ``top`` is not
+    finite: the solver's sums of costs would overflow."""
+    if not math.isfinite(top * n * n * k):
+        raise ValueError(f"costs up to {top:.3g} are too large: {n * n * k} times that overflows")
+
+
 @dataclass(frozen=True)
 class MetricInstance:
     """Complete graph on vertices 0..n-1 with symmetric costs and connectivity target k.
@@ -100,6 +108,7 @@ class MetricInstance:
             raise ValueError(f"cost matrix must be {self.n}x{self.n}, got {cost.shape}")
         if not np.all(np.isfinite(cost)):
             raise ValueError("costs must be finite")
+        check_cost_magnitude(float(np.abs(cost).max()), self.n, self.k)
         cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
 
@@ -180,6 +189,7 @@ def metric_closure(n: int, raw_cost: np.ndarray, k: int) -> MetricInstance:
     finite = d[np.isfinite(d)]
     if np.any(finite < 0):
         raise ValueError("raw costs must be nonnegative")
+    check_cost_magnitude(float(finite.max(initial=0.0)), n, k)  # before the sums below can overflow
     for m in range(n):
         # Floyd-Warshall relaxation through intermediate vertex m.
         d = np.minimum(d, d[:, m : m + 1] + d[m : m + 1, :])

@@ -66,6 +66,8 @@ def parse_tsplib_euc2d(text: str, k: int | None = None, closure: bool = False) -
                 coords[idx] = (float(parts[1]), float(parts[2]))
             except (IndexError, ValueError) as exc:
                 raise InstanceFormatError(f"bad coordinate line {line!r}") from exc
+            if not np.all(np.isfinite(coords[idx])):
+                raise InstanceFormatError(f"coordinate line {line!r} is not finite")
             continue
         if line.startswith("NODE_COORD_SECTION"):
             in_coords = True
@@ -91,8 +93,12 @@ def parse_tsplib_euc2d(text: str, k: int | None = None, closure: bool = False) -
     if k is None:
         raise InstanceFormatError("TSPLIB files carry no connectivity target; pass --k")
     pts = np.array([coords[i + 1] for i in range(n)])
-    diff = pts[:, None, :] - pts[None, :, :]
-    costs = np.floor(np.sqrt((diff ** 2).sum(axis=2)) + 0.5)
+    with np.errstate(over="ignore"):
+        diff = pts[:, None, :] - pts[None, :, :]
+        costs = np.floor(np.sqrt((diff ** 2).sum(axis=2)) + 0.5)
+    if not np.all(np.isfinite(costs)):
+        u, v = np.argwhere(~np.isfinite(costs))[0] + 1
+        raise InstanceFormatError(f"the squared distance of nodes {u} and {v} overflows")
     np.fill_diagonal(costs, 0.0)
     return _finish(n, costs, k, closure)
 

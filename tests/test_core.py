@@ -98,6 +98,14 @@ class TestValidateMetric:
         with pytest.raises(ValueError, match="finite"):
             MetricInstance(n=3, cost=[[0, 1, bad], [1, 0, 1], [bad, 1, 0]], k=2)
 
+    def test_costs_whose_sums_overflow_are_rejected(self):
+        # 18 = n^2 k times the largest cost must stay finite; 18 * 1e307 is not
+        with pytest.raises(ValueError, match="too large"):
+            MetricInstance(n=3, cost=1e307 * (1 - np.eye(3)), k=2)
+        with pytest.raises(ValueError, match="too large"):
+            metric_closure(3, 1e307 * (1 - np.eye(3)), 2)
+        assert MetricInstance(n=3, cost=9e306 * (1 - np.eye(3)), k=2).cost.max() == 9e306
+
     def test_single_triangle_violation(self):
         inst = MetricInstance(n=3, cost=[[0, 1, 5], [1, 0, 1], [5, 1, 0]], k=2)
         violations = validate_metric(inst)

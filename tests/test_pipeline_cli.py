@@ -5,7 +5,10 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,7 @@ from kecsm.pipeline import (
 )
 
 UNIT3 = "[[0, 1, 1], [1, 0, 1], [1, 1, 0]]"
+HUGE3 = "[[0, 1.5e308, 1.5e308], [1.5e308, 0, 1.5e308], [1.5e308, 1.5e308, 0]]"
 
 
 class TestLoadInstance:
@@ -522,6 +526,47 @@ class TestCli:
         assert main(argv.split()) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("closure", [[], ["--closure"]])
+    @pytest.mark.parametrize("argv,text,message", [
+        pytest.param("solve --input big.json", '{"n": 3, "k": 2, "costs": %s}' % HUGE3,
+                     "too large", id="json-solve"),
+        pytest.param("lp --input big.json", '{"n": 3, "k": 2, "costs": %s}' % HUGE3,
+                     "too large", id="json-lp"),
+        pytest.param("solve --input big.json --format tsplib-euc2d --k 2",
+                     "NODE_COORD_SECTION\n1 0 0\n2 1e200 0\n3 0 1\nEOF\n",
+                     "squared distance of nodes 1 and 2 overflows", id="tsplib-distance"),
+        pytest.param("solve --input big.json --format tsplib-euc2d --k 2",
+                     "NODE_COORD_SECTION\n1 0 0\n2 nan 0\n3 0 1\nEOF\n",
+                     "'2 nan 0' is not finite", id="tsplib-nan"),
+        pytest.param("lp --input big.json --format tsplib-euc2d --k 2",
+                     "NODE_COORD_SECTION\n1 0 0\n2 1 0\n3 0 1e999\nEOF\n",
+                     "'3 0 1e999' is not finite", id="tsplib-inf"),
+    ])
+    def test_overflowing_input_is_one_line_exit_three(self, tmp_path, capsys, closure, argv, text,
+                                                      message):
+        (tmp_path / "big.json").write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv.replace("big.json", str(tmp_path / "big.json")).split(), *closure]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    def test_tsplib_scale_input_is_certified(self, tmp_path, capsys):
+        # 300 cities with integer coordinates below 10^6, so costs near 1e6
+        coords = np.random.default_rng(300).integers(0, 10**6, size=(300, 2))
+        path = tmp_path / "cities.tsp"
+        path.write_text("NAME: cities\nTYPE: TSP\nDIMENSION: 300\nEDGE_WEIGHT_TYPE: EUC_2D\n"
+                        "NODE_COORD_SECTION\n"
+                        + "".join(f"{i + 1} {x} {y}\n" for i, (x, y) in enumerate(coords)) + "EOF\n")
+        flags = ["--input", str(path), "--format", "tsplib-euc2d", "--closure", "--k", "8"]
+        start = time.perf_counter()
+        assert main(["solve", *flags]) == 0
+        assert time.perf_counter() - start < 60
+        assert "connected=True" in capsys.readouterr().out
+        assert main(["lp", *flags]) == 0
+        first = capsys.readouterr().out.splitlines()[0]
+        assert " core=" in first and " priced=" in first
 
     @pytest.mark.parametrize("closure", [[], ["--closure"]])
     def test_nan_costs_are_input_error(self, tmp_path, capsys, closure):
