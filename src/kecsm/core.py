@@ -78,7 +78,7 @@ def min_spanning_tree(n: int, edges, costs) -> list[int]:
     return [int(order[p]) for p in chosen]
 
 
-def check_cost_magnitude(top: float, n: int, k: int):
+def _check_cost_magnitude(top: float, n: int, k: int):
     """Raise ValueError when n^2 k times the largest cost ``top`` is not
     finite: the solver's sums of costs would overflow."""
     if not math.isfinite(top * n * n * k):
@@ -108,7 +108,7 @@ class MetricInstance:
             raise ValueError(f"cost matrix must be {self.n}x{self.n}, got {cost.shape}")
         if not np.all(np.isfinite(cost)):
             raise ValueError("costs must be finite")
-        check_cost_magnitude(float(np.abs(cost).max()), self.n, self.k)
+        _check_cost_magnitude(float(np.abs(cost).max()), self.n, self.k)
         cost.flags.writeable = False
         object.__setattr__(self, "cost", cost)
 
@@ -189,7 +189,7 @@ def metric_closure(n: int, raw_cost: np.ndarray, k: int) -> MetricInstance:
     finite = d[np.isfinite(d)]
     if np.any(finite < 0):
         raise ValueError("raw costs must be nonnegative")
-    check_cost_magnitude(float(finite.max(initial=0.0)), n, k)  # before the sums below can overflow
+    _check_cost_magnitude(float(finite.max(initial=0.0)), n, k)  # before the sums below can overflow
     for m in range(n):
         # Floyd-Warshall relaxation through intermediate vertex m.
         d = np.minimum(d, d[:, m : m + 1] + d[m : m + 1, :])

@@ -276,7 +276,8 @@ def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarr
 
     Cuts are vertex masks holding vertex 0, taken from the shrunk support
     (``shrink_min_cut``).  A disconnected one ends as a supervertex per
-    component, and just their cuts of about 0 come back, by smallest vertex.
+    component (x meets the degree rows, so every component has an edge),
+    and just their cuts of about 0 come back, by smallest vertex.
     Otherwise the min cut (the least recorded cut or one min cut of what is
     left) comes first, then every recorded side below k in the order formed.
     """

@@ -9,7 +9,6 @@ import warnings
 from pathlib import Path
 
 import numpy as np
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
