@@ -166,7 +166,7 @@ def _cmd_lp(args) -> int:
     frac, report = solve_lp(inst)
     print(f"objective={frac.objective:.9f} cuts={report.cuts_added} "
           f"iterations={report.iterations} core={report.core} priced={report.priced} "
-          f"separation_slack={report.separation_slack:.3e}")
+          f"pivots={report.pivots} separation_slack={report.separation_slack:.3e}")
     positive = {e: v for e, v in sorted(frac.values.items()) if v > 1e-9}
     for e, v in positive.items():
         print(f"x[{e[0]},{e[1]}] = {v:.6f}")

@@ -261,7 +261,8 @@ def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], lis
     of Padberg and Rinaldi).  ``weights`` maps pairs u != v to nonnegative
     weights; both orientations of a pair add up and Python ints stay exact.
     Returns (cuts, rest, members): ``cuts`` holds (degree, side) of a
-    lightest vertex and of every supervertex when it was formed; ``rest`` is
+    lightest vertex, or of every vertex of degree 0 (which no merge forms),
+    and of every supervertex when it was formed; ``rest`` is
     the graph left on supervertices 0, 1, ..., with ``members[i]`` the
     vertices of supervertex i, and is empty when at most two are left.  The
     minimum cut is the smaller of the least recorded cut and the minimum cut
@@ -275,7 +276,7 @@ def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], lis
     members = [[v] for v in range(n)]
     low = min(range(n), key=deg.__getitem__)
     best = deg[low]
-    cuts = [(best, [low])]
+    cuts = [(deg[v], [v]) for v in range(n) if not deg[v]] or [(best, [low])]
     # The degree of a supervertex is the cut around it, and it is recorded
     # when the supervertex is formed, so the min cut is always min(best, min
     # cut of the shrunk graph).  Contracting uv keeps that:

@@ -10,7 +10,9 @@ previous optimal basis.
 The tableau starts on a core of near-neighbour edges, as in the core LP of
 Applegate, Bixby, Chvatal and Cook (2006, ch. 12); the other edges are
 priced against the duals and join as columns when their reduced cost is
-negative.
+negative.  Its first basis lies on the core's nearest-neighbour tour and is
+feasible, so primal simplex starts there with no phase 1; the two-phase
+``simplex_min`` is a cold-start solver for the tests.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ class LPReport:
     separation_slack: float
     core: int = 0  # edges the tableau started with
     priced: int = 0  # edges pricing added to it
+    pivots: int = 0  # simplex pivots, from the tour basis on
 
 
 class _Tableau:
@@ -276,8 +279,8 @@ def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarr
 
     Cuts are vertex masks holding vertex 0, taken from the shrunk support
     (``shrink_min_cut``).  A disconnected one ends as a supervertex per
-    component (x meets the degree rows, so every component has an edge),
-    and just their cuts of about 0 come back, by smallest vertex.
+    component, an isolated vertex included, and just their cuts of about 0
+    come back, by smallest vertex.
     Otherwise the min cut (the least recorded cut or one min cut of what is
     left) comes first, then every recorded side below k in the order formed.
     """
@@ -311,30 +314,68 @@ def _cut_rows(sides: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     return (sides[:, eu] != sides[:, ev]).astype(float)
 
 
+def _tour_and_core(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
+    """The nearest-neighbour tour from vertex 0 (ties to the smaller index)
+    and the ``core_edges``, from one sort of every row of the costs."""
+    n = len(cost)
+    order = np.argsort(cost + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
+    rows, seen, tour = order.tolist(), [True] + [False] * (n - 1), [0]
+    for _ in range(n - 1):
+        tour.append(next(w for w in rows[tour[-1]] if not seen[w]))
+        seen[tour[-1]] = True
+    if n <= CORE_NEIGHBOURS + 1:
+        return tour, np.arange(n * (n - 1) // 2)
+    pick = np.zeros((n, n), dtype=bool)
+    pick[np.arange(n)[:, None], order[:, :CORE_NEIGHBOURS]] = True
+    pick[tour, np.roll(tour, -1)] = True
+    pick |= pick.T
+    if not (pick @ pick & pick).any():
+        triangle = np.r_[0, order[0, :2]]
+        pick[np.ix_(triangle, triangle)] = True
+    return tour, np.flatnonzero(pick[np.triu_indices(n, 1)])
+
+
 def core_edges(cost: np.ndarray) -> np.ndarray:
     """Lexicographic indices of the edges whose columns the LP starts with:
     each vertex's ``CORE_NEIGHBOURS`` nearest neighbours (ties to the smaller
     index) and the nearest-neighbour tour from vertex 0, on which k/2 per
     edge is feasible.  A core without a triangle gets the one of vertex 0 and
     its two nearest neighbours, since the degree rows of a connected graph
-    are independent only if it is not bipartite.  Up to n =
-    ``CORE_NEIGHBOURS`` + 1 the core is every edge."""
-    n = len(cost)
-    if n <= CORE_NEIGHBOURS + 1:
-        return np.arange(n * (n - 1) // 2)
-    order = np.argsort(cost + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
-    pick = np.zeros((n, n), dtype=bool)
-    pick[np.arange(n)[:, None], order[:, :CORE_NEIGHBOURS]] = True
-    rows, seen, tour = order.tolist(), [True] + [False] * (n - 1), [0]
-    for _ in range(n - 1):
-        tour.append(next(w for w in rows[tour[-1]] if not seen[w]))
-        seen[tour[-1]] = True
-    pick[tour, np.roll(tour, -1)] = True
-    pick |= pick.T
-    if not (pick @ pick & pick).any():
-        triangle = np.r_[0, order[0, :2]]
-        pick[np.ix_(triangle, triangle)] = True
-    return np.flatnonzero(pick[np.triu_indices(n, 1)])
+    are independent only if it is not bipartite (``_tour_start`` needs an odd
+    cycle for even n).  Up to n = ``CORE_NEIGHBOURS`` + 1 the core is every
+    edge."""
+    return _tour_and_core(cost)[1]
+
+
+def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarray,
+                cost: np.ndarray, k: float) -> _Tableau:
+    """Optimal tableau of the degree rows over the edges ``cols`` (sorted
+    lexicographic indices, with costs ``cost``), by primal simplex from a
+    feasible basis on the tour.
+
+    Odd n: the tour cycle, k/2 on every edge.  Even n: the tour path, k and 0
+    on alternate edges (a perfect matching), and at 0 the first edge of
+    ``cols`` that joins two tour positions of the same parity, which closes
+    an odd cycle (a triangle of the core has such an edge).  n = 2: the one
+    edge and one degree row, as the second repeats it.  Either basis is a
+    connected graph whose one cycle is odd, so its determinant is +-2 and
+    B^-1 A is a matrix of halves: rounding the solve makes it exact.
+    """
+    n = len(tour)
+    ends = np.sort(np.c_[tour, np.roll(tour, -1)], axis=1)[:n if n % 2 else n - 1]
+    basis = np.searchsorted(cols, ends[:, 0] * (2 * n - ends[:, 0] - 3) // 2 + ends[:, 1] - 1)
+    x_b = np.full(n, k / 2) if n % 2 else np.where(np.arange(n - 1) % 2, 0.0, k)
+    if n % 2 == 0 and n > 2:
+        pos = np.empty(n, dtype=int)
+        pos[tour] = np.arange(n)
+        chord = np.flatnonzero((pos[eu[cols]] - pos[ev[cols]]) % 2 == 0)[0]
+        basis, x_b = np.r_[basis, chord], np.r_[x_b, 0.0]
+    degree = _cut_rows(np.eye(n, dtype=bool)[:len(basis)], eu[cols], ev[cols])
+    body = np.round(2.0 * np.linalg.solve(degree[:, basis], degree)) / 2.0
+    t = np.vstack([np.c_[body, x_b], np.r_[cost - cost[basis] @ body, -(cost[basis] @ x_b)]])
+    tab = _Tableau(t, basis, tol=1e-9, max_pivots=200_000)
+    tab.primal(-1, len(cols))
+    return tab
 
 
 def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.ndarray,
@@ -349,8 +390,6 @@ def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.n
     n, p = sides.shape[1], len(sides)
     if len(cols) == len(eu):
         return cols[:0], None
-    if len(tab.basis) != n + p:
-        raise LPError("a degree row of the core was dropped as dependent")
     masks = np.vstack([np.eye(n, dtype=bool), sides])
     sign = np.r_[np.ones(n), -np.ones(p)]  # a cut row is kept as -a x + s = -b
     matrix = lambda e: sign[:, None] * _cut_rows(masks, eu[e], ev[e])
@@ -367,7 +406,9 @@ def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.n
 def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSolution, LPReport]:
     """Solve the relaxation by cut generation on a priced core of edges.
 
-    Solves the degree equalities over the ``core_edges``, then adds the
+    Solves the degree equalities over the ``core_edges`` by primal simplex
+    from the feasible basis of ``_tour_start`` on the nearest-neighbour
+    tour, then adds the
     violated cuts that ``violated_cuts`` finds on the support of x (at most
     ``max_cuts`` in all), re-optimizing the same tableau by dual simplex.
     When none is left, the edges that ``_priced_columns`` finds join after
@@ -380,14 +421,15 @@ def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSo
     eu, ev = _edge_ends(edges)
     cost = inst.cost[eu, ev]
     k = float(inst.k)
-    cols = core = core_edges(inst.cost)
-    tab = _two_phase(cost[cols], _cut_rows(np.eye(inst.n, dtype=bool), eu[cols], ev[cols]),
-                     np.full(inst.n, k))
+    tour, core = _tour_and_core(inst.cost)
+    tab = _tour_start(tour, core, eu, ev, cost[core], k)
+    cols = core
     cut_sides = np.zeros((0, inst.n), dtype=bool)
 
     def report(objective, slack):
         return LPReport(objective=objective, iterations=iterations, cuts_added=len(cut_sides),
-                        separation_slack=slack, core=len(core), priced=len(cols) - len(core))
+                        separation_slack=slack, core=len(core), priced=len(cols) - len(core),
+                        pivots=tab.pivots)
 
     iterations = 0
     while True:

@@ -11,6 +11,7 @@ at v0 goes back to the same edge at u0, and every other edge is its own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -71,30 +72,25 @@ def build_split_graph(inst: MetricInstance, x: FractionalSolution,
     """
     if not 0 <= split_vertex < inst.n:
         raise ValueError(f"split vertex {split_vertex} out of range")
-    u = split_vertex
-    v0 = inst.n
-    edges: list[Edge] = []
-    vals: list[float] = []
-    costs: list[float] = []
-    for e in inst.edges():
-        xe = float(x.values.get(e, 0.0))
-        ce = inst.edge_cost(e)
-        if u in e:
-            w = e[0] if e[1] == u else e[1]
-            edges.append(make_edge(u, w))
-            edges.append(make_edge(v0, w))
-            vals.extend([xe / 2.0, xe / 2.0])
-            costs.extend([ce, ce])
-        else:
-            edges.append(e)
-            vals.append(xe)
-            costs.append(ce)
+    n, u = inst.n, split_vertex
+    iu, iv = np.triu_indices(n, 1)  # the edges in lexicographic order
+    xm = np.zeros((n, n))
+    if x.values:  # x on the upper triangle; keys that are not edges count for none
+        ends = np.fromiter(chain.from_iterable(x.values), int, 2 * len(x.values)).reshape(-1, 2)
+        vals = np.fromiter(x.values.values(), float, len(x.values))
+        ok = (0 <= ends[:, 0]) & (ends[:, 0] < ends[:, 1]) & (ends[:, 1] < n)
+        xm[ends[ok, 0], ends[ok, 1]] = vals[ok]
+    xe, at = xm[iu, iv], (iu == u) | (iv == u)
+    copies = np.where(at, 2, 1)  # (u, w) is followed by its twin (w, v0)
+    a, b = np.repeat(iu, copies), np.repeat(iv, copies)
+    twin = np.cumsum(copies)[at] - 1
+    a[twin], b[twin] = iu[at] + iv[at] - u, n
     return SplitGraph(
-        n=inst.n,
+        n=n,
         split_vertex=u,
-        edges=tuple(edges),
-        x0=np.array(vals),
-        cost0=np.array(costs),
+        edges=tuple(zip(a.tolist(), b.tolist())),
+        x0=np.repeat(np.where(at, xe / 2.0, xe), copies),
+        cost0=np.repeat(inst.cost[iu, iv], copies),
     )
 
 

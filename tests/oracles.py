@@ -4,7 +4,7 @@ The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
 with the implementations they cross-check.  The exceptions:
 ``solve_lp_enumeration`` checks every cut but shares the simplex with
-``solve_lp``, and four references are earlier versions of
+``solve_lp``, and five references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
@@ -12,7 +12,9 @@ per-tree LCA walk that the batched ``rounding.fundamental_cut_counts``
 replaced, ``validate_metric_reference`` the triple loop that the
 vectorised ``core.validate_metric`` replaced, and
 ``induced_tight_set_reference`` the per-merge edge loop that the label
-array of ``treedist._induced_tight_set`` replaced.
+array of ``treedist._induced_tight_set`` replaced, and
+``build_split_graph_reference`` the per-edge loop that the array build of
+``split.build_split_graph`` replaced.
 
 The formulas and helpers at the end (tail bounds, approximation factors,
 dispersion statistics, effective resistance, tree counts, cut sizes) are
@@ -266,6 +268,27 @@ def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSol
         if (violated & added).any():
             raise RuntimeError("the simplex left an added cut violated")
         added |= violated
+
+
+def build_split_graph_reference(inst: MetricInstance, x: FractionalSolution,
+                                split_vertex: int = 0) -> SplitGraph:
+    """``split.build_split_graph`` as a loop over the edges, one lookup each."""
+    u, v0 = split_vertex, inst.n
+    edges, vals, costs = [], [], []
+    for e in inst.edges():
+        xe = float(x.values.get(e, 0.0))
+        ce = inst.edge_cost(e)
+        if u in e:
+            w = e[0] if e[1] == u else e[1]
+            edges += [make_edge(u, w), make_edge(v0, w)]
+            vals += [xe / 2.0, xe / 2.0]
+            costs += [ce, ce]
+        else:
+            edges.append(e)
+            vals.append(xe)
+            costs.append(ce)
+    return SplitGraph(n=inst.n, split_vertex=u, edges=tuple(edges), x0=np.array(vals),
+                      cost0=np.array(costs))
 
 
 def check_tree_polytope(graph: EdgeGraph, z, tol: float = 1e-6) -> list[frozenset[int]]:

@@ -440,6 +440,12 @@ class TestGlobalMinCut:
 class TestShrinkMinCut:
     """The one shrink on float weights, as the LP separation runs it."""
 
+    def test_every_vertex_of_degree_zero_is_recorded(self):
+        # vertex 3 meets only a zero weight, which never merges
+        cuts, _, members = shrink_min_cut({(0, 1): 1.0, (1, 3): 0.0}, 4)
+        assert cuts[:2] == [(0, [2]), (0.0, [3])]
+        assert sorted(map(sorted, members)) == [[0, 1], [2], [3]]
+
     @given(case=_min_cut_inputs(), isolated=st.integers(0, 2),
            gap=st.sampled_from((-0.5, -1e-6, 0.0, 1.5e-7, 3e-7, 1e-6, 0.5)))
     @settings(max_examples=250, deadline=None)

@@ -355,8 +355,8 @@ class TestPricedCore:
     @pytest.mark.parametrize("k", [2, 3])
     def test_a_bipartite_core_gets_a_triangle(self, k):
         # cost 1 across two halves and 2 within: the nearest neighbours and
-        # the tour all cross, so only the added triangle keeps the degree
-        # rows independent for pricing
+        # the tour all cross, so only the added triangle closes the odd
+        # cycle that the tour basis needs at even n
         n = 20
         half = np.arange(n) < n // 2
         inst = MetricInstance(n=n, cost=np.where(half[:, None] == half, 2.0, 1.0) - 2.0 * np.eye(n), k=k)
@@ -382,6 +382,85 @@ def test_pricing_recovers_the_optimum_from_a_tour_core(family, n, k, seed):
     assert abs(frac.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
 
 
+class TestTourStart:
+    """Primal simplex starts from a basis on the nearest-neighbour tour, with no phase 1."""
+
+    @staticmethod
+    def solved_as_the_enumeration(inst):
+        frac, report = solve_lp(inst)
+        ref = solve_lp_enumeration(inst)
+        assert frac.objective == pytest.approx(ref.objective, rel=1e-9)
+        return report
+
+    def test_two_vertices(self):
+        inst = MetricInstance(n=2, cost=[[0, 5], [5, 0]], k=3)
+        assert self.solved_as_the_enumeration(inst).pivots == 0
+
+    @pytest.mark.parametrize("family", [euclidean_instance, random_closure_instance])
+    @pytest.mark.parametrize("n", [3, 7, 11])
+    def test_odd_n(self, family, n):
+        self.solved_as_the_enumeration(family(n, 4, n))
+
+    @pytest.mark.parametrize("family", [euclidean_instance, random_closure_instance])
+    @pytest.mark.parametrize("n", [4, 10, 12])
+    def test_even_n_on_a_tour_only_core(self, monkeypatch, family, n):
+        monkeypatch.setattr(lp, "CORE_NEIGHBOURS", 0)
+        inst = family(n, 4, n)
+        assert self.solved_as_the_enumeration(inst).core == len(lp.core_edges(inst.cost)) <= n + 2
+
+    def test_a_bipartite_core(self, monkeypatch):
+        # the tour alternates halves, so only the triangle's edge (6, 7)
+        # joins tour positions 1 and 3, of the same parity
+        monkeypatch.setattr(lp, "CORE_NEIGHBOURS", 5)
+        half = np.arange(12) < 6
+        inst = MetricInstance(n=12, cost=np.where(half[:, None] == half, 2.0, 1.0) - 2.0 * np.eye(12), k=3)
+        tour, core = lp._tour_and_core(inst.cost)
+        assert tour == [0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11]
+        edges = inst.edges()
+        assert [edges[i] for i in core if half[edges[i][0]] == half[edges[i][1]]] == [(6, 7)]
+        self.solved_as_the_enumeration(inst)
+
+    @pytest.mark.parametrize("n", [2, 7, 8])
+    def test_the_first_basis_is_on_the_tour(self, monkeypatch, n):
+        # up to n = 9 the core is every edge, so a column is an edge index
+        starts = []
+        primal = lp._Tableau.primal
+
+        def recorded(tab, obj_row, ncols):
+            if not starts:
+                starts.append((tab.t.copy(), tab.basis.copy()))
+            return primal(tab, obj_row, ncols)
+
+        monkeypatch.setattr(lp._Tableau, "primal", recorded)
+        inst = euclidean_instance(n, 4, seed=1)
+        solve_lp(inst)
+        (t, basis), = starts
+        tour, _ = lp._tour_and_core(inst.cost)
+        edges = inst.edges()
+        basic = [edges[i] for i in basis]
+        cycle = [tuple(sorted(e)) for e in zip(tour, tour[1:] + tour[:1])]
+        assert np.array_equal(t[:-1, basis], np.eye(len(basis)))
+        assert np.array_equal(t[:-1, :-1] * 2, np.round(t[:-1, :-1] * 2))
+        if n % 2:
+            assert basic == cycle and t[:-1, -1].tolist() == [2.0] * n
+        else:
+            assert basic[:n - 1] == cycle[:n - 1]
+            assert t[:-1, -1].tolist() == [4.0, 0.0] * (n // 2 - 1) + [4.0] + [0.0] * (n > 2)
+            if n > 2:
+                u, v = basic[-1]
+                assert (tour.index(u) - tour.index(v)) % 2 == 0
+
+    def test_phase_1_never_runs(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("solve_lp ran phase 1")
+
+        monkeypatch.setattr(lp, "_two_phase", refused)
+        key, inst, objective = next(reference_cells(1))
+        frac, report = solve_lp(inst)
+        assert frac.objective == pytest.approx(objective, rel=1e-9), key
+        assert report.core == len(lp.core_edges(inst.cost))
+
+
 class TestSeparate:
     def test_triangle_saturated(self):
         x = {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0}
@@ -403,10 +482,11 @@ class TestSeparate:
         assert separate(x, 2, 6).side == frozenset({0, 1})
 
     @settings(max_examples=150, deadline=None)
-    @given(sizes=st.lists(st.integers(2, 4), min_size=2, max_size=5), data=st.data())
+    @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=5), data=st.data())
     def test_components_come_back_in_order_without_min_cut(self, sizes, data):
         # each component is a tree on scattered labels, with dyadic weights so
-        # that its cut sums to exactly 0; zero weights may join components
+        # that its cut sums to exactly 0, or an isolated vertex; zero weights
+        # may join components
         n = sum(sizes)
         perm = data.draw(st.permutations(range(n)))
         comps, x, start = [], {}, 0
@@ -430,6 +510,12 @@ class TestSeparate:
         assert value == 0.0
         assert [set(np.nonzero(s)[0].tolist()) for s in sides] == expected
         assert all(s[0] for s in sides)
+
+    def test_every_isolated_vertex_gives_its_cut(self):
+        # no merge forms an isolated vertex, so each one is recorded at the start
+        sides, value = violated_cuts({(0, 1): 1.0}, 2, 4)
+        assert value == 0.0
+        assert [np.nonzero(s)[0].tolist() for s in sides] == [[0, 1], [0, 1, 3], [0, 1, 2]]
 
     def test_two_components_give_one_cut(self):
         sides, _ = violated_cuts({(0, 1): 1.0, (2, 3): 1.0}, 2, 4)

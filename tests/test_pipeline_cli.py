@@ -412,10 +412,11 @@ class TestCli:
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"n": 48, "k": 4, "costs": inst.cost.tolist()}))
         _, report = solve_lp(inst)
-        assert (report.core, report.priced) == (252, 4)
+        assert (report.core, report.priced) == (252, 4) and report.pivots > 0
         assert main(["lp", "--input", str(path)]) == 0
         first = capsys.readouterr().out.splitlines()[0]
-        assert f"iterations={report.iterations} core=252 priced=4 separation_slack=" in first
+        assert (f"iterations={report.iterations} core=252 priced=4 pivots={report.pivots} "
+                "separation_slack=") in first
 
     def test_oracle_command(self, tmp_path, capsys):
         path = tmp_path / "tiny.json"

@@ -7,7 +7,8 @@ from kecsm.lp import FractionalSolution, solve_lp
 from kecsm.split import build_split_graph, identify_back
 from kecsm.treedist import EdgeGraph
 
-from oracles import check_tree_polytope, cut_size, degree_value, multiset_size, tree_point_total
+from oracles import (build_split_graph_reference, check_tree_polytope, cut_size, degree_value,
+                     multiset_size, tree_point_total)
 
 
 def hamiltonian_cycle_solution(n: int) -> FractionalSolution:
@@ -61,6 +62,21 @@ class TestBuildSplitGraph:
         for i, e in enumerate(g0.edges):
             assert g0.cost0[i] == pytest.approx(inst.edge_cost(g0.origin(e)))
             assert g0.origin(e) == (tuple(sorted((e[0], u))) if e[1] == g0.v0 else e)
+
+    @pytest.mark.parametrize("n,u", [(2, 1), (5, 0), (12, 7), (32, 31)])
+    def test_same_arrays_as_the_edge_loop(self, n, u):
+        # bit-identical edges, x0 and cost0, on the LP's full-width values and
+        # on a sparse dict with a key in the wrong orientation, which no
+        # edge looks up
+        inst = random_closure_instance(n, 4, seed=n)
+        frac, _ = solve_lp(inst)
+        sparse = {e: v for e, v in frac.values.items() if v > 0}
+        sparse[(n - 1, 0)] = 5.0
+        for x in (frac, FractionalSolution(values=sparse, objective=0.0),
+                  FractionalSolution(values={}, objective=0.0)):
+            got, ref = build_split_graph(inst, x, u), build_split_graph_reference(inst, x, u)
+            assert got.edges == ref.edges and all(type(a) is int for e in got.edges for a in e)
+            assert got.x0.tobytes() == ref.x0.tobytes() and got.cost0.tobytes() == ref.cost0.tobytes()
 
     def test_split_vertex_flag(self, triangle_unit):
         frac, _ = solve_lp(triangle_unit)
