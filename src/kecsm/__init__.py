@@ -34,6 +34,7 @@ from .treedist import (
 from .sampler import (
     RngStream,
     SpanningTree,
+    TreeBatch,
     sample_batch,
     sample_fitted_batch,
     sample_fitted_tree,

@@ -180,10 +180,7 @@ def _cmd_sample(args) -> int:
     prep = prepare(inst, split_vertex=_split_vertex(args, inst))
     trees = sample_fitted_batch(prep.weights, args.trials, args.seed)
     g0 = prep.split_graph
-    hits = np.zeros(len(g0.edges))
-    for tree in trees:
-        for i in tree.edge_indices:
-            hits[i] += 1.0
+    hits = np.bincount(trees.edge_indices.ravel(), minlength=len(g0.edges))
     print(f"sampled {len(trees)} trees on {g0.n0} vertices (seed {args.seed})")
     for i, e in enumerate(g0.edges):
         fitted = prep.weights.fitted_marginals[i]

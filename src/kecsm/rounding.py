@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MultiEdgeSet, min_spanning_tree
-from .sampler import SpanningTree, sample_fitted_batch, tree_from_edges
+from .sampler import SpanningTree, TreeBatch, sample_fitted_batch, tree_from_edges
 from .split import SplitGraph, identify_back
 from .treedist import LambdaWeights
 
@@ -72,7 +72,7 @@ def mst(g0: SplitGraph) -> SpanningTree:
     return tree_from_edges(g0.graph, min_spanning_tree(g0.n0, g0.edges, g0.cost0))
 
 
-def fundamental_cut_counts(trees: list[SpanningTree], t_star: MultiEdgeSet,
+def fundamental_cut_counts(trees: TreeBatch | list[SpanningTree], t_star: MultiEdgeSet,
                            g0: SplitGraph) -> tuple[np.ndarray, np.ndarray]:
     """Union-tree coverage of every fundamental cut of every tree, and which cuts split the twins.
 
@@ -83,12 +83,14 @@ def fundamental_cut_counts(trees: list[SpanningTree], t_star: MultiEdgeSet,
     below that edge when tin[v] <= tin[w] < tin[v] + size[v], tin being the
     preorder position; an edge crosses the cut when exactly one end does.
     """
+    if not isinstance(trees, TreeBatch):
+        trees = TreeBatch((tr.parent, tr.parent_edge, tr.preorder, tr.size) for tr in trees)
     n0 = g0.n0
     # unsigned positions that hold n0: a w before v wraps around above every size
     dtype = np.min_scalar_type(n0)
-    tin = np.empty((len(trees), n0), dtype=dtype)
-    np.put_along_axis(tin, np.array([tr.preorder for tr in trees]), np.arange(n0, dtype=dtype), axis=1)
-    size = np.array([tr.size for tr in trees], dtype=dtype)
+    tin = np.empty(trees.preorder.shape, dtype=dtype)
+    np.put_along_axis(tin, trees.preorder, np.arange(n0, dtype=dtype), axis=1)
+    size = trees.size.astype(dtype)
     # below[t, w, v]: w lies below the edge above v
     below = (tin[:, :, None] - tin[:, None, :]) < size[:, None, :]
     ends = np.array(list(t_star.multiplicity), dtype=np.intp).reshape(-1, 2)
@@ -129,9 +131,8 @@ def run_rounding(g0: SplitGraph, dist: LambdaWeights, params: RoundingParams) ->
     tree edge itself, never a substitute.
     """
     trees = sample_fitted_batch(dist, params.tree_count, params.seed)
-    tstar_idx: Counter[int] = Counter()
-    for tr in trees:
-        tstar_idx.update(tr.edge_indices)
+    # tree by tree, each in increasing order: the first-seen order of the keys fixes the cost sums
+    tstar_idx: Counter[int] = Counter(trees.edge_indices.ravel().tolist())
     t_star = MultiEdgeSet({g0.edges[i]: m for i, m in tstar_idx.items()})
 
     base = mst(g0)
@@ -144,8 +145,7 @@ def run_rounding(g0: SplitGraph, dist: LambdaWeights, params: RoundingParams) ->
     counts, splits_twins = fundamental_cut_counts(trees, t_star, g0)
     # column 0 is the root, which has no tree edge
     augment = ((counts < params.threshold) & ~splits_twins)[:, 1:]
-    edges = np.array([tr.parent_edge[1:] for tr in trees])
-    f_idx = Counter(edges[augment].tolist())
+    f_idx = Counter(trees.parent_edge[:, 1:][augment].tolist())
     aug_counts = augment.sum(axis=1).tolist()
     f_set = MultiEdgeSet({g0.edges[i]: m for i, m in f_idx.items()})
 

@@ -7,6 +7,7 @@ arbitrary positive weights and supports parallel edges.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -59,14 +60,41 @@ class SpanningTree:
             raise ValueError(f"a spanning tree on {self.n} vertices needs {self.n - 1} edges")
 
 
-def tree_from_edges(graph: EdgeGraph, edge_indices) -> SpanningTree:
-    """Root the tree given by ``edge_indices`` at 0, validating that they are
-    n - 1 distinct edges that span ``graph``."""
-    n = graph.n
-    idx = sorted(set(edge_indices))
-    if len(idx) != n - 1:
-        raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
-    inc = _incidence(graph, idx)
+class TreeBatch(Sequence):
+    """Spanning trees of one graph on n vertices as integer arrays, one row per tree.
+
+    Row t of the (T, n) arrays ``parent``, ``parent_edge``, ``preorder`` and
+    ``size`` is tree t rooted at 0 as its :class:`SpanningTree` holds it, and
+    row t of the (T, n - 1) ``edge_indices`` its edges in increasing order.
+    Indexing and iteration give the trees as :class:`SpanningTree`.
+    """
+
+    def __init__(self, rooted):
+        """``rooted``: one (parent, parent_edge, preorder, size) tuple per tree."""
+        self.parent, self.parent_edge, self.preorder, self.size = (
+            np.array(column, dtype=np.intp) for column in zip(*rooted))
+        self.edge_indices = np.sort(self.parent_edge[:, 1:], axis=1)
+
+    def __len__(self) -> int:
+        return len(self.parent)
+
+    def __getitem__(self, t: int) -> SpanningTree:
+        rows = self.edge_indices[t], self.parent[t], self.parent_edge[t], self.preorder[t], self.size[t]
+        return SpanningTree(self.parent.shape[1], *(tuple(row.tolist()) for row in rows))
+
+
+def _check_indices(graph: EdgeGraph, idx: list[int]):
+    """ValueError naming the first entry of the ascending ``idx`` that is no edge of ``graph``."""
+    m = len(graph.edges)
+    bad = [i for i in idx[:1] + idx[-1:] if not 0 <= i < m]
+    if bad:
+        raise ValueError(f"edge index {bad[0]} is not in 0..{m - 1}")
+
+
+def _root(n: int, inc) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Parent, parent edge (-1 at the root), preorder and subtree size of the
+    tree whose incidence lists are ``inc``, rooted at 0 by a stack DFS that
+    follows each list in order; ValueError unless the tree spans all n vertices."""
     parent = [-1] * n
     parent_edge = [-1] * n
     seen = [False] * n
@@ -87,6 +115,22 @@ def tree_from_edges(graph: EdgeGraph, edge_indices) -> SpanningTree:
     size = [1] * n
     for v in reversed(order[1:]):  # every vertex after its ancestors
         size[parent[v]] += size[v]
+    return parent, parent_edge, order, size
+
+
+def _needs_distinct(n: int) -> ValueError:
+    return ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
+
+
+def tree_from_edges(graph: EdgeGraph, edge_indices) -> SpanningTree:
+    """Root the tree given by ``edge_indices`` at 0, validating that they are
+    n - 1 distinct edges that span ``graph``."""
+    n = graph.n
+    idx = sorted(set(edge_indices))
+    _check_indices(graph, idx)
+    if len(idx) != n - 1:
+        raise _needs_distinct(n)
+    parent, parent_edge, order, size = _root(n, _incidence(graph, idx))
     return SpanningTree(n=n, edge_indices=tuple(idx), parent=tuple(parent),
                         parent_edge=tuple(parent_edge), preorder=tuple(order), size=tuple(size))
 
@@ -196,14 +240,33 @@ def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> list[SpanningTree]
 
 
 def _fitted_sampler(dist: LambdaWeights):
-    """Draw function of the fitted law: forced edges plus one walk per piece, on one stream."""
-    walks = [(_Walk(piece.lam, piece.graph), piece.kept) for piece in dist.pieces]
+    """Draw function of the fitted law, built once per law (``LambdaWeights._sampler``).
 
-    def draw(uniform) -> SpanningTree:
-        chosen: list[int] = list(dist.forced)
-        for walk, kept in walks:
-            chosen.extend(kept[i] for i in walk.parent_edges(uniform)[1:])
-        return tree_from_edges(dist.graph, chosen)
+    It keeps a walk per piece, each piece edge lifted to its (end, end, index)
+    in the law's graph, and the incidence lists of the forced edges.  A draw
+    copies those lists, adds the edges the walks return on one stream, and
+    roots the tree with ``_root``.
+    """
+    # the draw keeps no reference to dist, which caches it: a cycle would
+    # hold every law until the cyclic garbage collector runs
+    graph, n, forced = dist.graph, dist.graph.n, dist.forced
+    _check_indices(graph, sorted({*forced, *(i for piece in dist.pieces for i in piece.kept)}))
+    forced_inc = _incidence(graph, forced)
+    walks = [(_Walk(piece.lam, piece.graph), [(*graph.edges[i], i) for i in piece.kept])
+             for piece in dist.pieces]
+
+    def draw(uniform) -> tuple[list[int], list[int], list[int], list[int]]:
+        chosen = list(forced)
+        inc = list(map(list, forced_inc))
+        for walk, lifted in walks:
+            for j in walk.parent_edges(uniform)[1:]:
+                a, b, i = lifted[j]
+                inc[a].append((b, i))
+                inc[b].append((a, i))
+                chosen.append(i)
+        if len(set(chosen)) != n - 1:
+            raise _needs_distinct(n)
+        return _root(n, inc)
 
     return draw
 
@@ -216,9 +279,9 @@ def sample_fitted_tree(dist: LambdaWeights, rng: RngStream) -> SpanningTree:
     yields a spanning tree of the original graph.  One stream drives all
     pieces in order, so the draw is a pure function of the stream.
     """
-    return _draw_streams(_fitted_sampler(dist), [rng])[0]
+    return TreeBatch(_draw_streams(dist._sampler, [rng]))[0]
 
 
-def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> list[SpanningTree]:
-    rngs = _streams(t, seed)
-    return _draw_streams(_fitted_sampler(dist), rngs)
+def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> TreeBatch:
+    """``t`` fitted trees on streams 0..t-1 of ``seed``, rooted into one :class:`TreeBatch`."""
+    return TreeBatch(_draw_streams(dist._sampler, _streams(t, seed)))

@@ -17,6 +17,7 @@ weighted-tree pieces keeps every cut count a sum of independent Bernoullis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -166,6 +167,11 @@ class SamplingPiece:
     lam: np.ndarray
     kept: tuple[int, ...]
 
+    def __post_init__(self):
+        lam = np.asarray(self.lam, dtype=float).copy()
+        lam.flags.writeable = False  # the sampler state of a law is built from it once
+        object.__setattr__(self, "lam", lam)
+
 
 @dataclass(frozen=True)
 class LambdaWeights:
@@ -190,6 +196,14 @@ class LambdaWeights:
             arr = np.asarray(getattr(self, name), dtype=float).copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    @cached_property
+    def _sampler(self):
+        """Draw function of this law, with a walk per piece and the forced
+        edges' incidence built on the first draw and kept for every later one."""
+        from .sampler import _fitted_sampler  # the sampler module imports this one
+
+        return _fitted_sampler(self)
 
 
 def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
@@ -246,7 +260,7 @@ def _fit_interior(graph: EdgeGraph, z: np.ndarray, orig: list[int], state: dict)
         if max_ratio <= 1.0 + EPSILON_MARGINAL:
             state["lam"][orig] = lam
             state["p"][orig] = p
-            state["pieces"].append(SamplingPiece(graph=graph, lam=lam.copy(), kept=tuple(orig)))
+            state["pieces"].append(SamplingPiece(graph=graph, lam=lam, kept=tuple(orig)))
             return
         if sweeps_here:
             tight = _induced_tight_set(graph, z, lam)

@@ -6,8 +6,12 @@ hash another checkout with the same script, point ``PYTHONPATH`` at its
 rows, LP vertices, fitted laws, MSTs, roundings, baselines and brute-force
 optima on the fixed seeds below.  ``tests/test_identity_digest.py`` pins
 the digest; pytest does not collect this file.
+
+With ``--parts`` it also prints one SHA-256 per section of those outputs, so
+two checkouts whose digests differ show which section moved.
 """
 
+import argparse
 import hashlib
 import itertools
 
@@ -24,41 +28,64 @@ CELLS = [("euclidean", 32, 8), ("random-closure", 32, 8), ("euclidean", 48, 8),
          ("euclidean", 40, 4), ("euclidean", 40, 6)]
 
 
-def digest() -> str:
-    """SHA-256 (hex) over the outputs listed in the module docstring."""
-    h = hashlib.sha256()
-    put = lambda *xs: h.update(repr(xs).encode())
+SECTIONS = ("batch rows", "LP vertices", "fits", "MSTs", "roundings", "baselines", "brute force",
+            "enumeration")
+
+
+def digests() -> tuple[str, dict[str, str]]:
+    """SHA-256 (hex) over the outputs listed in the module docstring, and one
+    per section; the combined hash reads every section's bytes in the order
+    they are produced."""
+    whole = hashlib.sha256()
+    parts = {name: hashlib.sha256() for name in SECTIONS}
+
+    def put(section, *xs):
+        data = repr(xs).encode()
+        whole.update(data)
+        parts[section].update(data)
+
     arr = lambda a: np.asarray(a, dtype=float).tobytes().hex()
 
     for family in ("euclidean", "random-closure"):
         rep = kecsm.run_batch(family, n=10, instances=2, k_values=[2, 4, 8, 17], trials=3, seed_base=1)
         for r in rep.records:
-            put(r.as_row()[:-1])  # every column but the wall time
+            put("batch rows", r.as_row()[:-1])  # every column but the wall time
     gen = {"euclidean": kecsm.euclidean_instance, "random-closure": kecsm.random_closure_instance}
     for fam, n, k in CELLS:
         prep = kecsm.prepare(gen[fam](n, k, 1))
-        put(sorted(prep.fractional.values.items()), prep.fractional.objective)
+        put("LP vertices", sorted(prep.fractional.values.items()), prep.fractional.objective)
         w = prep.weights
-        put(arr(w.lam), arr(w.fitted_marginals), w.forced, w.deleted, w.sweeps, w.max_ratio)
+        put("fits", arr(w.lam), arr(w.fitted_marginals), w.forced, w.deleted, w.sweeps, w.max_ratio)
         for pc in w.pieces:
-            put(pc.graph.n, pc.graph.edges, arr(pc.lam), pc.kept)
-        put(rounding.mst(prep.split_graph).edge_indices)
+            put("fits", pc.graph.n, pc.graph.edges, arr(pc.lam), pc.kept)
+        put("MSTs", rounding.mst(prep.split_graph).edge_indices)
         for seed in (0, 1, 2):
             out = rounding.run_rounding(prep.split_graph, w, rounding.RoundingParams.make(k, seed=seed))
             for ms in (out.t_star, out.b_set, out.f_set, out.final):
-                put(sorted(ms.multiplicity.items()))
-            put(out.cost_t_star, out.cost_b, out.cost_f, out.augmentations_per_tree)
+                put("roundings", sorted(ms.multiplicity.items()))
+            put("roundings", out.cost_t_star, out.cost_b, out.cost_f, out.augmentations_per_tree)
     for seed in range(4):
         inst = kecsm.random_closure_instance(8, 6, seed)
         for which in ("naive-mst-double", "karger-independent"):
-            put(kecsm.run_baseline(inst, which, seed=seed).as_row()[:-1])
+            put("baselines", kecsm.run_baseline(inst, which, seed=seed).as_row()[:-1])
     for n, k, seed in itertools.product((3, 4, 5), (2, 3), range(2)):
         cost, sol = brute_force_opt(kecsm.euclidean_instance(n, k, seed))
-        put(cost, sorted(sol.multiplicity.items()))
+        put("brute force", cost, sorted(sol.multiplicity.items()))
     g = treedist.EdgeGraph(n=5, edges=((0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (2, 4)))
-    put(enumerate_spanning_trees(g))
-    return h.hexdigest()
+    put("enumeration", enumerate_spanning_trees(g))
+    return whole.hexdigest(), {name: h.hexdigest() for name, h in parts.items()}
+
+
+def digest() -> str:
+    """SHA-256 (hex) over the outputs listed in the module docstring."""
+    return digests()[0]
 
 
 if __name__ == "__main__":
-    print(digest())
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parts", action="store_true", help="also print one SHA-256 per section")
+    combined, parts = digests()
+    print(combined)
+    if parser.parse_args().parts:
+        for name, sha in parts.items():
+            print(f"{sha}  {name}")

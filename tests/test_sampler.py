@@ -1,12 +1,18 @@
+import gc
 import hashlib
 import math
+import weakref
 from collections import Counter
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kecsm import euclidean_instance, prepare, random_closure_instance
-from kecsm.core import NotConnectedError
+from kecsm.core import MultiEdgeSet, NotConnectedError
+from kecsm.rounding import fundamental_cut_counts, mst
 from kecsm.sampler import (
     _BLOCK,
     RngStream,
@@ -19,7 +25,14 @@ from kecsm.sampler import (
 )
 from kecsm.treedist import EdgeGraph, LambdaWeights, SamplingPiece, fit_max_entropy, tree_marginals
 
-from oracles import bs_stats, complete_graph, enumerate_spanning_trees, sample_tree_enumeration, tree_weight
+from oracles import (
+    bs_stats,
+    complete_graph,
+    enumerate_spanning_trees,
+    fundamental_cut_counts_reference,
+    sample_tree_enumeration,
+    tree_weight,
+)
 
 TRIANGLE = EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
 PATH3 = EdgeGraph(n=3, edges=((0, 1), (1, 2)))
@@ -67,6 +80,13 @@ class TestTreeFromEdges:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             tree_from_edges(TRIANGLE, [0, 1, 2])
+
+    @pytest.mark.parametrize("idx, bad", [([-1, 0], -1), ([0, 3], 3)])
+    def test_rejects_indices_outside_the_edge_list(self, idx, bad):
+        # -1 used to index the last edge and leave parent_edge[2] = -1, the root marker
+        graph = EdgeGraph(n=3, edges=((0, 1), (1, 2), (0, 2)))
+        with pytest.raises(ValueError, match=rf"^edge index {bad} is not in 0\.\.2$"):
+            tree_from_edges(graph, idx)
 
 
 @pytest.mark.parametrize("seed", [0, -1, 2**64 + 5])
@@ -248,6 +268,13 @@ class TestFittedSampling:
         with pytest.raises(ValueError, match="distinct edges"):
             sample_fitted_tree(w, RngStream(seed=0))
 
+    def test_forced_index_outside_the_edge_list_raises(self):
+        piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(1,))
+        w = LambdaWeights(graph=PATH3, lam=np.ones(2), fitted_marginals=np.ones(2), forced=(-1,),
+                          deleted=(), sweeps=0, max_ratio=1.0, pieces=(piece,))
+        with pytest.raises(ValueError, match="edge index -1 is not in"):
+            sample_fitted_tree(w, RngStream(seed=0))
+
     def test_forced_edges_always_present(self):
         w = fit_max_entropy(PATH3, [1.0, 1.0])
         for tree in sample_fitted_batch(w, 20, seed=5):
@@ -300,3 +327,104 @@ class TestFittedSampling:
         p = w.fitted_marginals
         band = 4.0 * np.sqrt(np.maximum(p * (1 - p), 1e-12) / n_samples)
         assert np.all(np.abs(emp - p) <= band + 1e-12)
+
+
+def _hand_built_law() -> LambdaWeights:
+    """A triangle piece on {0, 1, 2}, the forced edge (2, 3), and a piece of two
+    parallel edges on {3, 4}."""
+    graph = EdgeGraph(n=5, edges=((0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (3, 4)))
+    pieces = (SamplingPiece(graph=EdgeGraph(n=3, edges=((0, 1), (1, 2), (0, 2))),
+                            lam=np.array([1.0, 2.0, 3.0]), kept=(0, 1, 2)),
+              SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1), (0, 1))), lam=np.array([1.0, 2.0]), kept=(4, 5)))
+    return LambdaWeights(graph=graph, lam=np.ones(6), fitted_marginals=np.ones(6), forced=(3,),
+                         deleted=(), sweeps=0, max_ratio=1.0, pieces=pieces)
+
+
+class TestCachedSamplerState:
+    """The walks and forced incidence of a law are built once and reused by every draw."""
+
+    def test_state_is_built_once_and_piece_weights_are_frozen(self):
+        w = _hand_built_law()
+        assert w._sampler is w._sampler
+        with pytest.raises(ValueError, match="read-only"):
+            w.pieces[0].lam[0] = 5.0
+
+    def test_a_law_is_freed_without_the_cycle_collector(self):
+        # the cached draw must not refer back to its law: each solve's law would
+        # then live until a collection, which raised peak RSS on cold solves
+        w = _hand_built_law()
+        sample_fitted_batch(w, 2, seed=0)
+        law = weakref.ref(w)
+        gc.disable()
+        try:
+            del w
+            assert law() is None
+        finally:
+            gc.enable()
+
+    def test_two_batches_of_one_seed_are_equal(self):
+        w = _hand_built_law()
+        a, b = sample_fitted_batch(w, 40, seed=8), sample_fitted_batch(w, 40, seed=8)
+        assert list(a) == list(b)
+        for name in ("edge_indices", "parent", "parent_edge", "preorder", "size"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert len({t.edge_indices for t in a}) > 1
+
+    def test_each_tree_is_the_tree_of_its_stream(self):
+        w = _hand_built_law()
+        batch = sample_fitted_batch(w, 24, seed=3)
+        assert len(batch) == 24
+        for s, tree in enumerate(batch):
+            assert tree == batch[s] == sample_fitted_tree(w, RngStream(seed=3, stream=s))
+
+    def test_a_law_that_does_not_span_raises(self):
+        # forced (0, 1) and (1, 2) with the piece edge (0, 2): a cycle that misses vertex 3
+        graph = EdgeGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2)))
+        piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(3,))
+        w = LambdaWeights(graph=graph, lam=np.ones(4), fitted_marginals=np.ones(4), forced=(0, 1),
+                          deleted=(), sweeps=0, max_ratio=1.0, pieces=(piece,))
+        with pytest.raises(ValueError, match="does not span"):
+            sample_fitted_batch(w, 3, seed=0)
+        with pytest.raises(ValueError, match="does not span"):
+            sample_fitted_tree(w, RngStream(seed=0))
+
+
+@lru_cache(maxsize=None)
+def _law(family: str, n: int, k: int, seed: int, all_forced: bool):
+    """The prepared law of an instance, or with ``all_forced`` the law of the
+    split graph's MST alone: every edge forced and no piece."""
+    gen = euclidean_instance if family == "euclidean" else random_closure_instance
+    prep = prepare(gen(n, k, seed))
+    g0 = prep.split_graph
+    if not all_forced:
+        return g0, prep.weights
+    z = np.zeros(len(g0.edges))
+    z[list(mst(g0).edge_indices)] = 1.0
+    return g0, fit_max_entropy(g0.graph, z)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["euclidean", "random-closure"]), st.integers(4, 16), st.sampled_from([4, 6, 64]),
+       st.integers(1, 4), st.booleans(), st.integers(1, 12), st.integers(0, 2**32))
+def test_fitted_batches_root_like_tree_from_edges(family, n, k, instance_seed, all_forced, t, seed):
+    g0, w = _law(family, n, k, instance_seed, all_forced)
+    assert (len(w.pieces) == 0) == all_forced
+    batch = sample_fitted_batch(w, t, seed)
+    assert len(batch) == t and batch.parent.shape == (t, g0.n0)
+    trees = list(batch)
+    for tree in trees:
+        again = tree_from_edges(g0.graph, tree.edge_indices)
+        for name in ("parent", "parent_edge", "size", "edge_indices"):
+            assert getattr(tree, name) == getattr(again, name)
+        # the subtree of v is the block of size[v] vertices that starts at v
+        below = [{v} for v in range(tree.n)]
+        for v in reversed(tree.preorder[1:]):
+            below[tree.parent[v]] |= below[v]
+        start = {v: p for p, v in enumerate(tree.preorder)}
+        for v in range(tree.n):
+            assert set(tree.preorder[start[v]:start[v] + tree.size[v]]) == below[v]
+    t_star = MultiEdgeSet(Counter(g0.edges[i] for tree in trees for i in tree.edge_indices))
+    counts, _ = fundamental_cut_counts(batch, t_star, g0)
+    for row, tree in zip(counts, trees):
+        assert dict(zip(tree.parent_edge[1:], row[1:].tolist())) == fundamental_cut_counts_reference(
+            tree, t_star, g0)

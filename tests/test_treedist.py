@@ -37,6 +37,15 @@ def drifted_resistances(monkeypatch):
                         lambda inv, edges: pair_resistances(inv, edges) * (1 + 1e-6))
 
 
+class TestEdgeGraph:
+    @pytest.mark.parametrize("bad", [(7, 7), (-1, 3), (2, 40)], ids=["loop", "negative", "past-n"])
+    def test_names_the_first_bad_edge_late_in_a_large_graph(self, bad):
+        edges = list(complete_graph(40).edges)  # 780 edges on n = 40
+        edges[-2:] = [bad, (9, 9)]
+        with pytest.raises(ValueError, match=rf"^bad edge \({bad[0]},{bad[1]}\) for n=40$"):
+            EdgeGraph(n=40, edges=tuple(edges))
+
+
 class TestTreeMarginals:
     def test_uniform_triangle(self):
         p = tree_marginals(np.ones(3), TRIANGLE)
