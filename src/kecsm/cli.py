@@ -14,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from .core import MultiEdgeSet, NotConnectedError
-from .instances import InstanceFormatError, json_int, load_instance
+from .instances import InstanceFormatError, load_instance
 from .lp import LPError, solve_lp
 from .pipeline import (
     ExperimentReport,
@@ -196,7 +196,7 @@ def _cmd_verify(args) -> int:
         # a repeated edge, in either orientation, adds its multiplicities
         counts: Counter = Counter()
         for u, v, m in payload["edges"]:
-            counts.update(MultiEdgeSet({(json_int(u), json_int(v)): json_int(m)}).multiplicity)
+            counts.update(MultiEdgeSet({(u, v): m}).multiplicity)
         mult = MultiEdgeSet(counts)
         if any(not 0 <= v < inst.n for e in mult.multiplicity for v in e):
             raise ValueError(f"edge endpoint outside 0..{inst.n - 1}")

@@ -18,6 +18,17 @@ class NotConnectedError(ValueError):
     """Raised when an operation needs a connected graph and the input is not."""
 
 
+def as_int(value, name: str = "value") -> int:
+    """``value`` as an int: ints, numpy integers and integral floats such as
+    8.0 pass; a bool, string, fractional or non-finite value raises a
+    ValueError that names ``name`` and the value."""
+    if type(value) is int:
+        return value
+    if isinstance(value, float) and value.is_integer() or isinstance(value, np.integer):
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def make_edge(u: int, v: int) -> Edge:
     """Canonical undirected edge key with endpoints ordered u < v."""
     if u == v:
@@ -99,6 +110,8 @@ class MetricInstance:
     k: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", as_int(self.n, "n"))
+        object.__setattr__(self, "k", as_int(self.k, "k"))
         if self.n < 2:
             raise ValueError(f"need at least 2 vertices, got n={self.n}")
         if self.k < 2:
@@ -218,7 +231,8 @@ class MultiEdgeSet:
     """Multiset of undirected edges with nonnegative integer multiplicities.
 
     Immutable after construction; zero-multiplicity entries are dropped and
-    keys are canonicalized to u < v.
+    keys are canonicalized to u < v.  Endpoints and multiplicities follow
+    :func:`as_int`; anything else raises a ValueError naming the edge.
     """
 
     __slots__ = ("multiplicity",)
@@ -227,11 +241,16 @@ class MultiEdgeSet:
         mult: dict[Edge, int] = {}
         if multiplicity:
             for e, m in dict(multiplicity).items():
-                m = int(m)
+                try:
+                    u, v = e
+                    u, v = as_int(u, "endpoint"), as_int(v, "endpoint")
+                    m = as_int(m, "multiplicity")
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"edge {e!r} with multiplicity {m!r}: {exc}") from None
                 if m < 0:
                     raise ValueError(f"negative multiplicity {m} for edge {e}")
                 if m:
-                    e = make_edge(*e)
+                    e = make_edge(u, v)
                     mult[e] = mult.get(e, 0) + m
         self.multiplicity = mult
 

@@ -72,19 +72,17 @@ def mst(g0: SplitGraph) -> SpanningTree:
     return tree_from_edges(g0.graph, min_spanning_tree(g0.n0, g0.edges, g0.cost0))
 
 
-def fundamental_cut_counts(trees: TreeBatch | list[SpanningTree], t_star: MultiEdgeSet,
+def fundamental_cut_counts(trees: TreeBatch, t_star: Counter,
                            g0: SplitGraph) -> tuple[np.ndarray, np.ndarray]:
     """Union-tree coverage of every fundamental cut of every tree, and which cuts split the twins.
 
     Entry (t, v) of both (T, n0) arrays belongs to the cut that removing the
     edge between v and its parent in ``trees[t]`` creates: the count of t_star
-    edges (with multiplicity) crossing it, and whether u0 and v0 lie on
+    edge indices (with multiplicity) crossing it, and whether u0 and v0 lie on
     opposite sides.  Column 0, the root, reads 0 and False.  A vertex w lies
     below that edge when tin[v] <= tin[w] < tin[v] + size[v], tin being the
     preorder position; an edge crosses the cut when exactly one end does.
     """
-    if not isinstance(trees, TreeBatch):
-        trees = TreeBatch((tr.parent, tr.parent_edge, tr.preorder, tr.size) for tr in trees)
     n0 = g0.n0
     # unsigned positions that hold n0: a w before v wraps around above every size
     dtype = np.min_scalar_type(n0)
@@ -93,8 +91,8 @@ def fundamental_cut_counts(trees: TreeBatch | list[SpanningTree], t_star: MultiE
     size = trees.size.astype(dtype)
     # below[t, w, v]: w lies below the edge above v
     below = (tin[:, :, None] - tin[:, None, :]) < size[:, None, :]
-    ends = np.array(list(t_star.multiplicity), dtype=np.intp).reshape(-1, 2)
-    mult = np.fromiter(t_star.multiplicity.values(), dtype=np.int64, count=len(ends))
+    ends = np.array([g0.edges[i] for i in t_star], dtype=np.intp).reshape(-1, 2)
+    mult = np.fromiter(t_star.values(), dtype=np.int64, count=len(ends))
     crosses = below[:, ends[:, 0]]
     crosses ^= below[:, ends[:, 1]]
     counts = np.einsum("tev,e->tv", crosses, mult)
@@ -103,11 +101,11 @@ def fundamental_cut_counts(trees: TreeBatch | list[SpanningTree], t_star: MultiE
 
 @dataclass(frozen=True)
 class RoundingOutput:
-    """One rounding run: the three building blocks and the identified result."""
+    """One rounding run: T*, B and F as edge-index counts, and the identified result."""
 
-    t_star: MultiEdgeSet
-    b_set: MultiEdgeSet
-    f_set: MultiEdgeSet
+    t_star: Counter[int]
+    b_set: Counter[int]
+    f_set: Counter[int]
     final: MultiEdgeSet
     cost_t_star: float
     cost_b: float
@@ -132,32 +130,28 @@ def run_rounding(g0: SplitGraph, dist: LambdaWeights, params: RoundingParams) ->
     """
     trees = sample_fitted_batch(dist, params.tree_count, params.seed)
     # tree by tree, each in increasing order: the first-seen order of the keys fixes the cost sums
-    tstar_idx: Counter[int] = Counter(trees.edge_indices.ravel().tolist())
-    t_star = MultiEdgeSet({g0.edges[i]: m for i, m in tstar_idx.items()})
+    t_star: Counter[int] = Counter(trees.edge_indices.ravel().tolist())
 
     base = mst(g0)
-    b_idx: Counter[int] = Counter()
+    b_set: Counter[int] = Counter()
     if params.mst_copies:
         for i in base.edge_indices:
-            b_idx[i] = params.mst_copies
-    b_set = MultiEdgeSet({g0.edges[i]: m for i, m in b_idx.items()})
+            b_set[i] = params.mst_copies
 
     counts, splits_twins = fundamental_cut_counts(trees, t_star, g0)
     # column 0 is the root, which has no tree edge
     augment = ((counts < params.threshold) & ~splits_twins)[:, 1:]
-    f_idx = Counter(trees.parent_edge[:, 1:][augment].tolist())
+    f_set = Counter(trees.parent_edge[:, 1:][augment].tolist())
     aug_counts = augment.sum(axis=1).tolist()
-    f_set = MultiEdgeSet({g0.edges[i]: m for i, m in f_idx.items()})
 
-    final = identify_back(g0, t_star.union(b_set).union(f_set))
     cost = lambda idx: float(sum(g0.cost0[i] * m for i, m in idx.items()))
     return RoundingOutput(
         t_star=t_star,
         b_set=b_set,
         f_set=f_set,
-        final=final,
-        cost_t_star=cost(tstar_idx),
-        cost_b=cost(b_idx),
-        cost_f=cost(f_idx),
+        final=identify_back(g0, t_star + b_set + f_set),
+        cost_t_star=cost(t_star),
+        cost_b=cost(b_set),
+        cost_f=cost(f_set),
         augmentations_per_tree=tuple(aug_counts),
     )

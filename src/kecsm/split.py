@@ -94,16 +94,17 @@ def build_split_graph(inst: MetricInstance, x: FractionalSolution,
     )
 
 
-def identify_back(g0: SplitGraph, m0: MultiEdgeSet) -> MultiEdgeSet:
-    """Merge twin multiplicities onto the original edges; cost is preserved exactly.
-
-    An edge between the twins has no original edge and raises ValueError,
-    as does an edge with an endpoint outside the expanded graph.
+def identify_back(g0: SplitGraph, counts) -> MultiEdgeSet:
+    """Merge counts of expanded-graph edge indices onto the original edges,
+    keyed in the order of their first nonzero count; cost is preserved
+    exactly.  An index outside 0..m-1 raises ValueError.
     """
+    m = len(g0.edges)
     merged: dict[Edge, int] = {}
-    for e, mult in m0.multiplicity.items():
-        if not 0 <= e[0] < e[1] <= g0.v0:
-            raise ValueError(f"edge {e} has an endpoint outside 0..{g0.v0}")
-        orig = g0.origin(e)
-        merged[orig] = merged.get(orig, 0) + mult
+    for i, mult in counts.items():
+        if not 0 <= i < m:
+            raise ValueError(f"edge index {i} is not in 0..{m - 1}")
+        if mult:
+            orig = g0.origin(g0.edges[i])
+            merged[orig] = merged.get(orig, 0) + mult
     return MultiEdgeSet(merged)

@@ -58,11 +58,13 @@ def digests() -> tuple[str, dict[str, str]]:
         put("fits", arr(w.lam), arr(w.fitted_marginals), w.forced, w.deleted, w.sweeps, w.max_ratio)
         for pc in w.pieces:
             put("fits", pc.graph.n, pc.graph.edges, arr(pc.lam), pc.kept)
-        put("MSTs", rounding.mst(prep.split_graph).edge_indices)
+        g0 = prep.split_graph
+        put("MSTs", rounding.mst(g0).edge_indices)
         for seed in (0, 1, 2):
-            out = rounding.run_rounding(prep.split_graph, w, rounding.RoundingParams.make(k, seed=seed))
-            for ms in (out.t_star, out.b_set, out.f_set, out.final):
-                put("roundings", sorted(ms.multiplicity.items()))
+            out = rounding.run_rounding(g0, w, rounding.RoundingParams.make(k, seed=seed))
+            for counts in (out.t_star, out.b_set, out.f_set):  # edge indices, hashed as pairs
+                put("roundings", sorted((g0.edges[i], m) for i, m in counts.items()))
+            put("roundings", sorted(out.final.multiplicity.items()))
             put("roundings", out.cost_t_star, out.cost_b, out.cost_f, out.augmentations_per_tree)
     for seed in range(4):
         inst = kecsm.random_closure_instance(8, 6, seed)

@@ -4,17 +4,19 @@ The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
 with the implementations they cross-check.  The exceptions:
 ``solve_lp_enumeration`` checks every cut but shares the simplex with
-``solve_lp``, and five references are earlier versions of
+``solve_lp``, and six references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
 per-tree LCA walk that the batched ``rounding.fundamental_cut_counts``
 replaced, ``validate_metric_reference`` the triple loop that the
-vectorised ``core.validate_metric`` replaced, and
+vectorised ``core.validate_metric`` replaced,
 ``induced_tight_set_reference`` the per-merge edge loop that the label
-array of ``treedist._induced_tight_set`` replaced, and
+array of ``treedist._induced_tight_set`` replaced,
 ``build_split_graph_reference`` the per-edge loop that the array build of
-``split.build_split_graph`` replaced.
+``split.build_split_graph`` replaced, and ``identify_back_reference`` the
+pair-multiset identification that ``split.identify_back`` on edge-index
+counts replaced.
 
 The formulas and helpers at the end (tail bounds, approximation factors,
 dispersion statistics, effective resistance, tree counts, cut sizes) are
@@ -75,18 +77,17 @@ def _cut_count(mult: MultiEdgeSet, side: set) -> int:
     return sum(m for (u, v), m in mult.multiplicity.items() if (u in side) != (v in side))
 
 
-def direct_fundamental_counts(tree: SpanningTree, t_star: MultiEdgeSet,
+def direct_fundamental_counts(tree: SpanningTree, t_star: dict[int, int],
                               g0: SplitGraph) -> dict[int, int]:
-    """Quadratic-definition oracle: split at each tree edge, count crossings."""
+    """Quadratic-definition oracle: split at each tree edge, count the crossings
+    of the t_star edges (edge index -> multiplicity)."""
     out = {}
     for v in range(1, tree.n):
         e = tree.parent_edge[v]
         keep = [i for i in tree.edge_indices if i != e]
         side = _component_of(tree.n, [g0.edges[i] for i in keep], v)
-        count = sum(
-            m for (a, b), m in t_star.multiplicity.items() if (a in side) != (b in side)
-        )
-        out[e] = count
+        ends = ((g0.edges[i], m) for i, m in t_star.items())
+        out[e] = sum(m for (a, b), m in ends if (a in side) != (b in side))
     return out
 
 
@@ -291,6 +292,19 @@ def build_split_graph_reference(inst: MetricInstance, x: FractionalSolution,
                       cost0=np.array(costs))
 
 
+def identify_back_reference(g0: SplitGraph, m0: MultiEdgeSet) -> MultiEdgeSet:
+    """``split.identify_back`` on a multiset of expanded-graph pairs: merge twin
+    multiplicities onto the original edges.  An edge between the twins, or
+    with an endpoint outside the expanded graph, raises ValueError."""
+    merged: dict[Edge, int] = {}
+    for e, mult in m0.multiplicity.items():
+        if not 0 <= e[0] < e[1] <= g0.v0:
+            raise ValueError(f"edge {e} has an endpoint outside 0..{g0.v0}")
+        orig = g0.origin(e)
+        merged[orig] = merged.get(orig, 0) + mult
+    return MultiEdgeSet(merged)
+
+
 def check_tree_polytope(graph: EdgeGraph, z, tol: float = 1e-6) -> list[frozenset[int]]:
     """Exhaustive membership check of ``z`` (one entry per edge of ``graph``);
     returns the violated vertex subsets.
@@ -368,21 +382,22 @@ def _lca(tree: SpanningTree, depth: list[int], a: int, b: int) -> int:
     return a
 
 
-def fundamental_cut_counts_reference(tree: SpanningTree, t_star: MultiEdgeSet,
+def fundamental_cut_counts_reference(tree: SpanningTree, t_star: dict[int, int],
                                      g0: SplitGraph) -> dict[int, int]:
     """Union-tree coverage of every fundamental cut of ``tree``.
 
-    For each tree edge e, counts the t_star edges (with multiplicity) crossing
-    the cut that removing e creates.  Computed by path increments: an edge
-    (a, b) of t_star crosses exactly the fundamental cuts of the tree edges on
-    the a-b tree path, so difference counters at a, b, and their meeting point
-    accumulate all counts in one subtree-sum pass.
+    For each tree edge e, counts the t_star edges (edge index -> multiplicity)
+    crossing the cut that removing e creates.  Computed by path increments:
+    an edge (a, b) of t_star crosses exactly the fundamental cuts of the tree
+    edges on the a-b tree path, so difference counters at a, b, and their
+    meeting point accumulate all counts in one subtree-sum pass.
 
     Returns a mapping from expanded-graph edge index (tree edges only) to count.
     """
     depth = tree_depth(tree)
     diff = [0] * tree.n
-    for (a, b), mult in t_star.multiplicity.items():
+    for i, mult in t_star.items():
+        a, b = g0.edges[i]
         meet = _lca(tree, depth, a, b)
         diff[a] += mult
         diff[b] += mult

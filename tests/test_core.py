@@ -106,6 +106,16 @@ class TestValidateMetric:
             metric_closure(3, 1e307 * (1 - np.eye(3)), 2)
         assert MetricInstance(n=3, cost=9e306 * (1 - np.eye(3)), k=2).cost.max() == 9e306
 
+    @pytest.mark.parametrize("k", [2.5, True, "4", float("nan")])
+    def test_non_integer_k_rejected(self, k):
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+            MetricInstance(n=3, cost=1 - np.eye(3), k=k)
+
+    @pytest.mark.parametrize("k", [4.0, np.int64(4)])
+    def test_integral_k_is_stored_as_int(self, k):
+        inst = MetricInstance(n=np.int32(3), cost=1 - np.eye(3), k=k)
+        assert type(inst.k) is int and inst.k == 4 and type(inst.n) is int
+
     def test_single_triangle_violation(self):
         inst = MetricInstance(n=3, cost=[[0, 1, 5], [1, 0, 1], [5, 1, 0]], k=2)
         violations = validate_metric(inst)
@@ -237,6 +247,21 @@ class TestMultiEdgeSet:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             MultiEdgeSet({(0, 1): -1})
+
+    @pytest.mark.parametrize("bad", [2.7, 0.5, "3", True, INF, float("nan")])
+    def test_rejects_a_non_integer_multiplicity(self, bad):
+        with pytest.raises(ValueError, match=re.escape(f"edge (0, 1) with multiplicity {bad!r}")):
+            MultiEdgeSet({(0, 1): bad})
+
+    @pytest.mark.parametrize("edge", [(1.5, 2), ("a", "b"), (0, True), (1, 2, 3)])
+    def test_rejects_a_non_integer_endpoint(self, edge):
+        with pytest.raises(ValueError, match=re.escape(f"edge {edge!r} with multiplicity 1")):
+            MultiEdgeSet({edge: 1})
+
+    def test_integral_floats_and_numpy_integers_pass(self):
+        m = MultiEdgeSet({(np.int64(2), 1.0): np.int32(3), (0, 1): 2.0})
+        assert m.multiplicity == {(1, 2): 3, (0, 1): 2}
+        assert all(type(x) is int for e, c in m.multiplicity.items() for x in (*e, c))
 
     def test_from_pairs_counts(self):
         m = multiset_from_pairs([(0, 1), (1, 0), (1, 2)])

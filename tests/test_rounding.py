@@ -1,14 +1,16 @@
+import hashlib
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecsm.core import MetricInstance, MultiEdgeSet, spanning_forest
+from kecsm.core import MetricInstance, spanning_forest
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import FractionalSolution, solve_lp
-from kecsm.pipeline import prepare
+from kecsm.pipeline import prepare, round_prepared
 from kecsm.rounding import (
     RoundingParams,
     default_alpha,
@@ -16,14 +18,13 @@ from kecsm.rounding import (
     mst,
     run_rounding,
 )
-from kecsm.sampler import sample_fitted_batch, tree_from_edges
+from kecsm.sampler import TreeBatch, sample_fitted_batch, tree_from_edges
 from kecsm.split import SplitGraph, build_split_graph
 from kecsm.verify import verify_k_connectivity
 
 from oracles import (
     direct_fundamental_counts,
     fundamental_cut_counts_reference,
-    multiset_size,
     separates_u0_v0,
     u0v0_path_edges,
 )
@@ -43,9 +44,13 @@ def split_graph_fixture(n0_edges, costs=None):
     )
 
 
+def batch_of(trees) -> TreeBatch:
+    return TreeBatch((tr.parent, tr.parent_edge, tr.preorder, tr.size) for tr in trees)
+
+
 def cut_counts(tree, t_star, g0) -> dict[int, int]:
     """The batched counts of a batch of one tree, keyed by tree edge."""
-    counts, _ = fundamental_cut_counts([tree], t_star, g0)
+    counts, _ = fundamental_cut_counts(batch_of([tree]), t_star, g0)
     return {tree.parent_edge[v]: int(counts[0, v]) for v in range(1, tree.n)}
 
 
@@ -107,27 +112,26 @@ class TestFundamentalCutCounts:
     def test_path_single_edge(self):
         g0 = split_graph_fixture([(0, 1), (1, 2)])
         tree = tree_from_edges(g0.graph, [0, 1])
-        counts = cut_counts(tree, MultiEdgeSet({(0, 1): 1}), g0)
+        counts = cut_counts(tree, Counter({0: 1}), g0)
         assert counts == {0: 1, 1: 0}
 
     def test_tree_against_itself(self):
         g0 = split_graph_fixture([(0, 1), (1, 2), (2, 3), (0, 2)])
         tree = tree_from_edges(g0.graph, [0, 1, 2])
-        t_star = MultiEdgeSet({(0, 1): 1, (1, 2): 1, (2, 3): 1})
-        counts = cut_counts(tree, t_star, g0)
+        counts = cut_counts(tree, Counter([0, 1, 2]), g0)
         assert counts == {0: 1, 1: 1, 2: 1}
 
     def test_star_example(self):
         # star center 0 with leaves 1,2,3; t_star edges (1,2) and (1,3)
         g0 = split_graph_fixture([(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
         tree = tree_from_edges(g0.graph, [0, 1, 2])
-        counts = cut_counts(tree, MultiEdgeSet({(1, 2): 1, (1, 3): 1}), g0)
+        counts = cut_counts(tree, Counter([3, 4]), g0)
         assert counts == {0: 2, 1: 1, 2: 1}
 
     def test_multiplicity_counts(self):
-        g0 = split_graph_fixture([(0, 1), (1, 2)])
+        g0 = split_graph_fixture([(0, 1), (1, 2), (0, 2)])
         tree = tree_from_edges(g0.graph, [0, 1])
-        counts = cut_counts(tree, MultiEdgeSet({(0, 2): 3}), g0)
+        counts = cut_counts(tree, Counter({2: 3}), g0)
         assert counts == {0: 3, 1: 3}
 
     @pytest.mark.parametrize("seed", range(6))
@@ -155,7 +159,7 @@ class TestFundamentalCutCounts:
                 parent[ra] = rb
                 chosen.append(i)
         tree = tree_from_edges(graph, chosen)
-        t_star = MultiEdgeSet({e: int(rng.integers(0, 4)) for e in edges})
+        t_star = Counter({i: int(rng.integers(0, 4)) for i in range(len(edges))})
         fast = cut_counts(tree, t_star, g0)
         slow = direct_fundamental_counts(tree, t_star, g0)
         assert fast == slow
@@ -163,8 +167,8 @@ class TestFundamentalCutCounts:
 
 @st.composite
 def tree_batches(draw):
-    """A split graph on 3 to 10 vertices, 1 to 8 spanning trees of it, and a
-    union multiset with multiplicities 0 to 4 on its edges."""
+    """A split graph on 3 to 10 vertices, 1 to 8 spanning trees of it, and
+    union counts 0 to 4 on its edge indices."""
     n = draw(st.integers(2, 9))
     inst = MetricInstance(n=n, cost=np.ones((n, n)) - np.eye(n), k=2)
     g0 = build_split_graph(inst, FractionalSolution(values={}, objective=0.0),
@@ -175,14 +179,14 @@ def tree_batches(draw):
         chosen, _ = spanning_forest(g0.n0, [g0.edges[i] for i in order])
         trees.append(tree_from_edges(g0.graph, [order[p] for p in chosen]))
     mult = draw(st.lists(st.integers(0, 4), min_size=len(g0.edges), max_size=len(g0.edges)))
-    return g0, trees, MultiEdgeSet(dict(zip(g0.edges, mult)))
+    return g0, trees, Counter(dict(enumerate(mult)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(tree_batches())
 def test_batched_counts_match_the_per_tree_reference(case):
     g0, trees, t_star = case
-    counts, splits_twins = fundamental_cut_counts(trees, t_star, g0)
+    counts, splits_twins = fundamental_cut_counts(batch_of(trees), t_star, g0)
     assert counts.shape == splits_twins.shape == (len(trees), g0.n0)
     for t, tree in enumerate(trees):
         assert counts[t, 0] == 0 and not splits_twins[t, 0]
@@ -226,9 +230,8 @@ class TestRunRounding:
         tree = sample_fitted_batch(prep.weights, 1, seed=9)[0]
         g0 = prep.split_graph
         path = u0v0_path_edges(tree, g0.u0, g0.v0)
-        expected_f = {g0.edges[i]: 1 for i in tree.edge_indices if i not in path}
-        assert out.f_set.multiplicity == expected_f
-        assert multiset_size(out.b_set) == 0
+        assert out.f_set == Counter(i for i in tree.edge_indices if i not in path)
+        assert out.b_set.total() == 0
         cert = verify_k_connectivity(out.final, triangle_unit.n, 2)
         assert cert.passes
 
@@ -240,7 +243,7 @@ class TestRunRounding:
             out = run_rounding(prep.split_graph, prep.weights, params)
             copies = 2 * params.tree_count + 2 * params.mst_copies
             assert out.final.multiplicity == {(0, 1): copies}
-            assert multiset_size(out.f_set) == 0  # every tree edge separates the twins
+            assert out.f_set.total() == 0  # every tree edge separates the twins
             assert verify_k_connectivity(out.final, 2, k).passes
 
     def test_union_size_exact(self):
@@ -248,7 +251,7 @@ class TestRunRounding:
         prep = prepare(inst)
         params = RoundingParams.make(8, seed=0)
         out = run_rounding(prep.split_graph, prep.weights, params)
-        assert multiset_size(out.t_star) == params.tree_count * (prep.split_graph.n0 - 1)
+        assert out.t_star.total() == params.tree_count * (prep.split_graph.n0 - 1)
 
     def test_cost_identities(self):
         inst = euclidean_instance(8, 16, seed=6)
@@ -291,7 +294,7 @@ class TestRunRounding:
         for seed in range(10):
             params = RoundingParams.make(8, seed=seed)
             out = run_rounding(prep.split_graph, prep.weights, params)
-            weights = {e: float(m) for e, m in out.t_star.multiplicity.items()}
+            weights = {prep.split_graph.edges[i]: float(m) for i, m in out.t_star.items()}
             value, _ = global_min_cut(weights, prep.split_graph.n0)
             assert value >= params.tree_count - 1e-9
 
@@ -312,6 +315,33 @@ class TestRunRounding:
         mean = float(np.mean(costs))
         se = float(np.std(costs, ddof=1) / math.sqrt(len(costs)))
         assert abs(mean - expected) <= 4 * se
+
+
+class TestGoldenCertificates:
+    """Certified roundings pinned by hash: the min-cut value, the witness side
+    and the key order of ``final``, which fixes the order the certificate's
+    shrink contracts in, on 20 seeds of each cell.
+
+    The hash was recorded when the rounding still built a pair multiset for
+    each of T*, B and F and identified their union.
+    """
+
+    CELLS = [("random-closure", 48, 4), ("random-closure", 48, 6), ("euclidean", 40, 4),
+             ("euclidean", 40, 6), ("random-closure", 32, 64), ("random-closure", 32, 256),
+             ("euclidean", 32, 64), ("euclidean", 12, 4), ("random-closure", 10, 6)]
+
+    def test_round_prepared(self):
+        gen = {"euclidean": euclidean_instance, "random-closure": random_closure_instance}
+        digest = hashlib.sha256()
+        for family, n, k in self.CELLS:
+            prep = prepare(gen[family](n, k, 1))
+            for seed in range(20):
+                result = round_prepared(prep, seed)
+                cert = result.certificate
+                digest.update(repr((cert.min_cut_value, sorted(cert.witness.side),
+                                    list(result.rounding.final.multiplicity.items()))).encode())
+        assert digest.hexdigest() == (
+            "274522721f925623fc8431cdce46cd5003649a35343b607b46679d50312dbdde")
 
 
 def same_rounding_after_scaling(seed: int, power: int) -> bool:

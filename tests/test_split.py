@@ -1,5 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kecsm.core import CutSpec, MetricInstance, MultiEdgeSet
 from kecsm.instances import euclidean_instance, random_closure_instance
@@ -8,7 +12,7 @@ from kecsm.split import build_split_graph, identify_back
 from kecsm.treedist import EdgeGraph
 
 from oracles import (build_split_graph_reference, check_tree_polytope, cut_size, degree_value,
-                     multiset_size, tree_point_total)
+                     identify_back_reference, multiset_size, tree_point_total)
 
 
 def hamiltonian_cycle_solution(n: int) -> FractionalSolution:
@@ -140,25 +144,28 @@ class TestCheckTreePolytope:
             check_tree_polytope(EdgeGraph(n=15, edges=edges), [1.0] * 14)
 
 
+def at(g0, *pairs) -> Counter:
+    """Counts of the edge indices of ``pairs`` in ``g0``."""
+    return Counter(g0.edges.index(e) for e in pairs)
+
+
 class TestIdentifyBack:
     def test_twin_edges_merge(self, triangle_unit):
         frac, _ = solve_lp(triangle_unit)
         g0 = build_split_graph(triangle_unit, frac)
-        m0 = MultiEdgeSet({(0, 1): 1, (1, 3): 1})  # (u0,1) and (v0,1)
-        merged = identify_back(g0, m0)
+        merged = identify_back(g0, at(g0, (0, 1), (1, 3)))  # (u0,1) and (v0,1)
         assert merged.multiplicity == {(0, 1): 2}
 
     def test_empty(self, triangle_unit):
         frac, _ = solve_lp(triangle_unit)
         g0 = build_split_graph(triangle_unit, frac)
-        assert identify_back(g0, MultiEdgeSet()).multiplicity == {}
+        assert identify_back(g0, Counter()).multiplicity == {}
 
     def test_spanning_tree_becomes_one_tree(self, triangle_unit):
         # a spanning tree of the expanded graph has n0 - 1 = n edges: a tree plus an edge
         frac, _ = solve_lp(triangle_unit)
         g0 = build_split_graph(triangle_unit, frac)
-        tree = MultiEdgeSet({(0, 1): 1, (1, 2): 1, (2, 3): 1})
-        merged = identify_back(g0, tree)
+        merged = identify_back(g0, at(g0, (0, 1), (1, 2), (2, 3)))
         assert multiset_size(merged) == triangle_unit.n
         assert merged.multiplicity == {(0, 1): 1, (1, 2): 1, (0, 2): 1}
 
@@ -169,31 +176,24 @@ class TestIdentifyBack:
         g0 = build_split_graph(inst, frac, split_vertex=u)
         rng = np.random.default_rng(0)
         mult = [int(rng.integers(0, 3)) for _ in g0.edges]
-        m0 = MultiEdgeSet(dict(zip(g0.edges, mult)))
-        cost0 = float(np.dot(g0.cost0, mult))
-        assert identify_back(g0, m0).total_cost(inst.cost) == pytest.approx(cost0)
+        merged = identify_back(g0, Counter(dict(enumerate(mult))))
+        assert merged.total_cost(inst.cost) == pytest.approx(float(np.dot(g0.cost0, mult)))
 
-    @pytest.mark.parametrize("u", [0, 1, 2])
-    def test_edge_between_the_twins_rejected(self, triangle_unit, u):
-        frac, _ = solve_lp(triangle_unit)
-        g0 = build_split_graph(triangle_unit, frac, split_vertex=u)
-        with pytest.raises(ValueError):
-            identify_back(g0, MultiEdgeSet({(u, g0.v0): 1}))
-
-    @pytest.mark.parametrize("edge", [(-1, 2), (1, 4), (3, 4)])
-    def test_edge_outside_the_split_graph_rejected(self, triangle_unit, edge):
+    @pytest.mark.parametrize("i", [-1, 5])
+    def test_index_outside_the_split_graph_rejected(self, triangle_unit, i):
         frac, _ = solve_lp(triangle_unit)
         g0 = build_split_graph(triangle_unit, frac)
-        with pytest.raises(ValueError, match=r"endpoint outside 0\.\.3$"):
-            identify_back(g0, MultiEdgeSet({edge: 1}))
+        with pytest.raises(ValueError, match=rf"^edge index {i} is not in 0\.\.4$"):
+            identify_back(g0, Counter({0: 1, i: 1}))
 
     def test_cut_sizes_preserved_when_twins_together(self):
         inst = euclidean_instance(6, 2, seed=5)
         frac, _ = solve_lp(inst)
         g0 = build_split_graph(inst, frac, split_vertex=0)
         rng = np.random.default_rng(1)
-        m0 = MultiEdgeSet({e: int(rng.integers(0, 3)) for e in g0.edges})
-        merged = identify_back(g0, m0)
+        counts = Counter({i: int(rng.integers(0, 3)) for i in range(len(g0.edges))})
+        m0 = MultiEdgeSet({g0.edges[i]: m for i, m in counts.items()})
+        merged = identify_back(g0, counts)
         # any side not separating u0 from v0 corresponds to a side of the base graph
         for mask in range(1, 1 << (inst.n - 1)):
             side = {v for v in range(1, inst.n) if mask >> (v - 1) & 1}
@@ -203,3 +203,22 @@ class TestIdentifyBack:
             cut_expanded = cut_size(m0, CutSpec(side=side0, n=g0.n0))
             cut_base = cut_size(merged, CutSpec(side=side0, n=inst.n))
             assert cut_expanded == cut_base
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([euclidean_instance, random_closure_instance]), st.integers(2, 9), st.data())
+def test_identify_back_matches_the_pair_reference(family, n, data):
+    # the same multiset, keys in the same order, as identifying the pair multiset
+    inst = family(n, 2, data.draw(st.integers(0, 2**16)))
+    g0 = build_split_graph(inst, FractionalSolution(values={}, objective=0.0),
+                           split_vertex=data.draw(st.integers(0, n - 1)))
+    m = len(g0.edges)
+    counts = data.draw(st.dictionaries(st.integers(0, m - 1), st.integers(0, 5)))
+    merged = identify_back(g0, counts)
+    ref = identify_back_reference(g0, MultiEdgeSet({g0.edges[i]: c for i, c in counts.items()}))
+    assert list(merged.multiplicity.items()) == list(ref.multiplicity.items())
+    cost0 = sum(g0.cost0[i] * c for i, c in counts.items())
+    assert merged.total_cost(inst.cost) == pytest.approx(cost0)
+    for bad in (-1, m):
+        with pytest.raises(ValueError, match=rf"^edge index {bad} is not in 0\.\.{m - 1}$"):
+            identify_back(g0, {**counts, bad: 1})
