@@ -37,9 +37,6 @@ from .sampler import (
     TreeBatch,
     sample_batch,
     sample_fitted_batch,
-    sample_fitted_tree,
-    sample_tree,
-    tree_from_edges,
 )
 from .rounding import (
     RoundingOutput,

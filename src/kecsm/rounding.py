@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MultiEdgeSet, min_spanning_tree
-from .sampler import SpanningTree, TreeBatch, sample_fitted_batch, tree_from_edges
+from .sampler import TreeBatch, sample_fitted_batch
 from .split import SplitGraph, identify_back
 from .treedist import LambdaWeights
 
@@ -67,9 +67,10 @@ class RoundingParams:
         return self.k - self.alpha * math.sqrt(max(self.k / 2.0 - 1.0, 0.0))
 
 
-def mst(g0: SplitGraph) -> SpanningTree:
-    """Minimum spanning tree of the expanded graph; ties break by edge index."""
-    return tree_from_edges(g0.graph, min_spanning_tree(g0.n0, g0.edges, g0.cost0))
+def mst(g0: SplitGraph) -> list[int]:
+    """Edge indices of a minimum spanning tree of the expanded graph, in
+    Kruskal order; ties break by edge index."""
+    return min_spanning_tree(g0.n0, g0.edges, g0.cost0)
 
 
 def fundamental_cut_counts(trees: TreeBatch, t_star: Counter,
@@ -132,10 +133,9 @@ def run_rounding(g0: SplitGraph, dist: LambdaWeights, params: RoundingParams) ->
     # tree by tree, each in increasing order: the first-seen order of the keys fixes the cost sums
     t_star: Counter[int] = Counter(trees.edge_indices.ravel().tolist())
 
-    base = mst(g0)
     b_set: Counter[int] = Counter()
     if params.mst_copies:
-        for i in base.edge_indices:
+        for i in sorted(mst(g0)):
             b_set[i] = params.mst_copies
 
     counts, splits_twins = fundamental_cut_counts(trees, t_star, g0)
@@ -149,7 +149,7 @@ def run_rounding(g0: SplitGraph, dist: LambdaWeights, params: RoundingParams) ->
         t_star=t_star,
         b_set=b_set,
         f_set=f_set,
-        final=identify_back(g0, t_star + b_set + f_set),
+        final=identify_back(g0, t_star, b_set, f_set),
         cost_t_star=cost(t_star),
         cost_b=cost(b_set),
         cost_f=cost(f_set),

@@ -1,7 +1,10 @@
 """Exact spanning-tree sampling from weighted tree laws.
 
 The sampler is Wilson's loop-erased random walk, which is exact for
-arbitrary positive weights and supports parallel edges.
+arbitrary positive weights and supports parallel edges.  Every law is drawn
+one way: its forced edges plus one walk per piece, rooted into a
+:class:`TreeBatch`.  A plain weight vector is the law with no forced edge and
+one piece, the whole graph.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .core import NotConnectedError
-from .treedist import EdgeGraph, LambdaWeights, is_connected
+from .treedist import EdgeGraph, LambdaWeights, SamplingPiece, check_finite, is_connected
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32  # draws per generator call; a fitted tree on the n = 32 benchmark laws takes 2-20
@@ -83,14 +86,6 @@ class TreeBatch(Sequence):
         return SpanningTree(self.parent.shape[1], *(tuple(row.tolist()) for row in rows))
 
 
-def _check_indices(graph: EdgeGraph, idx: list[int]):
-    """ValueError naming the first entry of the ascending ``idx`` that is no edge of ``graph``."""
-    m = len(graph.edges)
-    bad = [i for i in idx[:1] + idx[-1:] if not 0 <= i < m]
-    if bad:
-        raise ValueError(f"edge index {bad[0]} is not in 0..{m - 1}")
-
-
 def _root(n: int, inc) -> tuple[list[int], list[int], list[int], list[int]]:
     """Parent, parent edge (-1 at the root), preorder and subtree size of the
     tree whose incidence lists are ``inc``, rooted at 0 by a stack DFS that
@@ -118,23 +113,6 @@ def _root(n: int, inc) -> tuple[list[int], list[int], list[int], list[int]]:
     return parent, parent_edge, order, size
 
 
-def _needs_distinct(n: int) -> ValueError:
-    return ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
-
-
-def tree_from_edges(graph: EdgeGraph, edge_indices) -> SpanningTree:
-    """Root the tree given by ``edge_indices`` at 0, validating that they are
-    n - 1 distinct edges that span ``graph``."""
-    n = graph.n
-    idx = sorted(set(edge_indices))
-    _check_indices(graph, idx)
-    if len(idx) != n - 1:
-        raise _needs_distinct(n)
-    parent, parent_edge, order, size = _root(n, _incidence(graph, idx))
-    return SpanningTree(n=n, edge_indices=tuple(idx), parent=tuple(parent),
-                        parent_edge=tuple(parent_edge), preorder=tuple(order), size=tuple(size))
-
-
 def _incidence(graph: EdgeGraph, edge_indices) -> list[list[tuple[int, int]]]:
     """(neighbour, edge index) pairs at each vertex, in the order of ``edge_indices``."""
     inc: list[list[tuple[int, int]]] = [[] for _ in range(graph.n)]
@@ -146,7 +124,7 @@ def _incidence(graph: EdgeGraph, edge_indices) -> list[list[tuple[int, int]]]:
 
 
 class _Walk:
-    """Wilson's loop-erased random walk, built once per (lam, graph) for a whole batch.
+    """Wilson's loop-erased random walk on one piece, built once per law for every draw.
 
     ``itertools.accumulate`` adds left to right as ``np.cumsum`` does, so each
     step picks the same edge as a walk rebuilt for every tree.
@@ -154,6 +132,7 @@ class _Walk:
 
     def __init__(self, lam, graph: EdgeGraph):
         lam = np.asarray(lam, dtype=float)
+        check_finite("lam", lam)
         if np.any(lam < 0):
             raise ValueError("edge weights must be nonnegative")
         support = [i for i in range(len(graph.edges)) if lam[i] > 0.0]
@@ -186,9 +165,6 @@ class _Walk:
                 v = parent[v]
         return parent_edge
 
-    def tree(self, uniform) -> SpanningTree:
-        return tree_from_edges(self.graph, self.parent_edges(uniform)[1:])
-
 
 def _draw_streams(draw, rngs) -> list:
     """``draw(uniform)`` once per stream, ``uniform()`` giving the stream's
@@ -219,41 +195,24 @@ def _streams(t: int, seed: int) -> list[RngStream]:
     return [RngStream(seed=seed, stream=s) for s in range(t)]
 
 
-def sample_tree(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:
-    """Exact sample from the weighted tree law via Wilson's algorithm.
-
-    Edges with zero weight are treated as absent; the remaining support must
-    be connected.  The walk steps to an incident edge with probability
-    proportional to its weight, so parallel edges are handled natively.
-    """
-    return _draw_streams(_Walk(lam, graph).tree, [rng])[0]
-
-
-def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> list[SpanningTree]:
-    """``t`` independent trees on streams 0..t-1 of ``seed``.
-
-    Stream indexing makes the result independent of draw order, so the batch
-    could be filled concurrently and still assemble identically.
-    """
-    rngs = _streams(t, seed)
-    return _draw_streams(_Walk(lam, graph).tree, rngs)
-
-
-def _fitted_sampler(dist: LambdaWeights):
-    """Draw function of the fitted law, built once per law (``LambdaWeights._sampler``).
+def _sampler(graph: EdgeGraph, forced, pieces):
+    """Draw function of the tree law on ``graph`` that holds the ``forced`` edges
+    and one tree of every piece, built once per law (``LambdaWeights._sampler``).
 
     It keeps a walk per piece, each piece edge lifted to its (end, end, index)
-    in the law's graph, and the incidence lists of the forced edges.  A draw
-    copies those lists, adds the edges the walks return on one stream, and
-    roots the tree with ``_root``.
+    in ``graph``, and the incidence lists of the forced edges.  A draw copies
+    those lists, adds the edges the walks return on one stream, and roots the
+    tree with ``_root``.
     """
-    # the draw keeps no reference to dist, which caches it: a cycle would
+    # the draw keeps no reference to the law, which caches it: a cycle would
     # hold every law until the cyclic garbage collector runs
-    graph, n, forced = dist.graph, dist.graph.n, dist.forced
-    _check_indices(graph, sorted({*forced, *(i for piece in dist.pieces for i in piece.kept)}))
+    n, m = graph.n, len(graph.edges)
+    outside = sorted(i for i in {*forced, *(j for piece in pieces for j in piece.kept)} if not 0 <= i < m)
+    if outside:
+        raise ValueError(f"edge index {outside[0]} is not in 0..{m - 1}")
     forced_inc = _incidence(graph, forced)
     walks = [(_Walk(piece.lam, piece.graph), [(*graph.edges[i], i) for i in piece.kept])
-             for piece in dist.pieces]
+             for piece in pieces]
 
     def draw(uniform) -> tuple[list[int], list[int], list[int], list[int]]:
         chosen = list(forced)
@@ -265,23 +224,27 @@ def _fitted_sampler(dist: LambdaWeights):
                 inc[b].append((a, i))
                 chosen.append(i)
         if len(set(chosen)) != n - 1:
-            raise _needs_distinct(n)
+            raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
         return _root(n, inc)
 
     return draw
 
 
-def sample_fitted_tree(dist: LambdaWeights, rng: RngStream) -> SpanningTree:
-    """Sample from a fitted distribution: forced edges plus one tree per piece.
+def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> TreeBatch:
+    """``t`` independent trees of the law with edge weights ``lam`` on ``graph``,
+    on streams 0..t-1 of ``seed``: the law with no forced edge and one piece
+    that is the whole graph.
 
-    Pieces are independent factors of the law; their samples are lifted back
-    to original edge indices and merged with the always-present edges, which
-    yields a spanning tree of the original graph.  One stream drives all
-    pieces in order, so the draw is a pure function of the stream.
+    Edges with zero weight are treated as absent; the remaining support must
+    be connected.  Stream indexing makes tree s independent of ``t`` and of
+    draw order, so the batch could be filled concurrently and still assemble
+    identically.
     """
-    return TreeBatch(_draw_streams(dist._sampler, [rng]))[0]
+    whole = SamplingPiece(graph=graph, lam=lam, kept=tuple(range(len(graph.edges))))
+    return TreeBatch(_draw_streams(_sampler(graph, (), (whole,)), _streams(t, seed)))
 
 
 def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> TreeBatch:
-    """``t`` fitted trees on streams 0..t-1 of ``seed``, rooted into one :class:`TreeBatch`."""
+    """``t`` fitted trees on streams 0..t-1 of ``seed``: the forced edges plus
+    one tree per piece, all pieces drawn in order on one stream."""
     return TreeBatch(_draw_streams(dist._sampler, _streams(t, seed)))

@@ -94,14 +94,15 @@ def build_split_graph(inst: MetricInstance, x: FractionalSolution,
     )
 
 
-def identify_back(g0: SplitGraph, counts) -> MultiEdgeSet:
-    """Merge counts of expanded-graph edge indices onto the original edges,
-    keyed in the order of their first nonzero count; cost is preserved
-    exactly.  An index outside 0..m-1 raises ValueError.
+def identify_back(g0: SplitGraph, *counts) -> MultiEdgeSet:
+    """Merge the sum of ``counts``, mappings of expanded-graph edge indices to
+    multiplicities, onto the original edges, keyed in the order of their first
+    nonzero count (the mappings taken in order); cost is preserved exactly.
+    An index outside 0..m-1 raises ValueError.
     """
     m = len(g0.edges)
     merged: dict[Edge, int] = {}
-    for i, mult in counts.items():
+    for i, mult in chain.from_iterable(c.items() for c in counts):
         if not 0 <= i < m:
             raise ValueError(f"edge index {i} is not in 0..{m - 1}")
         if mult:

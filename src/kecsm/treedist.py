@@ -54,6 +54,13 @@ class EdgeGraph:
                 raise ValueError(f"bad edge ({a},{b}) for n={self.n}")
 
 
+def check_finite(name: str, values: np.ndarray):
+    """ValueError naming the first entry of ``values`` that is NaN or infinite."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
+
+
 def is_connected(graph: EdgeGraph, active=None) -> bool:
     edges = [graph.edges[i] for i in active] if active is not None else graph.edges
     return max(component_labels(graph.n, edges)) == 0
@@ -108,7 +115,7 @@ def tree_marginals(lam, graph: EdgeGraph) -> np.ndarray:
         return np.zeros(0)
     p = lam * _pair_resistances(_grounded_inverse(graph, lam), graph.edges)
     total = float(p.sum())
-    if abs(total - (graph.n - 1)) > 1e-9:
+    if not abs(total - (graph.n - 1)) <= 1e-9:  # also a NaN sum
         raise ArithmeticError(f"marginals sum to {total}, expected {graph.n - 1} (matrix-tree identity)")
     return p
 
@@ -201,9 +208,9 @@ class LambdaWeights:
     def _sampler(self):
         """Draw function of this law, with a walk per piece and the forced
         edges' incidence built on the first draw and kept for every later one."""
-        from .sampler import _fitted_sampler  # the sampler module imports this one
+        from .sampler import _sampler  # the sampler module imports this one
 
-        return _fitted_sampler(self)
+        return _sampler(self.graph, self.forced, self.pieces)
 
 
 def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
@@ -310,6 +317,7 @@ def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeig
     z = np.asarray(z, dtype=float)
     if z.shape != (len(graph.edges),):
         raise ValueError("z must have one entry per edge")
+    check_finite("z", z)
     if np.any(z < -1e-9) or np.any(z > 1.0 + 1e-9):
         raise ValueError("z outside polytope: entries must lie in [0, 1]")
     if abs(z.sum() - (graph.n - 1)) > 1e-6:

@@ -59,7 +59,7 @@ def digests() -> tuple[str, dict[str, str]]:
         for pc in w.pieces:
             put("fits", pc.graph.n, pc.graph.edges, arr(pc.lam), pc.kept)
         g0 = prep.split_graph
-        put("MSTs", rounding.mst(g0).edge_indices)
+        put("MSTs", tuple(sorted(rounding.mst(g0))))
         for seed in (0, 1, 2):
             out = rounding.run_rounding(g0, w, rounding.RoundingParams.make(k, seed=seed))
             for counts in (out.t_star, out.b_set, out.f_set):  # edge indices, hashed as pairs

@@ -4,7 +4,7 @@ The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
 with the implementations they cross-check.  The exceptions:
 ``solve_lp_enumeration`` checks every cut but shares the simplex with
-``solve_lp``, and six references are earlier versions of
+``solve_lp``, and seven references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
@@ -14,9 +14,10 @@ vectorised ``core.validate_metric`` replaced,
 ``induced_tight_set_reference`` the per-merge edge loop that the label
 array of ``treedist._induced_tight_set`` replaced,
 ``build_split_graph_reference`` the per-edge loop that the array build of
-``split.build_split_graph`` replaced, and ``identify_back_reference`` the
+``split.build_split_graph`` replaced, ``identify_back_reference`` the
 pair-multiset identification that ``split.identify_back`` on edge-index
-counts replaced.
+counts replaced, and ``tree_from_edges`` the rooting of a sorted edge list
+that the sampler's rooting of each draw replaced.
 
 The formulas and helpers at the end (tail bounds, approximation factors,
 dispersion statistics, effective resistance, tree counts, cut sizes) are
@@ -34,7 +35,7 @@ import numpy as np
 from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
                         NotConnectedError, make_edge, spanning_forest)
 from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, simplex_min, violated_cuts
-from kecsm.sampler import RngStream, SpanningTree, tree_from_edges
+from kecsm.sampler import RngStream, SpanningTree
 from kecsm.split import SplitGraph
 from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, _grounded_inverse, _pair_resistances,
                             weighted_laplacian)
@@ -121,6 +122,41 @@ def tree_weight(lam, tree_indices) -> float:
     for i in tree_indices:
         out *= float(lam[i])
     return out
+
+
+def tree_from_edges(graph: EdgeGraph, edge_indices) -> SpanningTree:
+    """Root the tree given by ``edge_indices`` at 0 by a stack DFS that takes
+    each vertex's edges in increasing index order, validating that they are
+    n - 1 distinct edges that span ``graph``."""
+    n, m = graph.n, len(graph.edges)
+    idx = sorted(set(edge_indices))
+    for i in idx:
+        if not 0 <= i < m:
+            raise ValueError(f"edge index {i} is not in 0..{m - 1}")
+    if len(idx) != n - 1:
+        raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
+    inc = [[] for _ in range(n)]
+    for i in idx:
+        a, b = graph.edges[i]
+        inc[a].append((b, i))
+        inc[b].append((a, i))
+    parent, parent_edge, order, stack = [-1] * n, [-1] * n, [], [0]
+    seen = {0}
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        for w, i in inc[v]:
+            if w not in seen:
+                seen.add(w)
+                parent[w], parent_edge[w] = v, i
+                stack.append(w)
+    if len(order) != n:
+        raise ValueError("edge set does not span the graph")
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    return SpanningTree(n=n, edge_indices=tuple(idx), parent=tuple(parent), parent_edge=tuple(parent_edge),
+                        preorder=tuple(order), size=tuple(size))
 
 
 def sample_tree_enumeration(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:

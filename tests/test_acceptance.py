@@ -18,7 +18,7 @@ from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import solve_lp
 from kecsm.pipeline import prepare, round_prepared, run_batch, run_pipeline
 from kecsm.rounding import RoundingParams, run_rounding
-from kecsm.sampler import RngStream, sample_batch, sample_fitted_batch, sample_tree
+from kecsm.sampler import sample_batch, sample_fitted_batch
 from kecsm.split import build_split_graph
 from kecsm.treedist import EdgeGraph, fit_max_entropy
 from kecsm.verify import brute_force_opt
@@ -148,9 +148,8 @@ def test_04_sampler_chi_square_on_k4():
         probs = weights / weights.sum()
         index = {t: i for i, t in enumerate(trees)}
         observed = np.zeros(len(trees))
-        for s in range(n_samples):
-            tree = sample_tree(lam, g, RngStream(seed=4040, stream=s))
-            observed[index[tree.edge_indices]] += 1
+        for row in sample_batch(lam, g, n_samples, seed=4040).edge_indices.tolist():
+            observed[index[tuple(row)]] += 1
         expected = probs * n_samples
         stats.append(float(((observed - expected) ** 2 / expected).sum()))
     ok = report(4, "sampler exactness chi-square", all(s < critical for s in stats),
@@ -258,7 +257,7 @@ def test_09_cut_counts_are_bernoulli_sums():
     rng = np.random.default_rng(909)
     lam = rng.random(len(g.edges)) + 0.3
     n_samples = 20_000
-    trees = sample_batch(lam, g, n_samples, seed=303)
+    trees = sample_batch(lam, g, n_samples, seed=303).edge_indices.tolist()
     crossing_sets = []
     for _ in range(20):
         side = {0} | {v for v in range(1, 6) if rng.random() < 0.5}
@@ -270,7 +269,7 @@ def test_09_cut_counts_are_bernoulli_sums():
     all_ok = True
     worst = -math.inf
     for crossing in crossing_sets:
-        counts = [sum(1 for i in t.edge_indices if i in crossing) for t in trees]
+        counts = [sum(1 for i in t if i in crossing) for t in trees]
         s = bs_stats(counts)
         slack = s.variance - s.mean - 3 * s.slack_stderr
         worst = max(worst, slack)

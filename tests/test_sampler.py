@@ -19,9 +19,6 @@ from kecsm.sampler import (
     _draw_streams,
     sample_batch,
     sample_fitted_batch,
-    sample_fitted_tree,
-    sample_tree,
-    tree_from_edges,
 )
 from kecsm.treedist import EdgeGraph, LambdaWeights, SamplingPiece, fit_max_entropy, tree_marginals
 
@@ -31,6 +28,7 @@ from oracles import (
     enumerate_spanning_trees,
     fundamental_cut_counts_reference,
     sample_tree_enumeration,
+    tree_from_edges,
     tree_weight,
 )
 
@@ -109,53 +107,46 @@ def test_negative_seeds_draw_their_own_trees():
 
 
 class TestSampleTree:
+    """Single trees of a plain-weight law, each taken from a batch: tree s of
+    a batch is the tree of stream s."""
+
     def test_unique_tree_path(self):
-        for s in range(5):
-            tree = sample_tree(np.ones(2), PATH3, RngStream(seed=11, stream=s))
+        for tree in sample_batch(np.ones(2), PATH3, 5, seed=11):
             assert tree.edge_indices == (0, 1)
 
     def test_deterministic_per_stream(self):
         g = complete_graph(5)
         lam = np.ones(10)
-        a = sample_tree(lam, g, RngStream(seed=3, stream=4))
-        b = sample_tree(lam, g, RngStream(seed=3, stream=4))
-        assert a == b
+        assert sample_batch(lam, g, 5, seed=3)[4] == sample_batch(lam, g, 5, seed=3)[4]
 
     def test_uniform_triangle_frequencies(self):
         n_samples = 30_000
-        counts = Counter()
-        for s in range(n_samples):
-            counts[sample_tree(np.ones(3), TRIANGLE, RngStream(seed=101, stream=s)).edge_indices] += 1
+        counts = Counter(tree.edge_indices for tree in sample_batch(np.ones(3), TRIANGLE, n_samples, seed=101))
         for t in enumerate_spanning_trees(TRIANGLE):
             assert counts[tuple(t)] / n_samples == pytest.approx(1 / 3, abs=three_sigma(1 / 3, n_samples))
 
     def test_weighted_triangle_frequencies(self):
         n_samples = 30_000
         lam = np.array([2.0, 1.0, 1.0])
-        counts = Counter()
-        for s in range(n_samples):
-            counts[sample_tree(lam, TRIANGLE, RngStream(seed=202, stream=s)).edge_indices] += 1
+        counts = Counter(tree.edge_indices for tree in sample_batch(lam, TRIANGLE, n_samples, seed=202))
         expected = {(0, 1): 0.4, (0, 2): 0.4, (1, 2): 0.2}
         for t, p in expected.items():
             assert counts[t] / n_samples == pytest.approx(p, abs=three_sigma(p, n_samples))
 
     def test_zero_weight_edges_absent(self):
         lam = np.array([1.0, 1.0, 0.0])
-        for s in range(200):
-            tree = sample_tree(lam, TRIANGLE, RngStream(seed=7, stream=s))
+        for tree in sample_batch(lam, TRIANGLE, 200, seed=7):
             assert 2 not in tree.edge_indices
 
     def test_disconnected_support_raises(self):
         with pytest.raises(NotConnectedError):
-            sample_tree(np.array([1.0, 0.0]), PATH3, RngStream(seed=0))
+            sample_batch(np.array([1.0, 0.0]), PATH3, 1, seed=0)
 
     def test_parallel_edges_sampled_proportionally(self):
         graph = EdgeGraph(n=2, edges=((0, 1), (0, 1)))
         lam = np.array([3.0, 1.0])
         n_samples = 20_000
-        hits = Counter()
-        for s in range(n_samples):
-            hits[sample_tree(lam, graph, RngStream(seed=55, stream=s)).edge_indices[0]] += 1
+        hits = Counter(sample_batch(lam, graph, n_samples, seed=55).edge_indices[:, 0].tolist())
         assert hits[0] / n_samples == pytest.approx(0.75, abs=three_sigma(0.75, n_samples))
 
 
@@ -182,14 +173,16 @@ class TestSampleBatch:
     def test_same_seed_reproduces(self):
         a = sample_batch(np.ones(10), complete_graph(5), 6, seed=42)
         b = sample_batch(np.ones(10), complete_graph(5), 6, seed=42)
-        assert a == b
+        assert list(a) == list(b)
 
     def test_stream_isolation(self):
-        # entry i only depends on (seed, i): drawing it alone gives the same tree
+        # entry i only depends on (seed, i), not on the batch size
         g = complete_graph(5)
         lam = np.ones(10)
         batch = sample_batch(lam, g, 5, seed=13)
-        assert batch[3] == sample_tree(lam, g, RngStream(seed=13, stream=3))
+        for t in (1, 4, 9):
+            common = min(t, 5)
+            assert list(sample_batch(lam, g, t, seed=13))[:common] == list(batch)[:common]
 
     def test_union_size(self):
         batch = sample_batch(np.ones(3), TRIANGLE, 4, seed=0)
@@ -256,7 +249,7 @@ class TestFittedSampling:
         assert len(w.pieces) >= 2 and w.forced
         batch = sample_fitted_batch(w, 16, seed=29)
         for s, tree in enumerate(batch):
-            assert tree == sample_fitted_tree(w, RngStream(seed=29, stream=s))
+            assert tree == sample_fitted_batch(w, s + 1, seed=29)[s]
 
     def test_repeated_edge_raises(self):
         # a forced edge that a piece holds too: the draw repeats it and cannot span
@@ -266,14 +259,14 @@ class TestFittedSampling:
                           deleted=(), sweeps=0, max_ratio=1.0,
                           pieces=(piece,))
         with pytest.raises(ValueError, match="distinct edges"):
-            sample_fitted_tree(w, RngStream(seed=0))
+            sample_fitted_batch(w, 1, seed=0)
 
     def test_forced_index_outside_the_edge_list_raises(self):
         piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(1,))
         w = LambdaWeights(graph=PATH3, lam=np.ones(2), fitted_marginals=np.ones(2), forced=(-1,),
                           deleted=(), sweeps=0, max_ratio=1.0, pieces=(piece,))
         with pytest.raises(ValueError, match="edge index -1 is not in"):
-            sample_fitted_tree(w, RngStream(seed=0))
+            sample_fitted_batch(w, 1, seed=0)
 
     def test_forced_edges_always_present(self):
         w = fit_max_entropy(PATH3, [1.0, 1.0])
@@ -286,7 +279,7 @@ class TestFittedSampling:
         rng = np.random.default_rng(3)
         g = complete_graph(6)
         lam = rng.random(len(g.edges)) + 0.2
-        trees = sample_batch(lam, g, 4000, seed=21)
+        trees = list(sample_batch(lam, g, 4000, seed=21))
         for trial in range(5):
             side = {0} | {v for v in range(1, 6) if rng.random() < 0.5}
             if len(side) == 6:
@@ -303,7 +296,7 @@ class TestFittedSampling:
         rng = np.random.default_rng(8)
         g = complete_graph(5)
         lam = rng.random(len(g.edges)) + 0.2
-        trees = sample_batch(lam, g, 4000, seed=17)
+        trees = list(sample_batch(lam, g, 4000, seed=17))
         for trial in range(4):
             subset = {i for i in range(len(g.edges)) if rng.random() < 0.4}
             if not subset:
@@ -375,7 +368,7 @@ class TestCachedSamplerState:
         batch = sample_fitted_batch(w, 24, seed=3)
         assert len(batch) == 24
         for s, tree in enumerate(batch):
-            assert tree == batch[s] == sample_fitted_tree(w, RngStream(seed=3, stream=s))
+            assert tree == batch[s] == sample_fitted_batch(w, s + 1, seed=3)[s]
 
     def test_a_law_that_does_not_span_raises(self):
         # forced (0, 1) and (1, 2) with the piece edge (0, 2): a cycle that misses vertex 3
@@ -385,8 +378,6 @@ class TestCachedSamplerState:
                           deleted=(), sweeps=0, max_ratio=1.0, pieces=(piece,))
         with pytest.raises(ValueError, match="does not span"):
             sample_fitted_batch(w, 3, seed=0)
-        with pytest.raises(ValueError, match="does not span"):
-            sample_fitted_tree(w, RngStream(seed=0))
 
 
 @lru_cache(maxsize=None)
@@ -399,17 +390,19 @@ def _law(family: str, n: int, k: int, seed: int, all_forced: bool):
     if not all_forced:
         return g0, prep.weights
     z = np.zeros(len(g0.edges))
-    z[list(mst(g0).edge_indices)] = 1.0
+    z[mst(g0)] = 1.0
     return g0, fit_max_entropy(g0.graph, z)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(["euclidean", "random-closure"]), st.integers(4, 16), st.sampled_from([4, 6, 64]),
-       st.integers(1, 4), st.booleans(), st.integers(1, 12), st.integers(0, 2**32))
-def test_fitted_batches_root_like_tree_from_edges(family, n, k, instance_seed, all_forced, t, seed):
+       st.integers(1, 4), st.booleans(), st.booleans(), st.integers(1, 12), st.integers(0, 2**32))
+def test_fitted_batches_root_like_tree_from_edges(family, n, k, instance_seed, all_forced, plain, t, seed):
+    # with ``plain`` the law's weights are drawn as a plain weight vector on the
+    # whole split graph: zero off the support, no forced edge and one piece
     g0, w = _law(family, n, k, instance_seed, all_forced)
     assert (len(w.pieces) == 0) == all_forced
-    batch = sample_fitted_batch(w, t, seed)
+    batch = sample_batch(w.lam, g0.graph, t, seed) if plain else sample_fitted_batch(w, t, seed)
     assert len(batch) == t and batch.parent.shape == (t, g0.n0)
     trees = list(batch)
     for tree in trees:

@@ -5,6 +5,7 @@ from kecsm.core import NotConnectedError, min_spanning_tree
 from kecsm.instances import random_closure_instance
 from kecsm.lp import solve_lp
 from kecsm import treedist
+from kecsm.sampler import sample_batch
 from kecsm.split import build_split_graph
 from kecsm.treedist import (
     EPSILON_MARGINAL,
@@ -101,6 +102,21 @@ class TestTreeMarginals:
     def test_matrix_tree_sum_check(self, drifted_resistances):
         with pytest.raises(ArithmeticError, match="matrix-tree"):
             tree_marginals(np.ones(3), TRIANGLE)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_non_finite_weights_and_targets_raise(bad, monkeypatch):
+    with pytest.raises(ValueError, match=rf"^lam\[0\] = {bad} is not finite$"):
+        sample_batch([bad, 1.0, 1.0], TRIANGLE, 3, seed=0)
+    with pytest.raises(ValueError, match=rf"^z\[0\] = {bad} is not finite$"):
+        fit_max_entropy(TRIANGLE, [bad, 1.0, 1.0])
+    # -inf is no positive weight; nan and inf make the marginals sum to nan
+    with pytest.raises(ValueError if bad < 0 else ArithmeticError):
+        tree_marginals([bad, 1.0, 1.0], TRIANGLE)
+    monkeypatch.setattr(treedist, "_pair_resistances", lambda inv, edges: np.full(len(edges), bad))
+    with pytest.raises(FitConvergenceError, match="lost precision"):
+        fit_max_entropy(TRIANGLE, [2 / 3] * 3)
 
 
 class TestEffectiveResistance:
