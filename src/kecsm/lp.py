@@ -2,6 +2,8 @@
 
 The relaxation minimizes total edge cost subject to fractional degree exactly
 k at every vertex, every cut carrying at least k, and nonnegative edge values.
+Every constraint scales with k, so the solver finds the optimum y at k = 2,
+the subtour relaxation, and k enters only in (k/2) y (``FractionalSolution.at``).
 Cut constraints are generated lazily: the violated cuts that the shrink of
 the support records (one per component while it is disconnected) and one
 global min cut of what it leaves.  Cuts join one simplex
@@ -23,7 +25,7 @@ import numpy as np
 
 from .core import Edge, MetricInstance, global_min_cut, shrink_min_cut
 
-# A cut is treated as violated when it carries less than k minus this slack.
+# A cut of y is treated as violated when it carries less than 2 minus this slack.
 SEPARATION_TOL = 1e-7
 # Ratios within this distance count as tied; ties go to the smallest index.
 RATIO_TIE = 1e-12
@@ -55,15 +57,20 @@ class LPNotConvergedError(LPError):
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Edge values x >= 0 with degree exactly k everywhere and all cuts >= k."""
+    """Edge values x with degree exactly k everywhere and all cuts >= k;
+    ``values`` holds the support only (x > 0), in lexicographic order."""
 
     values: dict[Edge, float]
     objective: float
 
+    def at(self, k: int) -> FractionalSolution:
+        """This degree-2 point y scaled to connectivity k: (k/2) y."""
+        return FractionalSolution({e: k / 2 * v for e, v in self.values.items()}, k / 2 * self.objective)
+
 
 @dataclass(frozen=True)
 class LPReport:
-    objective: float
+    objective: float  # of y, like separation_slack: one solve, one report for every k
     iterations: int
     cuts_added: int
     separation_slack: float
@@ -105,13 +112,13 @@ class _Tableau:
         if self.pivots > self.max_pivots:
             raise LPError("simplex pivot limit exceeded")
 
-    def primal(self, obj_row: int, ncols: int):
-        """Primal simplex on objective row ``obj_row`` over the first ``ncols`` columns."""
+    def primal(self):
+        """Primal simplex on the last row over every column."""
         t, m, tol = self.t, len(self.basis), self.tol
         bland = False
         stall = 0
         while True:
-            red = t[obj_row, :ncols]
+            red = t[-1, :-1]
             if bland:
                 negs = np.nonzero(red < -tol)[0]
                 if negs.size == 0:
@@ -130,9 +137,9 @@ class _Tableau:
                 raise UnboundedLPError("objective unbounded below")
             tied = np.nonzero(ratios <= best + RATIO_TIE)[0]
             row = int(tied[np.argmin(self.basis[tied])])
-            before = t[obj_row, -1]
+            before = t[-1, -1]
             self.pivot(row, col)
-            stall = stall + 1 if abs(t[obj_row, -1] - before) < 1e-12 else 0
+            stall = stall + 1 if abs(t[-1, -1] - before) < 1e-12 else 0
             bland = bland or stall > STALL_PIVOTS
 
     def dual(self):
@@ -188,14 +195,14 @@ class _Tableau:
         self.basis = np.concatenate([self.basis, np.arange(width - 1, width - 1 + p)])
         self.dual()
         # a ratio tie taken within RATIO_TIE can leave a reduced cost below -tol
-        self.primal(-1, t.shape[1] - 1)
+        self.primal()
 
     def add_columns(self, at: int, cols: np.ndarray):
         """Insert columns in tableau form (B^-1 a, reduced cost last) before
         column ``at``; they start nonbasic, so primal simplex re-optimizes."""
         self.t = np.concatenate((self.t[:, :at], cols, self.t[:, at:]), axis=1)
         self.basis = np.where(self.basis >= at, self.basis + cols.shape[1], self.basis)
-        self.primal(-1, self.t.shape[1] - 1)
+        self.primal()
 
     def solution(self, nv: int) -> np.ndarray:
         """Structural values, with round-off below 1e-12 (negative included) set to 0."""
@@ -241,7 +248,7 @@ def _two_phase(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
     t[m + 1, -1] = -t[:m, -1].sum()
     tab = _Tableau(t, np.arange(art_start, art_start + m), tol, max_pivots)
 
-    tab.primal(m + 1, art_start)
+    tab.primal()  # the phase-1 row is the last one
     feas_tol = 1e-7 * max(1.0, float(np.max(np.abs(t[:m, -1]))) if m else 1.0)
     if -t[m + 1, -1] > feas_tol:
         raise InfeasibleLPError(f"no feasible point (phase-1 residual {-t[m + 1, -1]:.3g})")
@@ -258,7 +265,7 @@ def _two_phase(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
     keep[m + 1] = False
     tab.t = t[keep]
     tab.basis = tab.basis[keep[:m]]
-    tab.primal(-1, art_start)
+    tab.primal()
     return tab
 
 
@@ -315,8 +322,14 @@ def _cut_rows(sides: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
 
 
 def _tour_and_core(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """The nearest-neighbour tour from vertex 0 (ties to the smaller index)
-    and the ``core_edges``, from one sort of every row of the costs."""
+    """The nearest-neighbour tour from vertex 0 and the core, the lexicographic
+    indices of the edges the LP starts with: each vertex's ``CORE_NEIGHBOURS``
+    nearest neighbours and the tour (ties to the smaller index), from one sort
+    of every row of the costs.  A core without a triangle gets the one of
+    vertex 0 and its two nearest neighbours, since the degree rows of a
+    connected graph are independent only if it is not bipartite
+    (``_tour_start`` needs an odd cycle for even n).  Up to
+    n = ``CORE_NEIGHBOURS`` + 1 the core is every edge."""
     n = len(cost)
     order = np.argsort(cost + np.diag(np.full(n, np.inf)), axis=1, kind="stable")
     rows, seen, tour = order.tolist(), [True] + [False] * (n - 1), [0]
@@ -335,25 +348,13 @@ def _tour_and_core(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
     return tour, np.flatnonzero(pick[np.triu_indices(n, 1)])
 
 
-def core_edges(cost: np.ndarray) -> np.ndarray:
-    """Lexicographic indices of the edges whose columns the LP starts with:
-    each vertex's ``CORE_NEIGHBOURS`` nearest neighbours (ties to the smaller
-    index) and the nearest-neighbour tour from vertex 0, on which k/2 per
-    edge is feasible.  A core without a triangle gets the one of vertex 0 and
-    its two nearest neighbours, since the degree rows of a connected graph
-    are independent only if it is not bipartite (``_tour_start`` needs an odd
-    cycle for even n).  Up to n = ``CORE_NEIGHBOURS`` + 1 the core is every
-    edge."""
-    return _tour_and_core(cost)[1]
-
-
 def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarray,
-                cost: np.ndarray, k: float) -> _Tableau:
-    """Optimal tableau of the degree rows over the edges ``cols`` (sorted
+                cost: np.ndarray) -> _Tableau:
+    """Optimal tableau of the degree-2 rows over the edges ``cols`` (sorted
     lexicographic indices, with costs ``cost``), by primal simplex from a
     feasible basis on the tour.
 
-    Odd n: the tour cycle, k/2 on every edge.  Even n: the tour path, k and 0
+    Odd n: the tour cycle, 1 on every edge.  Even n: the tour path, 2 and 0
     on alternate edges (a perfect matching), and at 0 the first edge of
     ``cols`` that joins two tour positions of the same parity, which closes
     an odd cycle (a triangle of the core has such an edge).  n = 2: the one
@@ -364,7 +365,7 @@ def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarra
     n = len(tour)
     ends = np.sort(np.c_[tour, np.roll(tour, -1)], axis=1)[:n if n % 2 else n - 1]
     basis = np.searchsorted(cols, ends[:, 0] * (2 * n - ends[:, 0] - 3) // 2 + ends[:, 1] - 1)
-    x_b = np.full(n, k / 2) if n % 2 else np.where(np.arange(n - 1) % 2, 0.0, k)
+    x_b = np.ones(n) if n % 2 else np.where(np.arange(n - 1) % 2, 0.0, 2.0)
     if n % 2 == 0 and n > 2:
         pos = np.empty(n, dtype=int)
         pos[tour] = np.arange(n)
@@ -374,7 +375,7 @@ def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarra
     body = np.round(2.0 * np.linalg.solve(degree[:, basis], degree)) / 2.0
     t = np.vstack([np.c_[body, x_b], np.r_[cost - cost[basis] @ body, -(cost[basis] @ x_b)]])
     tab = _Tableau(t, basis, tol=1e-9, max_pivots=200_000)
-    tab.primal(-1, len(cols))
+    tab.primal()
     return tab
 
 
@@ -406,23 +407,22 @@ def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.n
 def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSolution, LPReport]:
     """Solve the relaxation by cut generation on a priced core of edges.
 
-    Solves the degree equalities over the ``core_edges`` by primal simplex
-    from the feasible basis of ``_tour_start`` on the nearest-neighbour
-    tour, then adds the
-    violated cuts that ``violated_cuts`` finds on the support of x (at most
-    ``max_cuts`` in all), re-optimizing the same tableau by dual simplex.
+    Finds the point y at degree 2: solves the degree equalities over the core
+    of ``_tour_and_core`` by primal simplex from the feasible basis of
+    ``_tour_start`` on the nearest-neighbour tour, then adds the violated cuts
+    that ``violated_cuts`` finds on the support of y (at most ``max_cuts`` in
+    all), re-optimizing the same tableau by dual simplex.
     When none is left, the edges that ``_priced_columns`` finds join after
     the core columns and primal simplex re-optimizes, until separation and
-    pricing both come back clean.  The returned values hold every edge,
-    zeros included.  Deterministic: every pivot, component and min-cut tie
-    goes to the smallest index.
+    pricing both come back clean.  Returns y scaled to ``inst.k``, on its
+    support, and the report of the solve, which does not depend on k.
+    Deterministic: every pivot, component and min-cut tie goes to the smallest index.
     """
     edges = inst.edges()
     eu, ev = _edge_ends(edges)
     cost = inst.cost[eu, ev]
-    k = float(inst.k)
     tour, core = _tour_and_core(inst.cost)
-    tab = _tour_start(tour, core, eu, ev, cost[core], k)
+    tab = _tour_start(tour, core, eu, ev, cost[core])
     cols = core
     cut_sides = np.zeros((0, inst.n), dtype=bool)
 
@@ -438,12 +438,12 @@ def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSo
         x[cols] = tab.solution(len(cols))
         obj = float(cost @ x)
         xs = x.tolist()
-        sides, value = violated_cuts({edges[i]: xs[i] for i in np.flatnonzero(x).tolist()}, k, inst.n)
+        support = {edges[i]: xs[i] for i in np.flatnonzero(x).tolist()}
+        sides, value = violated_cuts(support, 2, inst.n)
         if not sides:
             new, columns = _priced_columns(tab, cols, cut_sides, eu, ev, inst.cost)
             if not new.size:
-                return (FractionalSolution(values=dict(zip(edges, xs)), objective=obj),
-                        report(obj, float(k - value)))
+                return FractionalSolution(support, obj).at(inst.k), report(obj, 2.0 - value)
             tab.add_columns(len(cols), columns)
             cols = np.concatenate([cols, new])
             continue
@@ -452,4 +452,4 @@ def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSo
             raise LPNotConvergedError("LP did not converge", report(obj, float("nan")))
         sides = sides[:max_cuts - len(cut_sides)]
         cut_sides = np.vstack([cut_sides, sides])
-        tab.add_ge_rows(_cut_rows(sides, eu[cols], ev[cols]), np.full(len(sides), k))
+        tab.add_ge_rows(_cut_rows(sides, eu[cols], ev[cols]), np.full(len(sides), 2.0))

@@ -8,6 +8,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -57,15 +58,20 @@ def _csv_cell(value) -> str:
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolvedRelaxation:
-    """LP + fitted distribution for one (instance, k); reusable across seeds."""
+    """The LP point y at degree 2, its split and fitted law; reusable across
+    seeds, and across k as ``replace(prep, instance=replace(prep.instance, k=k))``."""
 
     instance: MetricInstance
-    fractional: FractionalSolution
+    y: FractionalSolution
     lp_report: LPReport
     split_graph: SplitGraph
     weights: LambdaWeights
+
+    @cached_property
+    def fractional(self) -> FractionalSolution:  # the relaxation at the instance's k
+        return self.y.at(self.instance.k)
 
 
 @dataclass
@@ -79,17 +85,10 @@ class PipelineResult:
 
 
 def prepare(inst: MetricInstance, split_vertex: int = 0) -> SolvedRelaxation:
-    """Deterministic half of the pipeline: relaxation, split, max-entropy fit of (2/k) x0."""
-    frac, report = solve_lp(inst)
-    g0 = build_split_graph(inst, frac, split_vertex=split_vertex)
-    weights = fit_max_entropy(g0.graph, (2.0 / float(inst.k)) * g0.x0)
-    return SolvedRelaxation(
-        instance=inst,
-        fractional=frac,
-        lp_report=report,
-        split_graph=g0,
-        weights=weights,
-    )
+    """Deterministic half of the pipeline: relaxation at degree 2, split, max-entropy fit of y0."""
+    y, report = solve_lp(replace(inst, k=2))
+    g0 = build_split_graph(inst, y, split_vertex=split_vertex)
+    return SolvedRelaxation(inst, y, report, g0, fit_max_entropy(g0.graph, g0.x0))
 
 
 def round_prepared(prep: SolvedRelaxation, seed: int, alpha: float | None = None,
@@ -179,8 +178,8 @@ def run_batch(family: str, n: int, instances: int, k_values, trials: int,
               seed_base: int, alpha: float | None = None) -> ExperimentReport:
     """Random-instance experiment grid over (instance, k, trial).
 
-    The relaxation and fit are computed once per (instance, k) and shared by
-    that cell's trials, which only differ in the rounding seed.
+    The relaxation and fit are computed once per instance and shared by its
+    k values and trials, which only differ in k and the rounding seed.
     """
     from .instances import family_instance
 
@@ -193,11 +192,10 @@ def run_batch(family: str, n: int, instances: int, k_values, trials: int,
         raise ValueError("trials must be at least 1")
     report = ExperimentReport()
     for idx in range(instances):
-        inst_seed = seed_base + idx
+        shared = prepare(family_instance(family, n, k_values[0], seed_base + idx))
+        instance_id = f"{family}-n{n}-i{idx}"
         for k in k_values:
-            inst = family_instance(family, n, k, inst_seed)
-            instance_id = f"{family}-n{n}-i{idx}"
-            prep = prepare(inst)
+            prep = replace(shared, instance=replace(shared.instance, k=k))
             for trial in range(trials):
                 seed = derived_seed(seed_base, idx, k, trial)
                 result = round_prepared(prep, seed=seed, alpha=alpha, instance_id=instance_id)

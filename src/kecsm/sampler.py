@@ -132,6 +132,8 @@ class _Walk:
 
     def __init__(self, lam, graph: EdgeGraph):
         lam = np.asarray(lam, dtype=float)
+        if lam.size != len(graph.edges):
+            raise ValueError("one weight per edge required")
         check_finite("lam", lam)
         if np.any(lam < 0):
             raise ValueError("edge weights must be nonnegative")

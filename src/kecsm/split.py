@@ -1,8 +1,8 @@
 """Vertex splitting and identification back.
 
 One chosen vertex u is split into twin nodes u0/v0, every incident edge is
-duplicated toward both twins at half its fractional value, and the scaled
-vector (2/k)x0 then lies in the spanning tree polytope of the expanded graph.
+duplicated toward both twins at half its fractional value; the split y0 of
+the degree-2 point y then lies in the spanning tree polytope of that graph.
 Spanning trees of the expanded graph correspond to 1-trees (tree plus one
 edge) of the original graph once the twins are identified again: an edge
 at v0 goes back to the same edge at u0, and every other edge is its own.

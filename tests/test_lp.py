@@ -264,18 +264,19 @@ class TestSolveLP:
         assert self.separation_rounds(monkeypatch, random_closure_instance(32, 4, seed=1)) == [5]
 
     def test_separation_sees_only_the_support(self, monkeypatch):
-        weights = []
+        supports = []
 
         def recorded(x, n):
-            weights.extend(x.values())
+            supports.append(dict(x))
             return shrink_min_cut(x, n)
 
         monkeypatch.setattr(lp, "shrink_min_cut", recorded)
         inst = euclidean_instance(12, 4, seed=2)
         frac, _ = solve_lp(inst)
-        assert weights and min(weights) > 0.0
-        assert list(frac.values) == inst.edges()
-        assert 0.0 in frac.values.values()
+        assert all(min(x.values()) > 0.0 for x in supports)
+        # the values returned are the last support separated, at k / 2 = 2 times
+        assert frac.values == {e: 2.0 * v for e, v in supports[-1].items()}
+        assert list(frac.values) == [e for e in inst.edges() if e in frac.values]
 
 
 @settings(max_examples=20, deadline=None)
@@ -303,8 +304,22 @@ def test_scaling_the_costs_scales_the_lp_value(family, n, k, seed, j):
     assert frac.objective == pytest.approx(ref.objective * 2.0 ** j, rel=1e-9)
 
 
+@pytest.mark.parametrize("family, n, seed", [(euclidean_instance, 32, 2),
+                                             (random_closure_instance, 40, 3)])
+def test_every_k_solves_one_lp(family, n, seed):
+    # one degree-2 solve: the same cuts and pivots, and x / (k/2) the same point
+    y, report = solve_lp(family(n, 2, seed))
+    for k in (3, 4, 6, 17, 64, 256):
+        x, report_k = solve_lp(family(n, k, seed))
+        assert report_k == report
+        assert x.values.keys() == y.values.keys()
+        for e, v in x.values.items():
+            assert v / (k / 2) == pytest.approx(y.values[e], rel=1e-15)
+        assert x.objective / (k / 2) == pytest.approx(y.objective, rel=1e-15)
+
+
 class TestPricedCore:
-    """The tableau starts on ``core_edges`` and pricing adds the rest it needs."""
+    """The tableau starts on the core of ``_tour_and_core`` and pricing adds the rest it needs."""
 
     @pytest.mark.parametrize("instance_seed", range(1, 11))
     def test_reproduces_the_recorded_objectives(self, instance_seed):
@@ -328,7 +343,7 @@ class TestPricedCore:
     @pytest.mark.parametrize("n", [2, 3, 9, 10, 12])
     def test_small_cores(self, n):
         inst = random_closure_instance(n, 3, seed=2)
-        core = lp.core_edges(inst.cost)
+        core = lp._tour_and_core(inst.cost)[1]
         everything = n * (n - 1) // 2
         assert core.tolist() == sorted(set(core.tolist())) and core[-1] < everything
         assert len(core) == everything if n <= 9 else len(core) < everything
@@ -344,7 +359,7 @@ class TestPricedCore:
         # the 8 nearest neighbours are the 8 smallest other indices and the
         # tour visits 0, 1, ..., 19 in order
         edges = inst.edges()
-        core = [edges[i] for i in lp.core_edges(inst.cost)]
+        core = [edges[i] for i in lp._tour_and_core(inst.cost)[1]]
         assert core == [(u, v) for u, v in edges if u <= 7 or v == u + 1]
         frac, report = solve_lp(inst)
         assert frac.objective == pytest.approx(n * k / 2 * c, rel=1e-12)
@@ -361,7 +376,7 @@ class TestPricedCore:
         half = np.arange(n) < n // 2
         inst = MetricInstance(n=n, cost=np.where(half[:, None] == half, 2.0, 1.0) - 2.0 * np.eye(n), k=k)
         edges = inst.edges()
-        within = [edges[i] for i in lp.core_edges(inst.cost) if half[edges[i][0]] == half[edges[i][1]]]
+        within = [edges[i] for i in lp._tour_and_core(inst.cost)[1] if half[edges[i][0]] == half[edges[i][1]]]
         assert within == [(10, 11)]  # vertex 0 and its nearest neighbours 10 and 11
         frac, _ = solve_lp(inst)
         assert frac.objective == pytest.approx(n * k / 2, rel=1e-12)
@@ -406,7 +421,7 @@ class TestTourStart:
     def test_even_n_on_a_tour_only_core(self, monkeypatch, family, n):
         monkeypatch.setattr(lp, "CORE_NEIGHBOURS", 0)
         inst = family(n, 4, n)
-        assert self.solved_as_the_enumeration(inst).core == len(lp.core_edges(inst.cost)) <= n + 2
+        assert self.solved_as_the_enumeration(inst).core == len(lp._tour_and_core(inst.cost)[1]) <= n + 2
 
     def test_a_bipartite_core(self, monkeypatch):
         # the tour alternates halves, so only the triangle's edge (6, 7)
@@ -426,10 +441,10 @@ class TestTourStart:
         starts = []
         primal = lp._Tableau.primal
 
-        def recorded(tab, obj_row, ncols):
+        def recorded(tab):
             if not starts:
                 starts.append((tab.t.copy(), tab.basis.copy()))
-            return primal(tab, obj_row, ncols)
+            return primal(tab)
 
         monkeypatch.setattr(lp._Tableau, "primal", recorded)
         inst = euclidean_instance(n, 4, seed=1)
@@ -441,11 +456,12 @@ class TestTourStart:
         cycle = [tuple(sorted(e)) for e in zip(tour, tour[1:] + tour[:1])]
         assert np.array_equal(t[:-1, basis], np.eye(len(basis)))
         assert np.array_equal(t[:-1, :-1] * 2, np.round(t[:-1, :-1] * 2))
+        # the LP is solved at degree 2 whatever k is
         if n % 2:
-            assert basic == cycle and t[:-1, -1].tolist() == [2.0] * n
+            assert basic == cycle and t[:-1, -1].tolist() == [1.0] * n
         else:
             assert basic[:n - 1] == cycle[:n - 1]
-            assert t[:-1, -1].tolist() == [4.0, 0.0] * (n // 2 - 1) + [4.0] + [0.0] * (n > 2)
+            assert t[:-1, -1].tolist() == [2.0, 0.0] * (n // 2 - 1) + [2.0] + [0.0] * (n > 2)
             if n > 2:
                 u, v = basic[-1]
                 assert (tour.index(u) - tour.index(v)) % 2 == 0
@@ -458,7 +474,7 @@ class TestTourStart:
         key, inst, objective = next(reference_cells(1))
         frac, report = solve_lp(inst)
         assert frac.objective == pytest.approx(objective, rel=1e-9), key
-        assert report.core == len(lp.core_edges(inst.cost))
+        assert report.core == len(lp._tour_and_core(inst.cost)[1])
 
 
 class TestSeparate:

@@ -18,6 +18,7 @@ from kecsm.core import MetricInstance
 from kecsm.instances import (
     InstanceFormatError,
     euclidean_instance,
+    family_instance,
     load_instance,
     parse_matrix_json,
     parse_tsplib_euc2d,
@@ -287,6 +288,33 @@ class TestRunBatch:
         assert agg[2]["runs"] == 2
         assert agg[2]["connectivity_failures"] == 0
         assert agg[2]["mean_ratio_lp"] >= 1 - 1e-9
+
+    @pytest.mark.parametrize("family", ["euclidean", "random-closure"])
+    def test_rows_are_those_of_a_prepare_per_k(self, family):
+        ks = [2, 3, 6, 17]
+        report = run_batch(family, n=9, instances=2, k_values=ks, trials=2, seed_base=5)
+        rows = []
+        for idx in range(2):
+            for k in ks:
+                prep = prepare(family_instance(family, 9, k, 5 + idx))
+                for trial in range(2):
+                    rows.append(round_prepared(prep, seed=derived_seed(5, idx, k, trial),
+                                               instance_id=f"{family}-n9-i{idx}").record)
+        rows.sort(key=lambda r: (r.instance_id, r.k, r.seed))
+        assert [r.as_row()[:-1] for r in report.records] == [r.as_row()[:-1] for r in rows]
+
+    def test_one_lp_per_instance(self, monkeypatch):
+        from kecsm import pipeline
+
+        calls = []
+
+        def counted(inst):
+            calls.append(inst.k)
+            return solve_lp(inst)
+
+        monkeypatch.setattr(pipeline, "solve_lp", counted)
+        report = run_batch("random-closure", n=8, instances=3, k_values=[5, 2, 8], trials=2, seed_base=1)
+        assert len(report.records) == 18 and calls == [2, 2, 2]
 
     def test_derived_seed_stable(self):
         assert derived_seed(1, 2, 3, 4) == derived_seed(1, 2, 3, 4)

@@ -109,6 +109,9 @@ class TestTreeMarginals:
 def test_non_finite_weights_and_targets_raise(bad, monkeypatch):
     with pytest.raises(ValueError, match=rf"^lam\[0\] = {bad} is not finite$"):
         sample_batch([bad, 1.0, 1.0], TRIANGLE, 3, seed=0)
+    for size in (2, 5):  # too few weights once raised IndexError, too many drew trees
+        with pytest.raises(ValueError, match="^one weight per edge required$"):
+            sample_batch(np.ones(size), TRIANGLE, 3, seed=0)
     with pytest.raises(ValueError, match=rf"^z\[0\] = {bad} is not finite$"):
         fit_max_entropy(TRIANGLE, [bad, 1.0, 1.0])
     # -inf is no positive weight; nan and inf make the marginals sum to nan
