@@ -42,7 +42,7 @@ class RoundingParams:
         if self.k < 2:
             raise ValueError("k must be at least 2")
         cap = math.sqrt(max(self.k / 2.0 - 1.0, 0.0))
-        if self.alpha < 0 or self.alpha > cap + 1e-12:
+        if not 0 <= self.alpha <= cap + 1e-12:  # also a NaN alpha
             raise ValueError(f"alpha={self.alpha} outside [0, sqrt(k/2-1)]={cap}")
         if self.tree_count < 1 or self.mst_copies < 0:
             raise ValueError("need tree_count >= 1 and mst_copies >= 0")
@@ -51,6 +51,8 @@ class RoundingParams:
     def make(cls, k: int, alpha: float | None = None, seed: int = 0) -> "RoundingParams":
         cap = math.sqrt(max(k / 2.0 - 1.0, 0.0))
         a = default_alpha(k) if alpha is None else min(float(alpha), cap)
+        if math.isnan(a):  # math.ceil below would fail on it
+            raise ValueError(f"alpha={a} outside [0, sqrt(k/2-1)]={cap}")
         # mst_copies = ceil of the same float the threshold subtracts, so the
         # pair (threshold, copies) stays exactly consistent
         return cls(

@@ -120,44 +120,19 @@ def tree_marginals(lam, graph: EdgeGraph) -> np.ndarray:
     return p
 
 
-@dataclass(frozen=True)
-class Contraction:
-    """Forced edges contracted away and dropped edges removed from a graph."""
+def contract_edges(graph: EdgeGraph, label, edges) -> tuple[EdgeGraph, list[int], list[int]]:
+    """Graph of the listed ``edges`` with each vertex v renamed ``label[v]``.
 
-    graph: EdgeGraph
-    kept: tuple[int, ...]
-    loops: tuple[int, ...]
-
-
-def contract_edges(graph: EdgeGraph, forced, deleted) -> Contraction:
-    """Contract ``forced`` edges, drop ``deleted`` ones, and relabel vertices.
-
-    Component labels follow the smallest original vertex, so the reduced
-    graph is deterministic.  Edges that close a contracted component become
-    loops and are excluded from the reduced edge list.
+    The new graph has max(label) + 1 vertices.  Returns it, the indices of
+    the edges it keeps, in order, and those of the edges whose two ends share
+    a label: loops, left out of the new graph.
     """
-    forced = np.asarray(forced, dtype=int)
-    rest = np.ones(len(graph.edges), dtype=bool)
-    rest[forced] = False
-    rest[np.asarray(deleted, dtype=int)] = False
-    vmap = component_labels(graph.n, [graph.edges[i] for i in forced.tolist()])
-    kept: list[int] = []
-    reduced_edges: list[Edge] = []
-    loops: list[int] = []
-    for i in np.flatnonzero(rest).tolist():
+    kept, loops = [], []
+    for i in edges:
         a, b = graph.edges[i]
-        ra, rb = vmap[a], vmap[b]
-        if ra == rb:
-            loops.append(i)
-            continue
-        kept.append(i)
-        reduced_edges.append(make_edge(ra, rb))
-    nc = max(vmap) + 1
-    return Contraction(
-        graph=EdgeGraph(n=nc, edges=tuple(reduced_edges)),
-        kept=tuple(kept),
-        loops=tuple(loops),
-    )
+        (loops if label[a] == label[b] else kept).append(i)
+    reduced = tuple(make_edge(label[a], label[b]) for a, b in (graph.edges[i] for i in kept))
+    return EdgeGraph(n=max(label) + 1, edges=reduced), kept, loops
 
 
 @dataclass(frozen=True)
@@ -243,67 +218,6 @@ def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
     return None
 
 
-def _fit_interior(graph: EdgeGraph, z: np.ndarray, orig: list[int], state: dict):
-    """Fit one connected piece, decomposing on tight sets when they surface.
-
-    ``orig[j]`` is the original edge index of local edge j.  A converged piece
-    writes its weights and marginals into ``state["lam"]`` and ``state["p"]``
-    and appends its SamplingPiece, all in original indices.
-    """
-    m = len(graph.edges)
-    lam = np.ones(m)
-    sweeps_here = 0
-    while True:
-        try:
-            p = tree_marginals(lam, graph)
-        except ArithmeticError as exc:
-            raise FitConvergenceError(
-                f"marginal computation lost precision after {state['sweeps']} sweeps: {exc}",
-                max_ratio=state["max_ratio"],
-                sweeps=state["sweeps"],
-            ) from exc
-        max_ratio = float((p / z).max())
-        state["max_ratio"] = max_ratio
-        if max_ratio <= 1.0 + EPSILON_MARGINAL:
-            state["lam"][orig] = lam
-            state["p"][orig] = p
-            state["pieces"].append(SamplingPiece(graph=graph, lam=lam, kept=tuple(orig)))
-            return
-        if sweeps_here:
-            tight = _induced_tight_set(graph, z, lam)
-            if tight is not None:
-                return _fit_split(graph, z, orig, state, tight)
-        if state["sweeps"] * m >= state["max_updates"]:
-            raise FitConvergenceError(
-                f"marginal fitting stalled at max ratio {max_ratio:.3e} "
-                f"after {state['sweeps']} sweeps",
-                max_ratio=max_ratio,
-                sweeps=state["sweeps"],
-            )
-        lam = lam * (z / p)
-        lam /= np.exp(np.mean(np.log(lam)))
-        sweeps_here += 1
-        state["sweeps"] += 1
-
-
-def _fit_split(graph: EdgeGraph, z: np.ndarray, orig: list[int], state: dict, tight: list[int]):
-    """Factor the law at a tight vertex set: fit inside, then outside, independently."""
-    inside_v = set(tight)
-    rank = {v: r for r, v in enumerate(tight)}
-    inner_idx = [i for i, (a, b) in enumerate(graph.edges) if a in inside_v and b in inside_v]
-
-    inner_graph = EdgeGraph(
-        n=len(tight),
-        edges=tuple(make_edge(rank[a], rank[b]) for i in inner_idx
-                    for (a, b) in [graph.edges[i]]),
-    )
-    # outside: the inner edges connect the tight set, so contracting them
-    # leaves one vertex for it and keeps every other edge
-    outer = contract_edges(graph, inner_idx, ())
-    for idx, sub in ((inner_idx, inner_graph), (list(outer.kept), outer.graph)):
-        _fit_interior(sub, z[idx], [orig[i] for i in idx], state)
-
-
 def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeights:
     """Fit weights so every edge marginal is at most z_e * (1 + EPSILON_MARGINAL).
 
@@ -325,21 +239,69 @@ def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeig
 
     forced = np.flatnonzero(z >= FORCED_Z)
     deleted = np.flatnonzero(z <= DELETED_Z)
-    red = contract_edges(graph, forced, deleted)
-    if any(z[i] > 1e-6 for i in red.loops):
+    label = component_labels(graph.n, [graph.edges[i] for i in forced.tolist()])
+    if len(forced) != graph.n - (max(label) + 1):
+        raise ValueError("z outside polytope: the forced edges close a cycle")
+    reduced, kept, loops = contract_edges(
+        graph, label, np.flatnonzero((z > DELETED_Z) & (z < FORCED_Z)).tolist())
+    if any(z[i] > 1e-6 for i in loops):
         raise ValueError("z outside polytope: positive value on a forced cycle chord")
-    deleted = sorted(deleted.tolist() + list(red.loops))
-    if not is_connected(red.graph):
+    deleted = sorted(deleted.tolist() + loops)
+    if not is_connected(reduced):
         raise NotConnectedError("support of z does not connect the graph")
 
     lam = np.zeros(len(graph.edges))
     lam[forced] = 1.0
     p = lam.copy()
-    kept = list(red.kept)
-    state = {"sweeps": 0, "max_ratio": 0.0, "max_updates": max(1, max_iters),
-             "lam": lam, "p": p, "pieces": []}
-    if kept:
-        _fit_interior(red.graph, z[kept], kept, state)
+    pieces: list[SamplingPiece] = []
+    sweeps = 0
+    max_ratio = 0.0
+    # pieces still to fit, each with the original index of its local edges;
+    # a split pushes its outside below its inside, so pieces fit depth first
+    work = [(reduced, kept)] if kept else []
+    while work:
+        piece, orig = work.pop()
+        z_piece = z[orig]
+        lam_piece = np.ones(len(orig))
+        first_sweep = sweeps
+        while True:
+            try:
+                p_piece = tree_marginals(lam_piece, piece)
+            except ArithmeticError as exc:
+                raise FitConvergenceError(
+                    f"marginal computation lost precision after {sweeps} sweeps: {exc}",
+                    max_ratio=max_ratio,
+                    sweeps=sweeps,
+                ) from exc
+            max_ratio = float((p_piece / z_piece).max())
+            if max_ratio <= 1.0 + EPSILON_MARGINAL:
+                lam[orig] = lam_piece
+                p[orig] = p_piece
+                pieces.append(SamplingPiece(graph=piece, lam=lam_piece, kept=tuple(orig)))
+                break
+            tight = _induced_tight_set(piece, z_piece, lam_piece) if sweeps > first_sweep else None
+            if tight is not None:
+                # the inner edges connect the tight set: its inside keeps them
+                # with vertices renamed by rank, its outside contracts them
+                rank = np.full(piece.n, -1)
+                rank[tight] = np.arange(len(tight))
+                inside = (rank[np.array(piece.edges)] >= 0).all(axis=1)
+                inner, outer = np.flatnonzero(inside).tolist(), np.flatnonzero(~inside).tolist()
+                outside = component_labels(piece.n, [piece.edges[i] for i in inner])
+                for sub_label, sub_edges in ((outside, outer), (rank.tolist(), inner)):
+                    sub, sub_kept, _ = contract_edges(piece, sub_label, sub_edges)
+                    work.append((sub, [orig[i] for i in sub_kept]))
+                break
+            if sweeps * len(orig) >= max(1, max_iters):
+                raise FitConvergenceError(
+                    f"marginal fitting stalled at max ratio {max_ratio:.3e} "
+                    f"after {sweeps} sweeps",
+                    max_ratio=max_ratio,
+                    sweeps=sweeps,
+                )
+            lam_piece = lam_piece * (z_piece / p_piece)
+            lam_piece /= np.exp(np.mean(np.log(lam_piece)))
+            sweeps += 1
 
     return LambdaWeights(
         graph=graph,
@@ -347,7 +309,7 @@ def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeig
         fitted_marginals=p,
         forced=tuple(forced.tolist()),
         deleted=tuple(deleted),
-        sweeps=state["sweeps"],
+        sweeps=sweeps,
         max_ratio=float((p[kept] / z[kept]).max()) if kept else 0.0,
-        pieces=tuple(state["pieces"]),
+        pieces=tuple(pieces),
     )

@@ -80,6 +80,13 @@ class TestParams:
         with pytest.raises(ValueError):
             RoundingParams(k=4, alpha=2.0, tree_count=2, mst_copies=1, seed=0)
 
+    def test_nan_alpha_rejected(self):
+        # a NaN threshold would never augment, leaving the result below k
+        with pytest.raises(ValueError, match=r"alpha=nan outside \["):
+            RoundingParams(k=8, alpha=float("nan"), tree_count=4, mst_copies=0, seed=0)
+        with pytest.raises(ValueError, match=r"alpha=nan outside \["):
+            RoundingParams.make(8, alpha=float("nan"))
+
     def test_threshold_consistency(self):
         p = RoundingParams.make(16)
         assert p.threshold == pytest.approx(16 - p.alpha * math.sqrt(7.0))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from kecsm.core import NotConnectedError, min_spanning_tree
+from kecsm.core import NotConnectedError, component_labels, min_spanning_tree
 from kecsm.instances import random_closure_instance
 from kecsm.lp import solve_lp
+from kecsm.pipeline import prepare
 from kecsm import treedist
 from kecsm.sampler import sample_batch
 from kecsm.split import build_split_graph
@@ -168,16 +169,17 @@ class TestSpanningTreeCount:
 
 class TestContractEdges:
     def test_forced_merge_creates_parallel_edges(self):
-        red = contract_edges(TRIANGLE, forced=[2], deleted=[])
-        assert red.graph.n == 2
-        assert red.graph.edges == ((0, 1), (0, 1))
-        assert red.kept == (0, 1)
+        label = component_labels(3, [TRIANGLE.edges[2]])
+        graph, kept, loops = contract_edges(TRIANGLE, label, [0, 1])
+        assert graph.n == 2
+        assert graph.edges == ((0, 1), (0, 1))
+        assert kept == [0, 1] and loops == []
 
     def test_loop_detection(self):
         g = EdgeGraph(n=3, edges=((0, 1), (1, 2), (0, 2)))
-        red = contract_edges(g, forced=[0, 1], deleted=[])
-        assert red.loops == (2,)
-        assert red.graph.n == 1
+        graph, kept, loops = contract_edges(g, component_labels(3, g.edges[:2]), [2])
+        assert loops == [2] and kept == []
+        assert graph.n == 1
 
 
 class TestFitMaxEntropy:
@@ -271,6 +273,12 @@ class TestFitMaxEntropy:
         with pytest.raises(ValueError, match="chord"):
             fit_max_entropy(EdgeGraph(n=4, edges=edges), [1.0, 1.0, 0.5, 0.5])
 
+    def test_forced_cycle_rejected_before_any_sweep(self):
+        # two parallel edges at z = 1 close a cycle with no chord to catch it
+        graph = EdgeGraph(n=4, edges=((0, 1), (0, 1), (1, 2), (2, 3)))
+        with pytest.raises(ValueError, match="z outside polytope: the forced edges close a cycle"):
+            fit_max_entropy(graph, [1.0, 1.0, 0.5, 0.5])
+
     def test_disconnected_support_rejected(self):
         # z = (1, 1, 0) on edges (0,1), (2,3), (1,2) sums to 2, not 3; a
         # genuinely disconnected support instead:
@@ -308,6 +316,13 @@ class TestTightSetSplits:
         _, w = _fit_of_the_lp_target(48, 8, 1)
         assert w.sweeps <= 40
         assert w.max_ratio <= 1 + EPSILON_MARGINAL
+
+    def test_pieces_of_a_nested_split_keep_their_depth_first_order(self):
+        # three splits give four pieces, so a piece that came from a split
+        # is split again; the inside of each split is fitted before its outside
+        w = prepare(random_closure_instance(12, 8, 5)).weights
+        assert [piece.kept for piece in w.pieces] == [
+            (47, 65), (44, 59), (49, 53), (6, 7, 10, 11, 12, 13)]
 
     @pytest.mark.parametrize("seed", range(40))
     def test_search_matches_the_edge_loop(self, seed):
