@@ -126,58 +126,65 @@ def _incidence(graph: EdgeGraph, edge_indices) -> list[list[tuple[int, int]]]:
 class _Walk:
     """Wilson's loop-erased random walk on one piece, built once per law for every draw.
 
-    ``itertools.accumulate`` adds left to right as ``np.cumsum`` does, so each
-    step picks the same edge as a walk rebuilt for every tree.
+    Vertex v is held as v - 1 and the root 0 as n - 1, so the tree edge of
+    vertex v lands at v - 1 of the list a walk returns.  Each step bisects
+    the cumulative weights but the last, the total, so a draw that rounds up
+    to the total takes the last edge.  ``itertools.accumulate`` adds left to
+    right as ``np.cumsum`` does, so each step picks the same edge as a walk
+    rebuilt for every tree.
     """
 
     def __init__(self, lam, graph: EdgeGraph):
         lam = np.asarray(lam, dtype=float)
-        if lam.size != len(graph.edges):
-            raise ValueError("one weight per edge required")
         check_finite("lam", lam)
         if np.any(lam < 0):
             raise ValueError("edge weights must be nonnegative")
         support = [i for i in range(len(graph.edges)) if lam[i] > 0.0]
         if not is_connected(graph, active=support):
             raise NotConnectedError("weight support does not connect the graph")
-        self.graph = graph
-        self.inc = _incidence(graph, support)
+        n = self.n = graph.n
+        inc = _incidence(graph, support)
+        self.inc = [[((w - 1) % n, i) for w, i in inc[v]] for v in range(1, n)]
         weights = lam.tolist()
-        self.cumw = [list(accumulate(weights[i] for _, i in steps)) for steps in self.inc]
+        cumw = [list(accumulate(weights[i] for _, i in steps)) for steps in self.inc]
+        self.cuts = [c[:-1] for c in cumw]
+        self.total = [c[-1] for c in cumw]
 
-    def parent_edges(self, uniform) -> list[int]:
-        """Parent edge of each vertex in one tree rooted at 0 (-1 at the root);
+    def edges(self, uniform) -> list[int]:
+        """Tree edge of each vertex 1..n-1 of one tree, in vertex order;
         ``uniform()`` gives each step's draw."""
-        n, inc, cumw = self.graph.n, self.inc, self.cumw
-        in_tree = [False] * n
-        in_tree[0] = True
-        parent = [-1] * n
-        parent_edge = [-1] * n
-        for start in range(1, n):
+        n, inc, cuts, total = self.n, self.inc, self.cuts, self.total
+        if n == 2:  # the walk from vertex 1 takes one step, to the root
+            return [inc[0][bisect_right(cuts[0], uniform() * total[0])][1]]
+        in_tree = [False] * (n - 1) + [True]
+        parent = [0] * (n - 1)
+        tree = [0] * (n - 1)
+        for start in range(n - 1):
             v = start
             while not in_tree[v]:
                 # overwrite on revisit: this is the loop erasure
-                c = cumw[v]
-                j = min(bisect_right(c, uniform() * c[-1]), len(c) - 1)
-                parent[v], parent_edge[v] = inc[v][j]
+                parent[v], tree[v] = inc[v][bisect_right(cuts[v], uniform() * total[v])]
                 v = parent[v]
             v = start
             while not in_tree[v]:
                 in_tree[v] = True
                 v = parent[v]
-        return parent_edge
+        return tree
 
 
 def _draw_streams(draw, rngs) -> list:
     """``draw(uniform)`` once per stream, ``uniform()`` giving the stream's
     ``random()`` draws in order (``random(size)`` gives the same numbers).
 
-    One Philox serves every stream: reset to the stream's key with counter 0
-    and an empty buffer, it is in the state of a fresh ``rng.generator()``,
-    at a quarter of the cost of building one.
+    One Philox serves every stream: set to a state with the stream's key,
+    counter 0 and an empty buffer, it is in the state of a fresh
+    ``rng.generator()``, at a quarter of the cost of building one.  The state
+    setter copies the arrays, so one state dict serves too, with its key swapped.
     """
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
+    fresh = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
+             "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
     def uniforms():
         while True:
@@ -185,8 +192,8 @@ def _draw_streams(draw, rngs) -> list:
 
     out = []
     for rng in rngs:
-        bits.state = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": rng.key},
-                      "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        fresh["state"]["key"] = rng.key
+        bits.state = fresh
         out.append(draw(uniforms().__next__))
     return out
 
@@ -201,32 +208,35 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     """Draw function of the tree law on ``graph`` that holds the ``forced`` edges
     and one tree of every piece, built once per law (``LambdaWeights._sampler``).
 
-    It keeps a walk per piece, each piece edge lifted to its (end, end, index)
-    in ``graph``, and the incidence lists of the forced edges.  A draw copies
-    those lists, adds the edges the walks return on one stream, and roots the
-    tree with ``_root``.
+    The forced edges and the pieces' kept edges must be distinct, and the
+    forced edges plus one tree per piece must number n - 1, so every draw has
+    n - 1 distinct edges.  It keeps a walk per piece, each piece edge lifted
+    to its two incidence entries in ``graph``, and the incidence lists of the
+    forced edges.  A draw copies those lists, appends the entries of the edges
+    the walks return on one stream, and roots the tree with ``_root``.
     """
     # the draw keeps no reference to the law, which caches it: a cycle would
     # hold every law until the cyclic garbage collector runs
     n, m = graph.n, len(graph.edges)
-    outside = sorted(i for i in {*forced, *(j for piece in pieces for j in piece.kept)} if not 0 <= i < m)
+    kept = [i for piece in pieces for i in piece.kept]
+    distinct = {*forced, *kept}
+    outside = sorted(i for i in distinct if not 0 <= i < m)
     if outside:
         raise ValueError(f"edge index {outside[0]} is not in 0..{m - 1}")
+    if len(distinct) < len(forced) + len(kept) or len(forced) + sum(p.graph.n - 1 for p in pieces) != n - 1:
+        raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
     forced_inc = _incidence(graph, forced)
-    walks = [(_Walk(piece.lam, piece.graph), [(*graph.edges[i], i) for i in piece.kept])
+    walks = [(_Walk(piece.lam, piece.graph),
+              [(a, (b, i), b, (a, i)) for i in piece.kept for a, b in [graph.edges[i]]])
              for piece in pieces]
 
     def draw(uniform) -> tuple[list[int], list[int], list[int], list[int]]:
-        chosen = list(forced)
         inc = list(map(list, forced_inc))
         for walk, lifted in walks:
-            for j in walk.parent_edges(uniform)[1:]:
-                a, b, i = lifted[j]
-                inc[a].append((b, i))
-                inc[b].append((a, i))
-                chosen.append(i)
-        if len(set(chosen)) != n - 1:
-            raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
+            for j in walk.edges(uniform):
+                a, at_a, b, at_b = lifted[j]
+                inc[a].append(at_a)
+                inc[b].append(at_b)
         return _root(n, inc)
 
     return draw

@@ -151,6 +151,10 @@ class SamplingPiece:
 
     def __post_init__(self):
         lam = np.asarray(self.lam, dtype=float).copy()
+        if lam.size != len(self.graph.edges):
+            raise ValueError("one weight per edge required")
+        if len(self.kept) != lam.size:
+            raise ValueError(f"kept has {len(self.kept)} edge indices for {lam.size} piece edges")
         lam.flags.writeable = False  # the sampler state of a law is built from it once
         object.__setattr__(self, "lam", lam)
 

@@ -1,10 +1,10 @@
 """SHA-256 over deterministic solver outputs, to show that a change keeps results identical.
 
-Run from a checkout as ``PYTHONPATH=src python tests/identity_digest.py``; to
-hash another checkout with the same script, point ``PYTHONPATH`` at its
-``src``.  Two checkouts that print the same digest give byte-identical batch
-rows, LP vertices, fitted laws, MSTs, roundings, baselines and brute-force
-optima on the fixed seeds below.  ``tests/test_identity_digest.py`` pins
+Run from a checkout as ``python tests/identity_digest.py``; to hash another
+checkout with the same script, point ``PYTHONPATH`` at its ``src``.  Two
+checkouts that print the same digest give byte-identical batch rows, LP
+vertices, fitted laws, MSTs, roundings, baselines and brute-force optima on
+the fixed seeds below.  ``tests/test_identity_digest.py`` pins
 the digest; pytest does not collect this file.
 
 With ``--parts`` it also prints one SHA-256 per section of those outputs, so
@@ -14,8 +14,13 @@ two checkouts whose digests differ show which section moved.
 import argparse
 import hashlib
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
+
+if __name__ == "__main__":  # appended, so a PYTHONPATH naming another checkout's src wins
+    sys.path.append(str(Path(__file__).resolve().parents[1] / "src"))
 
 import kecsm
 from kecsm import rounding, treedist

@@ -204,9 +204,10 @@ def _digest(trees) -> str:
 class TestGoldenDraws:
     """Fixed batches pinned by hash: a change to the walk's draw order or step rule fails here.
 
-    The hashes were recorded with a walk that rebuilt its adjacency and
-    ``np.cumsum`` weights for every tree and drew each step with
-    ``np.searchsorted``.
+    The first two hashes were recorded with a walk that rebuilt its adjacency
+    and ``np.cumsum`` weights for every tree and drew each step with
+    ``np.searchsorted``; the third before a two-vertex piece was drawn as
+    one weighted choice.
     """
 
     def test_sample_batch(self):
@@ -219,6 +220,13 @@ class TestGoldenDraws:
         w = prepare(euclidean_instance(12, 8, 1)).weights
         assert _digest(sample_fitted_batch(w, 64, seed=2024)) == (
             "573e65504980c0829d8ca815ee8352500963ec417f5756a33aa563feb125e0b6")
+
+    def test_sample_fitted_batch_with_two_vertex_pieces(self):
+        # pieces on 2, 2, 4, 2, 2 and 3 vertices: a two-vertex piece is one weighted step
+        w = prepare(random_closure_instance(32, 64, 1)).weights
+        assert sorted(piece.graph.n for piece in w.pieces) == [2, 2, 2, 2, 3, 4]
+        assert _digest(sample_fitted_batch(w, 64, seed=2024)) == (
+            "e137309b08b076eb28046f1e98f8592dc4f3e31a71be5157c7f7985341657eb5")
 
 
 class TestEmpiricalMarginals:
@@ -260,6 +268,21 @@ class TestFittedSampling:
                           pieces=(piece,))
         with pytest.raises(ValueError, match="distinct edges"):
             sample_fitted_batch(w, 1, seed=0)
+
+    def test_too_few_edges_raise_on_the_first_draw(self):
+        # a 4-vertex path with one forced edge and one 2-vertex piece: 2 edges, not 3
+        graph = EdgeGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
+        piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(1,))
+        w = LambdaWeights(graph=graph, lam=np.ones(3), fitted_marginals=np.ones(3), forced=(0,),
+                          deleted=(), sweeps=0, max_ratio=1.0, pieces=(piece,))
+        with pytest.raises(ValueError, match="^a spanning tree on 4 vertices needs 3 distinct edges$"):
+            sample_fitted_batch(w, 1, seed=0)
+
+    @pytest.mark.parametrize("kept", [(0,), (0, 1, 2)], ids=["short", "long"])
+    def test_a_piece_needs_one_kept_index_per_edge(self, kept):
+        # a short kept once failed mid-draw with IndexError, a long one was cut silently
+        with pytest.raises(ValueError, match=rf"^kept has {len(kept)} edge indices for 2 piece edges$"):
+            SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1), (0, 1))), lam=[1.0, 3.0], kept=kept)
 
     def test_forced_index_outside_the_edge_list_raises(self):
         piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(1,))
