@@ -13,8 +13,7 @@ The tableau starts on a core of near-neighbour edges, as in the core LP of
 Applegate, Bixby, Chvatal and Cook (2006, ch. 12); the other edges are
 priced against the duals and join as columns when their reduced cost is
 negative.  Its first basis lies on the core's nearest-neighbour tour and is
-feasible, so primal simplex starts there with no phase 1; the two-phase
-``simplex_min`` is a cold-start solver for the tests.
+feasible, so primal simplex starts there with no phase 1.
 """
 
 from __future__ import annotations
@@ -29,6 +28,10 @@ from .core import Edge, MetricInstance, global_min_cut, shrink_min_cut
 SEPARATION_TOL = 1e-7
 # Ratios within this distance count as tied; ties go to the smallest index.
 RATIO_TIE = 1e-12
+# Reduced costs and basic values beyond this distance from 0 count as nonzero.
+PIVOT_TOL = 1e-9
+# Pivots a solve may make before it raises LPError.
+MAX_PIVOTS = 200_000
 # Pivots without objective change before pricing falls back to Bland's rule.
 STALL_PIVOTS = 30
 # Nearest neighbours of each vertex whose edges start in the LP's core.
@@ -91,11 +94,9 @@ class _Tableau:
     sequence is deterministic.
     """
 
-    def __init__(self, t: np.ndarray, basis: np.ndarray, tol: float, max_pivots: int):
+    def __init__(self, t: np.ndarray, basis: np.ndarray):
         self.t = t
         self.basis = basis
-        self.tol = tol
-        self.max_pivots = max_pivots
         self.pivots = 0
 
     def pivot(self, row: int, col: int):
@@ -109,12 +110,12 @@ class _Tableau:
         t[rows, col] = 0.0
         self.basis[row] = col
         self.pivots += 1
-        if self.pivots > self.max_pivots:
+        if self.pivots > MAX_PIVOTS:
             raise LPError("simplex pivot limit exceeded")
 
     def primal(self):
         """Primal simplex on the last row over every column."""
-        t, m, tol = self.t, len(self.basis), self.tol
+        t, m, tol = self.t, len(self.basis), PIVOT_TOL
         bland = False
         stall = 0
         while True:
@@ -147,7 +148,7 @@ class _Tableau:
         every reduced cost nonnegative.  The leaving row has the most
         negative value (after a stall, the smallest basic index); the
         entering column has the smallest ratio, ties to the smallest index."""
-        t, m, tol = self.t, len(self.basis), self.tol
+        t, m, tol = self.t, len(self.basis), PIVOT_TOL
         ncols = t.shape[1] - 1
         bland = False
         stall = 0
@@ -194,7 +195,7 @@ class _Tableau:
         self.t = t
         self.basis = np.concatenate([self.basis, np.arange(width - 1, width - 1 + p)])
         self.dual()
-        # a ratio tie taken within RATIO_TIE can leave a reduced cost below -tol
+        # a ratio tie taken within RATIO_TIE can leave a reduced cost below -PIVOT_TOL
         self.primal()
 
     def add_columns(self, at: int, cols: np.ndarray):
@@ -211,74 +212,6 @@ class _Tableau:
         x[self.basis[structural]] = self.t[: len(self.basis), -1][structural]
         x[x < 1e-12] = 0.0
         return x
-
-
-def _two_phase(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
-               tol: float = 1e-9, max_pivots: int = 200_000) -> _Tableau:
-    """Optimal tableau of min c.x subject to a_eq x = b_eq, a_ge x >= b_ge, x >= 0.
-
-    Phase 1 drives artificial variables to zero; they are then pivoted out
-    or their redundant rows dropped.  They never enter, so they have basis
-    ids (from ``art_start`` on) but no columns.  Columns of the result: the
-    structural variables, one surplus per >= row, the right-hand side.
-    """
-    c = np.asarray(c, dtype=float)
-    nv = c.size
-    a_eq = np.zeros((0, nv)) if a_eq is None else np.asarray(a_eq, dtype=float).reshape(-1, nv)
-    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq, dtype=float).ravel()
-    a_ge = np.zeros((0, nv)) if a_ge is None else np.asarray(a_ge, dtype=float).reshape(-1, nv)
-    b_ge = np.zeros(0) if b_ge is None else np.asarray(b_ge, dtype=float).ravel()
-
-    sign = np.where(b_eq < 0, -1.0, 1.0)
-    if np.any(b_ge < 0):
-        raise ValueError("surplus-form rows require nonnegative right-hand sides")
-
-    m_eq, m_ge = b_eq.size, b_ge.size
-    m = m_eq + m_ge
-    art_start = nv + m_ge
-    t = np.zeros((m + 2, art_start + 1))  # structural, surplus, rhs
-    t[:m_eq, :nv] = sign[:, None] * a_eq
-    t[:m_eq, -1] = sign * b_eq
-    t[m_eq:m, :nv] = a_ge
-    t[m_eq:m, -1] = b_ge
-    t[np.arange(m_eq, m), np.arange(nv, art_start)] = -1.0
-    t[m, :nv] = c
-    # phase-1 reduced costs after eliminating the basic artificials
-    t[m + 1, :art_start] = -t[:m, :art_start].sum(axis=0)
-    t[m + 1, -1] = -t[:m, -1].sum()
-    tab = _Tableau(t, np.arange(art_start, art_start + m), tol, max_pivots)
-
-    tab.primal()  # the phase-1 row is the last one
-    feas_tol = 1e-7 * max(1.0, float(np.max(np.abs(t[:m, -1]))) if m else 1.0)
-    if -t[m + 1, -1] > feas_tol:
-        raise InfeasibleLPError(f"no feasible point (phase-1 residual {-t[m + 1, -1]:.3g})")
-
-    # pivot leftover artificials out of the basis; drop redundant rows
-    keep = np.ones(m + 2, dtype=bool)
-    for i in range(m):
-        if tab.basis[i] >= art_start:
-            cols = np.nonzero(np.abs(t[i, :art_start]) > tol)[0]
-            if cols.size:
-                tab.pivot(i, int(cols[0]))
-            else:
-                keep[i] = False
-    keep[m + 1] = False
-    tab.t = t[keep]
-    tab.basis = tab.basis[keep[:m]]
-    tab.primal()
-    return tab
-
-
-def simplex_min(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None,
-                tol: float = 1e-9, max_pivots: int = 200_000):
-    """Two-phase primal simplex on a dense tableau, from a cold start.
-
-    Minimizes c.x subject to a_eq x = b_eq, a_ge x >= b_ge, x >= 0, with the
-    deterministic pricing of ``_Tableau``.  Returns (x, objective).
-    """
-    c = np.asarray(c, dtype=float)
-    x = _two_phase(c, a_eq, b_eq, a_ge, b_ge, tol, max_pivots).solution(c.size)
-    return x, float(c @ x)
 
 
 def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarray], float]:
@@ -374,14 +307,14 @@ def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarra
     degree = _cut_rows(np.eye(n, dtype=bool)[:len(basis)], eu[cols], ev[cols])
     body = np.round(2.0 * np.linalg.solve(degree[:, basis], degree)) / 2.0
     t = np.vstack([np.c_[body, x_b], np.r_[cost - cost[basis] @ body, -(cost[basis] @ x_b)]])
-    tab = _Tableau(t, basis, tol=1e-9, max_pivots=200_000)
+    tab = _Tableau(t, basis)
     tab.primal()
     return tab
 
 
 def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.ndarray,
                     ev: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """The edges outside ``cols`` with reduced cost below -tol, and their tableau columns.
+    """The edges outside ``cols`` with reduced cost below -PIVOT_TOL, and their tableau columns.
 
     ``cols`` holds the edges of the structural columns and ``sides`` the
     masks S of the cut rows, in tableau order.  One solve with the basis
@@ -400,7 +333,7 @@ def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.n
     a = pi @ s
     reduced = (cost - y[:, None] - y - a[:, None] - a + 2.0 * (s.T * pi) @ s)[eu, ev]
     reduced[cols] = np.inf
-    new = np.flatnonzero(reduced < -tab.tol)
+    new = np.flatnonzero(reduced < -PIVOT_TOL)
     return new, np.vstack([np.linalg.solve(basis, matrix(new)), reduced[new]])
 
 

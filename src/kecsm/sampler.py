@@ -35,11 +35,12 @@ class RngStream:
     stream: int = 0
 
     @property
-    def key(self) -> np.ndarray:
-        return np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+    def key(self) -> tuple[int, int]:
+        return self.seed & _MASK64, self.stream & _MASK64
 
     def generator(self) -> np.random.Generator:
-        return np.random.Generator(np.random.Philox(key=self.key))
+        # Philox(key=...) casts a tuple holding a value >= 2**63 through float64
+        return np.random.Generator(np.random.Philox(key=np.array(self.key, dtype=np.uint64)))
 
 
 @dataclass(frozen=True)
@@ -179,7 +180,8 @@ def _draw_streams(draw, rngs) -> list:
     One Philox serves every stream: set to a state with the stream's key,
     counter 0 and an empty buffer, it is in the state of a fresh
     ``rng.generator()``, at a quarter of the cost of building one.  The state
-    setter copies the arrays, so one state dict serves too, with its key swapped.
+    setter copies the arrays and takes the key as a tuple of ints, so one state
+    dict serves too, with its key swapped.
     """
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)

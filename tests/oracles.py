@@ -2,9 +2,9 @@
 
 The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
-with the implementations they cross-check.  The exceptions:
-``solve_lp_enumeration`` checks every cut but shares the simplex with
-``solve_lp``, and seven references are earlier versions of
+with the implementations they cross-check; ``solve_lp_enumeration`` checks
+every cut and solves with HiGHS (``scipy.optimize.linprog``), not the
+library's simplex.  The exceptions: seven references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
@@ -31,10 +31,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import linprog
 
 from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
                         NotConnectedError, make_edge, spanning_forest)
-from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, simplex_min, violated_cuts
+from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, violated_cuts
 from kecsm.sampler import RngStream, SpanningTree
 from kecsm.split import SplitGraph
 from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, _grounded_inverse, _pair_resistances,
@@ -280,9 +281,11 @@ def induced_tight_set_reference(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray
 def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSolution:
     """Ground-truth solve by exhaustive separation.
 
-    Solves the degree equalities from a cold start, checks x against all
+    Solves the degree equalities with HiGHS, checks x against all
     2^(n-1) - 1 cuts, adds every cut carrying less than k - 1e-9 as a >= row
-    and solves again, until none does; restricted to n <= 12.
+    and solves again, until none does; restricted to n <= 12.  Adding cuts
+    as they are violated is about ten times faster at n = 12 than one solve
+    over every cut row.
     """
     if inst.n > max_n:
         raise ValueError(f"enumeration LP limited to n <= {max_n}, got n={inst.n}")
@@ -295,15 +298,20 @@ def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSol
     # the n vertices), excluding the full set
     masks = 2 * np.arange((1 << (inst.n - 1)) - 1) + 1
     rows = _cut_rows((masks[:, None] >> np.arange(inst.n) & 1).astype(bool), eu, ev)
+    degree = _cut_rows(np.eye(inst.n, dtype=bool), eu, ev)
     added = np.zeros(len(rows), dtype=bool)
     while True:
-        x, obj = simplex_min(cost, _cut_rows(np.eye(inst.n, dtype=bool), eu, ev), np.full(inst.n, k),
-                             rows[added], np.full(int(added.sum()), k))
+        res = linprog(cost, A_ub=-rows[added], b_ub=np.full(int(added.sum()), -k), A_eq=degree,
+                      b_eq=np.full(inst.n, k), bounds=(0, None), method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"HiGHS failed on the enumeration LP: {res.message}")
+        x = res.x
         violated = rows @ x < k - 1e-9
         if not violated.any():
-            return FractionalSolution(values={e: float(v) for e, v in zip(edges, x)}, objective=obj)
+            return FractionalSolution(values={e: float(v) for e, v in zip(edges, x)},
+                                      objective=float(res.fun))
         if (violated & added).any():
-            raise RuntimeError("the simplex left an added cut violated")
+            raise RuntimeError("HiGHS left an added cut violated")
         added |= violated
 
 

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -11,11 +12,11 @@ from kecsm import lp
 from kecsm.core import MetricInstance, component_labels, global_min_cut, shrink_min_cut
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import (
+    InfeasibleLPError,
     LPError,
     LPNotConvergedError,
+    UnboundedLPError,
     _Tableau,
-    _two_phase,
-    simplex_min,
     solve_lp,
     violated_cuts,
 )
@@ -36,6 +37,26 @@ def reference_cells(instance_seed):
             yield key, FAMILIES[family](int(n[1:]), int(k[1:]), instance_seed), objective
 
 
+def empty_tableau(c):
+    """A tableau with no rows over the costs c >= 0, which is dual feasible;
+    constraints join only through ``add_ge_rows``."""
+    return _Tableau(np.r_[c, 0.0][None], np.zeros(0, int))
+
+
+def solved_by_rows(c, a_eq, b_eq, a_ge, b_ge):
+    """``empty_tableau(c)`` after one batch of rows: each equality as two >= rows, then a_ge."""
+    tab = empty_tableau(c)
+    tab.add_ge_rows(np.vstack([a_eq, -a_eq, a_ge]), np.r_[b_eq, -b_eq, b_ge])
+    return tab
+
+
+def highs(c, a_eq=None, b_eq=None, a_ge=None, b_ge=None):
+    ref = linprog(c, A_ub=None if a_ge is None else -a_ge, b_ub=None if b_ge is None else -b_ge,
+                  A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert ref.status == 0
+    return ref.fun
+
+
 class TestSimplexEngine:
     """Cross-check the in-house tableau against an established LP solver."""
 
@@ -52,33 +73,25 @@ class TestSimplexEngine:
         x_feas = rng.random(nv) + 0.1
         b_eq = a_eq @ x_feas
         b_ge = a_ge @ x_feas * 0.8
-        x, obj = simplex_min(c, a_eq, b_eq, a_ge, b_ge)
-        ref = linprog(c, A_ub=-a_ge, b_ub=-b_ge, A_eq=a_eq if m_eq else None,
-                      b_eq=b_eq if m_eq else None, bounds=(0, None), method="highs")
-        assert ref.status == 0
-        assert obj == pytest.approx(ref.fun, rel=1e-7, abs=1e-9)
+        x = solved_by_rows(c, a_eq, b_eq, a_ge, b_ge).solution(nv)
+        ref = highs(c, a_eq if m_eq else None, b_eq if m_eq else None, a_ge, b_ge)
+        assert c @ x == pytest.approx(ref, rel=1e-7, abs=1e-9)
         assert np.all(x >= -1e-9)
         if m_eq:
             assert np.allclose(a_eq @ x, b_eq, atol=1e-7)
         assert np.all(a_ge @ x >= b_ge - 1e-7)
 
     def test_infeasible_raises(self):
-        from kecsm.lp import InfeasibleLPError
-
-        with pytest.raises(InfeasibleLPError):
-            simplex_min(np.ones(1), a_eq=[[1.0]], b_eq=[1.0], a_ge=[[1.0]], b_ge=[2.0])
+        tab = empty_tableau(np.ones(1))
+        with pytest.raises(InfeasibleLPError,
+                           match=re.escape("no feasible point (row of basic column 2 stays at -1)")):
+            tab.add_ge_rows(np.array([[1.0], [-1.0]]), np.array([2.0, -1.0]))
 
     def test_unbounded_raises(self):
-        from kecsm.lp import UnboundedLPError
-
+        # min -y subject to x - y = 1, with x basic: y enters and no row bounds it
+        tab = _Tableau(np.array([[1.0, -1.0, 1.0], [0.0, -1.0, 0.0]]), np.array([0]))
         with pytest.raises(UnboundedLPError):
-            simplex_min(np.array([-1.0]), a_ge=[[1.0]], b_ge=[0.0])
-
-    def test_redundant_equality_rows(self):
-        # duplicated constraint row must not break phase 1 cleanup
-        x, obj = simplex_min(np.array([5.0]), a_eq=[[1.0], [1.0]], b_eq=[4.0, 4.0])
-        assert x[0] == pytest.approx(4.0)
-        assert obj == pytest.approx(20.0)
+            tab.primal()
 
     @pytest.mark.parametrize("seed", range(12))
     def test_rows_added_in_batches_match_cold_solve(self, seed):
@@ -93,40 +106,41 @@ class TestSimplexEngine:
         b_eq = a_eq @ x_feas
         b_ge = a_ge @ x_feas
         first, *later = np.array_split(np.arange(m_ge), 2 + seed % 2)
-        tab = _two_phase(c, a_eq, b_eq, a_ge[first], b_ge[first])
+        tab = solved_by_rows(c, a_eq, b_eq, a_ge[first], b_ge[first])
         for rows in later:
             cut_off = np.any(a_ge[rows] @ tab.solution(nv) < b_ge[rows] - 1e-9)
             pivots = tab.pivots
             tab.add_ge_rows(a_ge[rows], b_ge[rows])
             assert (tab.pivots > pivots) == cut_off
         x = tab.solution(nv)
-        _, cold_obj = simplex_min(c, a_eq, b_eq, a_ge, b_ge)
-        ref = linprog(c, A_ub=-a_ge, b_ub=-b_ge, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
-        assert ref.status == 0
-        assert c @ x == pytest.approx(cold_obj, rel=1e-9, abs=1e-9)
-        assert c @ x == pytest.approx(ref.fun, rel=1e-9, abs=1e-9)
+        assert c @ x == pytest.approx(highs(c, a_eq, b_eq, a_ge, b_ge), rel=1e-9, abs=1e-9)
         assert np.all(x >= 0)
         assert np.allclose(a_eq @ x, b_eq, atol=1e-9)
         assert np.all(a_ge @ x >= b_ge - 1e-9)
 
     def test_tied_dual_ratios_go_to_smallest_column(self):
         # equal costs tie every entering ratio of the added row
-        tab = _two_phase(np.ones(3))
-        tab.add_ge_rows(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]))
-        assert tab.solution(3).tolist() == [1.0, 0.0, 0.0]
+        a, b = np.array([[1.0, 1.0, 1.0]]), np.array([1.0])
+        tab = empty_tableau(np.ones(3))
+        tab.add_ge_rows(a, b)
+        x = tab.solution(3)
+        assert x.tolist() == [1.0, 0.0, 0.0]
+        assert x.sum() == pytest.approx(highs(np.ones(3), a_ge=a, b_ge=b), abs=1e-12)
 
     def test_degenerate_warm_solve_is_deterministic(self):
         # every vertex of this LP is degenerate and every dual ratio ties
         a = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 1, 1, 1]], dtype=float)
+        b = np.array([1, 1, 1, 1, 2], dtype=float)
         runs = []
         for _ in range(2):
-            tab = _two_phase(np.ones(4), a_ge=a[:1], b_ge=[1.0])
-            tab.add_ge_rows(a[1:3], np.ones(2))
-            tab.add_ge_rows(a[3:], np.array([1.0, 2.0]))
+            tab = empty_tableau(np.ones(4))
+            tab.add_ge_rows(a[:1], b[:1])
+            tab.add_ge_rows(a[1:3], b[1:3])
+            tab.add_ge_rows(a[3:], b[3:])
             runs.append((tab.solution(4), tab.basis.tolist(), tab.pivots))
         (x, basis, pivots), again = runs
-        assert x.sum() == pytest.approx(2.0)
-        assert np.all(a @ x >= np.array([1, 1, 1, 1, 2]) - 1e-12)
+        assert x.sum() == pytest.approx(highs(np.ones(4), a_ge=a, b_ge=b), abs=1e-12)
+        assert np.all(a @ x >= b - 1e-12)
         assert x.tolist() == again[0].tolist() and (basis, pivots) == again[1:]
 
     @pytest.mark.parametrize("seed", range(10))
@@ -136,7 +150,7 @@ class TestSimplexEngine:
         rng = np.random.default_rng(seed)
         m, width = int(rng.integers(2, 12)), int(rng.integers(3, 40))
         t = rng.standard_normal((m, width)) * (rng.random((m, width)) < 0.3)
-        tab = _Tableau(t.copy(), np.arange(m - 1), tol=1e-9, max_pivots=100)
+        tab = _Tableau(t.copy(), np.arange(m - 1))
         expected = t.copy()
         for _ in range(5):
             row = int(rng.integers(m - 1))
@@ -154,11 +168,9 @@ class TestSimplexEngine:
             assert np.array_equal(tab.t, expected)
             assert tab.basis[row] == col
 
-    def test_pivot_cap_raises(self):
-        with pytest.raises(LPError, match="pivot limit"):
-            simplex_min(np.ones(3), a_ge=[[1.0, 1.0, 1.0]], b_ge=[1.0], max_pivots=0)
-        tab = _two_phase(np.ones(3))
-        tab.max_pivots = tab.pivots
+    def test_pivot_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lp, "MAX_PIVOTS", 0)
+        tab = empty_tableau(np.ones(3))
         with pytest.raises(LPError, match="pivot limit"):
             tab.add_ge_rows(np.array([[1.0, 1.0, 1.0]]), np.array([1.0]))
 
@@ -465,16 +477,6 @@ class TestTourStart:
             if n > 2:
                 u, v = basic[-1]
                 assert (tour.index(u) - tour.index(v)) % 2 == 0
-
-    def test_phase_1_never_runs(self, monkeypatch):
-        def refused(*args, **kwargs):
-            raise AssertionError("solve_lp ran phase 1")
-
-        monkeypatch.setattr(lp, "_two_phase", refused)
-        key, inst, objective = next(reference_cells(1))
-        frac, report = solve_lp(inst)
-        assert frac.objective == pytest.approx(objective, rel=1e-9), key
-        assert report.core == len(lp._tour_and_core(inst.cost)[1])
 
 
 class TestSeparate:

@@ -605,7 +605,7 @@ class TestCli:
         assert err.startswith("error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("error", [
-        InfeasibleLPError("no feasible point (phase-1 residual 1)"),
+        InfeasibleLPError("no feasible point (row of basic column 2 stays at -1)"),
         UnboundedLPError("objective unbounded below"),
         LPError("simplex pivot limit exceeded"),
     ])

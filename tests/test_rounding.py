@@ -361,7 +361,6 @@ def same_rounding_after_scaling(seed: int, power: int) -> bool:
 
 
 def test_scaling_the_costs_keeps_the_rounding():
-    # the reproducer of the tied vertex under the two-phase start
     assert same_rounding_after_scaling(9, 17)
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecsm import euclidean_instance, prepare, random_closure_instance
+from kecsm import euclidean_instance, prepare, random_closure_instance, sampler
 from kecsm.core import NotConnectedError
 from kecsm.rounding import fundamental_cut_counts, mst
 from kecsm.sampler import (
@@ -98,9 +98,25 @@ def test_reset_generator_matches_a_fresh_philox(seed):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", [-5, 3])
+def test_every_key_draws_what_its_generator_draws(monkeypatch, seed):
+    # keys at or above 2**63, from a negative seed or a large stream, reach
+    # the reset Philox unchanged
+    streams = [RngStream(seed=seed, stream=2**63 + s) for s in range(4)]
+    draws = _draw_streams(lambda uniform: [uniform() for _ in range(5)], streams)
+    assert draws == [rng.generator().random(5).tolist() for rng in streams]
+    g = complete_graph(6)
+    lam = np.arange(1.0, len(g.edges) + 1)
+    batch = sample_batch(lam, g, 8, seed=seed)
+    monkeypatch.setattr(sampler, "_draw_streams", lambda draw, rngs: [
+        draw(iter(rng.generator().random(1000).tolist()).__next__) for rng in rngs])
+    assert _digest(sample_batch(lam, g, 8, seed=seed)) == _digest(batch)
+
+
+@pytest.mark.filterwarnings("error")
 def test_negative_seeds_draw_their_own_trees():
     # a seed is its value modulo 2**64, exactly: -1 and -7 are the keys 2**64 - 1 and 2**64 - 7
-    assert RngStream(seed=-7, stream=-1).key.tolist() == [2**64 - 7, 2**64 - 1]
+    assert RngStream(seed=-7, stream=-1).key == (2**64 - 7, 2**64 - 1)
     g = complete_graph(6)
     batches = [sample_batch(np.ones(len(g.edges)), g, 8, seed=seed) for seed in (-1, -7, 0)]
     assert len({_digest(batch) for batch in batches}) == 3
