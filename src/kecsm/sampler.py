@@ -5,6 +5,10 @@ arbitrary positive weights and supports parallel edges.  Every law is drawn
 one way: its forced edges plus one walk per piece, rooted into a
 :class:`TreeBatch`.  A plain weight vector is the law with no forced edge and
 one piece, the whole graph.
+
+A law with few trees also keeps a memo from the walks' picks to the rooted
+rows of the tree they give, so that a repeated tree skips the rooting; the
+walks still run, so every draw is the same with or without it.
 """
 
 from __future__ import annotations
@@ -12,15 +16,17 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
+from struct import Struct
 
 import numpy as np
 
-from .core import NotConnectedError
+from .core import NotConnectedError, as_int
 from .treedist import EdgeGraph, LambdaWeights, SamplingPiece, check_finite, is_connected
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32  # draws per generator call; a fitted tree on the n = 32 benchmark laws takes 2-20
+_MEMO_BYTES = 1 << 20  # a law keeps a memo when the rooted rows of all its trees fit in this
 
 
 @dataclass(frozen=True)
@@ -73,10 +79,11 @@ class TreeBatch(Sequence):
     Indexing and iteration give the trees as :class:`SpanningTree`.
     """
 
-    def __init__(self, rooted):
-        """``rooted``: one (parent, parent_edge, preorder, size) tuple per tree."""
-        self.parent, self.parent_edge, self.preorder, self.size = (
-            np.array(column, dtype=np.intp) for column in zip(*rooted))
+    def __init__(self, rows):
+        """``rows``: a (T, 4, n) integer array-like, tree t's parent, parent_edge,
+        preorder and size; the arrays are copies, cast to ``intp``."""
+        rows = np.asarray(rows).transpose(1, 0, 2).astype(np.intp, order="C")
+        self.parent, self.parent_edge, self.preorder, self.size = rows
         self.edge_indices = np.sort(self.parent_edge[:, 1:], axis=1)
 
     def __len__(self) -> int:
@@ -201,9 +208,23 @@ def _draw_streams(draw, rngs) -> list:
 
 
 def _streams(t: int, seed: int) -> list[RngStream]:
+    t, seed = as_int(t, "t"), as_int(seed, "seed")
     if t < 1:
         raise ValueError("tree count must be at least 1")
     return [RngStream(seed=seed, stream=s) for s in range(t)]
+
+
+def _fits(pieces, room: int) -> bool:
+    """Whether the product over the pieces of C(edges, vertices - 1), which
+    bounds the law's tree count, is at most ``room``; stops once it is not."""
+    bound = 1
+    for piece in pieces:
+        m, r = len(piece.graph.edges), piece.graph.n - 1
+        for i in range(1, r + 1):  # this piece's factor is now C(m - r + i, i), exact and rising
+            bound = bound * (m - r + i) // i
+            if bound > room:
+                return False
+    return bound <= room
 
 
 def _sampler(graph: EdgeGraph, forced, pieces):
@@ -214,8 +235,14 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     forced edges plus one tree per piece must number n - 1, so every draw has
     n - 1 distinct edges.  It keeps a walk per piece, each piece edge lifted
     to its two incidence entries in ``graph``, and the incidence lists of the
-    forced edges.  A draw copies those lists, appends the entries of the edges
-    the walks return on one stream, and roots the tree with ``_root``.
+    forced edges.  A draw runs the walks on one stream, copies those lists,
+    appends the entries of the edges the walks return, roots the tree with
+    ``_root`` and returns its parent, parent edge, preorder and size rows as
+    one block of bytes of ``draw.dtype``, the smallest signed integer that
+    holds n and every edge index.  When the blocks of every tree the pieces
+    could give fit in ``_MEMO_BYTES``, ``draw.memo`` maps the edges the walks
+    returned to the block of each tree rooted so far, and a draw that finds
+    them there returns that block; otherwise ``draw.memo`` is None.
     """
     # the draw keeps no reference to the law, which caches it: a cycle would
     # hold every law until the cyclic garbage collector runs
@@ -228,20 +255,39 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     if len(distinct) < len(forced) + len(kept) or len(forced) + sum(p.graph.n - 1 for p in pieces) != n - 1:
         raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
     forced_inc = _incidence(graph, forced)
-    walks = [(_Walk(piece.lam, piece.graph),
-              [(a, (b, i), b, (a, i)) for i in piece.kept for a, b in [graph.edges[i]]])
-             for piece in pieces]
+    walks = [_Walk(piece.lam, piece.graph) for piece in pieces]
+    lifts = [[(a, (b, i), b, (a, i)) for i in piece.kept for a, b in [graph.edges[i]]] for piece in pieces]
+    dtype = np.min_scalar_type(-max(n, m) - 1)  # -max - 1 fits, so does max
+    pack = Struct(f"{4 * n}{dtype.char}").pack
+    memo = {} if _fits(pieces, _MEMO_BYTES // (4 * n * dtype.itemsize)) else None
 
-    def draw(uniform) -> tuple[list[int], list[int], list[int], list[int]]:
+    def draw(uniform) -> bytes:
+        picks = [walk.edges(uniform) for walk in walks]
+        if memo is not None:
+            key = tuple(chain.from_iterable(picks))
+            block = memo.get(key)
+            if block is not None:
+                return block
         inc = list(map(list, forced_inc))
-        for walk, lifted in walks:
-            for j in walk.edges(uniform):
+        for lifted, edges in zip(lifts, picks):
+            for j in edges:
                 a, at_a, b, at_b = lifted[j]
                 inc[a].append(at_a)
                 inc[b].append(at_b)
-        return _root(n, inc)
+        parent, parent_edge, order, size = _root(n, inc)
+        block = pack(*parent, *parent_edge, *order, *size)
+        if memo is not None:
+            memo[key] = block
+        return block
 
+    draw.dtype, draw.memo = dtype, memo
     return draw
+
+
+def _batch(draw, rngs) -> TreeBatch:
+    """The trees ``draw`` gives on the streams ``rngs``, one ``TreeBatch`` row each."""
+    blocks = _draw_streams(draw, rngs)
+    return TreeBatch(np.frombuffer(b"".join(blocks), draw.dtype).reshape(len(blocks), 4, -1))
 
 
 def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> TreeBatch:
@@ -254,11 +300,12 @@ def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> TreeBatch:
     draw order, so the batch could be filled concurrently and still assemble
     identically.
     """
+    rngs = _streams(t, seed)
     whole = SamplingPiece(graph=graph, lam=lam, kept=tuple(range(len(graph.edges))))
-    return TreeBatch(_draw_streams(_sampler(graph, (), (whole,)), _streams(t, seed)))
+    return _batch(_sampler(graph, (), (whole,)), rngs)
 
 
 def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> TreeBatch:
     """``t`` fitted trees on streams 0..t-1 of ``seed``: the forced edges plus
     one tree per piece, all pieces drawn in order on one stream."""
-    return TreeBatch(_draw_streams(dist._sampler, _streams(t, seed)))
+    return _batch(dist._sampler, _streams(t, seed))

@@ -186,7 +186,9 @@ class LambdaWeights:
     @cached_property
     def _sampler(self):
         """Draw function of this law, with a walk per piece and the forced
-        edges' incidence built on the first draw and kept for every later one."""
+        edges' incidence built on the first draw and kept for every later one;
+        for a law with few trees also a memo of the rooted trees it has drawn
+        (``sampler._sampler``)."""
         from .sampler import _sampler  # the sampler module imports this one
 
         return _sampler(self.graph, self.forced, self.pieces)

@@ -3,9 +3,9 @@
 Run from a checkout as ``python tests/identity_digest.py``; to hash another
 checkout with the same script, point ``PYTHONPATH`` at its ``src``.  Two
 checkouts that print the same digest give byte-identical batch rows, LP
-vertices, fitted laws, MSTs, roundings, baselines and brute-force optima on
-the fixed seeds below.  ``tests/test_identity_digest.py`` pins
-the digest; pytest does not collect this file.
+vertices, fitted laws, rooted tree batches, MSTs, roundings, baselines and
+brute-force optima on the fixed seeds below.  ``tests/test_identity_digest.py``
+pins the digest; pytest does not collect this file.
 
 With ``--parts`` it also prints one SHA-256 per section of those outputs, so
 two checkouts whose digests differ show which section moved.
@@ -14,6 +14,7 @@ two checkouts whose digests differ show which section moved.
 import argparse
 import hashlib
 import itertools
+import math
 import sys
 from pathlib import Path
 
@@ -33,8 +34,8 @@ CELLS = [("euclidean", 32, 8), ("random-closure", 32, 8), ("euclidean", 48, 8),
          ("euclidean", 40, 4), ("euclidean", 40, 6)]
 
 
-SECTIONS = ("batch rows", "LP vertices", "fits", "MSTs", "roundings", "baselines", "brute force",
-            "enumeration")
+SECTIONS = ("batch rows", "LP vertices", "fits", "tree batches", "MSTs", "roundings", "baselines",
+            "brute force", "enumeration")
 
 
 def digests() -> tuple[str, dict[str, str]]:
@@ -63,6 +64,10 @@ def digests() -> tuple[str, dict[str, str]]:
         put("fits", arr(w.lam), arr(w.fitted_marginals), w.forced, w.deleted, w.sweeps, w.max_ratio)
         for pc in w.pieces:
             put("fits", pc.graph.n, pc.graph.edges, arr(pc.lam), pc.kept)
+        for seed in (0, 1, 2):
+            for _ in range(2):  # the second batch draws trees the first one rooted
+                trees = kecsm.sample_fitted_batch(w, math.ceil(k / 2), seed)
+                put("tree batches", *map(arr, (trees.parent, trees.parent_edge, trees.preorder, trees.size)))
         g0 = prep.split_graph
         put("MSTs", tuple(sorted(rounding.mst(g0))))
         for seed in (0, 1, 2):

@@ -46,7 +46,7 @@ def split_graph_fixture(n0_edges, costs=None):
 
 
 def batch_of(trees) -> TreeBatch:
-    return TreeBatch((tr.parent, tr.parent_edge, tr.preorder, tr.size) for tr in trees)
+    return TreeBatch([(tr.parent, tr.parent_edge, tr.preorder, tr.size) for tr in trees])
 
 
 def cut_counts(tree, t_star, g0) -> dict[int, int]:

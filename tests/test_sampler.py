@@ -3,6 +3,7 @@ import hashlib
 import math
 import weakref
 from collections import Counter
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
@@ -460,3 +461,100 @@ def test_fitted_batches_root_like_tree_from_edges(family, n, k, instance_seed, a
     for row, tree in zip(counts, trees):
         assert dict(zip(tree.parent_edge[1:], row[1:].tolist())) == fundamental_cut_counts_reference(
             tree, t_star, g0)
+
+
+ROWS = ("parent", "parent_edge", "preorder", "size", "edge_indices")
+
+
+def _tree_bound(pieces) -> int:
+    """Product over the pieces of C(edges, vertices - 1): at least the law's tree count."""
+    return math.prod(math.comb(len(p.graph.edges), p.graph.n - 1) for p in pieces)
+
+
+class TestTreeMemo:
+    """A law whose trees' rooted rows all fit ``_MEMO_BYTES`` keeps them by the
+    walks' picks; the walks still run, so every batch is the same without it."""
+
+    @pytest.mark.parametrize("family", ["random-closure", "euclidean"])
+    def test_batches_equal_the_batches_without_a_memo(self, monkeypatch, family):
+        _, w = _law(family, 32, 64, 1, False)
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "_MEMO_BYTES", 0)
+            plain = replace(w)
+            assert plain._sampler.memo is None
+        memoized = replace(w)
+        assert memoized._sampler.memo == {}
+        expected = {(t, seed): sample_fitted_batch(plain, t, seed)
+                    for t in (1, 4, 128) for seed in range(200)}
+        for _ in range(2):  # the second pass repeats every seed the first one drew
+            for (t, seed), want in expected.items():
+                got = sample_fitted_batch(memoized, t, seed)
+                for name in ROWS:
+                    assert np.array_equal(getattr(got, name), getattr(want, name)), (t, seed, name)
+        assert 1 < len(memoized._sampler.memo) <= _tree_bound(w.pieces)
+
+    def test_writing_into_a_batch_leaves_a_later_batch(self):
+        _, w = _law("random-closure", 32, 64, 1, False)
+        first = sample_fitted_batch(w, 16, seed=4)
+        want = {name: getattr(first, name).copy() for name in ROWS}
+        for name in ROWS:
+            getattr(first, name)[:] = 7
+        again = sample_fitted_batch(w, 16, seed=4)
+        for name in ROWS:
+            assert np.array_equal(getattr(again, name), want[name])
+            assert getattr(again, name).dtype == np.intp
+
+    @pytest.mark.parametrize("family, n, k, instance_seed, bound, memoized", [
+        ("random-closure", 32, 64, 1, 1920, True), ("euclidean", 32, 64, 1, 6, True),
+        ("random-closure", 48, 4, 1, 40320, False), ("euclidean", 40, 4, 1, 192, True),
+        ("random-closure", 32, 64, 3, 41580, False)])
+    def test_a_law_keeps_a_memo_when_the_bound_fits_the_budget(self, family, n, k, instance_seed, bound,
+                                                                memoized):
+        _, w = _law(family, n, k, instance_seed, False)
+        draw = w._sampler
+        assert _tree_bound(w.pieces) == bound
+        assert (bound * 4 * w.graph.n * draw.dtype.itemsize <= sampler._MEMO_BYTES) == memoized
+        assert (draw.memo is not None) == memoized
+        sample_fitted_batch(w, 64, seed=0)
+        if memoized:
+            assert 0 < len(draw.memo) <= bound
+
+    def test_a_whole_graph_law_at_large_n_keeps_no_memo(self):
+        g = complete_graph(64)
+        whole = SamplingPiece(graph=g, lam=np.ones(len(g.edges)), kept=tuple(range(len(g.edges))))
+        assert sampler._sampler(g, (), (whole,)).memo is None
+
+    def test_sample_batch_on_k4_roots_each_tree_once(self, monkeypatch):
+        # K4 has 16 trees and the bound C(6, 3) = 20
+        g = complete_graph(4)
+        lam = np.arange(1.0, 7.0)
+        calls = []
+        root = sampler._root
+        monkeypatch.setattr(sampler, "_root", lambda n, inc: calls.append(n) or root(n, inc))
+        batch = sample_batch(lam, g, 2000, seed=12)
+        assert len(calls) == len({tree.edge_indices for tree in batch}) == 16
+        monkeypatch.setattr(sampler, "_MEMO_BYTES", 0)
+        plain = sample_batch(lam, g, 2000, seed=12)
+        assert len(calls) == 16 + 2000
+        for name in ROWS:
+            assert np.array_equal(getattr(batch, name), getattr(plain, name))
+
+
+@pytest.mark.parametrize("draw", [
+    lambda t, seed: sample_batch(np.ones(3), TRIANGLE, t, seed),
+    lambda t, seed: sample_fitted_batch(_hand_built_law(), t, seed),
+], ids=["sample_batch", "sample_fitted_batch"])
+class TestIntegerArguments:
+    @pytest.mark.parametrize("t", [True, 2.5, "2", None])
+    def test_a_tree_count_that_is_not_an_integer_raises(self, draw, t):
+        with pytest.raises(ValueError, match=rf"^t must be an integer, got {t!r}$"):
+            draw(t, 0)
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "1", None])
+    def test_a_seed_that_is_not_an_integer_raises(self, draw, seed):
+        with pytest.raises(ValueError, match=rf"^seed must be an integer, got {seed!r}$"):
+            draw(2, seed)
+
+    def test_integral_floats_and_numpy_integers_pass(self, draw):
+        want = list(draw(3, 5))
+        assert list(draw(3.0, np.int64(5))) == list(draw(np.int32(3), 5.0)) == want
