@@ -17,7 +17,6 @@ from .core import MultiEdgeSet, NotConnectedError
 from .instances import InstanceFormatError, load_instance
 from .lp import LPError, solve_lp
 from .pipeline import (
-    ExperimentReport,
     run_baseline,
     run_batch,
     run_pipeline,
@@ -142,7 +141,7 @@ def _cmd_solve(args) -> int:
         alpha=_parse_alpha(args.alpha),
         split_vertex=_split_vertex(args, inst),
         instance_id=args.input,
-        with_opt=inst.n <= 5 and inst.k <= 6,
+        with_opt=True,
     )
     r = result.record
     print(f"lp_cost={r.lp_cost:.6f} total={r.total:.6f} ratio_lp={r.ratio_lp:.6f} "

@@ -152,10 +152,10 @@ class MetricViolation:
         return f"{self.kind} violation at {self.vertices} (excess {self.amount:.3g})"
 
 
-def validate_metric(inst: MetricInstance, tol: float = TOL) -> list[MetricViolation]:
+def validate_metric(inst: MetricInstance) -> list[MetricViolation]:
     """Check symmetry, zero diagonal, nonnegativity, and the triangle inequality.
 
-    Returns an empty list iff the instance is a metric within ``tol``.  A
+    Returns an empty list iff the instance is a metric within ``TOL``.  A
     triangle entry (x, y, z) means cost(x,z) > cost(x,y) + cost(y,z); each
     unordered endpoint pair with a given midpoint is reported once.
     """
@@ -164,21 +164,21 @@ def validate_metric(inst: MetricInstance, tol: float = TOL) -> list[MetricViolat
     out: list[MetricViolation] = []
     skew = np.abs(c - c.T)
     low = np.minimum(c, c.T)
-    pair_bad = np.triu((skew > tol) | (low < -tol), 1)
+    pair_bad = np.triu((skew > TOL) | (low < -TOL), 1)
     for u in range(n):
-        if abs(c[u, u]) > tol:
+        if abs(c[u, u]) > TOL:
             out.append(MetricViolation("diagonal", (u,), abs(float(c[u, u]))))
         for v in np.nonzero(pair_bad[u])[0].tolist():
-            if skew[u, v] > tol:
+            if skew[u, v] > TOL:
                 out.append(MetricViolation("symmetry", (u, v), float(skew[u, v])))
-            if low[u, v] < -tol:
+            if low[u, v] < -TOL:
                 out.append(MetricViolation("negative", (u, v), -float(low[u, v])))
     for x in range(n - 1):
         # excess[z - x - 1, y] = c[x, z] - (c[x, y] + c[y, z]) for every z > x
         excess = c[x, x + 1:, None] - (c[x] + c[:, x + 1:].T)
         excess[:, x] = -np.inf
         excess[np.arange(n - x - 1), np.arange(x + 1, n)] = -np.inf
-        for dz, y in zip(*np.nonzero(excess > tol)):
+        for dz, y in zip(*np.nonzero(excess > TOL)):
             out.append(MetricViolation("triangle", (x, int(y), x + 1 + int(dz)), float(excess[dz, y])))
     return out
 

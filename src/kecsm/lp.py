@@ -32,6 +32,8 @@ RATIO_TIE = 1e-12
 PIVOT_TOL = 1e-9
 # Pivots a solve may make before it raises LPError.
 MAX_PIVOTS = 200_000
+# Cuts a solve may add before it raises LPNotConvergedError.
+MAX_CUTS = 10_000
 # Pivots without objective change before pricing falls back to Bland's rule.
 STALL_PIVOTS = 30
 # Nearest neighbours of each vertex whose edges start in the LP's core.
@@ -337,13 +339,13 @@ def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.n
     return new, np.vstack([np.linalg.solve(basis, matrix(new)), reduced[new]])
 
 
-def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSolution, LPReport]:
+def solve_lp(inst: MetricInstance) -> tuple[FractionalSolution, LPReport]:
     """Solve the relaxation by cut generation on a priced core of edges.
 
     Finds the point y at degree 2: solves the degree equalities over the core
     of ``_tour_and_core`` by primal simplex from the feasible basis of
     ``_tour_start`` on the nearest-neighbour tour, then adds the violated cuts
-    that ``violated_cuts`` finds on the support of y (at most ``max_cuts`` in
+    that ``violated_cuts`` finds on the support of y (at most ``MAX_CUTS`` in
     all), re-optimizing the same tableau by dual simplex.
     When none is left, the edges that ``_priced_columns`` finds join after
     the core columns and primal simplex re-optimizes, until separation and
@@ -354,8 +356,11 @@ def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSo
     edges = inst.edges()
     eu, ev = _edge_ends(edges)
     cost = inst.cost[eu, ev]
+    # the simplex sees the costs times a power of two that brings the largest
+    # into [1/2, 1): exact, so its absolute tolerances act alike at every scale
+    scaled = np.ldexp(inst.cost, -np.frexp(np.abs(inst.cost).max())[1])
     tour, core = _tour_and_core(inst.cost)
-    tab = _tour_start(tour, core, eu, ev, cost[core])
+    tab = _tour_start(tour, core, eu, ev, scaled[eu[core], ev[core]])
     cols = core
     cut_sides = np.zeros((0, inst.n), dtype=bool)
 
@@ -374,15 +379,15 @@ def solve_lp(inst: MetricInstance, max_cuts: int = 10_000) -> tuple[FractionalSo
         support = {edges[i]: xs[i] for i in np.flatnonzero(x).tolist()}
         sides, value = violated_cuts(support, 2, inst.n)
         if not sides:
-            new, columns = _priced_columns(tab, cols, cut_sides, eu, ev, inst.cost)
+            new, columns = _priced_columns(tab, cols, cut_sides, eu, ev, scaled)
             if not new.size:
                 return FractionalSolution(support, obj).at(inst.k), report(obj, 2.0 - value)
             tab.add_columns(len(cols), columns)
             cols = np.concatenate([cols, new])
             continue
         sides = np.array(sides)
-        if (cut_sides[:, None] == sides).all(axis=2).any() or len(cut_sides) >= max_cuts:
+        if (cut_sides[:, None] == sides).all(axis=2).any() or len(cut_sides) >= MAX_CUTS:
             raise LPNotConvergedError("LP did not converge", report(obj, float("nan")))
-        sides = sides[:max_cuts - len(cut_sides)]
+        sides = sides[:MAX_CUTS - len(cut_sides)]
         cut_sides = np.vstack([cut_sides, sides])
         tab.add_ge_rows(_cut_rows(sides, eu[cols], ev[cols]), np.full(len(sides), 2.0))

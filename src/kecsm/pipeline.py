@@ -58,6 +58,13 @@ def _csv_cell(value) -> str:
 CSV_COLUMNS = [f.name for f in fields(RunRecord)]
 
 
+def _ratio(cost: float, bound: float) -> float:
+    """cost / bound, where 0 / 0 reads 1.0 (a zero-cost instance) and x / 0 infinity."""
+    if bound == 0:
+        return 1.0 if cost == 0 else float("inf")
+    return cost / bound
+
+
 @dataclass(frozen=True)
 class SolvedRelaxation:
     """The LP point y at degree 2, its split and fitted law; reusable across
@@ -114,8 +121,8 @@ def round_prepared(prep: SolvedRelaxation, seed: int, alpha: float | None = None
         cost_b=out.cost_b,
         cost_f=out.cost_f,
         total=out.total_cost,
-        ratio_lp=out.total_cost / lp_cost if lp_cost > 0 else float("inf"),
-        ratio_opt=None if opt_cost is None else out.total_cost / opt_cost,
+        ratio_lp=_ratio(out.total_cost, lp_cost),
+        ratio_opt=None if opt_cost is None else _ratio(out.total_cost, opt_cost),
         connected=cert.passes,
         augments=out.augmentation_count,
         ms=ms,
@@ -260,7 +267,7 @@ def run_baseline(inst: MetricInstance, which: str, seed: int = 0,
         cost_b=repair_cost,
         cost_f=0.0,
         total=total,
-        ratio_lp=total / lp_cost if lp_cost > 0 else float("inf"),
+        ratio_lp=_ratio(total, lp_cost),
         ratio_opt=None,
         connected=cert.passes,
         augments=0,

@@ -28,45 +28,45 @@ def default_alpha(k: int) -> float:
     return math.sqrt(math.log(k / 2.0))
 
 
+def _alpha_cap(k: int) -> float:
+    """The largest alpha for k: sqrt(k/2 - 1), and 0 for k <= 2."""
+    return math.sqrt(max(k / 2.0 - 1.0, 0.0))
+
+
 @dataclass(frozen=True)
 class RoundingParams:
-    """Resolved parameters of one rounding run."""
+    """Parameters of one rounding run; k and alpha fix the counts and the threshold."""
 
     k: int
     alpha: float
-    tree_count: int
-    mst_copies: int
     seed: int
 
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be at least 2")
-        cap = math.sqrt(max(self.k / 2.0 - 1.0, 0.0))
+        cap = _alpha_cap(self.k)
         if not 0 <= self.alpha <= cap + 1e-12:  # also a NaN alpha
             raise ValueError(f"alpha={self.alpha} outside [0, sqrt(k/2-1)]={cap}")
-        if self.tree_count < 1 or self.mst_copies < 0:
-            raise ValueError("need tree_count >= 1 and mst_copies >= 0")
 
     @classmethod
     def make(cls, k: int, alpha: float | None = None, seed: int = 0) -> "RoundingParams":
-        cap = math.sqrt(max(k / 2.0 - 1.0, 0.0))
-        a = default_alpha(k) if alpha is None else min(float(alpha), cap)
-        if math.isnan(a):  # math.ceil below would fail on it
-            raise ValueError(f"alpha={a} outside [0, sqrt(k/2-1)]={cap}")
-        # mst_copies = ceil of the same float the threshold subtracts, so the
-        # pair (threshold, copies) stays exactly consistent
-        return cls(
-            k=k,
-            alpha=a,
-            tree_count=math.ceil(k / 2),
-            mst_copies=math.ceil(a * cap),
-            seed=seed,
-        )
+        """``default_alpha(k)`` when alpha is None; an alpha above sqrt(k/2 - 1) is lowered to it."""
+        return cls(k=k, alpha=default_alpha(k) if alpha is None else min(float(alpha), _alpha_cap(k)),
+                   seed=seed)
+
+    @property
+    def tree_count(self) -> int:
+        return math.ceil(self.k / 2)
+
+    @property
+    def mst_copies(self) -> int:
+        # the ceil of the float the threshold subtracts, so the two stay exactly consistent
+        return math.ceil(self.alpha * _alpha_cap(self.k))
 
     @property
     def threshold(self) -> float:
         """Fundamental-cut coverage below this triggers an augmentation copy."""
-        return self.k - self.alpha * math.sqrt(max(self.k / 2.0 - 1.0, 0.0))
+        return self.k - self.alpha * _alpha_cap(self.k)
 
 
 def mst(g0: SplitGraph) -> list[int]:

@@ -30,6 +30,8 @@ DELETED_Z = 1e-12
 TIGHT_SET_TOL = 1e-8
 # a fitted marginal may exceed its target z_e by at most this relative slack
 EPSILON_MARGINAL = 1e-6
+# the fit gives up once its sweeps times the edges of the piece it fits reach this
+MAX_UPDATES = 100_000
 
 
 class FitConvergenceError(RuntimeError):
@@ -202,29 +204,23 @@ def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
     yields one candidate component to test.  Returns the vertex list or None.
     """
     ends = np.array(graph.edges).reshape(-1, 2)
-    # label[v] names v's component and comp[r] lists the component named r;
-    # the smaller component joins the larger and takes its name
-    label = np.arange(graph.n)
-    comp = {v: [v] for v in range(graph.n)}
+    label = np.arange(graph.n)  # label[v] names v's component
     for i in np.argsort(-lam, kind="stable").tolist():
         a, b = label[ends[i]].tolist()
         if a == b:
             continue
-        if len(comp[a]) < len(comp[b]):
-            a, b = b, a
-        big = comp[a]
-        big += comp.pop(b)
+        label[label == b] = a
+        big = np.flatnonzero(label == a)
         if len(big) == graph.n:
             return None
-        label[big] = a
         inside = label[ends] == a
         internal = float(z[inside[:, 0] & inside[:, 1]].sum())
         if internal >= len(big) - 1 - TIGHT_SET_TOL * max(1, len(big) - 1):
-            return sorted(big)
+            return big.tolist()
     return None
 
 
-def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeights:
+def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
     """Fit weights so every edge marginal is at most z_e * (1 + EPSILON_MARGINAL).
 
     ``z`` holds one target per edge of ``graph``, a point of its spanning
@@ -232,7 +228,7 @@ def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeig
     all marginals, then rescales every weight by z_e / p_e and renormalizes
     the geometric mean to 1.  Boundary targets are decomposed (contracted z=1
     edges, tight vertex sets) into independent pieces fitted separately.
-    ``max_iters`` counts coordinate updates (sweeps times edges).
+    ``MAX_UPDATES`` bounds the coordinate updates (sweeps times edges).
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (len(graph.edges),):
@@ -298,7 +294,7 @@ def fit_max_entropy(graph: EdgeGraph, z, max_iters: int = 100_000) -> LambdaWeig
                     sub, sub_kept, _ = contract_edges(piece, sub_label, sub_edges)
                     work.append((sub, [orig[i] for i in sub_kept]))
                 break
-            if sweeps * len(orig) >= max(1, max_iters):
+            if sweeps * len(orig) >= MAX_UPDATES:
                 raise FitConvergenceError(
                     f"marginal fitting stalled at max ratio {max_ratio:.3e} "
                     f"after {sweeps} sweeps",

@@ -49,7 +49,7 @@ class TooLargeError(ValueError):
     """Exact search requested beyond its tractable size."""
 
 
-def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float, MultiEdgeSet]:
+def brute_force_opt(inst: MetricInstance) -> tuple[float, MultiEdgeSet]:
     """Exact minimum-cost k-edge-connected multi-subgraph by branch and bound.
 
     Searches multiplicity vectors edge by edge, pruning on cost against the
@@ -57,12 +57,11 @@ def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float
     certified by :func:`verify_k_connectivity` on its exact multiplicities.
     Multiplicity per edge is capped at k: lowering any multiplicity above k
     keeps every cut at k or more, so some optimum respects the cap
-    (unit-tested against a 2k-cap search).  Limited to n <= 5, k <= 6.
+    (tested against a plain search up to 2k per edge).  Limited to n <= 5, k <= 6.
     """
     if inst.n > 5 or inst.k > 6:
         raise TooLargeError(f"exact search limited to n <= 5 and k <= 6, got n={inst.n}, k={inst.k}")
     k = inst.k
-    cap = k if cap is None else cap
     edges = inst.edges()
     m = len(edges)
     costs = np.array([inst.edge_cost(e) for e in edges])
@@ -73,11 +72,10 @@ def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float
     best_cost = start.total_cost(inst.cost)
     best_vec = [start.multiplicity.get(e, 0) for e in edges]
 
-    incident = [[j for j, e in enumerate(edges) if v in e] for v in range(inst.n)]
     remaining_deg_cap = [np.zeros(m + 1) for _ in range(inst.n)]
     for v in range(inst.n):
         for j in range(m - 1, -1, -1):
-            remaining_deg_cap[v][j] = remaining_deg_cap[v][j + 1] + (cap if v in edges[j] else 0)
+            remaining_deg_cap[v][j] = remaining_deg_cap[v][j + 1] + (k if v in edges[j] else 0)
 
     vec = [0] * m
 
@@ -95,7 +93,7 @@ def brute_force_opt(inst: MetricInstance, cap: int | None = None) -> tuple[float
             if degrees[v] + remaining_deg_cap[v][j] < k:
                 return
         u, w = edges[j]
-        for mult in range(cap + 1):
+        for mult in range(k + 1):
             vec[j] = mult
             degrees[u] += mult
             degrees[w] += mult

@@ -212,18 +212,20 @@ class TestSolveLP:
         frac, _ = solve_lp(inst)
         assert all(x >= -1e-9 for x in frac.values.values())
 
-    def test_iteration_cap_carries_report(self):
+    def test_iteration_cap_carries_report(self, monkeypatch):
+        monkeypatch.setattr(lp, "MAX_CUTS", 0)
         inst = euclidean_instance(8, 2, seed=42)  # known to need cuts
         with pytest.raises(LPNotConvergedError, match="did not converge") as err:
-            solve_lp(inst, max_cuts=0)
+            solve_lp(inst)
         assert err.value.report.cuts_added == 0
         assert err.value.report.objective > 0
 
-    def test_cut_cap_bounds_cuts_of_one_round(self):
+    def test_cut_cap_bounds_cuts_of_one_round(self, monkeypatch):
+        monkeypatch.setattr(lp, "MAX_CUTS", 1)
         # the first round finds more than one component cut
         inst = euclidean_instance(16, 2, seed=1)
         with pytest.raises(LPNotConvergedError) as err:
-            solve_lp(inst, max_cuts=1)
+            solve_lp(inst)
         assert err.value.report.cuts_added == 1
         assert err.value.report.iterations == 2
 

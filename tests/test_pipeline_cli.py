@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kecsm.cli import main
-from kecsm.core import MetricInstance
+from kecsm.core import MetricInstance, make_edge
 from kecsm.instances import (
     InstanceFormatError,
     euclidean_instance,
@@ -225,6 +226,11 @@ class TestRunPipeline:
         b = run_pipeline(inst, seed=9).record
         assert a.as_row()[:-1] == b.as_row()[:-1]  # everything but wall time
 
+    def test_zero_costs_read_ratio_one(self):
+        # the LP, the optimum and the rounding all cost 0
+        rec = run_pipeline(MetricInstance(n=4, cost=np.zeros((4, 4)), k=4), with_opt=True).record
+        assert (rec.total, rec.ratio_lp, rec.ratio_opt) == (0.0, 1.0, 1.0)
+
     def test_ratio_opt_populated_when_requested(self):
         inst = euclidean_instance(4, 2, seed=3)
         rec = run_pipeline(inst, seed=0, with_opt=True).record
@@ -260,6 +266,35 @@ def test_every_split_vertex_keeps_the_lp_value_and_the_certificate(family, n, k,
         objectives.add(prep.fractional.objective)
         assert round_prepared(prep, seed=seed).certificate.passes
     assert len(objectives) == 1
+
+
+@pytest.mark.parametrize("family", [euclidean_instance, random_closure_instance])
+@pytest.mark.parametrize("n", [12, 16])
+def test_relabelled_vertices_keep_the_law_and_the_rounding_cost(family, n):
+    # vertex v is vertex perm[v] of the relabelled instance, split at perm[0];
+    # random-closure n = 16 has a tied optimum, where the relabelled solve
+    # returns another vertex of the same objective
+    inst = family(n, 8, 3)
+    perm = np.random.default_rng(3).permutation(n)
+    cost = np.empty((n, n))
+    cost[np.ix_(perm, perm)] = inst.cost
+    preps = [prepare(inst), prepare(MetricInstance(n=n, cost=cost, k=8), split_vertex=int(perm[0]))]
+    assert preps[1].y.objective == pytest.approx(preps[0].y.objective, rel=1e-12)
+    label = np.r_[perm, n]  # the twin v0 = n keeps its number
+    y = {make_edge(*label[list(e)]): x for e, x in preps[0].y.values.items()}
+    if y.keys() == preps[1].y.values.keys() and all(
+            abs(x - preps[1].y.values[e]) <= 1e-9 for e, x in y.items()):
+        where = {e: i for i, e in enumerate(preps[1].split_graph.edges)}
+        moved = [where[make_edge(*label[list(e)])] for e in preps[0].split_graph.edges]
+        assert np.abs(preps[1].weights.fitted_marginals[moved]
+                      - preps[0].weights.fitted_marginals).max() <= 1e-9
+    ratios = []
+    for prep in preps:
+        results = [round_prepared(prep, seed=seed) for seed in range(60)]
+        assert all(r.certificate.passes for r in results)
+        ratios.append(np.array([r.record.ratio_lp for r in results]))
+    se = math.sqrt(sum(r.var(ddof=1) / len(r) for r in ratios))
+    assert abs(ratios[0].mean() - ratios[1].mean()) < 4 * se
 
 
 class TestRunBatch:
@@ -344,6 +379,11 @@ class TestBaselines:
         rec = run_baseline(inst, "karger-independent", seed=5)
         assert rec.connected
 
+    @pytest.mark.parametrize("which", ["naive-mst-double", "karger-independent"])
+    def test_zero_costs_read_ratio_one(self, which):
+        rec = run_baseline(MetricInstance(n=6, cost=np.zeros((6, 6)), k=4), which)
+        assert (rec.total, rec.ratio_lp, rec.connected) == (0.0, 1.0, True)
+
     def test_unknown_baseline(self, triangle_unit):
         with pytest.raises(ValueError, match="unknown baseline"):
             run_baseline(triangle_unit, "magic")
@@ -404,6 +444,14 @@ class TestCli:
         assert (tmp_path / "run.csv").exists()
         payload = json.loads((tmp_path / "sol.json").read_text())
         assert payload["k"] == 3
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_solve_on_zero_costs(self, tmp_path, capsys, n):
+        # n = 4 also runs the exact search, whose optimum costs 0
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps({"n": n, "k": 4, "costs": [[0] * n] * n}))
+        assert main(["solve", "--input", str(path)]) == 0
+        assert "ratio_lp=1.000000 " in capsys.readouterr().out
 
     def test_verify_roundtrip(self, instance_file, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")

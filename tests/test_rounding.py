@@ -78,12 +78,12 @@ class TestParams:
 
     def test_invalid_alpha_rejected(self):
         with pytest.raises(ValueError):
-            RoundingParams(k=4, alpha=2.0, tree_count=2, mst_copies=1, seed=0)
+            RoundingParams(k=4, alpha=2.0, seed=0)
 
     def test_nan_alpha_rejected(self):
         # a NaN threshold would never augment, leaving the result below k
         with pytest.raises(ValueError, match=r"alpha=nan outside \["):
-            RoundingParams(k=8, alpha=float("nan"), tree_count=4, mst_copies=0, seed=0)
+            RoundingParams(k=8, alpha=float("nan"), seed=0)
         with pytest.raises(ValueError, match=r"alpha=nan outside \["):
             RoundingParams.make(8, alpha=float("nan"))
 
@@ -364,7 +364,13 @@ def test_scaling_the_costs_keeps_the_rounding():
     assert same_rounding_after_scaling(9, 17)
 
 
-@pytest.mark.xfail(strict=True, reason="the simplex tolerances are absolute: at costs times 2^15 "
-                   "the LP returns another optimal vertex (same objective, max |dx| = 3)")
 def test_scaling_the_costs_keeps_the_rounding_at_a_tied_vertex():
+    # with tolerances applied to the costs as given, the LP returned another
+    # optimal vertex here (same objective, max |dx| = 3)
     assert same_rounding_after_scaling(19, 15)
+
+
+@pytest.mark.parametrize("seed", [5, 19])
+def test_scaling_the_costs_by_any_power_of_two_keeps_the_rounding(seed):
+    powers = [sign * j for j in range(13, 21) for sign in (1, -1)]
+    assert [j for j in powers if not same_rounding_after_scaling(seed, j)] == []

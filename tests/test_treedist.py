@@ -286,11 +286,12 @@ class TestFitMaxEntropy:
         with pytest.raises((NotConnectedError, ValueError)):
             fit_max_entropy(graph, [1.0, 1.0, 1.0])
 
-    def test_budget_exhaustion_raises(self):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        monkeypatch.setattr(treedist, "MAX_UPDATES", 2000)
         # infeasible inner structure: subset {0,1,2} over its tree bound
         edges = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3))
         with pytest.raises(FitConvergenceError):
-            fit_max_entropy(EdgeGraph(n=4, edges=edges), [0.9, 0.9, 0.9, 0.15, 0.15], max_iters=2000)
+            fit_max_entropy(EdgeGraph(n=4, edges=edges), [0.9, 0.9, 0.9, 0.15, 0.15])
 
 
 def _fit_of_the_lp_target(n: int, k: int, seed: int):
