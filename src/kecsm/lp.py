@@ -107,8 +107,8 @@ class _Tableau:
         column = t[:, col].copy()
         column[row] = 0.0
         # entry (r, j) changes only if t[r, col] and t[row, j] are nonzero
-        rows = np.nonzero(column)[0]
-        t[rows] -= np.outer(column[rows], t[row])
+        rows = column.nonzero()[0]
+        t[rows] -= column[rows, None] * t[row]
         t[rows, col] = 0.0
         self.basis[row] = col
         self.pivots += 1
@@ -118,28 +118,21 @@ class _Tableau:
     def primal(self):
         """Primal simplex on the last row over every column."""
         t, m, tol = self.t, len(self.basis), PIVOT_TOL
+        red, rhs = t[-1, :-1], t[:m, -1]
         bland = False
         stall = 0
         while True:
-            red = t[-1, :-1]
-            if bland:
-                negs = np.nonzero(red < -tol)[0]
-                if negs.size == 0:
-                    return
-                col = int(negs[0])
-            else:
-                col = int(np.argmin(red))
-                if red[col] >= -tol:
-                    return
+            # Bland's rule enters the first negative column: argmax of the mask
+            col = int((red < -tol).argmax() if bland else red.argmin())
+            if red[col] >= -tol:
+                return
             pivcol = t[:m, col]
-            ratios = np.full(m, np.inf)
-            pos = pivcol > tol
-            ratios[pos] = t[:m, -1][pos] / pivcol[pos]
+            ratios = np.divide(rhs, pivcol, out=np.full(m, np.inf), where=pivcol > tol)
             best = ratios.min()
             if best == np.inf:
                 raise UnboundedLPError("objective unbounded below")
-            tied = np.nonzero(ratios <= best + RATIO_TIE)[0]
-            row = int(tied[np.argmin(self.basis[tied])])
+            tied = (ratios <= best + RATIO_TIE).nonzero()[0]
+            row = int(tied[self.basis[tied].argmin()])
             before = t[-1, -1]
             self.pivot(row, col)
             stall = stall + 1 if abs(t[-1, -1] - before) < 1e-12 else 0
@@ -151,27 +144,26 @@ class _Tableau:
         negative value (after a stall, the smallest basic index); the
         entering column has the smallest ratio, ties to the smallest index."""
         t, m, tol = self.t, len(self.basis), PIVOT_TOL
-        ncols = t.shape[1] - 1
+        red, rhs = t[-1, :-1], t[:m, -1]
         bland = False
         stall = 0
         while True:
-            rhs = t[:m, -1]
             if bland:
-                negs = np.nonzero(rhs < -tol)[0]
+                negs = (rhs < -tol).nonzero()[0]
                 if negs.size == 0:
                     return
-                row = int(negs[np.argmin(self.basis[negs])])
+                row = int(negs[self.basis[negs].argmin()])
             else:
-                row = int(np.argmin(rhs))
+                row = int(rhs.argmin())
                 if rhs[row] >= -tol:
                     return
-            entries = t[row, :ncols]
-            cols = np.nonzero(entries < -tol)[0]
+            entries = t[row, :-1]
+            cols = (entries < -tol).nonzero()[0]
             if cols.size == 0:
                 raise InfeasibleLPError(f"no feasible point (row of basic column {self.basis[row]} "
                                         f"stays at {rhs[row]:.3g})")
-            ratios = t[-1, cols] / -entries[cols]
-            col = int(cols[np.nonzero(ratios <= ratios.min() + RATIO_TIE)[0][0]])
+            ratios = red[cols] / -entries[cols]
+            col = int(cols[(ratios <= ratios.min() + RATIO_TIE).argmax()])
             before = t[-1, -1]
             self.pivot(row, col)
             stall = stall + 1 if abs(t[-1, -1] - before) < 1e-12 else 0
@@ -245,11 +237,6 @@ def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarr
     return list(sides.values()), min(value for value, _ in cuts)
 
 
-def _edge_ends(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:
-    ends = np.array(edges, dtype=int).reshape(-1, 2)
-    return ends[:, 0], ends[:, 1]
-
-
 def _cut_rows(sides: np.ndarray, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
     """One row per vertex mask: 1 on the edges crossing it.  The masks of
     ``np.eye(n, dtype=bool)`` give the degree rows."""
@@ -277,10 +264,13 @@ def _tour_and_core(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
     pick[np.arange(n)[:, None], order[:, :CORE_NEIGHBOURS]] = True
     pick[tour, np.roll(tour, -1)] = True
     pick |= pick.T
-    if not (pick @ pick & pick).any():
+    eu, ev = np.triu_indices(n, 1)
+    core = np.flatnonzero(pick[eu, ev])
+    if not (pick[eu[core]] & pick[ev[core]]).any():  # no core edge has a common neighbour
         triangle = np.r_[0, order[0, :2]]
         pick[np.ix_(triangle, triangle)] = True
-    return tour, np.flatnonzero(pick[np.triu_indices(n, 1)])
+        core = np.flatnonzero(pick[eu, ev])
+    return tour, core
 
 
 def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarray,
@@ -295,7 +285,8 @@ def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarra
     an odd cycle (a triangle of the core has such an edge).  n = 2: the one
     edge and one degree row, as the second repeats it.  Either basis is a
     connected graph whose one cycle is odd, so its determinant is +-2 and
-    B^-1 A is a matrix of halves: rounding the solve makes it exact.
+    B^-1 is a matrix of halves: rounding the inverse makes it exact, and so
+    is the column B^-1 e_u + B^-1 e_v of each edge uv.
     """
     n = len(tour)
     ends = np.sort(np.c_[tour, np.roll(tour, -1)], axis=1)[:n if n % 2 else n - 1]
@@ -306,8 +297,12 @@ def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarra
         pos[tour] = np.arange(n)
         chord = np.flatnonzero((pos[eu[cols]] - pos[ev[cols]]) % 2 == 0)[0]
         basis, x_b = np.r_[basis, chord], np.r_[x_b, 0.0]
-    degree = _cut_rows(np.eye(n, dtype=bool)[:len(basis)], eu[cols], ev[cols])
-    body = np.round(2.0 * np.linalg.solve(degree[:, basis], degree)) / 2.0
+    m, e = len(basis), cols[basis]
+    inv = np.zeros((m, n))  # at n = 2 vertex 1 has no row, so its column stays 0
+    inv[:, :m] = np.round(2.0 * np.linalg.inv(_cut_rows(np.eye(n, dtype=bool)[:m], eu[e], ev[e]))) / 2.0
+    # row-major: over the column-major gather the product below sums in
+    # another order, and its last bits can move a pivot at a tie
+    body = np.add(inv[:, eu[cols]], inv[:, ev[cols]], order="C")
     t = np.vstack([np.c_[body, x_b], np.r_[cost - cost[basis] @ body, -(cost[basis] @ x_b)]])
     tab = _Tableau(t, basis)
     tab.primal()
@@ -329,8 +324,12 @@ def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.n
     masks = np.vstack([np.eye(n, dtype=bool), sides])
     sign = np.r_[np.ones(n), -np.ones(p)]  # a cut row is kept as -a x + s = -b
     matrix = lambda e: sign[:, None] * _cut_rows(masks, eu[e], ev[e])
-    basis = np.hstack([matrix(cols), np.eye(n + p)[:, n:]])[:, tab.basis]
-    duals = np.linalg.solve(basis.T, np.r_[cost[eu[cols], ev[cols]], np.zeros(p)][tab.basis])
+    surplus = tab.basis >= len(cols)  # the surplus column of cut row i is unit column n + i
+    edges = cols[tab.basis[~surplus]]
+    basis, cost_b = np.zeros((n + p, n + p)), np.zeros(n + p)
+    basis[:, ~surplus], cost_b[~surplus] = matrix(edges), cost[eu[edges], ev[edges]]
+    basis[n + tab.basis[surplus] - len(cols), surplus] = 1.0
+    duals = np.linalg.solve(basis.T, cost_b)
     y, pi, s = duals[:n], -duals[n:], sides.astype(float)
     a = pi @ s
     reduced = (cost - y[:, None] - y - a[:, None] - a + 2.0 * (s.T * pi) @ s)[eu, ev]
@@ -353,8 +352,7 @@ def solve_lp(inst: MetricInstance) -> tuple[FractionalSolution, LPReport]:
     support, and the report of the solve, which does not depend on k.
     Deterministic: every pivot, component and min-cut tie goes to the smallest index.
     """
-    edges = inst.edges()
-    eu, ev = _edge_ends(edges)
+    eu, ev = np.triu_indices(inst.n, 1)
     cost = inst.cost[eu, ev]
     # the simplex sees the costs times a power of two that brings the largest
     # into [1/2, 1): exact, so its absolute tolerances act alike at every scale
@@ -372,11 +370,11 @@ def solve_lp(inst: MetricInstance) -> tuple[FractionalSolution, LPReport]:
     iterations = 0
     while True:
         iterations += 1
-        x = np.zeros(len(edges))
+        x = np.zeros(len(eu))
         x[cols] = tab.solution(len(cols))
         obj = float(cost @ x)
-        xs = x.tolist()
-        support = {edges[i]: xs[i] for i in np.flatnonzero(x).tolist()}
+        on = x.nonzero()[0]
+        support = dict(zip(zip(eu[on].tolist(), ev[on].tolist()), x[on].tolist()))
         sides, value = violated_cuts(support, 2, inst.n)
         if not sides:
             new, columns = _priced_columns(tab, cols, cut_sides, eu, ev, scaled)

@@ -265,7 +265,7 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
         piece, orig = work.pop()
         z_piece = z[orig]
         lam_piece = np.ones(len(orig))
-        first_sweep = sweeps
+        first_sweep, searched = sweeps, None
         while True:
             try:
                 p_piece = tree_marginals(lam_piece, piece)
@@ -281,7 +281,13 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
                 p[orig] = p_piece
                 pieces.append(SamplingPiece(graph=piece, lam=lam_piece, kept=tuple(orig)))
                 break
-            tight = _induced_tight_set(piece, z_piece, lam_piece) if sweeps > first_sweep else None
+            tight = None
+            if sweeps > first_sweep:
+                # the search sees lam only through this order: on the order it
+                # last searched it would find no tight set again
+                order = np.argsort(-lam_piece, kind="stable")
+                if not np.array_equal(order, searched):
+                    tight, searched = _induced_tight_set(piece, z_piece, lam_piece), order
             if tight is not None:
                 # the inner edges connect the tight set: its inside keeps them
                 # with vertices renamed by rank, its outside contracts them

@@ -35,7 +35,7 @@ from scipy.optimize import linprog
 
 from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
                         NotConnectedError, make_edge, spanning_forest)
-from kecsm.lp import FractionalSolution, _cut_rows, _edge_ends, violated_cuts
+from kecsm.lp import FractionalSolution, _cut_rows, violated_cuts
 from kecsm.sampler import RngStream, SpanningTree
 from kecsm.split import SplitGraph
 from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, _grounded_inverse, _pair_resistances,
@@ -276,6 +276,11 @@ def induced_tight_set_reference(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray
         if internal >= len(big) - 1 - TIGHT_SET_TOL * max(1, len(big) - 1):
             return sorted(big)
     return None
+
+
+def _edge_ends(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:
+    ends = np.array(edges, dtype=int).reshape(-1, 2)
+    return ends[:, 0], ends[:, 1]
 
 
 def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSolution:

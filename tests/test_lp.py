@@ -292,6 +292,18 @@ class TestSolveLP:
         assert frac.values == {e: 2.0 * v for e, v in supports[-1].items()}
         assert list(frac.values) == [e for e in inst.edges() if e in frac.values]
 
+    @pytest.mark.parametrize("family, n, counts", [
+        (euclidean_instance, 32, (7, 39, 154, 0, 40)),
+        (random_closure_instance, 32, (5, 24, 167, 0, 68)),
+        (euclidean_instance, 48, (9, 45, 233, 0, 65)),
+        (random_closure_instance, 48, (7, 33, 246, 0, 87)),
+    ])
+    def test_the_benchmark_cells_keep_their_pivot_path(self, family, n, counts):
+        # the identity digest pins vertices; these counts pin the rounds, cuts
+        # and pivots that reach them on the four solve-cold cells, at any k
+        report = solve_lp(family(n, 8, 1))[1]
+        assert (report.iterations, report.cuts_added, report.core, report.priced, report.pivots) == counts
+
 
 @settings(max_examples=20, deadline=None)
 @given(family=st.sampled_from([euclidean_instance, random_closure_instance]),
@@ -479,6 +491,25 @@ class TestTourStart:
             if n > 2:
                 u, v = basic[-1]
                 assert (tour.index(u) - tour.index(v)) % 2 == 0
+
+    @pytest.mark.parametrize("family", [euclidean_instance, random_closure_instance])
+    def test_the_start_equals_the_rounded_solve(self, monkeypatch, family):
+        # the body from the basis inverse, and the reduced costs formed from
+        # it, equal one solve of the basic degree rows against every degree
+        # row, rounded to halves; n = 2 has one degree row, even n a chord
+        monkeypatch.setattr(lp._Tableau, "primal", lambda tab: None)
+        for n in range(2, 17):
+            for seed in (1, 2, 3):
+                inst = family(n, 4, seed)
+                eu, ev = np.triu_indices(n, 1)
+                tour, core = lp._tour_and_core(inst.cost)
+                cost = inst.cost[eu[core], ev[core]]
+                tab = lp._tour_start(tour, core, eu, ev, cost)
+                basis, x_b = tab.basis, tab.t[:-1, -1].copy()
+                degree = lp._cut_rows(np.eye(n, dtype=bool)[:len(basis)], eu[core], ev[core])
+                body = np.round(2.0 * np.linalg.solve(degree[:, basis], degree)) / 2.0
+                solved = np.vstack([np.c_[body, x_b], np.r_[cost - cost[basis] @ body, -(cost[basis] @ x_b)]])
+                assert np.array_equal(tab.t, solved), (n, seed)
 
 
 class TestSeparate:
