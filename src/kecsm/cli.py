@@ -225,8 +225,8 @@ def _cmd_batch(args) -> int:
         k_values = [int(part) for part in args.k.split(",") if part.strip()]
     except ValueError:
         raise UsageError(f"bad --k list {args.k!r}") from None
-    if not k_values or min(k_values) < 2:
-        raise UsageError(f"--k needs connectivity targets >= 2, got {args.k!r}")
+    if not k_values or min(k_values) < 2 or max(k_values) > sys.float_info.max:
+        raise UsageError(f"--k needs connectivity targets >= 2 that a float can hold, got {args.k!r}")
     report = run_batch(
         family=args.family,
         n=args.n,
@@ -278,6 +278,9 @@ def main(argv=None) -> int:
     except (LPError, FitConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
+    except OSError as exc:  # input files raise InstanceFormatError, so this is an output file
+        print(f"error: cannot write {exc.filename or 'output'}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

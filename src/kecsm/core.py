@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,10 @@ def min_spanning_tree(n: int, edges, costs) -> list[int]:
 
 
 def _check_cost_magnitude(top: float, n: int, k: int):
-    """Raise ValueError when n^2 k times the largest cost ``top`` is not
-    finite: the solver's sums of costs would overflow."""
+    """Raise ValueError when k is too large for a float or n^2 k times the
+    largest cost ``top`` is not finite: the solver's sums of costs would overflow."""
+    if k > sys.float_info.max:
+        raise ValueError("k is too large for a float")
     if not math.isfinite(top * n * n * k):
         raise ValueError(f"costs up to {top:.3g} are too large: {n * n * k} times that overflows")
 

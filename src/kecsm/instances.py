@@ -94,16 +94,11 @@ def parse_tsplib_euc2d(text: str, k: int | None = None, closure: bool = False) -
 
 
 def _finish(n: int, costs: np.ndarray, k: int, closure: bool) -> MetricInstance:
-    if closure:
-        try:
-            return metric_closure(n, costs, k)
-        except ValueError as exc:
-            raise InstanceFormatError(str(exc)) from exc
     try:
-        inst = MetricInstance(n=n, cost=costs, k=k)
+        inst = (metric_closure if closure else MetricInstance)(n, costs, k)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from exc
-    violations = validate_metric(inst)
+    violations = [] if closure else validate_metric(inst)
     if violations:
         raise InstanceFormatError(
             f"instance is not metric ({len(violations)} violations; first: {violations[0]}); "

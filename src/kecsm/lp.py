@@ -11,9 +11,10 @@ tableau kept across rounds and are absorbed by dual simplex pivots from the
 previous optimal basis.
 The tableau starts on a core of near-neighbour edges, as in the core LP of
 Applegate, Bixby, Chvatal and Cook (2006, ch. 12); the other edges are
-priced against the duals and join as columns when their reduced cost is
-negative.  Its first basis lies on the core's nearest-neighbour tour and is
-feasible, so primal simplex starts there with no phase 1.
+priced against the duals, read with B^-1 from the tableau with no solve,
+and join as columns when their reduced cost is negative.  Its first basis
+lies on the core's nearest-neighbour tour and is feasible, so primal
+simplex starts there with no phase 1.
 """
 
 from __future__ import annotations
@@ -93,12 +94,14 @@ class _Tableau:
     row's last entry is minus the objective.  Pricing is Dantzig's rule with
     a permanent switch to Bland's rule once the objective stalls, which rules
     out cycling; every remaining tie goes to the smallest index, so the pivot
-    sequence is deterministic.
+    sequence is deterministic.  The scans and ``solution`` skip the first
+    ``lead`` columns, so they never enter the basis (``_tour_start``).
     """
 
-    def __init__(self, t: np.ndarray, basis: np.ndarray):
+    def __init__(self, t: np.ndarray, basis: np.ndarray, lead: int = 0):
         self.t = t
         self.basis = basis
+        self.lead = lead
         self.pivots = 0
 
     def pivot(self, row: int, col: int):
@@ -116,9 +119,9 @@ class _Tableau:
             raise LPError("simplex pivot limit exceeded")
 
     def primal(self):
-        """Primal simplex on the last row over every column."""
+        """Primal simplex on the last row over every column after the leading ones."""
         t, m, tol = self.t, len(self.basis), PIVOT_TOL
-        red, rhs = t[-1, :-1], t[:m, -1]
+        red, rhs = t[-1, self.lead:-1], t[:m, -1]
         bland = False
         stall = 0
         while True:
@@ -126,7 +129,7 @@ class _Tableau:
             col = int((red < -tol).argmax() if bland else red.argmin())
             if red[col] >= -tol:
                 return
-            pivcol = t[:m, col]
+            pivcol = t[:m, self.lead + col]
             ratios = np.divide(rhs, pivcol, out=np.full(m, np.inf), where=pivcol > tol)
             best = ratios.min()
             if best == np.inf:
@@ -134,7 +137,7 @@ class _Tableau:
             tied = (ratios <= best + RATIO_TIE).nonzero()[0]
             row = int(tied[self.basis[tied].argmin()])
             before = t[-1, -1]
-            self.pivot(row, col)
+            self.pivot(row, self.lead + col)
             stall = stall + 1 if abs(t[-1, -1] - before) < 1e-12 else 0
             bland = bland or stall > STALL_PIVOTS
 
@@ -144,7 +147,7 @@ class _Tableau:
         negative value (after a stall, the smallest basic index); the
         entering column has the smallest ratio, ties to the smallest index."""
         t, m, tol = self.t, len(self.basis), PIVOT_TOL
-        red, rhs = t[-1, :-1], t[:m, -1]
+        red, rhs = t[-1, self.lead:-1], t[:m, -1]
         bland = False
         stall = 0
         while True:
@@ -157,22 +160,23 @@ class _Tableau:
                 row = int(rhs.argmin())
                 if rhs[row] >= -tol:
                     return
-            entries = t[row, :-1]
+            entries = t[row, self.lead:-1]
             cols = (entries < -tol).nonzero()[0]
             if cols.size == 0:
                 raise InfeasibleLPError(f"no feasible point (row of basic column {self.basis[row]} "
                                         f"stays at {rhs[row]:.3g})")
             ratios = red[cols] / -entries[cols]
-            col = int(cols[(ratios <= ratios.min() + RATIO_TIE).argmax()])
+            col = self.lead + int(cols[(ratios <= ratios.min() + RATIO_TIE).argmax()])
             before = t[-1, -1]
             self.pivot(row, col)
             stall = stall + 1 if abs(t[-1, -1] - before) < 1e-12 else 0
             bland = bland or stall > STALL_PIVOTS
 
     def add_ge_rows(self, a_ge: np.ndarray, b_ge: np.ndarray):
-        """Append rows a_ge x >= b_ge, each with a new surplus column, and
-        re-optimize.  The surplus columns start basic, so the old basis stays
-        dual feasible and only the dual simplex has work to do."""
+        """Append rows a_ge x >= b_ge (x after the leading columns), each with
+        a new surplus column, and re-optimize.  The surplus columns start
+        basic, so the old basis stays dual feasible and only the dual simplex
+        has work to do."""
         old = self.t
         m, width = len(self.basis), old.shape[1]
         p, nv = a_ge.shape
@@ -182,7 +186,7 @@ class _Tableau:
         t[kept, -1] = old[:, -1]
         # -a x + s = -b, with the basic columns eliminated in one product
         new = t[m:m + p]
-        new[:, :nv] = -a_ge
+        new[:, self.lead:self.lead + nv] = -a_ge
         new[:, width - 1:-1] = np.eye(p)
         new[:, -1] = -b_ge
         new -= new[:, self.basis] @ t[:m]
@@ -200,10 +204,10 @@ class _Tableau:
         self.primal()
 
     def solution(self, nv: int) -> np.ndarray:
-        """Structural values, with round-off below 1e-12 (negative included) set to 0."""
+        """Values of the nv columns after the leading ones, round-off below 1e-12 (negative too) at 0."""
         x = np.zeros(nv)
-        structural = self.basis < nv
-        x[self.basis[structural]] = self.t[: len(self.basis), -1][structural]
+        structural = self.basis < self.lead + nv
+        x[self.basis[structural] - self.lead] = self.t[: len(self.basis), -1][structural]
         x[x < 1e-12] = 0.0
         return x
 
@@ -286,7 +290,8 @@ def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarra
     edge and one degree row, as the second repeats it.  Either basis is a
     connected graph whose one cycle is odd, so its determinant is +-2 and
     B^-1 is a matrix of halves: rounding the inverse makes it exact, and so
-    is the column B^-1 e_u + B^-1 e_v of each edge uv.
+    is the column B^-1 e_u + B^-1 e_v of each edge uv.  The tableau keeps
+    B^-1 as its n leading columns, whose objective row is -c_B B^-1.
     """
     n = len(tour)
     ends = np.sort(np.c_[tour, np.roll(tour, -1)], axis=1)[:n if n % 2 else n - 1]
@@ -303,39 +308,33 @@ def _tour_start(tour: list[int], cols: np.ndarray, eu: np.ndarray, ev: np.ndarra
     # row-major: over the column-major gather the product below sums in
     # another order, and its last bits can move a pivot at a tie
     body = np.add(inv[:, eu[cols]], inv[:, ev[cols]], order="C")
-    t = np.vstack([np.c_[body, x_b], np.r_[cost - cost[basis] @ body, -(cost[basis] @ x_b)]])
-    tab = _Tableau(t, basis)
+    t = np.vstack([np.c_[inv, body, x_b],
+                   np.r_[-(cost[basis] @ inv), cost - cost[basis] @ body, -(cost[basis] @ x_b)]])
+    tab = _Tableau(t, basis + n, n)
     tab.primal()
     return tab
 
 
 def _priced_columns(tab: _Tableau, cols: np.ndarray, sides: np.ndarray, eu: np.ndarray,
-                    ev: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+                    ev: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The edges outside ``cols`` with reduced cost below -PIVOT_TOL, and their tableau columns.
 
     ``cols`` holds the edges of the structural columns and ``sides`` the
-    masks S of the cut rows, in tableau order.  One solve with the basis
-    gives the duals y (degree rows) and pi (cut rows).  As an edge crosses S
-    when s_u + s_v - 2 s_u s_v is 1, the reduced costs form the matrix
-    C - y_u - y_v - a_u - a_v + 2 Q_uv, a = S^T pi, Q = S^T diag(pi) S."""
-    n, p = sides.shape[1], len(sides)
-    if len(cols) == len(eu):
-        return cols[:0], None
-    masks = np.vstack([np.eye(n, dtype=bool), sides])
-    sign = np.r_[np.ones(n), -np.ones(p)]  # a cut row is kept as -a x + s = -b
-    matrix = lambda e: sign[:, None] * _cut_rows(masks, eu[e], ev[e])
-    surplus = tab.basis >= len(cols)  # the surplus column of cut row i is unit column n + i
-    edges = cols[tab.basis[~surplus]]
-    basis, cost_b = np.zeros((n + p, n + p)), np.zeros(n + p)
-    basis[:, ~surplus], cost_b[~surplus] = matrix(edges), cost[eu[edges], ev[edges]]
-    basis[n + tab.basis[surplus] - len(cols), surplus] = 1.0
-    duals = np.linalg.solve(basis.T, cost_b)
-    y, pi, s = duals[:n], -duals[n:], sides.astype(float)
+    masks S of the cut rows, in tableau order.  The objective row holds the
+    duals, -y (degree rows) on the leading columns and pi (cut rows) on the
+    surplus ones.  As an edge crosses S when s_u + s_v - 2 s_u s_v is 1, the
+    reduced costs form the matrix C - y_u - y_v - a_u - a_v + 2 Q_uv,
+    a = S^T pi, Q = S^T diag(pi) S.  As a cut row is kept as -a x + s = -b,
+    the column of edge uv is B^-1 e_u + B^-1 e_v (leading columns u and v)
+    minus the surplus columns of the cuts it crosses."""
+    t, n, surplus = tab.t, tab.lead, np.s_[tab.lead + len(cols):-1]
+    y, pi, s = -t[-1, :n], t[-1, surplus], sides.astype(float)
     a = pi @ s
     reduced = (cost - y[:, None] - y - a[:, None] - a + 2.0 * (s.T * pi) @ s)[eu, ev]
     reduced[cols] = np.inf
     new = np.flatnonzero(reduced < -PIVOT_TOL)
-    return new, np.vstack([np.linalg.solve(basis, matrix(new)), reduced[new]])
+    body = t[:-1, eu[new]] + t[:-1, ev[new]] - t[:-1, surplus] @ _cut_rows(sides, eu[new], ev[new])
+    return new, np.vstack([body, reduced[new]])
 
 
 def solve_lp(inst: MetricInstance) -> tuple[FractionalSolution, LPReport]:
@@ -380,7 +379,7 @@ def solve_lp(inst: MetricInstance) -> tuple[FractionalSolution, LPReport]:
             new, columns = _priced_columns(tab, cols, cut_sides, eu, ev, scaled)
             if not new.size:
                 return FractionalSolution(support, obj).at(inst.k), report(obj, 2.0 - value)
-            tab.add_columns(len(cols), columns)
+            tab.add_columns(tab.lead + len(cols), columns)
             cols = np.concatenate([cols, new])
             continue
         sides = np.array(sides)

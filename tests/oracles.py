@@ -4,7 +4,7 @@ The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
 with the implementations they cross-check; ``solve_lp_enumeration`` checks
 every cut and solves with HiGHS (``scipy.optimize.linprog``), not the
-library's simplex.  The exceptions: seven references are earlier versions of
+library's simplex.  The exceptions: eight references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
@@ -16,8 +16,11 @@ array of ``treedist._induced_tight_set`` replaced,
 ``build_split_graph_reference`` the per-edge loop that the array build of
 ``split.build_split_graph`` replaced, ``identify_back_reference`` the
 pair-multiset identification that ``split.identify_back`` on edge-index
-counts replaced, and ``tree_from_edges`` the rooting of a sorted edge list
-that the sampler's rooting of each draw replaced.
+counts replaced, ``tree_from_edges`` the rooting of a sorted edge list
+that the sampler's rooting of each draw replaced, and
+``priced_columns_reference`` the pricing by two solves with a rebuilt basis
+matrix that ``lp._priced_columns``, reading B^-1 and the duals from the
+tableau, replaced (its results match within round-off, not bit for bit).
 
 The formulas and helpers at the end (tail bounds, approximation factors,
 dispersion statistics, effective resistance, tree counts, cut sizes) are
@@ -35,7 +38,7 @@ from scipy.optimize import linprog
 
 from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
                         NotConnectedError, make_edge, spanning_forest)
-from kecsm.lp import FractionalSolution, _cut_rows, violated_cuts
+from kecsm.lp import PIVOT_TOL, FractionalSolution, _cut_rows, violated_cuts
 from kecsm.sampler import RngStream, SpanningTree
 from kecsm.split import SplitGraph
 from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, _grounded_inverse, _pair_resistances,
@@ -318,6 +321,35 @@ def solve_lp_enumeration(inst: MetricInstance, max_n: int = 12) -> FractionalSol
         if (violated & added).any():
             raise RuntimeError("HiGHS left an added cut violated")
         added |= violated
+
+
+def priced_columns_reference(tab, cols: np.ndarray, sides: np.ndarray, eu: np.ndarray,
+                             ev: np.ndarray, cost: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """``lp._priced_columns`` as one solve with the basis for the duals y
+    (degree rows) and pi (cut rows) and one for the columns of the priced
+    edges, with the basis matrix rebuilt from the basic columns of ``tab``.
+    As an edge crosses S when s_u + s_v - 2 s_u s_v is 1, the reduced costs
+    form the matrix C - y_u - y_v - a_u - a_v + 2 Q_uv, a = S^T pi,
+    Q = S^T diag(pi) S."""
+    n, p = sides.shape[1], len(sides)
+    if len(cols) == len(eu):
+        return cols[:0], None
+    masks = np.vstack([np.eye(n, dtype=bool), sides])
+    sign = np.r_[np.ones(n), -np.ones(p)]  # a cut row is kept as -a x + s = -b
+    matrix = lambda e: sign[:, None] * _cut_rows(masks, eu[e], ev[e])
+    at = tab.basis - tab.lead  # the leading columns of B^-1 are never basic
+    surplus = at >= len(cols)  # the surplus column of cut row i is unit column n + i
+    edges = cols[at[~surplus]]
+    basis, cost_b = np.zeros((n + p, n + p)), np.zeros(n + p)
+    basis[:, ~surplus], cost_b[~surplus] = matrix(edges), cost[eu[edges], ev[edges]]
+    basis[n + at[surplus] - len(cols), surplus] = 1.0
+    duals = np.linalg.solve(basis.T, cost_b)
+    y, pi, s = duals[:n], -duals[n:], sides.astype(float)
+    a = pi @ s
+    reduced = (cost - y[:, None] - y - a[:, None] - a + 2.0 * (s.T * pi) @ s)[eu, ev]
+    reduced[cols] = np.inf
+    new = np.flatnonzero(reduced < -PIVOT_TOL)
+    return new, np.vstack([np.linalg.solve(basis, matrix(new)), reduced[new]])
 
 
 def build_split_graph_reference(inst: MetricInstance, x: FractionalSolution,

@@ -106,6 +106,14 @@ class TestValidateMetric:
             metric_closure(3, 1e307 * (1 - np.eye(3)), 2)
         assert MetricInstance(n=3, cost=9e306 * (1 - np.eye(3)), k=2).cost.max() == 9e306
 
+    @pytest.mark.parametrize("top", [0.0, 1.0])
+    def test_k_too_large_for_a_float_is_rejected(self, top):
+        # a ValueError, not the OverflowError of converting n^2 k to a float
+        with pytest.raises(ValueError, match="k is too large for a float"):
+            MetricInstance(n=3, cost=top * (1 - np.eye(3)), k=10**400)
+        with pytest.raises(ValueError, match="k is too large for a float"):
+            metric_closure(3, top * (1 - np.eye(3)), 10**400)
+
     @pytest.mark.parametrize("k", [2.5, True, "4", float("nan")])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):

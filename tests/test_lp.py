@@ -22,7 +22,7 @@ from kecsm.lp import (
 )
 from kecsm.pipeline import run_pipeline
 
-from oracles import separate, solve_lp_enumeration
+from oracles import priced_columns_reference, separate, solve_lp_enumeration
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 FAMILIES = {"euclidean": euclidean_instance, "random-closure": random_closure_instance}
@@ -366,6 +366,46 @@ class TestPricedCore:
         assert report.core == 49 and report.priced > 100
         assert frac.objective == pytest.approx(objective, rel=1e-9)
 
+    @pytest.mark.parametrize("family", [euclidean_instance, random_closure_instance])
+    @pytest.mark.parametrize("n", [12, 24, 48])
+    def test_pricing_from_the_tableau_matches_the_solves(self, monkeypatch, family, n):
+        # a tour-only core leaves most of the support to pricing; every call
+        # finds the edges and columns that solves with the rebuilt basis
+        # find, and at the last call, which adds nothing, the duals read
+        # from the tableau are feasible on every edge and their objective is
+        # the primal one (in the scaled costs, as the tableau holds them)
+        monkeypatch.setattr(lp, "CORE_NEIGHBOURS", 0)
+        priced, last = lp._priced_columns, []
+
+        def checked(tab, cols, sides, eu, ev, cost):
+            new, columns = priced(tab, cols, sides, eu, ev, cost)
+            ref, ref_columns = priced_columns_reference(tab, cols, sides, eu, ev, cost)
+            assert np.array_equal(new, ref)
+            if new.size:
+                np.testing.assert_allclose(columns, ref_columns, rtol=0, atol=1e-9)
+                return new, columns
+            t, lead = tab.t, tab.lead
+            y, pi = -t[-1, :lead], t[-1, lead + len(cols):-1]
+            reduced = cost[eu, ev] - y[eu] - y[ev] - pi @ lp._cut_rows(sides, eu, ev)
+            assert pi.min(initial=0.0) >= -1e-9 and reduced.min() >= -1e-9
+            assert -t[-1, -1] == pytest.approx(2.0 * y.sum() + 2.0 * pi.sum(), rel=0, abs=1e-9)
+            last.append(len(sides))
+            return new, columns
+
+        monkeypatch.setattr(lp, "_priced_columns", checked)
+        _, report = solve_lp(family(n, 2, 1))
+        assert report.priced > 0 and last == [report.cuts_added]
+
+    def test_pricing_makes_no_solve(self, monkeypatch):
+        # the duals and the columns of priced edges come from the tableau
+        def refused(*args, **kwargs):
+            raise AssertionError("np.linalg.solve called")
+
+        monkeypatch.setattr(lp, "CORE_NEIGHBOURS", 0)
+        monkeypatch.setattr(np.linalg, "solve", refused)
+        _, report = solve_lp(random_closure_instance(24, 2, 1))
+        assert report.priced > 0
+
     @pytest.mark.parametrize("n", [2, 3, 9, 10, 12])
     def test_small_cores(self, n):
         inst = random_closure_instance(n, 3, seed=2)
@@ -463,7 +503,8 @@ class TestTourStart:
 
     @pytest.mark.parametrize("n", [2, 7, 8])
     def test_the_first_basis_is_on_the_tour(self, monkeypatch, n):
-        # up to n = 9 the core is every edge, so a column is an edge index
+        # up to n = 9 the core is every edge, so a column after the n leading
+        # ones (B^-1 of the degree rows) is n plus an edge index
         starts = []
         primal = lp._Tableau.primal
 
@@ -478,10 +519,16 @@ class TestTourStart:
         (t, basis), = starts
         tour, _ = lp._tour_and_core(inst.cost)
         edges = inst.edges()
-        basic = [edges[i] for i in basis]
+        basic = [edges[i - n] for i in basis]
         cycle = [tuple(sorted(e)) for e in zip(tour, tour[1:] + tour[:1])]
         assert np.array_equal(t[:-1, basis], np.eye(len(basis)))
         assert np.array_equal(t[:-1, :-1] * 2, np.round(t[:-1, :-1] * 2))
+        # the leading block is the rounded inverse of the basic degree rows
+        # (at n = 2 the one row of vertex 0, and a zero column for vertex 1)
+        eu, ev = np.triu_indices(n, 1)
+        degree = lp._cut_rows(np.eye(n, dtype=bool)[:len(basis)], eu, ev)[:, basis - n]
+        assert np.array_equal(degree @ t[:-1, :n], np.eye(len(basis), n))
+        assert np.array_equal(t[:-1, :n], np.round(2.0 * np.linalg.inv(degree)) / 2.0 @ np.eye(len(basis), n))
         # the LP is solved at degree 2 whatever k is
         if n % 2:
             assert basic == cycle and t[:-1, -1].tolist() == [1.0] * n
@@ -494,9 +541,10 @@ class TestTourStart:
 
     @pytest.mark.parametrize("family", [euclidean_instance, random_closure_instance])
     def test_the_start_equals_the_rounded_solve(self, monkeypatch, family):
-        # the body from the basis inverse, and the reduced costs formed from
-        # it, equal one solve of the basic degree rows against every degree
-        # row, rounded to halves; n = 2 has one degree row, even n a chord
+        # the leading block (the basis inverse), the body from it and the
+        # reduced costs formed from both equal one solve of the basic degree
+        # rows against the identity and against every degree row, rounded to
+        # halves; n = 2 has one degree row, even n a chord
         monkeypatch.setattr(lp._Tableau, "primal", lambda tab: None)
         for n in range(2, 17):
             for seed in (1, 2, 3):
@@ -505,11 +553,14 @@ class TestTourStart:
                 tour, core = lp._tour_and_core(inst.cost)
                 cost = inst.cost[eu[core], ev[core]]
                 tab = lp._tour_start(tour, core, eu, ev, cost)
-                basis, x_b = tab.basis, tab.t[:-1, -1].copy()
+                basis, x_b = tab.basis - n, tab.t[:-1, -1].copy()
                 degree = lp._cut_rows(np.eye(n, dtype=bool)[:len(basis)], eu[core], ev[core])
+                inverse = np.round(2.0 * np.linalg.solve(degree[:, basis], np.eye(len(basis), n))) / 2.0
                 body = np.round(2.0 * np.linalg.solve(degree[:, basis], degree)) / 2.0
-                solved = np.vstack([np.c_[body, x_b], np.r_[cost - cost[basis] @ body, -(cost[basis] @ x_b)]])
-                assert np.array_equal(tab.t, solved), (n, seed)
+                solved = np.vstack([np.c_[inverse, body, x_b],
+                                    np.r_[-(cost[basis] @ inverse), cost - cost[basis] @ body,
+                                          -(cost[basis] @ x_b)]])
+                assert tab.lead == n and np.array_equal(tab.t, solved), (n, seed)
 
 
 class TestSeparate:

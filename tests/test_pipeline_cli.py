@@ -603,6 +603,41 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv", [
+        pytest.param("solve --input inst.json --emit {}", id="solve-emit"),
+        pytest.param("solve --input inst.json --emit-solution {}", id="solve-emit-solution"),
+        pytest.param("batch --k 2 --n 4 --instances 1 --trials 1 --emit {}", id="batch-emit"),
+        pytest.param("baseline --input inst.json --which naive-mst-double --emit {}", id="baseline-emit"),
+    ])
+    @pytest.mark.parametrize("target", ["missing/out.csv", ""], ids=["missing-directory", "a-directory"])
+    def test_unwritable_output_is_one_line_exit_three(self, tmp_path, monkeypatch, capsys, argv, target):
+        monkeypatch.chdir(tmp_path)
+        inst = euclidean_instance(4, 2, seed=1)
+        (tmp_path / "inst.json").write_text(json.dumps({"n": 4, "k": 2, "costs": inst.cost.tolist()}))
+        path = str(tmp_path / target)
+        assert main(argv.format(path).split()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,k,message", [
+        pytest.param("lp --input inst.json --k 1" + "0" * 400, 2, "k is too large for a float", id="flag"),
+        pytest.param("lp --input inst.json --closure --k 1" + "0" * 400, 2, "k is too large for a float",
+                     id="flag-closure"),
+        pytest.param("lp --input inst.json", "1" + "0" * 400, "k is too large for a float", id="json"),
+        pytest.param("lp --input inst.json --closure", "1" + "0" * 400, "k is too large for a float",
+                     id="json-closure"),
+        pytest.param("batch --n 4 --instances 1 --trials 1 --k 2,1" + "0" * 400, 2, "that a float can hold",
+                     id="batch"),
+    ])
+    def test_k_too_large_for_a_float_is_one_line_exit_three(self, tmp_path, monkeypatch, capsys, argv, k,
+                                                          message):
+        # n^2 k once raised OverflowError converting k to a float
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "inst.json").write_text('{"n": 3, "k": %s, "costs": %s}' % (k, UNIT3))
+        assert main(argv.split()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
     @pytest.mark.parametrize("closure", [[], ["--closure"]])
     @pytest.mark.parametrize("argv,text,message", [
         pytest.param("solve --input big.json", '{"n": 3, "k": 2, "costs": %s}' % HUGE3,
