@@ -80,9 +80,9 @@ class LPReport:
     iterations: int
     cuts_added: int
     separation_slack: float
-    core: int = 0  # edges the tableau started with
-    priced: int = 0  # edges pricing added to it
-    pivots: int = 0  # simplex pivots, from the tour basis on
+    core: int  # edges the tableau started with
+    priced: int  # edges pricing added to it
+    pivots: int  # simplex pivots, from the tour basis on
 
 
 class _Tableau:
@@ -98,7 +98,7 @@ class _Tableau:
     ``lead`` columns, so they never enter the basis (``_tour_start``).
     """
 
-    def __init__(self, t: np.ndarray, basis: np.ndarray, lead: int = 0):
+    def __init__(self, t: np.ndarray, basis: np.ndarray, lead: int):
         self.t = t
         self.basis = basis
         self.lead = lead

@@ -3,8 +3,7 @@
 The sampler is Wilson's loop-erased random walk, which is exact for
 arbitrary positive weights and supports parallel edges.  Every law is drawn
 one way: its forced edges plus one walk per piece, rooted into a
-:class:`TreeBatch`.  A plain weight vector is the law with no forced edge and
-one piece, the whole graph.
+:class:`TreeBatch`.
 
 A law with few trees also keeps a memo from the walks' picks to the rooted
 rows of the tree they give, so that a repeated tree skips the rooting; the
@@ -14,15 +13,14 @@ walks still run, so every draw is the same with or without it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from struct import Struct
 
 import numpy as np
 
-from .core import NotConnectedError, as_int
-from .treedist import EdgeGraph, LambdaWeights, SamplingPiece, check_finite, is_connected
+from .core import as_int
+from .treedist import EdgeGraph, LambdaWeights, SamplingPiece
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32  # draws per generator call; a fitted tree on the n = 32 benchmark laws takes 2-20
@@ -49,34 +47,15 @@ class RngStream:
         return np.random.Generator(np.random.Philox(key=np.array(self.key, dtype=np.uint64)))
 
 
-@dataclass(frozen=True)
-class SpanningTree:
-    """A spanning tree as edge indices into its graph, rooted at vertex 0.
-
-    ``preorder`` lists the vertices in the order a stack DFS from the root
-    visits them, so the subtree of v is the block of ``size[v]`` vertices
-    that starts at v.
-    """
-
-    n: int
-    edge_indices: tuple[int, ...]
-    parent: tuple[int, ...]
-    parent_edge: tuple[int, ...]
-    preorder: tuple[int, ...]
-    size: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.edge_indices) != self.n - 1:
-            raise ValueError(f"a spanning tree on {self.n} vertices needs {self.n - 1} edges")
-
-
-class TreeBatch(Sequence):
+class TreeBatch:
     """Spanning trees of one graph on n vertices as integer arrays, one row per tree.
 
-    Row t of the (T, n) arrays ``parent``, ``parent_edge``, ``preorder`` and
-    ``size`` is tree t rooted at 0 as its :class:`SpanningTree` holds it, and
-    row t of the (T, n - 1) ``edge_indices`` its edges in increasing order.
-    Indexing and iteration give the trees as :class:`SpanningTree`.
+    Row t of the (T, n) arrays is tree t rooted at vertex 0: ``parent`` and
+    ``parent_edge`` give each vertex's parent and the edge to it (-1 at the
+    root), ``preorder`` the vertices in the order a stack DFS from the root
+    visits them, and ``size`` each subtree's size, so the subtree of v is
+    the block of ``size[v]`` vertices of ``preorder`` that starts at v.  Row
+    t of the (T, n - 1) ``edge_indices`` is its edges in increasing order.
     """
 
     def __init__(self, rows):
@@ -88,10 +67,6 @@ class TreeBatch(Sequence):
 
     def __len__(self) -> int:
         return len(self.parent)
-
-    def __getitem__(self, t: int) -> SpanningTree:
-        rows = self.edge_indices[t], self.parent[t], self.parent_edge[t], self.preorder[t], self.size[t]
-        return SpanningTree(self.parent.shape[1], *(tuple(row.tolist()) for row in rows))
 
 
 def _root(n: int, inc) -> tuple[list[int], list[int], list[int], list[int]]:
@@ -142,18 +117,11 @@ class _Walk:
     rebuilt for every tree.
     """
 
-    def __init__(self, lam, graph: EdgeGraph):
-        lam = np.asarray(lam, dtype=float)
-        check_finite("lam", lam)
-        if np.any(lam < 0):
-            raise ValueError("edge weights must be nonnegative")
-        support = [i for i in range(len(graph.edges)) if lam[i] > 0.0]
-        if not is_connected(graph, active=support):
-            raise NotConnectedError("weight support does not connect the graph")
-        n = self.n = graph.n
-        inc = _incidence(graph, support)
+    def __init__(self, piece: SamplingPiece):
+        n = self.n = piece.graph.n
+        inc = _incidence(piece.graph, range(len(piece.graph.edges)))
         self.inc = [[((w - 1) % n, i) for w, i in inc[v]] for v in range(1, n)]
-        weights = lam.tolist()
+        weights = piece.lam.tolist()
         cumw = [list(accumulate(weights[i] for _, i in steps)) for steps in self.inc]
         self.cuts = [c[:-1] for c in cumw]
         self.total = [c[-1] for c in cumw]
@@ -255,7 +223,7 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     if len(distinct) < len(forced) + len(kept) or len(forced) + sum(p.graph.n - 1 for p in pieces) != n - 1:
         raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
     forced_inc = _incidence(graph, forced)
-    walks = [_Walk(piece.lam, piece.graph) for piece in pieces]
+    walks = [_Walk(piece) for piece in pieces]
     lifts = [[(a, (b, i), b, (a, i)) for i in piece.kept for a, b in [graph.edges[i]]] for piece in pieces]
     dtype = np.min_scalar_type(-max(n, m) - 1)  # -max - 1 fits, so does max
     pack = Struct(f"{4 * n}{dtype.char}").pack
@@ -288,21 +256,6 @@ def _batch(draw, rngs) -> TreeBatch:
     """The trees ``draw`` gives on the streams ``rngs``, one ``TreeBatch`` row each."""
     blocks = _draw_streams(draw, rngs)
     return TreeBatch(np.frombuffer(b"".join(blocks), draw.dtype).reshape(len(blocks), 4, -1))
-
-
-def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> TreeBatch:
-    """``t`` independent trees of the law with edge weights ``lam`` on ``graph``,
-    on streams 0..t-1 of ``seed``: the law with no forced edge and one piece
-    that is the whole graph.
-
-    Edges with zero weight are treated as absent; the remaining support must
-    be connected.  Stream indexing makes tree s independent of ``t`` and of
-    draw order, so the batch could be filled concurrently and still assemble
-    identically.
-    """
-    rngs = _streams(t, seed)
-    whole = SamplingPiece(graph=graph, lam=lam, kept=tuple(range(len(graph.edges))))
-    return _batch(_sampler(graph, (), (whole,)), rngs)
 
 
 def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> TreeBatch:

@@ -63,9 +63,8 @@ def check_finite(name: str, values: np.ndarray):
         raise ValueError(f"{name}[{bad[0]}] = {values[bad[0]]} is not finite")
 
 
-def is_connected(graph: EdgeGraph, active=None) -> bool:
-    edges = [graph.edges[i] for i in active] if active is not None else graph.edges
-    return max(component_labels(graph.n, edges)) == 0
+def is_connected(graph: EdgeGraph) -> bool:
+    return max(component_labels(graph.n, graph.edges)) == 0
 
 
 def weighted_laplacian(graph: EdgeGraph, lam: np.ndarray) -> np.ndarray:
@@ -144,7 +143,10 @@ class SamplingPiece:
     ``graph`` is a connected local multigraph, ``lam`` its positive weights,
     and ``kept[j]`` the original edge index of local edge j.  A spanning tree
     of every piece plus all forced edges is a spanning tree of the original
-    graph.
+    graph.  A weight that is not finite and positive, or weights that sum
+    to half the float range or more, raise ValueError: below it the walk's
+    sums at each vertex, added in another order, stay finite.  A
+    disconnected graph raises NotConnectedError.
     """
 
     graph: EdgeGraph
@@ -157,6 +159,15 @@ class SamplingPiece:
             raise ValueError("one weight per edge required")
         if len(self.kept) != lam.size:
             raise ValueError(f"kept has {len(self.kept)} edge indices for {lam.size} piece edges")
+        check_finite("lam", lam)
+        if np.any(lam <= 0):
+            raise ValueError("edge weights must be positive")
+        with np.errstate(over="ignore"):
+            total = lam.sum()
+        if not total < np.finfo(float).max / 2:
+            raise ValueError(f"piece weights sum to {total}, not below half the float range")
+        if not is_connected(self.graph):
+            raise NotConnectedError("piece graph is not connected")
         lam.flags.writeable = False  # the sampler state of a law is built from it once
         object.__setattr__(self, "lam", lam)
 

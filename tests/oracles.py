@@ -22,6 +22,12 @@ that the sampler's rooting of each draw replaced, and
 matrix that ``lp._priced_columns``, reading B^-1 and the duals from the
 tableau, replaced (its results match within round-off, not bit for bit).
 
+Three test helpers read trees through the library: ``SpanningTree`` is one
+rooted tree as tuples, ``trees_of`` gives the rows of a ``TreeBatch`` as
+``SpanningTree`` values, and ``sample_batch`` draws the trees of a plain
+weight vector with the library's sampler, as the law with no forced edge and
+one piece, the support of the weights.
+
 The formulas and helpers at the end (tail bounds, approximation factors,
 dispersion statistics, effective resistance, tree counts, cut sizes) are
 used by the tests only.
@@ -38,11 +44,63 @@ from scipy.optimize import linprog
 
 from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
                         NotConnectedError, make_edge, spanning_forest)
+from kecsm import sampler
 from kecsm.lp import PIVOT_TOL, FractionalSolution, _cut_rows, violated_cuts
-from kecsm.sampler import RngStream, SpanningTree
+from kecsm.sampler import RngStream, TreeBatch
 from kecsm.split import SplitGraph
-from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, _grounded_inverse, _pair_resistances,
-                            weighted_laplacian)
+from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, SamplingPiece, _grounded_inverse, _pair_resistances,
+                            check_finite, weighted_laplacian)
+
+
+@dataclass(frozen=True)
+class SpanningTree:
+    """A spanning tree as edge indices into its graph, rooted at vertex 0,
+    as one row of a ``TreeBatch`` holds it.
+
+    ``preorder`` lists the vertices in the order a stack DFS from the root
+    visits them, so the subtree of v is the block of ``size[v]`` vertices
+    that starts at v.
+    """
+
+    n: int
+    edge_indices: tuple[int, ...]
+    parent: tuple[int, ...]
+    parent_edge: tuple[int, ...]
+    preorder: tuple[int, ...]
+    size: tuple[int, ...]
+
+    def __post_init__(self):
+        if len(self.edge_indices) != self.n - 1:
+            raise ValueError(f"a spanning tree on {self.n} vertices needs {self.n - 1} edges")
+
+
+def trees_of(batch: TreeBatch) -> list[SpanningTree]:
+    """The rows of ``batch`` as trees, in order."""
+    rows = (batch.edge_indices, batch.parent, batch.parent_edge, batch.preorder, batch.size)
+    return [SpanningTree(batch.parent.shape[1], *map(tuple, tree))
+            for tree in zip(*(row.tolist() for row in rows))]
+
+
+def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> TreeBatch:
+    """``t`` independent trees of the law with edge weights ``lam`` on ``graph``,
+    on streams 0..t-1 of ``seed``: the law with no forced edge and one piece,
+    the edges of positive weight, which must connect the graph.
+
+    The weights are checked whole, before the zeros are dropped: a NaN is
+    not positive, so it would otherwise be dropped too.
+    """
+    rngs = sampler._streams(t, seed)
+    lam = np.asarray(lam, dtype=float)
+    if lam.size != len(graph.edges):
+        raise ValueError("one weight per edge required")
+    check_finite("lam", lam)
+    if np.any(lam < 0):
+        raise ValueError("edge weights must be nonnegative")
+    support = np.flatnonzero(lam > 0).tolist()
+    # the piece raises NotConnectedError unless the support connects the graph
+    piece = SamplingPiece(graph=EdgeGraph(n=graph.n, edges=tuple(graph.edges[i] for i in support)),
+                          lam=lam[support], kept=tuple(support))
+    return sampler._batch(sampler._sampler(graph, (), (piece,)), rngs)
 
 
 def exhaustive_min_cut(weights: dict, n: int) -> float:

@@ -18,7 +18,7 @@ from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import solve_lp
 from kecsm.pipeline import prepare, round_prepared, run_batch, run_pipeline
 from kecsm.rounding import RoundingParams, run_rounding
-from kecsm.sampler import sample_batch, sample_fitted_batch
+from kecsm.sampler import sample_fitted_batch
 from kecsm.split import build_split_graph
 from kecsm.treedist import EdgeGraph, fit_max_entropy
 from kecsm.verify import brute_force_opt
@@ -29,8 +29,10 @@ from oracles import (
     check_tree_polytope,
     complete_graph,
     enumerate_spanning_trees,
+    sample_batch,
     solve_lp_enumeration,
     tree_weight,
+    trees_of,
     u0v0_path_edges,
 )
 
@@ -123,7 +125,7 @@ def test_03_fitted_marginals_dominated_and_sampled():
     for w in small:
         assert w.graph.n <= 8
         hits = np.zeros(len(w.graph.edges))
-        for tree in sample_fitted_batch(w, n_samples, seed=42):
+        for tree in trees_of(sample_fitted_batch(w, n_samples, seed=42)):
             for i in tree.edge_indices:
                 hits[i] += 1
         emp = hits / n_samples
@@ -174,7 +176,7 @@ def test_05_augmentation_tail_bound():
                 params = RoundingParams.make(k, seed=5000 + trial)
                 out = run_rounding(g0, prep.weights, params)
                 trees = sample_fitted_batch(prep.weights, params.tree_count, params.seed)
-                for tree in trees:
+                for tree in trees_of(trees):
                     eligible += (g0.n0 - 1) - len(u0v0_path_edges(tree, g0.u0, g0.v0))
                 augmented += out.augmentation_count
             freq = augmented / eligible

@@ -40,7 +40,7 @@ def reference_cells(instance_seed):
 def empty_tableau(c):
     """A tableau with no rows over the costs c >= 0, which is dual feasible;
     constraints join only through ``add_ge_rows``."""
-    return _Tableau(np.r_[c, 0.0][None], np.zeros(0, int))
+    return _Tableau(np.r_[c, 0.0][None], np.zeros(0, int), lead=0)
 
 
 def solved_by_rows(c, a_eq, b_eq, a_ge, b_ge):
@@ -89,7 +89,7 @@ class TestSimplexEngine:
 
     def test_unbounded_raises(self):
         # min -y subject to x - y = 1, with x basic: y enters and no row bounds it
-        tab = _Tableau(np.array([[1.0, -1.0, 1.0], [0.0, -1.0, 0.0]]), np.array([0]))
+        tab = _Tableau(np.array([[1.0, -1.0, 1.0], [0.0, -1.0, 0.0]]), np.array([0]), lead=0)
         with pytest.raises(UnboundedLPError):
             tab.primal()
 
@@ -150,7 +150,7 @@ class TestSimplexEngine:
         rng = np.random.default_rng(seed)
         m, width = int(rng.integers(2, 12)), int(rng.integers(3, 40))
         t = rng.standard_normal((m, width)) * (rng.random((m, width)) < 0.3)
-        tab = _Tableau(t.copy(), np.arange(m - 1))
+        tab = _Tableau(t.copy(), np.arange(m - 1), lead=0)
         expected = t.copy()
         for _ in range(5):
             row = int(rng.integers(m - 1))

@@ -557,7 +557,8 @@ class TestCli:
         def boom(inst, **kwargs):
             raise LPNotConvergedError(
                 "LP did not converge",
-                LPReport(objective=0.0, iterations=1, cuts_added=0, separation_slack=float("nan")),
+                LPReport(objective=0.0, iterations=1, cuts_added=0, separation_slack=float("nan"),
+                         core=0, priced=0, pivots=0),
             )
 
         monkeypatch.setattr(cli, "run_pipeline", lambda *a, **kw: boom(None))

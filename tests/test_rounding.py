@@ -27,6 +27,7 @@ from oracles import (
     fundamental_cut_counts_reference,
     separates_u0_v0,
     tree_from_edges,
+    trees_of,
     u0v0_path_edges,
 )
 
@@ -220,7 +221,7 @@ class TestSeparatesTwins:
         for seed in range(4):
             inst = euclidean_instance(7, 2, seed=seed)
             prep = prepare(inst)
-            tree = sample_fitted_batch(prep.weights, 1, seed=seed)[0]
+            tree = trees_of(sample_fitted_batch(prep.weights, 1, seed=seed))[0]
             path = u0v0_path_edges(tree, prep.split_graph.u0, prep.split_graph.v0)
             separating = [e for e in tree.edge_indices
                           if separates_u0_v0(tree, e, prep.split_graph.u0, prep.split_graph.v0)]
@@ -232,7 +233,7 @@ class TestRunRounding:
         prep = prepare(triangle_unit)
         params = RoundingParams.make(2, seed=9)
         out = run_rounding(prep.split_graph, prep.weights, params)
-        tree = sample_fitted_batch(prep.weights, 1, seed=9)[0]
+        tree = trees_of(sample_fitted_batch(prep.weights, 1, seed=9))[0]
         g0 = prep.split_graph
         path = u0v0_path_edges(tree, g0.u0, g0.v0)
         assert out.f_set == Counter(i for i in tree.edge_indices if i not in path)

@@ -18,7 +18,6 @@ from kecsm.sampler import (
     _BLOCK,
     RngStream,
     _draw_streams,
-    sample_batch,
     sample_fitted_batch,
 )
 from kecsm.treedist import EdgeGraph, LambdaWeights, SamplingPiece, fit_max_entropy, tree_marginals
@@ -28,9 +27,11 @@ from oracles import (
     complete_graph,
     enumerate_spanning_trees,
     fundamental_cut_counts_reference,
+    sample_batch,
     sample_tree_enumeration,
     tree_from_edges,
     tree_weight,
+    trees_of,
 )
 
 TRIANGLE = EdgeGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
@@ -128,31 +129,32 @@ class TestSampleTree:
     a batch is the tree of stream s."""
 
     def test_unique_tree_path(self):
-        for tree in sample_batch(np.ones(2), PATH3, 5, seed=11):
+        for tree in trees_of(sample_batch(np.ones(2), PATH3, 5, seed=11)):
             assert tree.edge_indices == (0, 1)
 
     def test_deterministic_per_stream(self):
         g = complete_graph(5)
         lam = np.ones(10)
-        assert sample_batch(lam, g, 5, seed=3)[4] == sample_batch(lam, g, 5, seed=3)[4]
+        assert trees_of(sample_batch(lam, g, 5, seed=3))[4] == trees_of(sample_batch(lam, g, 5, seed=3))[4]
 
     def test_uniform_triangle_frequencies(self):
         n_samples = 30_000
-        counts = Counter(tree.edge_indices for tree in sample_batch(np.ones(3), TRIANGLE, n_samples, seed=101))
+        trees = trees_of(sample_batch(np.ones(3), TRIANGLE, n_samples, seed=101))
+        counts = Counter(tree.edge_indices for tree in trees)
         for t in enumerate_spanning_trees(TRIANGLE):
             assert counts[tuple(t)] / n_samples == pytest.approx(1 / 3, abs=three_sigma(1 / 3, n_samples))
 
     def test_weighted_triangle_frequencies(self):
         n_samples = 30_000
         lam = np.array([2.0, 1.0, 1.0])
-        counts = Counter(tree.edge_indices for tree in sample_batch(lam, TRIANGLE, n_samples, seed=202))
+        counts = Counter(tree.edge_indices for tree in trees_of(sample_batch(lam, TRIANGLE, n_samples, seed=202)))
         expected = {(0, 1): 0.4, (0, 2): 0.4, (1, 2): 0.2}
         for t, p in expected.items():
             assert counts[t] / n_samples == pytest.approx(p, abs=three_sigma(p, n_samples))
 
     def test_zero_weight_edges_absent(self):
         lam = np.array([1.0, 1.0, 0.0])
-        for tree in sample_batch(lam, TRIANGLE, 200, seed=7):
+        for tree in trees_of(sample_batch(lam, TRIANGLE, 200, seed=7)):
             assert 2 not in tree.edge_indices
 
     def test_disconnected_support_raises(self):
@@ -190,7 +192,7 @@ class TestSampleBatch:
     def test_same_seed_reproduces(self):
         a = sample_batch(np.ones(10), complete_graph(5), 6, seed=42)
         b = sample_batch(np.ones(10), complete_graph(5), 6, seed=42)
-        assert list(a) == list(b)
+        assert trees_of(a) == trees_of(b)
 
     def test_stream_isolation(self):
         # entry i only depends on (seed, i), not on the batch size
@@ -199,11 +201,11 @@ class TestSampleBatch:
         batch = sample_batch(lam, g, 5, seed=13)
         for t in (1, 4, 9):
             common = min(t, 5)
-            assert list(sample_batch(lam, g, t, seed=13))[:common] == list(batch)[:common]
+            assert trees_of(sample_batch(lam, g, t, seed=13))[:common] == trees_of(batch)[:common]
 
     def test_union_size(self):
         batch = sample_batch(np.ones(3), TRIANGLE, 4, seed=0)
-        assert sum(len(t.edge_indices) for t in batch) == 4 * (TRIANGLE.n - 1)
+        assert sum(len(t.edge_indices) for t in trees_of(batch)) == 4 * (TRIANGLE.n - 1)
 
     def test_rejects_zero_trees(self):
         with pytest.raises(ValueError):
@@ -214,8 +216,8 @@ class TestSampleBatch:
             sample_batch(np.array([1.0, 0.0]), PATH3, 3, seed=0)
 
 
-def _digest(trees) -> str:
-    return hashlib.sha256(repr([t.edge_indices for t in trees]).encode()).hexdigest()
+def _digest(batch) -> str:
+    return hashlib.sha256(repr([t.edge_indices for t in trees_of(batch)]).encode()).hexdigest()
 
 
 class TestGoldenDraws:
@@ -255,7 +257,7 @@ class TestEmpiricalMarginals:
         p = tree_marginals(lam, g)
         n_samples = 12_000
         hits = np.zeros(len(g.edges))
-        for tree in sample_batch(lam, g, n_samples, seed=77):
+        for tree in trees_of(sample_batch(lam, g, n_samples, seed=77)):
             for i in tree.edge_indices:
                 hits[i] += 1
         emp = hits / n_samples
@@ -273,8 +275,8 @@ class TestFittedSampling:
         w = law()
         assert len(w.pieces) >= 2 and w.forced
         batch = sample_fitted_batch(w, 16, seed=29)
-        for s, tree in enumerate(batch):
-            assert tree == sample_fitted_batch(w, s + 1, seed=29)[s]
+        for s, tree in enumerate(trees_of(batch)):
+            assert tree == trees_of(sample_fitted_batch(w, s + 1, seed=29))[s]
 
     def test_repeated_edge_raises(self):
         # a forced edge that a piece holds too: the draw repeats it and cannot span
@@ -310,7 +312,7 @@ class TestFittedSampling:
 
     def test_forced_edges_always_present(self):
         w = fit_max_entropy(PATH3, [1.0, 1.0])
-        for tree in sample_fitted_batch(w, 20, seed=5):
+        for tree in trees_of(sample_fitted_batch(w, 20, seed=5)):
             assert tree.edge_indices == (0, 1)
 
     def test_piecewise_law_has_bernoulli_sum_cut_counts(self):
@@ -319,7 +321,7 @@ class TestFittedSampling:
         rng = np.random.default_rng(3)
         g = complete_graph(6)
         lam = rng.random(len(g.edges)) + 0.2
-        trees = list(sample_batch(lam, g, 4000, seed=21))
+        trees = trees_of(sample_batch(lam, g, 4000, seed=21))
         for trial in range(5):
             side = {0} | {v for v in range(1, 6) if rng.random() < 0.5}
             if len(side) == 6:
@@ -336,7 +338,7 @@ class TestFittedSampling:
         rng = np.random.default_rng(8)
         g = complete_graph(5)
         lam = rng.random(len(g.edges)) + 0.2
-        trees = list(sample_batch(lam, g, 4000, seed=17))
+        trees = trees_of(sample_batch(lam, g, 4000, seed=17))
         for trial in range(4):
             subset = {i for i in range(len(g.edges)) if rng.random() < 0.4}
             if not subset:
@@ -352,7 +354,7 @@ class TestFittedSampling:
         assert len(w.pieces) >= 2
         n_samples = 20_000
         hits = np.zeros(len(edges))
-        for tree in sample_fitted_batch(w, n_samples, seed=11):
+        for tree in trees_of(sample_fitted_batch(w, n_samples, seed=11)):
             assert len(tree.edge_indices) == 4
             for i in tree.edge_indices:
                 hits[i] += 1
@@ -398,17 +400,17 @@ class TestCachedSamplerState:
     def test_two_batches_of_one_seed_are_equal(self):
         w = _hand_built_law()
         a, b = sample_fitted_batch(w, 40, seed=8), sample_fitted_batch(w, 40, seed=8)
-        assert list(a) == list(b)
+        assert trees_of(a) == trees_of(b)
         for name in ("edge_indices", "parent", "parent_edge", "preorder", "size"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert len({t.edge_indices for t in a}) > 1
+        assert len({t.edge_indices for t in trees_of(a)}) > 1
 
     def test_each_tree_is_the_tree_of_its_stream(self):
         w = _hand_built_law()
         batch = sample_fitted_batch(w, 24, seed=3)
         assert len(batch) == 24
-        for s, tree in enumerate(batch):
-            assert tree == batch[s] == sample_fitted_batch(w, s + 1, seed=3)[s]
+        for s, tree in enumerate(trees_of(batch)):
+            assert tree == trees_of(sample_fitted_batch(w, s + 1, seed=3))[s]
 
     def test_a_law_that_does_not_span_raises(self):
         # forced (0, 1) and (1, 2) with the piece edge (0, 2): a cycle that misses vertex 3
@@ -444,7 +446,7 @@ def test_fitted_batches_root_like_tree_from_edges(family, n, k, instance_seed, a
     assert (len(w.pieces) == 0) == all_forced
     batch = sample_batch(w.lam, g0.graph, t, seed) if plain else sample_fitted_batch(w, t, seed)
     assert len(batch) == t and batch.parent.shape == (t, g0.n0)
-    trees = list(batch)
+    trees = trees_of(batch)
     for tree in trees:
         again = tree_from_edges(g0.graph, tree.edge_indices)
         for name in ("parent", "parent_edge", "size", "edge_indices"):
@@ -532,7 +534,7 @@ class TestTreeMemo:
         root = sampler._root
         monkeypatch.setattr(sampler, "_root", lambda n, inc: calls.append(n) or root(n, inc))
         batch = sample_batch(lam, g, 2000, seed=12)
-        assert len(calls) == len({tree.edge_indices for tree in batch}) == 16
+        assert len(calls) == len({tree.edge_indices for tree in trees_of(batch)}) == 16
         monkeypatch.setattr(sampler, "_MEMO_BYTES", 0)
         plain = sample_batch(lam, g, 2000, seed=12)
         assert len(calls) == 16 + 2000
@@ -556,5 +558,5 @@ class TestIntegerArguments:
             draw(2, seed)
 
     def test_integral_floats_and_numpy_integers_pass(self, draw):
-        want = list(draw(3, 5))
-        assert list(draw(3.0, np.int64(5))) == list(draw(np.int32(3), 5.0)) == want
+        want = trees_of(draw(3, 5))
+        assert trees_of(draw(3.0, np.int64(5))) == trees_of(draw(np.int32(3), 5.0)) == want

@@ -6,12 +6,12 @@ from kecsm.instances import random_closure_instance
 from kecsm.lp import solve_lp
 from kecsm.pipeline import prepare
 from kecsm import treedist
-from kecsm.sampler import sample_batch
 from kecsm.split import build_split_graph
 from kecsm.treedist import (
     EPSILON_MARGINAL,
     EdgeGraph,
     FitConvergenceError,
+    SamplingPiece,
     contract_edges,
     fit_max_entropy,
     tree_marginals,
@@ -23,6 +23,7 @@ from oracles import (
     effective_resistance,
     enumerated_marginals,
     induced_tight_set_reference,
+    sample_batch,
     spanning_tree_count,
 )
 
@@ -121,6 +122,32 @@ def test_non_finite_weights_and_targets_raise(bad, monkeypatch):
     monkeypatch.setattr(treedist, "_pair_resistances", lambda inv, edges: np.full(len(edges), bad))
     with pytest.raises(FitConvergenceError, match="lost precision"):
         fit_max_entropy(TRIANGLE, [2 / 3] * 3)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("graph, lam, error, message", [
+    (TRIANGLE, [np.nan, 1.0, 1.0], ValueError, r"^lam\[0\] = nan is not finite$"),
+    (TRIANGLE, [1.0, np.inf, 1.0], ValueError, r"^lam\[1\] = inf is not finite$"),
+    (TRIANGLE, [1.0, 1.0, -np.inf], ValueError, r"^lam\[2\] = -inf is not finite$"),
+    (TRIANGLE, [1.0, 0.0, 1.0], ValueError, "^edge weights must be positive$"),
+    (TRIANGLE, [1.0, 1.0, -2.0], ValueError, "^edge weights must be positive$"),
+    (EdgeGraph(n=4, edges=((0, 1), (2, 3))), [1.0, 1.0], NotConnectedError, "^piece graph is not connected$"),
+], ids=["nan", "inf", "-inf", "zero", "negative", "disconnected"])
+def test_a_piece_is_checked_when_it_is_built(graph, lam, error, message):
+    # a bad piece once passed here and failed only on the law's first draw
+    with pytest.raises(error, match=message):
+        SamplingPiece(graph=graph, lam=lam, kept=tuple(range(len(lam))))
+
+
+@pytest.mark.filterwarnings("error")
+def test_weights_that_sum_past_the_float_range_are_rejected():
+    # vertex 2's cumulative weights once ended at inf, so every step from it
+    # took the edge to vertex 1 and the walk never reached the root
+    with pytest.raises(ValueError, match="^piece weights sum to inf, not below half the float range$"):
+        SamplingPiece(graph=TRIANGLE, lam=np.array([1.0, 1e308, 1e308]), kept=(0, 1, 2))
+    with pytest.raises(ValueError, match="not below half the float range"):
+        SamplingPiece(graph=TRIANGLE, lam=np.array([1.0, 1e308, 1.0]), kept=(0, 1, 2))
+    SamplingPiece(graph=TRIANGLE, lam=np.array([1.0, 1e307, 1e307]), kept=(0, 1, 2))
 
 
 class TestEffectiveResistance:

@@ -305,8 +305,7 @@ class TestBsStats:
             bs_stats([1])
 
     def test_cut_counts_on_k4_are_underdispersed(self):
-        from kecsm.sampler import sample_batch
-        from oracles import complete_graph, enumerated_marginals
+        from oracles import complete_graph, enumerated_marginals, sample_batch, trees_of
 
         g = complete_graph(4)
         rng = np.random.default_rng(14)
@@ -315,7 +314,7 @@ class TestBsStats:
         crossing = [i for i, (u, v) in enumerate(g.edges) if (u in side) != (v in side)]
         expected_mean = float(enumerated_marginals(lam, g)[crossing].sum())
         counts = []
-        for tree in sample_batch(lam, g, 8000, seed=31):
+        for tree in trees_of(sample_batch(lam, g, 8000, seed=31)):
             counts.append(sum(1 for i in tree.edge_indices if i in crossing))
         s = bs_stats(counts)
         assert s.mean == pytest.approx(expected_mean, abs=4 * math.sqrt(s.variance / s.count))
