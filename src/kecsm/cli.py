@@ -204,7 +204,7 @@ def _cmd_verify(args) -> int:
     cert = verify_k_connectivity(mult, inst.n, inst.k)
     cost = mult.total_cost(inst.cost)
     print(f"min_cut={cert.min_cut_value} required={inst.k} passes={cert.passes} "
-          f"cost={cost:.6f} witness_side={sorted(cert.witness.side)}")
+          f"cost={cost:.6f} witness_side={sorted(cert.witness)}")
     return EXIT_OK if cert.passes else EXIT_DISCONNECTED
 
 

@@ -202,32 +202,15 @@ def metric_closure(n: int, raw_cost: np.ndarray, k: int) -> MetricInstance:
         raise ValueError("raw cost matrix must have a zero diagonal")
     if np.any(np.isnan(d)):
         raise ValueError("raw costs must not be NaN")
-    finite = d[np.isfinite(d)]
-    if np.any(finite < 0):
+    if np.any(d < 0):  # -inf too
         raise ValueError("raw costs must be nonnegative")
-    _check_cost_magnitude(float(finite.max(initial=0.0)), n, k)  # before the sums below can overflow
+    _check_cost_magnitude(float(d[np.isfinite(d)].max(initial=0.0)), n, k)  # before the sums below can overflow
     for m in range(n):
         # Floyd-Warshall relaxation through intermediate vertex m.
         d = np.minimum(d, d[:, m : m + 1] + d[m : m + 1, :])
     if not np.all(np.isfinite(d)):
         raise NotConnectedError("instance not connected")
     return MetricInstance(n=n, cost=d, k=k)
-
-
-@dataclass(frozen=True)
-class CutSpec:
-    """A vertex cut: the nonempty proper subset ``side`` of {0..n-1}."""
-
-    side: frozenset[int]
-    n: int
-
-    def __post_init__(self):
-        side = frozenset(self.side)
-        object.__setattr__(self, "side", side)
-        if not side or len(side) >= self.n:
-            raise ValueError(f"cut side must be a nonempty proper subset of {self.n} vertices")
-        if any(v < 0 or v >= self.n for v in side):
-            raise ValueError("cut side contains out-of-range vertices")
 
 
 class MultiEdgeSet:
@@ -344,17 +327,18 @@ def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], lis
     return cuts, rest, [members[v] for v in live]
 
 
-def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
+def global_min_cut(weights, n: int) -> tuple[float, list[int]]:
     """Global minimum cut of a weighted undirected graph via Stoer-Wagner.
 
     ``weights`` maps edges to nonnegative reals; missing edges weigh zero.
     Deterministic: every phase starts at the smallest live vertex and
     adjacency ties (within 1e-15) go to the smallest vertex index.
-    Disconnected inputs yield value 0 with a witnessing side, unless a weight
-    near 1e-15 ties with no connection and its cut is returned instead.  The
-    witness is normalized to the side containing vertex 0.  The solver calls
-    it only on what :func:`shrink_min_cut` leaves, a few dozen supervertices
-    at most, so each phase step is a plain scan of the free vertices.
+    Returns the value and the side its best phase recorded, which may or may
+    not hold vertex 0.  Disconnected inputs yield value 0 with a witnessing
+    side, unless a weight near 1e-15 ties with no connection and its cut is
+    returned instead.  The solver calls it only on what
+    :func:`shrink_min_cut` leaves, a few dozen supervertices at most, so
+    each phase step is a plain scan of the free vertices.
     """
     if n < 2:
         raise ValueError("min cut needs at least 2 vertices")
@@ -413,8 +397,4 @@ def global_min_cut(weights, n: int) -> tuple[float, CutSpec]:
                 rows[v][prev] = merged[v]
         groups[prev].extend(groups[last])
         alive.remove(last)
-
-    side = frozenset(best_side)
-    if 0 not in side:
-        side = frozenset(range(n)) - side
-    return best_value, CutSpec(side=side, n=n)
+    return best_value, best_side

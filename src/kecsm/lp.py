@@ -227,8 +227,8 @@ def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarr
         cuts = sorted((cut for cut in cuts if cut[0] < SEPARATION_TOL), key=lambda cut: min(cut[1]))
     else:
         if rest:
-            value, spec = global_min_cut(rest, len(members))
-            cuts.append((value, [v for i in spec.side for v in members[i]]))
+            value, side = global_min_cut(rest, len(members))
+            cuts.append((value, [v for i in side for v in members[i]]))
         cuts.insert(0, min(cuts, key=lambda cut: cut[0]))
     sides: dict[bytes, np.ndarray] = {}
     for value, side in cuts:
@@ -262,8 +262,6 @@ def _tour_and_core(cost: np.ndarray) -> tuple[list[int], np.ndarray]:
     for _ in range(n - 1):
         tour.append(next(w for w in rows[tour[-1]] if not seen[w]))
         seen[tour[-1]] = True
-    if n <= CORE_NEIGHBOURS + 1:
-        return tour, np.arange(n * (n - 1) // 2)
     pick = np.zeros((n, n), dtype=bool)
     pick[np.arange(n)[:, None], order[:, :CORE_NEIGHBOURS]] = True
     pick[tour, np.roll(tour, -1)] = True

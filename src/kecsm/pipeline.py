@@ -15,7 +15,7 @@ import numpy as np
 from .core import MetricInstance, MultiEdgeSet
 from .lp import FractionalSolution, LPReport, solve_lp
 from .rounding import RoundingOutput, RoundingParams, run_rounding
-from .sampler import RngStream
+from .sampler import generator
 from .split import SplitGraph, build_split_graph
 from .treedist import LambdaWeights, fit_max_entropy
 from .verify import ConnectivityCertificate, TooLargeError, brute_force_opt, verify_k_connectivity
@@ -234,7 +234,7 @@ def run_baseline(inst: MetricInstance, which: str, seed: int = 0,
         cert = verify_k_connectivity(final, inst.n, k)
         sample_cost, repair_copies, repair_cost = 0.0, copies, copies * mst_cost
     else:
-        gen = RngStream(seed=seed, stream=0).generator()
+        gen = generator(seed, 0)
         mult: dict = {}
         for e in inst.edges():
             xe = frac.values.get(e, 0.0)

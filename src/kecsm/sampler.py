@@ -13,7 +13,6 @@ walks still run, so every draw is the same with or without it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import accumulate, chain
 from struct import Struct
 
@@ -27,51 +26,43 @@ _BLOCK = 32  # draws per generator call; a fitted tree on the n = 32 benchmark l
 _MEMO_BYTES = 1 << 20  # a law keeps a memo when the rooted rows of all its trees fit in this
 
 
-@dataclass(frozen=True)
-class RngStream:
-    """Counter-based random stream: (seed, stream) fully determines the draws.
+def generator(seed: int, stream: int) -> np.random.Generator:
+    """The counter-based random stream ``stream`` of ``seed``: the pair fully
+    determines the draws.
 
     Distinct streams of one seed are independent by construction (Philox keys),
     so batches are reproducible under any execution order.
     """
-
-    seed: int
-    stream: int = 0
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return self.seed & _MASK64, self.stream & _MASK64
-
-    def generator(self) -> np.random.Generator:
-        # Philox(key=...) casts a tuple holding a value >= 2**63 through float64
-        return np.random.Generator(np.random.Philox(key=np.array(self.key, dtype=np.uint64)))
+    # Philox(key=...) casts a tuple holding a value >= 2**63 through float64
+    key = np.array((seed & _MASK64, stream & _MASK64), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class TreeBatch:
     """Spanning trees of one graph on n vertices as integer arrays, one row per tree.
 
-    Row t of the (T, n) arrays is tree t rooted at vertex 0: ``parent`` and
-    ``parent_edge`` give each vertex's parent and the edge to it (-1 at the
-    root), ``preorder`` the vertices in the order a stack DFS from the root
-    visits them, and ``size`` each subtree's size, so the subtree of v is
-    the block of ``size[v]`` vertices of ``preorder`` that starts at v.  Row
-    t of the (T, n - 1) ``edge_indices`` is its edges in increasing order.
+    Row t of the (T, n) arrays is tree t rooted at vertex 0: ``parent_edge``
+    gives the edge from each vertex to its parent (-1 at the root),
+    ``preorder`` the vertices in the order a stack DFS from the root visits
+    them, and ``size`` each subtree's size, so the subtree of v is the block
+    of ``size[v]`` vertices of ``preorder`` that starts at v.  Row t of the
+    (T, n - 1) ``edge_indices`` is its edges in increasing order.
     """
 
     def __init__(self, rows):
-        """``rows``: a (T, 4, n) integer array-like, tree t's parent, parent_edge,
+        """``rows``: a (T, 3, n) integer array-like, tree t's parent_edge,
         preorder and size; the arrays are copies, cast to ``intp``."""
         rows = np.asarray(rows).transpose(1, 0, 2).astype(np.intp, order="C")
-        self.parent, self.parent_edge, self.preorder, self.size = rows
+        self.parent_edge, self.preorder, self.size = rows
         self.edge_indices = np.sort(self.parent_edge[:, 1:], axis=1)
 
     def __len__(self) -> int:
-        return len(self.parent)
+        return len(self.parent_edge)
 
 
-def _root(n: int, inc) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Parent, parent edge (-1 at the root), preorder and subtree size of the
-    tree whose incidence lists are ``inc``, rooted at 0 by a stack DFS that
+def _root(n: int, inc) -> tuple[list[int], list[int], list[int]]:
+    """Parent edge (-1 at the root), preorder and subtree size of the tree
+    whose incidence lists are ``inc``, rooted at 0 by a stack DFS that
     follows each list in order; ValueError unless the tree spans all n vertices."""
     parent = [-1] * n
     parent_edge = [-1] * n
@@ -93,7 +84,7 @@ def _root(n: int, inc) -> tuple[list[int], list[int], list[int], list[int]]:
     size = [1] * n
     for v in reversed(order[1:]):  # every vertex after its ancestors
         size[parent[v]] += size[v]
-    return parent, parent_edge, order, size
+    return parent_edge, order, size
 
 
 def _incidence(graph: EdgeGraph, edge_indices) -> list[list[tuple[int, int]]]:
@@ -148,15 +139,16 @@ class _Walk:
         return tree
 
 
-def _draw_streams(draw, rngs) -> list:
-    """``draw(uniform)`` once per stream, ``uniform()`` giving the stream's
-    ``random()`` draws in order (``random(size)`` gives the same numbers).
+def _draw_streams(draw, keys) -> list:
+    """``draw(uniform)`` once per stream, given by its Philox key (``_streams``),
+    ``uniform()`` giving the stream's ``random()`` draws in order
+    (``random(size)`` gives the same numbers).
 
     One Philox serves every stream: set to a state with the stream's key,
     counter 0 and an empty buffer, it is in the state of a fresh
-    ``rng.generator()``, at a quarter of the cost of building one.  The state
-    setter copies the arrays and takes the key as a tuple of ints, so one state
-    dict serves too, with its key swapped.
+    ``generator(seed, stream)``, at a quarter of the cost of building one.
+    The state setter copies the arrays and takes the key as a tuple of ints,
+    so one state dict serves too, with its key swapped.
     """
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
@@ -168,18 +160,19 @@ def _draw_streams(draw, rngs) -> list:
             yield from gen.random(_BLOCK).tolist()
 
     out = []
-    for rng in rngs:
-        fresh["state"]["key"] = rng.key
+    for key in keys:
+        fresh["state"]["key"] = key
         bits.state = fresh
         out.append(draw(uniforms().__next__))
     return out
 
 
-def _streams(t: int, seed: int) -> list[RngStream]:
+def _streams(t: int, seed: int) -> list[tuple[int, int]]:
+    """The Philox keys of streams 0..t-1 of ``seed``, as ``generator`` sets them."""
     t, seed = as_int(t, "t"), as_int(seed, "seed")
     if t < 1:
         raise ValueError("tree count must be at least 1")
-    return [RngStream(seed=seed, stream=s) for s in range(t)]
+    return [(seed & _MASK64, s) for s in range(t)]
 
 
 def _fits(pieces, room: int) -> bool:
@@ -205,8 +198,8 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     to its two incidence entries in ``graph``, and the incidence lists of the
     forced edges.  A draw runs the walks on one stream, copies those lists,
     appends the entries of the edges the walks return, roots the tree with
-    ``_root`` and returns its parent, parent edge, preorder and size rows as
-    one block of bytes of ``draw.dtype``, the smallest signed integer that
+    ``_root`` and returns its parent edge, preorder and size rows as one
+    block of bytes of ``draw.dtype``, the smallest signed integer that
     holds n and every edge index.  When the blocks of every tree the pieces
     could give fit in ``_MEMO_BYTES``, ``draw.memo`` maps the edges the walks
     returned to the block of each tree rooted so far, and a draw that finds
@@ -226,8 +219,8 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     walks = [_Walk(piece) for piece in pieces]
     lifts = [[(a, (b, i), b, (a, i)) for i in piece.kept for a, b in [graph.edges[i]]] for piece in pieces]
     dtype = np.min_scalar_type(-max(n, m) - 1)  # -max - 1 fits, so does max
-    pack = Struct(f"{4 * n}{dtype.char}").pack
-    memo = {} if _fits(pieces, _MEMO_BYTES // (4 * n * dtype.itemsize)) else None
+    pack = Struct(f"{3 * n}{dtype.char}").pack
+    memo = {} if _fits(pieces, _MEMO_BYTES // (3 * n * dtype.itemsize)) else None
 
     def draw(uniform) -> bytes:
         picks = [walk.edges(uniform) for walk in walks]
@@ -242,8 +235,8 @@ def _sampler(graph: EdgeGraph, forced, pieces):
                 a, at_a, b, at_b = lifted[j]
                 inc[a].append(at_a)
                 inc[b].append(at_b)
-        parent, parent_edge, order, size = _root(n, inc)
-        block = pack(*parent, *parent_edge, *order, *size)
+        parent_edge, order, size = _root(n, inc)
+        block = pack(*parent_edge, *order, *size)
         if memo is not None:
             memo[key] = block
         return block
@@ -252,10 +245,10 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     return draw
 
 
-def _batch(draw, rngs) -> TreeBatch:
-    """The trees ``draw`` gives on the streams ``rngs``, one ``TreeBatch`` row each."""
-    blocks = _draw_streams(draw, rngs)
-    return TreeBatch(np.frombuffer(b"".join(blocks), draw.dtype).reshape(len(blocks), 4, -1))
+def _batch(draw, keys) -> TreeBatch:
+    """The trees ``draw`` gives on the streams with Philox keys ``keys``, one ``TreeBatch`` row each."""
+    blocks = _draw_streams(draw, keys)
+    return TreeBatch(np.frombuffer(b"".join(blocks), draw.dtype).reshape(len(blocks), 3, -1))
 
 
 def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> TreeBatch:

@@ -176,25 +176,22 @@ class SamplingPiece:
 class LambdaWeights:
     """Fitted weights whose tree law has marginals dominated by the target z.
 
-    ``lam`` holds per-edge weights (scales only meaningful within a piece),
-    1.0 placeholders on forced edges and 0.0 on deleted ones.  Sampling uses
-    ``pieces``: independent weighted-tree factors plus the forced edges.
+    The law is the ``forced`` edges plus one tree of each of ``pieces``,
+    independent weighted-tree factors that hold the weights (scales only
+    meaningful within a piece); no other edge of ``graph`` is in a tree.
     """
 
     graph: EdgeGraph
-    lam: np.ndarray
     fitted_marginals: np.ndarray
     forced: tuple[int, ...]
-    deleted: tuple[int, ...]
     sweeps: int
     max_ratio: float
     pieces: tuple[SamplingPiece, ...]
 
     def __post_init__(self):
-        for name in ("lam", "fitted_marginals"):
-            arr = np.asarray(getattr(self, name), dtype=float).copy()
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        p = np.asarray(self.fitted_marginals, dtype=float).copy()
+        p.flags.writeable = False
+        object.__setattr__(self, "fitted_marginals", p)
 
     @cached_property
     def _sampler(self):
@@ -251,7 +248,6 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
         raise ValueError(f"z outside polytope: total {z.sum():.9f} != {graph.n - 1}")
 
     forced = np.flatnonzero(z >= FORCED_Z)
-    deleted = np.flatnonzero(z <= DELETED_Z)
     label = component_labels(graph.n, [graph.edges[i] for i in forced.tolist()])
     if len(forced) != graph.n - (max(label) + 1):
         raise ValueError("z outside polytope: the forced edges close a cycle")
@@ -259,13 +255,11 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
         graph, label, np.flatnonzero((z > DELETED_Z) & (z < FORCED_Z)).tolist())
     if any(z[i] > 1e-6 for i in loops):
         raise ValueError("z outside polytope: positive value on a forced cycle chord")
-    deleted = sorted(deleted.tolist() + loops)
     if not is_connected(reduced):
         raise NotConnectedError("support of z does not connect the graph")
 
-    lam = np.zeros(len(graph.edges))
-    lam[forced] = 1.0
-    p = lam.copy()
+    p = np.zeros(len(graph.edges))
+    p[forced] = 1.0
     pieces: list[SamplingPiece] = []
     sweeps = 0
     max_ratio = 0.0
@@ -288,7 +282,6 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
                 ) from exc
             max_ratio = float((p_piece / z_piece).max())
             if max_ratio <= 1.0 + EPSILON_MARGINAL:
-                lam[orig] = lam_piece
                 p[orig] = p_piece
                 pieces.append(SamplingPiece(graph=piece, lam=lam_piece, kept=tuple(orig)))
                 break
@@ -324,10 +317,8 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
 
     return LambdaWeights(
         graph=graph,
-        lam=lam,
         fitted_marginals=p,
         forced=tuple(forced.tolist()),
-        deleted=tuple(deleted),
         sweeps=sweeps,
         max_ratio=float((p[kept] / z[kept]).max()) if kept else 0.0,
         pieces=tuple(pieces),

@@ -7,15 +7,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CutSpec, MetricInstance, MultiEdgeSet, global_min_cut, shrink_min_cut
+from .core import MetricInstance, MultiEdgeSet, global_min_cut, shrink_min_cut
 
 
 @dataclass(frozen=True)
 class ConnectivityCertificate:
-    """Minimum cut value of a multiset together with a witnessing side."""
+    """Minimum cut value of a multiset and the side of one minimum cut that holds vertex 0."""
 
     min_cut_value: int
-    witness: CutSpec
+    witness: frozenset[int]
     passes: bool
 
 
@@ -35,14 +35,13 @@ def verify_k_connectivity(m: MultiEdgeSet, n: int, k: int) -> ConnectivityCertif
             raise ValueError(f"edge {(u, v)} has an endpoint outside 0..{n - 1}")
     cuts, rest, members = shrink_min_cut(m.multiplicity, n)
     if rest:
-        value, spec = global_min_cut(rest, len(members))
-        cuts.append((int(value), [x for i in spec.side for x in members[i]]))
+        value, side = global_min_cut(rest, len(members))
+        cuts.append((int(value), [x for i in side for x in members[i]]))
     best_value, best_side = min(cuts, key=lambda cut: cut[0])
     side = frozenset(best_side)
     if 0 not in side:
         side = frozenset(range(n)) - side
-    return ConnectivityCertificate(min_cut_value=best_value, witness=CutSpec(side=side, n=n),
-                                   passes=best_value >= k)
+    return ConnectivityCertificate(min_cut_value=best_value, witness=side, passes=best_value >= k)
 
 
 class TooLargeError(ValueError):

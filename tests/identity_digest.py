@@ -5,7 +5,12 @@ checkout with the same script, point ``PYTHONPATH`` at its ``src``.  Two
 checkouts that print the same digest give byte-identical batch rows, LP
 vertices, fitted laws, rooted tree batches, MSTs, roundings, baselines and
 brute-force optima on the fixed seeds below.  ``tests/test_identity_digest.py``
-pins the digest; pytest does not collect this file.
+pins the digest and the section hashes; pytest does not collect this file.
+
+The weights of a fitted law, its edges in no tree and the tree parents are
+hashed as ``oracles.full_lambda``, ``oracles.deleted_edges`` and
+``oracles.parents`` rebuild them, so the digest reads the same on a
+checkout that stored them.
 
 With ``--parts`` it also prints one SHA-256 per section of those outputs, so
 two checkouts whose digests differ show which section moved.
@@ -26,7 +31,7 @@ if __name__ == "__main__":  # appended, so a PYTHONPATH naming another checkout'
 import kecsm
 from kecsm import rounding, treedist
 from kecsm.verify import brute_force_opt
-from oracles import enumerate_spanning_trees
+from oracles import deleted_edges, enumerate_spanning_trees, full_lambda, parents
 
 CELLS = [("euclidean", 32, 8), ("random-closure", 32, 8), ("euclidean", 48, 8),
          ("random-closure", 48, 8), ("random-closure", 32, 64), ("random-closure", 32, 256),
@@ -61,13 +66,14 @@ def digests() -> tuple[str, dict[str, str]]:
         prep = kecsm.prepare(gen[fam](n, k, 1))
         put("LP vertices", sorted(prep.fractional.values.items()), prep.fractional.objective)
         w = prep.weights
-        put("fits", arr(w.lam), arr(w.fitted_marginals), w.forced, w.deleted, w.sweeps, w.max_ratio)
+        put("fits", arr(full_lambda(w)), arr(w.fitted_marginals), w.forced, deleted_edges(w), w.sweeps,
+            w.max_ratio)
         for pc in w.pieces:
             put("fits", pc.graph.n, pc.graph.edges, arr(pc.lam), pc.kept)
         for seed in (0, 1, 2):
             for _ in range(2):  # the second batch draws trees the first one rooted
                 trees = kecsm.sample_fitted_batch(w, math.ceil(k / 2), seed)
-                put("tree batches", *map(arr, (trees.parent, trees.parent_edge, trees.preorder, trees.size)))
+                put("tree batches", *map(arr, (parents(trees), trees.parent_edge, trees.preorder, trees.size)))
         g0 = prep.split_graph
         put("MSTs", tuple(sorted(rounding.mst(g0))))
         for seed in (0, 1, 2):
@@ -86,11 +92,6 @@ def digests() -> tuple[str, dict[str, str]]:
     g = treedist.EdgeGraph(n=5, edges=((0, 1), (0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3), (2, 4)))
     put("enumeration", enumerate_spanning_trees(g))
     return whole.hexdigest(), {name: h.hexdigest() for name, h in parts.items()}
-
-
-def digest() -> str:
-    """SHA-256 (hex) over the outputs listed in the module docstring."""
-    return digests()[0]
 
 
 if __name__ == "__main__":

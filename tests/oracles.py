@@ -22,11 +22,19 @@ that the sampler's rooting of each draw replaced, and
 matrix that ``lp._priced_columns``, reading B^-1 and the duals from the
 tableau, replaced (its results match within round-off, not bit for bit).
 
-Three test helpers read trees through the library: ``SpanningTree`` is one
-rooted tree as tuples, ``trees_of`` gives the rows of a ``TreeBatch`` as
-``SpanningTree`` values, and ``sample_batch`` draws the trees of a plain
-weight vector with the library's sampler, as the law with no forced edge and
-one piece, the support of the weights.
+Four test helpers read trees through the library: ``SpanningTree`` is one
+rooted tree as tuples, ``parents`` rebuilds each vertex's parent from the
+preorder blocks of a ``TreeBatch``, ``trees_of`` gives the rows of a
+``TreeBatch`` as ``SpanningTree`` values, and ``sample_batch`` draws the
+trees of a plain weight vector with the library's sampler, as the law with
+no forced edge and one piece, the support of the weights.  Two rebuild what
+a fitted law no longer stores from its forced edges and its pieces' weights
+and edge indices: ``full_lambda``, one weight per edge, and
+``deleted_edges``, the edges in no tree.
+
+``CutSpec`` is the tests' cut type, a side of a vertex cut, as
+``cut_size``, ``separate`` and ``global_min_cut_reference`` use it; the
+library passes a cut as its side alone.
 
 The formulas and helpers at the end (tail bounds, approximation factors,
 dispersion statistics, effective resistance, tree counts, cut sizes) are
@@ -42,14 +50,30 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from kecsm.core import (TOL, CutSpec, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
+from kecsm.core import (TOL, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
                         NotConnectedError, make_edge, spanning_forest)
 from kecsm import sampler
 from kecsm.lp import PIVOT_TOL, FractionalSolution, _cut_rows, violated_cuts
-from kecsm.sampler import RngStream, TreeBatch
+from kecsm.sampler import TreeBatch
 from kecsm.split import SplitGraph
-from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, SamplingPiece, _grounded_inverse, _pair_resistances,
-                            check_finite, weighted_laplacian)
+from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, LambdaWeights, SamplingPiece, _grounded_inverse,
+                            _pair_resistances, check_finite, weighted_laplacian)
+
+
+@dataclass(frozen=True)
+class CutSpec:
+    """A vertex cut: the nonempty proper subset ``side`` of {0..n-1}."""
+
+    side: frozenset[int]
+    n: int
+
+    def __post_init__(self):
+        side = frozenset(self.side)
+        object.__setattr__(self, "side", side)
+        if not side or len(side) >= self.n:
+            raise ValueError(f"cut side must be a nonempty proper subset of {self.n} vertices")
+        if any(v < 0 or v >= self.n for v in side):
+            raise ValueError("cut side contains out-of-range vertices")
 
 
 @dataclass(frozen=True)
@@ -74,11 +98,44 @@ class SpanningTree:
             raise ValueError(f"a spanning tree on {self.n} vertices needs {self.n - 1} edges")
 
 
+def parents(batch: TreeBatch) -> np.ndarray:
+    """The (T, n) parent of every vertex of every tree of ``batch``, -1 at the
+    root: the parent of v is the last vertex before v in ``preorder`` whose
+    block, the ``size`` vertices that start at it, holds v."""
+    out = np.full(batch.preorder.shape, -1, dtype=np.intp)
+    for row, order, size in zip(out, batch.preorder.tolist(), batch.size.tolist()):
+        open_blocks = []  # (vertex, end of its block), innermost last
+        for pos, v in enumerate(order):
+            while open_blocks and open_blocks[-1][1] <= pos:
+                open_blocks.pop()
+            if open_blocks:
+                row[v] = open_blocks[-1][0]
+            open_blocks.append((v, pos + size[v]))
+    return out
+
+
 def trees_of(batch: TreeBatch) -> list[SpanningTree]:
     """The rows of ``batch`` as trees, in order."""
-    rows = (batch.edge_indices, batch.parent, batch.parent_edge, batch.preorder, batch.size)
-    return [SpanningTree(batch.parent.shape[1], *map(tuple, tree))
+    rows = (batch.edge_indices, parents(batch), batch.parent_edge, batch.preorder, batch.size)
+    return [SpanningTree(batch.preorder.shape[1], *map(tuple, tree))
             for tree in zip(*(row.tolist() for row in rows))]
+
+
+def full_lambda(law: LambdaWeights) -> np.ndarray:
+    """One weight per edge of ``law.graph``: its piece's weight, 1.0 on the
+    forced edges and 0.0 on the edges in no tree."""
+    lam = np.zeros(len(law.graph.edges))
+    lam[list(law.forced)] = 1.0
+    for piece in law.pieces:
+        lam[list(piece.kept)] = piece.lam
+    return lam
+
+
+def deleted_edges(law: LambdaWeights) -> tuple[int, ...]:
+    """The indices of the edges of ``law.graph`` in no tree of the law, in
+    increasing order: neither forced nor kept by a piece."""
+    used = {*law.forced, *(i for piece in law.pieces for i in piece.kept)}
+    return tuple(i for i in range(len(law.graph.edges)) if i not in used)
 
 
 def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> TreeBatch:
@@ -221,15 +278,15 @@ def tree_from_edges(graph: EdgeGraph, edge_indices) -> SpanningTree:
                         preorder=tuple(order), size=tuple(size))
 
 
-def sample_tree_enumeration(lam, graph: EdgeGraph, rng: RngStream) -> SpanningTree:
-    """Oracle sampler: enumerate all trees and draw one with probability ~ weight."""
+def sample_tree_enumeration(lam, graph: EdgeGraph, gen: np.random.Generator) -> SpanningTree:
+    """Oracle sampler: enumerate all trees and draw one with probability ~ weight,
+    on the first ``random()`` draw of ``gen``."""
     lam = np.asarray(lam, dtype=float)
     trees = enumerate_spanning_trees(graph)
     weights = np.array([tree_weight(lam, t) for t in trees])
     total = weights.sum()
     if total <= 0:
         raise NotConnectedError("no spanning tree has positive weight")
-    gen = rng.generator()
     pick = int(np.searchsorted(np.cumsum(weights), gen.random() * total, side="right"))
     pick = min(pick, len(trees) - 1)
     return tree_from_edges(graph, trees[pick])

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kecsm.core import (
-    CutSpec,
     MetricInstance,
     MultiEdgeSet,
     NotConnectedError,
@@ -22,6 +21,7 @@ from kecsm.core import (
 )
 
 from oracles import (
+    CutSpec,
     cut_size,
     exhaustive_min_cut,
     global_min_cut_reference,
@@ -179,6 +179,11 @@ class TestMetricClosure:
         with pytest.raises(ValueError):
             metric_closure(2, [[0, -3], [-3, 0]], k=2)
 
+    def test_minus_infinity_raw_rejected(self):
+        # -inf once reached Floyd-Warshall and was reported as "not connected"
+        with pytest.raises(ValueError, match="^raw costs must be nonnegative$"):
+            metric_closure(3, [[0, -INF, 1], [-INF, 0, 1], [1, 1, 0]], k=2)
+
     def test_nan_raw_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             metric_closure(3, [[0, 1, 2], [1, 0, float("nan")], [2, float("nan"), 0]], k=2)
@@ -295,6 +300,12 @@ class TestEdgesAndCuts:
             CutSpec(side=frozenset({0, 1, 2}), n=3)
 
 
+def _oriented(side, n: int) -> frozenset[int]:
+    """The side of a cut of n vertices that holds vertex 0."""
+    side = frozenset(side)
+    return side if 0 in side else frozenset(range(n)) - side
+
+
 class TestGlobalMinCut:
     def test_triangle(self):
         value, side = global_min_cut({(0, 1): 1, (0, 2): 1, (1, 2): 1}, 3)
@@ -303,7 +314,7 @@ class TestGlobalMinCut:
     def test_two_vertices(self):
         value, side = global_min_cut({(0, 1): 7.0}, 2)
         assert value == pytest.approx(7.0)
-        assert side.side == frozenset({0})
+        assert _oriented(side, 2) == frozenset({0})
 
     def test_k4_equals_exhaustive(self):
         weights = {(u, v): 1.0 for u in range(4) for v in range(u + 1, 4)}
@@ -316,16 +327,19 @@ class TestGlobalMinCut:
         assert value == pytest.approx(0.0)
         cut_weight = sum(
             w for (u, v), w in {(0, 1): 2.0, (2, 3): 5.0}.items()
-            if (u in side.side) != (v in side.side)
+            if (u in side) != (v in side)
         )
         assert cut_weight == pytest.approx(0.0)
 
     def test_witness_matches_value(self):
+        # the side comes back unoriented: it and its complement carry the value
         rng = np.random.default_rng(7)
         weights = {(u, v): float(rng.integers(0, 5)) for u in range(6) for v in range(u + 1, 6)}
         value, side = global_min_cut(weights, 6)
-        cut_weight = sum(w for (u, v), w in weights.items() if (u in side.side) != (v in side.side))
-        assert cut_weight == pytest.approx(value)
+        for s in (set(side), set(range(6)) - set(side)):
+            assert 0 < len(s) < 6
+            cut_weight = sum(w for (u, v), w in weights.items() if (u in s) != (v in s))
+            assert cut_weight == pytest.approx(value)
 
     @given(seed=st.integers(0, 10_000), n=st.integers(2, 10))
     @settings(max_examples=60, deadline=None)
@@ -338,26 +352,26 @@ class TestGlobalMinCut:
                     weights[(u, v)] = float(rng.random() * 3)
         value, side = global_min_cut(weights, n)
         assert value == pytest.approx(exhaustive_min_cut(weights, n), abs=1e-9)
-        cut_weight = sum(w for (u, v), w in weights.items() if (u in side.side) != (v in side.side))
+        cut_weight = sum(w for (u, v), w in weights.items() if (u in side) != (v in side))
         assert cut_weight == pytest.approx(value, abs=1e-9)
 
     @given(_min_cut_inputs())
     @settings(max_examples=400, deadline=None)
     def test_matches_the_reference_exactly(self, case):
         weights, n = case
-        value, spec = global_min_cut(weights, n)
+        value, side = global_min_cut(weights, n)
         ref_value, ref_spec = global_min_cut_reference(weights, n)
         assert value == ref_value
-        assert spec.side == ref_spec.side
+        assert _oriented(side, n) == ref_spec.side
 
     def test_a_free_vertex_at_zero_can_lead_on_tiny_weights(self):
         # vertex 2 is isolated; in the first phase it leads with connection 0
         # and vertex 3 at 5e-16 ties with it, so 3 comes last and is merged
         # into 2, and the cut of value 0 is never a phase cut
         weights = {(0, 1): 2e-15, (0, 3): 5e-16}
-        value, spec = global_min_cut(weights, 4)
+        value, side = global_min_cut(weights, 4)
         ref_value, ref_spec = global_min_cut_reference(weights, 4)
-        assert (value, spec.side) == (ref_value, ref_spec.side) == (5e-16, frozenset({0, 1, 2}))
+        assert (value, _oriented(side, 4)) == (ref_value, ref_spec.side) == (5e-16, frozenset({0, 1, 2}))
 
     def test_matches_the_reference_on_solver_inputs(self, monkeypatch):
         # every separation of the LP on the benchmark's cold-solve and
@@ -409,10 +423,10 @@ class TestGlobalMinCut:
             assert abs(value - ref_value) <= 1e-9 * max(1.0, sum(x.values()))
         assert lp_sizes and max(lp_sizes) < 32  # separation runs it on shrunk supports
         assert len(calls) > len(lp_sizes)  # the certificates' shrunk min cuts are checked too
-        for weights, n, (value, spec) in calls:
+        for weights, n, (value, side) in calls:
             ref_value, ref_spec = global_min_cut_reference(weights, n)
             assert value == ref_value
-            assert spec.side == ref_spec.side
+            assert _oriented(side, n) == ref_spec.side
         assert len(certificates) == 24
         for m, n, cert in certificates:
             ref_value, _ = global_min_cut_reference({e: float(w) for e, w in m.multiplicity.items()}, n)
@@ -436,10 +450,10 @@ class TestGlobalMinCut:
         for seed in range(3):
             round_prepared(prep, seed)
         assert len(calls) == 3 and all(n > 40 for _, n, _ in calls)
-        for weights, n, (value, spec) in calls:
+        for weights, n, (value, side) in calls:
             ref_value, ref_spec = global_min_cut_reference(weights, n)
             assert value == ref_value
-            assert spec.side == ref_spec.side
+            assert _oriented(side, n) == ref_spec.side
 
     @pytest.mark.parametrize("weights", [
         {(0, 1): 1.0, (2, 2): 1.0, (1, 2): -1.0},
@@ -501,8 +515,8 @@ class TestShrinkMinCut:
         value = min(value for value, _ in cuts)
         if rest:
             assert len(members) > 2
-            rest_value, spec = global_min_cut(rest, len(members))
-            side = {v for i in spec.side for v in members[i]}
+            rest_value, rest_side = global_min_cut(rest, len(members))
+            side = {v for i in rest_side for v in members[i]}
             assert abs(crossing(side) - rest_value) <= tol
             value = min(value, rest_value)
         assert abs(value - ref_value) <= tol

@@ -406,8 +406,9 @@ class TestPricedCore:
         _, report = solve_lp(random_closure_instance(24, 2, 1))
         assert report.priced > 0
 
-    @pytest.mark.parametrize("n", [2, 3, 9, 10, 12])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 10, 12])
     def test_small_cores(self, n):
+        # up to n = 9 the neighbour pick alone selects every edge, so nothing is priced
         inst = random_closure_instance(n, 3, seed=2)
         core = lp._tour_and_core(inst.cost)[1]
         everything = n * (n - 1) // 2
@@ -415,6 +416,8 @@ class TestPricedCore:
         assert len(core) == everything if n <= 9 else len(core) < everything
         frac, report = solve_lp(inst)
         assert report.core == len(core)
+        if n <= 9:
+            assert (report.core, report.priced) == (everything, 0)
         ref = solve_lp_enumeration(inst)
         assert frac.objective == pytest.approx(ref.objective, rel=1e-9)
 

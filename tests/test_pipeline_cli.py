@@ -688,6 +688,14 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("low", ["-1", "-Infinity"])
+    def test_negative_raw_costs_are_named_under_closure(self, tmp_path, capsys, low):
+        # a -inf cost was once reported as "instance not connected"
+        path = tmp_path / "negative.json"
+        path.write_text('{"n": 3, "k": 2, "costs": [[0, %s, 1], [%s, 0, 1], [1, 1, 0]]}' % (low, low))
+        assert main(["lp", "--input", str(path), "--closure"]) == 3
+        assert capsys.readouterr().err == "error: raw costs must be nonnegative\n"
+
     @pytest.mark.parametrize("error", [
         InfeasibleLPError("no feasible point (row of basic column 2 stays at -1)"),
         UnboundedLPError("objective unbounded below"),

@@ -47,7 +47,7 @@ def split_graph_fixture(n0_edges, costs=None):
 
 
 def batch_of(trees) -> TreeBatch:
-    return TreeBatch([(tr.parent, tr.parent_edge, tr.preorder, tr.size) for tr in trees])
+    return TreeBatch([(tr.parent_edge, tr.preorder, tr.size) for tr in trees])
 
 
 def cut_counts(tree, t_star, g0) -> dict[int, int]:
@@ -344,7 +344,7 @@ class TestGoldenCertificates:
             for seed in range(20):
                 result = round_prepared(prep, seed)
                 cert = result.certificate
-                digest.update(repr((cert.min_cut_value, sorted(cert.witness.side),
+                digest.update(repr((cert.min_cut_value, sorted(cert.witness),
                                     list(result.rounding.final.multiplicity.items()))).encode())
         assert digest.hexdigest() == (
             "274522721f925623fc8431cdce46cd5003649a35343b607b46679d50312dbdde")

@@ -16,8 +16,8 @@ from kecsm.core import NotConnectedError
 from kecsm.rounding import fundamental_cut_counts, mst
 from kecsm.sampler import (
     _BLOCK,
-    RngStream,
     _draw_streams,
+    generator,
     sample_fitted_batch,
 )
 from kecsm.treedist import EdgeGraph, LambdaWeights, SamplingPiece, fit_max_entropy, tree_marginals
@@ -26,6 +26,7 @@ from oracles import (
     bs_stats,
     complete_graph,
     enumerate_spanning_trees,
+    full_lambda,
     fundamental_cut_counts_reference,
     sample_batch,
     sample_tree_enumeration,
@@ -93,10 +94,9 @@ class TestTreeFromEdges:
 def test_reset_generator_matches_a_fresh_philox(seed):
     # one generator, reset per stream, draws what each stream's own generator draws
     count = 2 * _BLOCK + 5
-    draws = _draw_streams(lambda uniform: [uniform() for _ in range(count)],
-                  [RngStream(seed=seed, stream=s) for s in range(64)])
+    draws = _draw_streams(lambda uniform: [uniform() for _ in range(count)], sampler._streams(64, seed))
     for s, got in enumerate(draws):
-        assert got == RngStream(seed=seed, stream=s).generator().random(count).tolist()
+        assert got == generator(seed, s).random(count).tolist()
 
 
 @pytest.mark.filterwarnings("error")
@@ -104,21 +104,23 @@ def test_reset_generator_matches_a_fresh_philox(seed):
 def test_every_key_draws_what_its_generator_draws(monkeypatch, seed):
     # keys at or above 2**63, from a negative seed or a large stream, reach
     # the reset Philox unchanged
-    streams = [RngStream(seed=seed, stream=2**63 + s) for s in range(4)]
-    draws = _draw_streams(lambda uniform: [uniform() for _ in range(5)], streams)
-    assert draws == [rng.generator().random(5).tolist() for rng in streams]
+    streams = [2**63 + s for s in range(4)]
+    keys = [(seed % 2**64, stream) for stream in streams]
+    draws = _draw_streams(lambda uniform: [uniform() for _ in range(5)], keys)
+    assert draws == [generator(seed, stream).random(5).tolist() for stream in streams]
     g = complete_graph(6)
     lam = np.arange(1.0, len(g.edges) + 1)
     batch = sample_batch(lam, g, 8, seed=seed)
-    monkeypatch.setattr(sampler, "_draw_streams", lambda draw, rngs: [
-        draw(iter(rng.generator().random(1000).tolist()).__next__) for rng in rngs])
+    monkeypatch.setattr(sampler, "_draw_streams", lambda draw, keys: [
+        draw(iter(generator(*key).random(1000).tolist()).__next__) for key in keys])
     assert _digest(sample_batch(lam, g, 8, seed=seed)) == _digest(batch)
 
 
 @pytest.mark.filterwarnings("error")
 def test_negative_seeds_draw_their_own_trees():
     # a seed is its value modulo 2**64, exactly: -1 and -7 are the keys 2**64 - 1 and 2**64 - 7
-    assert RngStream(seed=-7, stream=-1).key == (2**64 - 7, 2**64 - 1)
+    assert generator(-7, -1).bit_generator.state["state"]["key"].tolist() == [2**64 - 7, 2**64 - 1]
+    assert sampler._streams(2, -7) == [(2**64 - 7, 0), (2**64 - 7, 1)]
     g = complete_graph(6)
     batches = [sample_batch(np.ones(len(g.edges)), g, 8, seed=seed) for seed in (-1, -7, 0)]
     assert len({_digest(batch) for batch in batches}) == 3
@@ -175,12 +177,12 @@ class TestEnumerationSampler:
         lam = np.array([2.0, 1.0, 1.0])
         counts = Counter()
         for s in range(n_samples):
-            counts[sample_tree_enumeration(lam, TRIANGLE, RngStream(seed=3, stream=s)).edge_indices] += 1
+            counts[sample_tree_enumeration(lam, TRIANGLE, generator(3, s)).edge_indices] += 1
         for t, p in {(0, 1): 0.4, (0, 2): 0.4, (1, 2): 0.2}.items():
             assert counts[t] / n_samples == pytest.approx(p, abs=three_sigma(p, n_samples))
 
     def test_unique_tree(self):
-        tree = sample_tree_enumeration(np.ones(2), PATH3, RngStream(seed=1))
+        tree = sample_tree_enumeration(np.ones(2), PATH3, generator(1, 0))
         assert tree.edge_indices == (0, 1)
 
 
@@ -282,9 +284,8 @@ class TestFittedSampling:
         # a forced edge that a piece holds too: the draw repeats it and cannot span
         graph = EdgeGraph(n=3, edges=((0, 1), (1, 2), (0, 2)))
         piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(0,))
-        w = LambdaWeights(graph=graph, lam=np.ones(3), fitted_marginals=np.ones(3), forced=(0,),
-                          deleted=(), sweeps=0, max_ratio=1.0,
-                          pieces=(piece,))
+        w = LambdaWeights(graph=graph, fitted_marginals=np.ones(3), forced=(0,),
+                          sweeps=0, max_ratio=1.0, pieces=(piece,))
         with pytest.raises(ValueError, match="distinct edges"):
             sample_fitted_batch(w, 1, seed=0)
 
@@ -292,8 +293,8 @@ class TestFittedSampling:
         # a 4-vertex path with one forced edge and one 2-vertex piece: 2 edges, not 3
         graph = EdgeGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
         piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(1,))
-        w = LambdaWeights(graph=graph, lam=np.ones(3), fitted_marginals=np.ones(3), forced=(0,),
-                          deleted=(), sweeps=0, max_ratio=1.0, pieces=(piece,))
+        w = LambdaWeights(graph=graph, fitted_marginals=np.ones(3), forced=(0,),
+                          sweeps=0, max_ratio=1.0, pieces=(piece,))
         with pytest.raises(ValueError, match="^a spanning tree on 4 vertices needs 3 distinct edges$"):
             sample_fitted_batch(w, 1, seed=0)
 
@@ -305,8 +306,8 @@ class TestFittedSampling:
 
     def test_forced_index_outside_the_edge_list_raises(self):
         piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(1,))
-        w = LambdaWeights(graph=PATH3, lam=np.ones(2), fitted_marginals=np.ones(2), forced=(-1,),
-                          deleted=(), sweeps=0, max_ratio=1.0, pieces=(piece,))
+        w = LambdaWeights(graph=PATH3, fitted_marginals=np.ones(2), forced=(-1,),
+                          sweeps=0, max_ratio=1.0, pieces=(piece,))
         with pytest.raises(ValueError, match="edge index -1 is not in"):
             sample_fitted_batch(w, 1, seed=0)
 
@@ -371,8 +372,8 @@ def _hand_built_law() -> LambdaWeights:
     pieces = (SamplingPiece(graph=EdgeGraph(n=3, edges=((0, 1), (1, 2), (0, 2))),
                             lam=np.array([1.0, 2.0, 3.0]), kept=(0, 1, 2)),
               SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1), (0, 1))), lam=np.array([1.0, 2.0]), kept=(4, 5)))
-    return LambdaWeights(graph=graph, lam=np.ones(6), fitted_marginals=np.ones(6), forced=(3,),
-                         deleted=(), sweeps=0, max_ratio=1.0, pieces=pieces)
+    return LambdaWeights(graph=graph, fitted_marginals=np.ones(6), forced=(3,),
+                         sweeps=0, max_ratio=1.0, pieces=pieces)
 
 
 class TestCachedSamplerState:
@@ -401,7 +402,7 @@ class TestCachedSamplerState:
         w = _hand_built_law()
         a, b = sample_fitted_batch(w, 40, seed=8), sample_fitted_batch(w, 40, seed=8)
         assert trees_of(a) == trees_of(b)
-        for name in ("edge_indices", "parent", "parent_edge", "preorder", "size"):
+        for name in ROWS:
             assert np.array_equal(getattr(a, name), getattr(b, name))
         assert len({t.edge_indices for t in trees_of(a)}) > 1
 
@@ -416,8 +417,8 @@ class TestCachedSamplerState:
         # forced (0, 1) and (1, 2) with the piece edge (0, 2): a cycle that misses vertex 3
         graph = EdgeGraph(n=4, edges=((0, 1), (1, 2), (2, 3), (0, 2)))
         piece = SamplingPiece(graph=EdgeGraph(n=2, edges=((0, 1),)), lam=np.ones(1), kept=(3,))
-        w = LambdaWeights(graph=graph, lam=np.ones(4), fitted_marginals=np.ones(4), forced=(0, 1),
-                          deleted=(), sweeps=0, max_ratio=1.0, pieces=(piece,))
+        w = LambdaWeights(graph=graph, fitted_marginals=np.ones(4), forced=(0, 1),
+                          sweeps=0, max_ratio=1.0, pieces=(piece,))
         with pytest.raises(ValueError, match="does not span"):
             sample_fitted_batch(w, 3, seed=0)
 
@@ -444,8 +445,8 @@ def test_fitted_batches_root_like_tree_from_edges(family, n, k, instance_seed, a
     # whole split graph: zero off the support, no forced edge and one piece
     g0, w = _law(family, n, k, instance_seed, all_forced)
     assert (len(w.pieces) == 0) == all_forced
-    batch = sample_batch(w.lam, g0.graph, t, seed) if plain else sample_fitted_batch(w, t, seed)
-    assert len(batch) == t and batch.parent.shape == (t, g0.n0)
+    batch = sample_batch(full_lambda(w), g0.graph, t, seed) if plain else sample_fitted_batch(w, t, seed)
+    assert len(batch) == t and batch.parent_edge.shape == (t, g0.n0)
     trees = trees_of(batch)
     for tree in trees:
         again = tree_from_edges(g0.graph, tree.edge_indices)
@@ -465,7 +466,7 @@ def test_fitted_batches_root_like_tree_from_edges(family, n, k, instance_seed, a
             tree, t_star, g0)
 
 
-ROWS = ("parent", "parent_edge", "preorder", "size", "edge_indices")
+ROWS = ("parent_edge", "preorder", "size", "edge_indices")
 
 
 def _tree_bound(pieces) -> int:
@@ -515,7 +516,7 @@ class TestTreeMemo:
         _, w = _law(family, n, k, instance_seed, False)
         draw = w._sampler
         assert _tree_bound(w.pieces) == bound
-        assert (bound * 4 * w.graph.n * draw.dtype.itemsize <= sampler._MEMO_BYTES) == memoized
+        assert (bound * 3 * w.graph.n * draw.dtype.itemsize <= sampler._MEMO_BYTES) == memoized
         assert (draw.memo is not None) == memoized
         sample_fitted_batch(w, 64, seed=0)
         if memoized:

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kecsm.core import CutSpec, MetricInstance, MultiEdgeSet
+from kecsm.core import MetricInstance, MultiEdgeSet
 from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import FractionalSolution, solve_lp
 from kecsm.split import build_split_graph, identify_back
 from kecsm.treedist import EdgeGraph
 
-from oracles import (build_split_graph_reference, check_tree_polytope, cut_size, degree_value,
+from oracles import (CutSpec, build_split_graph_reference, check_tree_polytope, cut_size, degree_value,
                      identify_back_reference, multiset_size, tree_point_total)
 
 

@@ -58,9 +58,10 @@ class TestVerifyConnectivity:
     def test_witness_consistent(self):
         m = MultiEdgeSet({(0, 1): 2, (1, 2): 1, (0, 2): 1, (2, 3): 1, (0, 3): 1})
         cert = verify_k_connectivity(m, 4, 2)
+        assert type(cert.witness) is frozenset and 0 in cert.witness
         crossing = sum(
             mult for (u, v), mult in m.multiplicity.items()
-            if (u in cert.witness.side) != (v in cert.witness.side)
+            if (u in cert.witness) != (v in cert.witness)
         )
         assert crossing == cert.min_cut_value
 
@@ -99,8 +100,8 @@ class TestVerifyConnectivity:
         cert, cert_moved = verify_k_connectivity(ms, n, k), verify_k_connectivity(moved, n, k)
         assert cert_moved.min_cut_value == cert.min_cut_value
         assert cert_moved.passes == cert.passes
-        assert cut(moved, {perm[v] for v in cert.witness.side}) == cert.min_cut_value
-        assert cut(moved, cert_moved.witness.side) == cert.min_cut_value
+        assert cut(moved, {perm[v] for v in cert.witness}) == cert.min_cut_value
+        assert cut(moved, cert_moved.witness) == cert.min_cut_value
 
     @pytest.mark.parametrize("n", [0, 1])
     def test_fewer_than_two_vertices_raise(self, n):
@@ -131,7 +132,7 @@ class TestShrink:
         monkeypatch.setattr(verify, "global_min_cut", recorded)
         m = MultiEdgeSet(mult)
         cert = verify_k_connectivity(m, n, 3)
-        assert 0 in cert.witness.side and _crossing(m, cert.witness.side) == cert.min_cut_value
+        assert 0 in cert.witness and _crossing(m, cert.witness) == cert.min_cut_value
         return cert, sizes
 
     def test_heavy_edges_start_the_shrink(self, monkeypatch):
@@ -150,7 +151,7 @@ class TestShrink:
         mult = {**_clique([0, 1, 2, 3, 4], 2), (0, 5): 3, (1, 5): 2}
         cert, sizes = self.certify(monkeypatch, mult, 6)
         assert sizes == [5] and cert.min_cut_value == 5
-        assert cert.witness.side == frozenset(range(5))
+        assert cert.witness == frozenset(range(5))
 
     def test_shrinks_to_two_supervertices(self, monkeypatch):
         # 2 w(0, 1) >= d(1) merges 0 and 1 into a supervertex of degree 3;
@@ -159,7 +160,7 @@ class TestShrink:
         mult = {(0, 1): 3, (0, 2): 1, (1, 3): 1, (1, 4): 1, **_clique([2, 3, 4, 5, 6], 3)}
         cert, sizes = self.certify(monkeypatch, mult, 7)
         assert sizes == [] and cert.min_cut_value == 3 and cert.passes
-        assert cert.witness.side == frozenset({0, 1})
+        assert cert.witness == frozenset({0, 1})
 
     def test_isolated_vertex_reads_zero(self, monkeypatch):
         cert, sizes = self.certify(monkeypatch, {(0, 1): 3, (1, 2): 3, (0, 2): 3}, 4)
@@ -177,7 +178,7 @@ class TestShrink:
         cert = verify_k_connectivity(m, n, 4)
         weights = {e: float(mult) for e, mult in m.multiplicity.items()}
         assert cert.min_cut_value == global_min_cut_reference(weights, n)[0] == exhaustive_min_cut(weights, n)
-        assert 0 in cert.witness.side and _crossing(m, cert.witness.side) == cert.min_cut_value
+        assert 0 in cert.witness and _crossing(m, cert.witness) == cert.min_cut_value
         assert cert.passes == (cert.min_cut_value >= 4)
 
 
