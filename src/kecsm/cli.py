@@ -24,7 +24,7 @@ from .pipeline import (
     write_records,
     write_summary,
 )
-from .sampler import sample_fitted_batch
+from .sampler import BatchTooLargeError, sample_fitted_batch
 from .treedist import FitConvergenceError
 from .verify import TooLargeError, brute_force_opt, verify_k_connectivity
 
@@ -117,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", type=_int_at_least(1), default=5)
     p.add_argument("--k", required=True, help="comma-separated connectivity targets, e.g. 2,8,16")
     p.add_argument("--trials", type=_int_at_least(1), default=5)
-    p.add_argument("--seed", type=int, default=0, help="base seed for the instance family")
+    p.add_argument("--seed", type=_int_at_least(0), default=0, help="base seed for the instance family")
     p.add_argument("--alpha", default="auto")
     p.add_argument("--emit", default=None, help="CSV path; a .summary.json lands beside it")
 
@@ -272,7 +272,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (UsageError, InstanceFormatError, NotConnectedError) as exc:
+    except (UsageError, InstanceFormatError, NotConnectedError, BatchTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (LPError, FitConvergenceError) as exc:

@@ -24,6 +24,12 @@ from .treedist import EdgeGraph, LambdaWeights, SamplingPiece
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32  # draws per generator call; a fitted tree on the n = 32 benchmark laws takes 2-20
 _MEMO_BYTES = 1 << 20  # a law keeps a memo when the rooted rows of all its trees fit in this
+# trees times vertices of one batch: its four (T, n) intp arrays stay within 1 GiB
+MAX_BATCH_ENTRIES = 1 << 25
+
+
+class BatchTooLargeError(ValueError):
+    """A tree batch asked for more trees times vertices than ``MAX_BATCH_ENTRIES``."""
 
 
 def generator(seed: int, stream: int) -> np.random.Generator:
@@ -34,7 +40,7 @@ def generator(seed: int, stream: int) -> np.random.Generator:
     so batches are reproducible under any execution order.
     """
     # Philox(key=...) casts a tuple holding a value >= 2**63 through float64
-    key = np.array((seed & _MASK64, stream & _MASK64), dtype=np.uint64)
+    key = np.array((as_int(seed, "seed") & _MASK64, as_int(stream, "stream") & _MASK64), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -175,6 +181,14 @@ def _streams(t: int, seed: int) -> list[tuple[int, int]]:
     return [(seed & _MASK64, s) for s in range(t)]
 
 
+def check_batch_size(t: int, n: int):
+    """BatchTooLargeError when ``t`` trees on ``n`` vertices exceed
+    ``MAX_BATCH_ENTRIES``, raised before anything is allocated per tree."""
+    if t * n > MAX_BATCH_ENTRIES:
+        raise BatchTooLargeError(f"{t} trees on {n} vertices exceed the batch limit of "
+                                 f"{MAX_BATCH_ENTRIES} trees times vertices")
+
+
 def _fits(pieces, room: int) -> bool:
     """Whether the product over the pieces of C(edges, vertices - 1), which
     bounds the law's tree count, is at most ``room``; stops once it is not."""
@@ -253,5 +267,8 @@ def _batch(draw, keys) -> TreeBatch:
 
 def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> TreeBatch:
     """``t`` fitted trees on streams 0..t-1 of ``seed``: the forced edges plus
-    one tree per piece, all pieces drawn in order on one stream."""
+    one tree per piece, all pieces drawn in order on one stream;
+    ``check_batch_size`` bounds t."""
+    t = as_int(t, "t")
+    check_batch_size(t, dist.graph.n)
     return _batch(dist._sampler, _streams(t, seed))

@@ -9,9 +9,13 @@ relative slack.
 Targets on the polytope boundary have no finite-weight representation, so the
 fitter decomposes them: an edge at z = 1 is contracted, and more generally a
 tight vertex set S with z(E(S)) = |S| - 1 splits the law into independent
-inside/outside factors, each fitted on its own piece.  Sampling a tree per
-piece and merging is exact for the factored law, and a union of independent
-weighted-tree pieces keeps every cut count a sum of independent Bernoullis.
+inside/outside factors, each fitted on its own piece.  When every vertex
+has z-degree at most 2, as on the split LP point, the tight sets are minimum
+cuts, and those one shrink of the support records (``core.shrink_min_cut``)
+are split off before the first sweep; a search after each sweep finds the
+rest.  Sampling a tree per piece and merging is exact for the factored law,
+and a union of independent weighted-tree pieces keeps every cut count a sum
+of independent Bernoullis.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Edge, NotConnectedError, component_labels, make_edge
+from .core import Edge, NotConnectedError, component_labels, make_edge, shrink_min_cut
 
 # z at or above this is pinned into every tree; at or below the floor it is dropped.
 FORCED_Z = 1.0 - 1e-9
@@ -204,6 +208,62 @@ class LambdaWeights:
         return _sampler(self.graph, self.forced, self.pieces)
 
 
+def _is_tight(internal: float, size: int) -> bool:
+    """Whether a vertex set S of ``size`` vertices with z(E(S)) = ``internal``
+    is tight: z(E(S)) >= |S| - 1 - tol."""
+    return internal >= size - 1 - TIGHT_SET_TOL * max(1, size - 1)
+
+
+def _shrunk_tight_sets(graph: EdgeGraph, z: np.ndarray) -> list[list[int]]:
+    """Proper tight sets of the target ``z`` on ``graph`` that one shrink
+    records, smallest first, when every vertex has z-degree d(v) <= 2.
+
+    With an auxiliary vertex joined to each v by 2 - d(v), a set S without
+    it has cut z(delta(S)) + sum over S of (2 - d(v)) = 2 (|S| - z(E(S))),
+    so the minimum cut is 2 and the sides at 2 are the tight sets.
+    ``core.shrink_min_cut`` records the sides it forms as supervertices, a
+    laminar family; each is oriented away from the auxiliary vertex, and kept
+    when it holds no vertex with d(v) < 2 and passes ``_is_tight``.  Empty
+    when some d(v) exceeds 2.
+    """
+    ends = np.array(graph.edges).reshape(-1, 2)
+    degree = np.bincount(ends.ravel(), weights=np.repeat(z, 2), minlength=graph.n)
+    if degree.max() > 2 + TIGHT_SET_TOL:
+        return []
+    weights = dict.fromkeys(graph.edges, 0.0)
+    for e, w in zip(graph.edges, z.tolist()):
+        weights[e] += w
+    weights.update(((v, graph.n), 2 - d) for v, d in enumerate(degree.tolist()) if d < 2)
+    short = set(np.flatnonzero(degree < 2 - TIGHT_SET_TOL).tolist())
+    sides: dict[frozenset[int], list[int]] = {}  # keyed by vertex set: two sides may orient alike
+    for _, side in shrink_min_cut(weights, graph.n + 1)[0]:
+        side = sorted(set(range(graph.n)).difference(side)) if graph.n in side else sorted(side)
+        if 2 <= len(side) < graph.n and short.isdisjoint(side):
+            inside = np.zeros(graph.n, dtype=bool)
+            inside[side] = True
+            if _is_tight(float(z[inside[ends].all(axis=1)].sum()), len(side)):
+                sides[frozenset(side)] = side
+    return sorted(sides.values(), key=len)
+
+
+def _split(piece: EdgeGraph, orig: list[int], tight) -> tuple[list[tuple], list[int]]:
+    """The inside and the outside of ``piece``, whose edge j is edge
+    ``orig[j]`` of the fitted graph, at the tight vertex list ``tight``: each
+    as (graph, fitted-graph index of each of its edges), and the outside
+    label of every piece vertex.
+
+    The inner edges connect the tight set: its inside keeps them with
+    vertices renamed by rank in ``tight``, its outside contracts them.
+    """
+    rank = np.full(piece.n, -1)
+    rank[tight] = np.arange(len(tight))
+    inside = (rank[np.array(piece.edges)] >= 0).all(axis=1)
+    inner, outer = np.flatnonzero(inside).tolist(), np.flatnonzero(~inside).tolist()
+    outside = component_labels(piece.n, [piece.edges[i] for i in inner])
+    subs = [contract_edges(piece, label, edges) for label, edges in ((rank.tolist(), inner), (outside, outer))]
+    return [(sub, [orig[i] for i in kept]) for sub, kept, _ in subs], outside
+
+
 def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
     """Search for a proper vertex set S with z(E(S)) >= |S| - 1 - tol.
 
@@ -222,8 +282,7 @@ def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
         if len(big) == graph.n:
             return None
         inside = label[ends] == a
-        internal = float(z[inside[:, 0] & inside[:, 1]].sum())
-        if internal >= len(big) - 1 - TIGHT_SET_TOL * max(1, len(big) - 1):
+        if _is_tight(float(z[inside[:, 0] & inside[:, 1]].sum()), len(big)):
             return big.tolist()
     return None
 
@@ -235,8 +294,10 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
     tree polytope.  Multiplicative fixed-point scheme: each sweep recomputes
     all marginals, then rescales every weight by z_e / p_e and renormalizes
     the geometric mean to 1.  Boundary targets are decomposed (contracted z=1
-    edges, tight vertex sets) into independent pieces fitted separately.
-    ``MAX_UPDATES`` bounds the coordinate updates (sweeps times edges).
+    edges, tight vertex sets) into independent pieces fitted separately:
+    ``_shrunk_tight_sets`` gives tight sets before the first sweep, and
+    ``_induced_tight_set`` searches for more on every sweep after a piece's
+    first.  ``MAX_UPDATES`` bounds the coordinate updates (sweeps times edges).
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (len(graph.edges),):
@@ -265,7 +326,17 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
     max_ratio = 0.0
     # pieces still to fit, each with the original index of its local edges;
     # a split pushes its outside below its inside, so pieces fit depth first
-    work = [(reduced, kept)] if kept else []
+    work = []
+    if kept:
+        # the shrink's tight sets, smallest first, each split off the outside
+        # the smaller ones left; where[v] is the vertex of that outside that
+        # holds vertex v of ``reduced``
+        outer, where = (reduced, kept), np.arange(reduced.n)
+        for side in _shrunk_tight_sets(reduced, z[kept]):
+            (inner, outer), outside = _split(*outer, sorted(set(where[side].tolist())))
+            work.append(inner)
+            where = np.asarray(outside)[where]
+        work = [outer] + work[::-1]
     while work:
         piece, orig = work.pop()
         z_piece = z[orig]
@@ -293,16 +364,8 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
                 if not np.array_equal(order, searched):
                     tight, searched = _induced_tight_set(piece, z_piece, lam_piece), order
             if tight is not None:
-                # the inner edges connect the tight set: its inside keeps them
-                # with vertices renamed by rank, its outside contracts them
-                rank = np.full(piece.n, -1)
-                rank[tight] = np.arange(len(tight))
-                inside = (rank[np.array(piece.edges)] >= 0).all(axis=1)
-                inner, outer = np.flatnonzero(inside).tolist(), np.flatnonzero(~inside).tolist()
-                outside = component_labels(piece.n, [piece.edges[i] for i in inner])
-                for sub_label, sub_edges in ((outside, outer), (rank.tolist(), inner)):
-                    sub, sub_kept, _ = contract_edges(piece, sub_label, sub_edges)
-                    work.append((sub, [orig[i] for i in sub_kept]))
+                (inner, outer), _ = _split(piece, orig, tight)
+                work += [outer, inner]
                 break
             if sweeps * len(orig) >= MAX_UPDATES:
                 raise FitConvergenceError(

@@ -4,7 +4,7 @@ The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
 with the implementations they cross-check; ``solve_lp_enumeration`` checks
 every cut and solves with HiGHS (``scipy.optimize.linprog``), not the
-library's simplex.  The exceptions: eight references are earlier versions of
+library's simplex.  The exceptions: nine references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
@@ -20,7 +20,10 @@ counts replaced, ``tree_from_edges`` the rooting of a sorted edge list
 that the sampler's rooting of each draw replaced, and
 ``priced_columns_reference`` the pricing by two solves with a rebuilt basis
 matrix that ``lp._priced_columns``, reading B^-1 and the duals from the
-tableau, replaced (its results match within round-off, not bit for bit).
+tableau, replaced (its results match within round-off, not bit for bit),
+and ``fit_by_search_reference`` the fit that split a piece only at the
+tight sets its search found after a sweep, before
+``treedist.fit_max_entropy`` split at those one shrink records first.
 
 Four test helpers read trees through the library: ``SpanningTree`` is one
 rooted tree as tuples, ``parents`` rebuilds each vertex's parent from the
@@ -51,13 +54,15 @@ import numpy as np
 from scipy.optimize import linprog
 
 from kecsm.core import (TOL, Edge, MetricInstance, MetricViolation, MultiEdgeSet,
-                        NotConnectedError, make_edge, spanning_forest)
+                        NotConnectedError, component_labels, make_edge, spanning_forest)
 from kecsm import sampler
 from kecsm.lp import PIVOT_TOL, FractionalSolution, _cut_rows, violated_cuts
 from kecsm.sampler import TreeBatch
 from kecsm.split import SplitGraph
-from kecsm.treedist import (TIGHT_SET_TOL, EdgeGraph, LambdaWeights, SamplingPiece, _grounded_inverse,
-                            _pair_resistances, check_finite, weighted_laplacian)
+from kecsm.treedist import (DELETED_Z, EPSILON_MARGINAL, FORCED_Z, MAX_UPDATES, TIGHT_SET_TOL, EdgeGraph,
+                            LambdaWeights, SamplingPiece, _grounded_inverse, _induced_tight_set,
+                            _pair_resistances, check_finite, contract_edges, tree_marginals,
+                            weighted_laplacian)
 
 
 @dataclass(frozen=True)
@@ -394,6 +399,50 @@ def induced_tight_set_reference(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray
         if internal >= len(big) - 1 - TIGHT_SET_TOL * max(1, len(big) - 1):
             return sorted(big)
     return None
+
+
+def fit_by_search_reference(graph: EdgeGraph, z) -> LambdaWeights:
+    """The fitted law of a valid target ``z``, each piece split only at a
+    tight set that ``_induced_tight_set`` finds from its second sweep on."""
+    z = np.asarray(z, dtype=float)
+    forced = np.flatnonzero(z >= FORCED_Z)
+    label = component_labels(graph.n, [graph.edges[i] for i in forced.tolist()])
+    reduced, kept, _ = contract_edges(graph, label, np.flatnonzero((z > DELETED_Z) & (z < FORCED_Z)).tolist())
+    p = np.zeros(len(graph.edges))
+    p[forced] = 1.0
+    pieces, sweeps = [], 0
+    work = [(reduced, kept)] if kept else []
+    while work:
+        piece, orig = work.pop()
+        z_piece, lam = z[orig], np.ones(len(orig))
+        first_sweep, searched = sweeps, None
+        while True:
+            p_piece = tree_marginals(lam, piece)
+            if (p_piece / z_piece).max() <= 1.0 + EPSILON_MARGINAL:
+                p[orig] = p_piece
+                pieces.append(SamplingPiece(graph=piece, lam=lam, kept=tuple(orig)))
+                break
+            tight = None
+            if sweeps > first_sweep:
+                order = np.argsort(-lam, kind="stable")
+                if not np.array_equal(order, searched):
+                    tight, searched = _induced_tight_set(piece, z_piece, lam), order
+            if tight is not None:
+                rank = np.full(piece.n, -1)
+                rank[tight] = np.arange(len(tight))
+                inside = (rank[np.array(piece.edges)] >= 0).all(axis=1)
+                inner, outer = np.flatnonzero(inside).tolist(), np.flatnonzero(~inside).tolist()
+                outside = component_labels(piece.n, [piece.edges[i] for i in inner])
+                for sub_label, sub_edges in ((outside, outer), (rank.tolist(), inner)):
+                    sub, sub_kept, _ = contract_edges(piece, sub_label, sub_edges)
+                    work.append((sub, [orig[i] for i in sub_kept]))
+                break
+            assert sweeps * len(orig) < MAX_UPDATES
+            lam = lam * (z_piece / p_piece)
+            lam /= np.exp(np.mean(np.log(lam)))
+            sweeps += 1
+    return LambdaWeights(graph=graph, fitted_marginals=p, forced=tuple(forced.tolist()), sweeps=sweeps,
+                         max_ratio=float((p[kept] / z[kept]).max()) if kept else 0.0, pieces=tuple(pieces))
 
 
 def _edge_ends(edges: list[Edge]) -> tuple[np.ndarray, np.ndarray]:

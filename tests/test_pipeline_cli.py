@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kecsm import sampler
 from kecsm.cli import main
 from kecsm.core import MetricInstance, make_edge
 from kecsm.instances import (
@@ -384,6 +385,13 @@ class TestBaselines:
         rec = run_baseline(MetricInstance(n=6, cost=np.zeros((6, 6)), k=4), which)
         assert (rec.total, rec.ratio_lp, rec.connected) == (0.0, 1.0, True)
 
+    def test_a_numpy_integer_seed_gives_the_row_of_its_value(self):
+        # a numpy seed once raised OverflowError in the stream of the repairs
+        inst = random_closure_instance(6, 4, 1)
+        ms = CSV_COLUMNS.index("ms")
+        rows = [run_baseline(inst, "karger-independent", seed=seed).as_row() for seed in (5, np.int64(5))]
+        assert [row[:ms] + row[ms + 1:] for row in rows] == [rows[0][:ms] + rows[0][ms + 1:]] * 2
+
     def test_unknown_baseline(self, triangle_unit):
         with pytest.raises(ValueError, match="unknown baseline"):
             run_baseline(triangle_unit, "magic")
@@ -571,6 +579,8 @@ class TestCli:
         pytest.param("sample --input inst.json --trials 0", None, None, id="sample-trials"),
         pytest.param("batch --k 2 --n 1", None, None, id="batch-n"),
         pytest.param("batch --k 2 --trials 0", None, None, id="batch-trials"),
+        pytest.param("batch --family euclidean --n 3 --instances 1 --k 3 --trials 1 --seed -1", None, None,
+                     id="batch-seed"),
         pytest.param("lp --input bad.tsp --format tsplib-euc2d --k 2", "bad.tsp",
                      "DIMENSION: abc\nNODE_COORD_SECTION\n1 0 0\n2 3 4\nEOF\n", id="tsplib-dimension"),
         pytest.param("lp --input bad.json", "bad.json", '{"n": 1e400, "k": 2, "costs": [[0]]}',
@@ -638,6 +648,22 @@ class TestCli:
         assert main(argv.split()) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param("solve --input inst.json --k 20", id="solve"),
+        pytest.param("sample --input inst.json --trials 11", id="sample"),
+    ])
+    def test_a_batch_past_the_tree_limit_is_one_line_exit_three(self, tmp_path, monkeypatch, capsys, argv):
+        # a huge k once grew until the process was killed; the limit is lowered
+        # here so that no run comes near it: 10 or 11 trees on 6 vertices
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(sampler, "MAX_BATCH_ENTRIES", 59)
+        inst = euclidean_instance(5, 2, seed=1)
+        (tmp_path / "inst.json").write_text(json.dumps({"n": 5, "k": 2, "costs": inst.cost.tolist()}))
+        assert main(argv.split()) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1") and err.count("\n") == 1
+        assert "trees on 6 vertices exceed the batch limit of 59 trees times vertices" in err
 
     @pytest.mark.parametrize("closure", [[], ["--closure"]])
     @pytest.mark.parametrize("argv,text,message", [
@@ -731,3 +757,14 @@ def test_import_needs_numpy_only():
     out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
                          capture_output=True, text=True, check=True, timeout=60)
     assert out.stdout == "[]\n"
+
+
+def test_a_solve_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma, about 1 MB of RSS that no stage needs; the
+    # fit's split before its first sweep once called it
+    code = ("import sys, kecsm; kecsm.run_pipeline(kecsm.random_closure_instance(12, 8, 5)); "
+            "print('numpy.ma' in sys.modules)")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                         capture_output=True, text=True, check=True, timeout=60)
+    assert out.stdout == "False\n"

@@ -126,6 +126,28 @@ def test_negative_seeds_draw_their_own_trees():
     assert len({_digest(batch) for batch in batches}) == 3
 
 
+def test_numpy_integer_seeds_and_streams_pass_the_generator():
+    # masking a numpy integer seed once raised OverflowError
+    want = generator(5, 2).random(4).tolist()
+    assert generator(np.int64(5), np.int32(2)).random(4).tolist() == want
+    assert generator(5.0, np.uint64(2)).random(4).tolist() == want
+    with pytest.raises(ValueError, match="^seed must be an integer, got 1.5$"):
+        generator(1.5, 0)
+
+
+def test_a_batch_past_the_limit_of_trees_times_vertices_is_refused():
+    # a huge k once listed one stream key per tree until memory ran out
+    limit = sampler.MAX_BATCH_ENTRIES
+    assert limit == 2**25
+    sampler.check_batch_size(limit // 33, 33)
+    sampler.check_batch_size(1, limit)
+    for t, n in [(limit // 33 + 1, 33), (1, limit + 1), (5 * 10**20, 6)]:
+        with pytest.raises(sampler.BatchTooLargeError,
+                           match=rf"^{t} trees on {n} vertices exceed the batch limit of {limit} "
+                                 "trees times vertices$"):
+            sampler.check_batch_size(t, n)
+
+
 class TestSampleTree:
     """Single trees of a plain-weight law, each taken from a batch: tree s of
     a batch is the tree of stream s."""
@@ -509,7 +531,7 @@ class TestTreeMemo:
 
     @pytest.mark.parametrize("family, n, k, instance_seed, bound, memoized", [
         ("random-closure", 32, 64, 1, 1920, True), ("euclidean", 32, 64, 1, 6, True),
-        ("random-closure", 48, 4, 1, 40320, False), ("euclidean", 40, 4, 1, 192, True),
+        ("random-closure", 48, 4, 1, 26880, False), ("euclidean", 40, 4, 1, 192, True),
         ("random-closure", 32, 64, 3, 41580, False)])
     def test_a_law_keeps_a_memo_when_the_bound_fits_the_budget(self, family, n, k, instance_seed, bound,
                                                                 memoized):

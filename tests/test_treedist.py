@@ -1,8 +1,11 @@
+import itertools
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
 from kecsm.core import NotConnectedError, component_labels, min_spanning_tree
-from kecsm.instances import random_closure_instance
+from kecsm.instances import euclidean_instance, random_closure_instance
 from kecsm.lp import solve_lp
 from kecsm.pipeline import prepare
 from kecsm import treedist
@@ -23,6 +26,7 @@ from oracles import (
     deleted_edges,
     effective_resistance,
     enumerated_marginals,
+    fit_by_search_reference,
     full_lambda,
     induced_tight_set_reference,
     sample_batch,
@@ -334,7 +338,8 @@ def _fit_of_the_lp_target(n: int, k: int, seed: int):
 
 
 class TestTightSetSplits:
-    """The fitter looks for a tight set on every sweep after the first, so a
+    """The fitter splits at the tight sets one shrink records before the first
+    sweep, and looks for another on every sweep after the first, so a
     boundary target splits into its pieces within a few sweeps."""
 
     def test_all_half_target_reaches_its_pieces_within_ten_sweeps(self):
@@ -375,3 +380,73 @@ class TestTightSetSplits:
         lam = np.exp(rng.normal(0.0, 2.0, len(edges)))
         lam[rng.random(len(edges)) < 0.2] = 1.0  # ties go to the smaller index
         assert treedist._induced_tight_set(graph, z, lam) == induced_tight_set_reference(graph, z, lam)
+
+    @pytest.mark.parametrize("family, n, sweeps, sizes", [
+        (euclidean_instance, 32, 0, [3]),
+        (random_closure_instance, 32, 0, [2, 2, 2, 2, 3, 4]),
+        (euclidean_instance, 48, 0, [2, 2, 2, 2, 2, 3]),
+        (random_closure_instance, 48, 25, [2, 2, 2, 2, 2, 2, 2, 3, 4]),
+    ])
+    def test_the_benchmark_cells_keep_their_sweeps_and_pieces(self, family, n, sweeps, sizes):
+        # the search alone took 0, 5, 5 and 35 sweeps here
+        w = prepare(family(n, 8, 1)).weights
+        assert (w.sweeps, sorted(piece.graph.n for piece in w.pieces)) == (sweeps, sizes)
+
+    def test_a_vertex_of_degree_above_two_leaves_the_split_to_the_search(self):
+        # two triangles on {0, 1, 2} and {2, 3, 4}: each is tight, but d(2) = 2.4
+        graph = EdgeGraph(n=5, edges=((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))
+        z = np.array([0.8, 0.6, 0.6, 0.6, 0.6, 0.8])
+        assert treedist._shrunk_tight_sets(graph, z) == []
+        w = fit_max_entropy(graph, z)
+        assert sorted(piece.kept for piece in w.pieces) == [(0, 1, 2), (3, 4, 5)]
+        assert w.sweeps >= 1
+
+
+# both families at n <= 64, seven instances each: 70 LP targets
+TARGET_CELLS = [(family, n, seed) for family in ("euclidean", "random-closure")
+                for n in (16, 24, 32, 48, 64) for seed in range(1, 8)]
+
+
+@lru_cache(maxsize=None)
+def _lp_target(family: str, n: int, seed: int):
+    gen = {"euclidean": euclidean_instance, "random-closure": random_closure_instance}[family]
+    prep = prepare(gen(n, 8, seed))
+    return prep.split_graph.graph, prep.split_graph.x0, prep.weights
+
+
+def _is_three_vertex_path(piece: SamplingPiece) -> bool:
+    """A piece on three vertices with no edge between two of them: two tight bundles."""
+    return piece.graph.n == 3 and len({frozenset(e) for e in piece.graph.edges}) == 2
+
+
+@pytest.mark.parametrize("family, n, seed", TARGET_CELLS)
+def test_the_split_fit_keeps_the_pieces_and_marginals_of_the_search(family, n, seed):
+    graph, z, w = _lp_target(family, n, seed)
+    ref = fit_by_search_reference(graph, z)
+    assert np.abs(w.fitted_marginals - ref.fitted_marginals).max() <= 1e-12
+    assert w.forced == ref.forced
+    pieces = {frozenset(piece.kept): piece for piece in w.pieces}
+    whole = {frozenset(piece.kept): piece for piece in ref.pieces}
+    assert all(pieces[kept].graph.n == whole[kept].graph.n for kept in pieces.keys() & whole.keys())
+    # the one allowed difference: a path a - m - b that the search fits at
+    # lam = 1 is split into its two bundles, the same law
+    for kept in whole.keys() - pieces.keys():
+        assert _is_three_vertex_path(whole[kept])
+        halves = [piece for other, piece in pieces.items() if other < kept]
+        assert [piece.graph.n for piece in halves] == [2, 2] and kept == frozenset().union(
+            *(piece.kept for piece in halves))
+    assert len(pieces.keys() - whole.keys()) == 2 * len(whole.keys() - pieces.keys())
+
+
+@pytest.mark.parametrize("family, n, seed", TARGET_CELLS)
+def test_no_small_final_piece_has_a_proper_tight_subset(family, n, seed):
+    _, z, w = _lp_target(family, n, seed)
+    for piece in w.pieces:
+        if piece.graph.n > 12 or _is_three_vertex_path(piece):
+            continue
+        ends = np.array(piece.graph.edges)
+        z_piece = z[list(piece.kept)]
+        for size in range(2, piece.graph.n):
+            for subset in itertools.combinations(range(piece.graph.n), size):
+                inside = np.isin(ends, subset).all(axis=1)
+                assert z_piece[inside].sum() < size - 1 - 1e-8, (piece.kept, subset)
