@@ -17,6 +17,7 @@ from .core import MultiEdgeSet, NotConnectedError
 from .instances import InstanceFormatError, load_instance
 from .lp import LPError, solve_lp
 from .pipeline import (
+    prepare,
     run_baseline,
     run_batch,
     run_pipeline,
@@ -173,8 +174,6 @@ def _cmd_lp(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    from .pipeline import prepare
-
     inst = _load(args)
     prep = prepare(inst, split_vertex=_split_vertex(args, inst))
     trees = sample_fitted_batch(prep.weights, args.trials, args.seed)

@@ -265,9 +265,9 @@ def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], lis
     """Contract the edges that no minimum cut needs to cross (the exact tests
     of Padberg and Rinaldi).  ``weights`` maps pairs u != v to nonnegative
     weights; both orientations of a pair add up and Python ints stay exact.
-    Returns (cuts, rest, members): ``cuts`` holds (degree, side) of a
-    lightest vertex, or of every vertex of degree 0 (which no merge forms),
-    and of every supervertex when it was formed; ``rest`` is
+    Returns (cuts, rest, members): ``cuts`` holds (degree, side) of the
+    lightest vertex, the smallest one, and of every supervertex when it was
+    formed; ``rest`` is
     the graph left on supervertices 0, 1, ..., with ``members[i]`` the
     vertices of supervertex i, and is empty when at most two are left.  The
     minimum cut is the smaller of the least recorded cut and the minimum cut
@@ -281,7 +281,7 @@ def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], lis
     members = [[v] for v in range(n)]
     low = min(range(n), key=deg.__getitem__)
     best = deg[low]
-    cuts = [(deg[v], [v]) for v in range(n) if not deg[v]] or [(best, [low])]
+    cuts = [(best, [low])]
     # The degree of a supervertex is the cut around it, and it is recorded
     # when the supervertex is formed, so the min cut is always min(best, min
     # cut of the shrunk graph).  Contracting uv keeps that:
@@ -331,12 +331,11 @@ def global_min_cut(weights, n: int) -> tuple[float, list[int]]:
     """Global minimum cut of a weighted undirected graph via Stoer-Wagner.
 
     ``weights`` maps edges to nonnegative reals; missing edges weigh zero.
-    Deterministic: every phase starts at the smallest live vertex and
-    adjacency ties (within 1e-15) go to the smallest vertex index.
+    Deterministic: every phase starts at the smallest live vertex, adjacency
+    ties go to the smallest vertex index and phase ties to the earlier phase.
     Returns the value and the side its best phase recorded, which may or may
     not hold vertex 0.  Disconnected inputs yield value 0 with a witnessing
-    side, unless a weight near 1e-15 ties with no connection and its cut is
-    returned instead.  The solver calls it only on what
+    side.  The solver calls it only on what
     :func:`shrink_min_cut` leaves, a few dozen supervertices at most, so
     each phase step is a plain scan of the free vertices.
     """
@@ -368,15 +367,15 @@ def global_min_cut(weights, n: int) -> tuple[float, list[int]]:
         prev = last = alive[0]
         while free:
             # add ``last`` to the order, then pick the free vertex most tightly
-            # connected to it; ties within 1e-15 go to the smallest index
+            # connected to it; ties go to the smallest index
             row = rows[last]
             prev = last
-            bar = -1.0 + 1e-15
+            bar = -1.0
             for v in free:
                 c = conn[v] + row[v]
                 conn[v] = c
                 if c > bar:
-                    bar = c + 1e-15
+                    bar = c
                     last = v
             free.remove(last)
         # a plain left-to-right loop: from Python 3.12 on, sum() of floats is
@@ -386,7 +385,7 @@ def global_min_cut(weights, n: int) -> tuple[float, list[int]]:
         for v in alive:
             if v != last:
                 phase_cut += row[v]
-        if phase_cut < best_value - 1e-15:
+        if phase_cut < best_value:
             best_value = phase_cut
             best_side = list(groups[last])
         # contract last into prev (prev keeps the merged supervertex)

@@ -4,9 +4,9 @@ The relaxation minimizes total edge cost subject to fractional degree exactly
 k at every vertex, every cut carrying at least k, and nonnegative edge values.
 Every constraint scales with k, so the solver finds the optimum y at k = 2,
 the subtour relaxation, and k enters only in (k/2) y (``FractionalSolution.at``).
-Cut constraints are generated lazily: the violated cuts that the shrink of
-the support records (one per component while it is disconnected) and one
-global min cut of what it leaves.  Cuts join one simplex
+Cut constraints are generated lazily, by one rule for every support: the
+violated cuts among the sides that the shrink of the support records and
+one global min cut of what it leaves.  Cuts join one simplex
 tableau kept across rounds and are absorbed by dual simplex pivots from the
 previous optimal basis.
 The tableau starts on a core of near-neighbour edges, as in the core LP of
@@ -215,23 +215,17 @@ class _Tableau:
 def violated_cuts(x: dict[Edge, float], k: float, n: int) -> tuple[list[np.ndarray], float]:
     """Cuts of the fractional solution carrying less than k, and the min cut value.
 
-    Cuts are vertex masks holding vertex 0, taken from the shrunk support
-    (``shrink_min_cut``).  A disconnected one ends as a supervertex per
-    component, an isolated vertex included, and just their cuts of about 0
-    come back, by smallest vertex.
-    Otherwise the min cut (the least recorded cut or one min cut of what is
-    left) comes first, then every recorded side below k in the order formed.
+    Cuts are vertex masks holding vertex 0: every side that the shrink of the
+    support records (``shrink_min_cut``) and one min cut of what it leaves,
+    by the smallest vertex of each side as found, each mask once.  The min
+    cut value is the least of them.
     """
     cuts, rest, members = shrink_min_cut(x, n)
-    if min(value for value, _ in cuts) < SEPARATION_TOL:
-        cuts = sorted((cut for cut in cuts if cut[0] < SEPARATION_TOL), key=lambda cut: min(cut[1]))
-    else:
-        if rest:
-            value, side = global_min_cut(rest, len(members))
-            cuts.append((value, [v for i in side for v in members[i]]))
-        cuts.insert(0, min(cuts, key=lambda cut: cut[0]))
+    if rest:
+        value, side = global_min_cut(rest, len(members))
+        cuts.append((value, [v for i in side for v in members[i]]))
     sides: dict[bytes, np.ndarray] = {}
-    for value, side in cuts:
+    for value, side in sorted(cuts, key=lambda cut: min(cut[1])):
         if value < k - SEPARATION_TOL:
             mask = np.zeros(n, dtype=bool)
             mask[side] = True

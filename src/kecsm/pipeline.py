@@ -13,6 +13,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import MetricInstance, MultiEdgeSet
+from .instances import family_instance
 from .lp import FractionalSolution, LPReport, solve_lp
 from .rounding import RoundingOutput, RoundingParams, run_rounding
 from .sampler import generator
@@ -188,8 +189,6 @@ def run_batch(family: str, n: int, instances: int, k_values, trials: int,
     The relaxation and fit are computed once per instance and shared by its
     k values and trials, which only differ in k and the rounding seed.
     """
-    from .instances import family_instance
-
     k_values = list(k_values)
     if not k_values:
         raise ValueError("nothing to run: empty k list")

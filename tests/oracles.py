@@ -350,14 +350,14 @@ def global_min_cut_reference(weights, n: int) -> tuple[float, CutSpec]:
             best = -1.0
             last = -1
             for v in alive:
-                if not in_order[v] and (conn[v] > best + 1e-15):
+                if not in_order[v] and conn[v] > best:
                     best = conn[v]
                     last = v
             in_order[last] = True
             added.append(last)
             conn += w[last]
         phase_cut = float(sum(w[last, v] for v in alive if v != last))
-        if phase_cut < best_value - 1e-15:
+        if phase_cut < best_value:
             best_value = phase_cut
             best_side = list(groups[last])
         # contract last into prev (prev keeps the merged supervertex)
@@ -696,7 +696,8 @@ def validate_metric_reference(inst: MetricInstance, tol: float = TOL) -> list[Me
 
 
 def separate(x: dict[Edge, float], k: float, n: int) -> CutSpec | None:
-    """A most-violated cut of the fractional solution, or None when all cuts carry >= k."""
+    """The first cut of the fractional solution that ``violated_cuts`` returns,
+    or None when all cuts carry >= k."""
     sides, _ = violated_cuts(x, k, n)
     return CutSpec(side=frozenset(np.nonzero(sides[0])[0].tolist()), n=n) if sides else None
 

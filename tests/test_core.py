@@ -33,9 +33,8 @@ from oracles import (
 INF = float("inf")
 
 # Weight families for the exact min-cut comparison: integers, halves,
-# floats one ulp or up to 1e-15 off one base value (the adjacency tie-break
-# treats values within 1e-15 of the leader as ties), weights so small that a
-# connection ties with no connection at all, and arbitrary floats, whose
+# floats one ulp or up to 1e-15 off one base value, weights so small that
+# a connection is near no connection at all, and arbitrary floats, whose
 # sums depend on the order of the additions.
 _TIE_OFFSETS = (-1e-15, -5e-16, 0.0, 5e-16, 1e-15)
 _WEIGHT_FAMILIES = {
@@ -365,13 +364,20 @@ class TestGlobalMinCut:
         assert _oriented(side, n) == ref_spec.side
 
     def test_a_free_vertex_at_zero_can_lead_on_tiny_weights(self):
-        # vertex 2 is isolated; in the first phase it leads with connection 0
-        # and vertex 3 at 5e-16 ties with it, so 3 comes last and is merged
-        # into 2, and the cut of value 0 is never a phase cut
+        # vertex 2 is isolated; in the first phase vertex 3 at 5e-16 beats its
+        # connection 0, so 2 comes last and its cut of value 0 is a phase cut
         weights = {(0, 1): 2e-15, (0, 3): 5e-16}
         value, side = global_min_cut(weights, 4)
         ref_value, ref_spec = global_min_cut_reference(weights, 4)
-        assert (value, _oriented(side, 4)) == (ref_value, ref_spec.side) == (5e-16, frozenset({0, 1, 2}))
+        assert (value, _oriented(side, 4)) == (ref_value, ref_spec.side) == (0.0, frozenset({0, 1, 3}))
+
+    def test_two_components_of_tiny_weights_cut_at_zero(self):
+        # two K4s at 1e-16: a connection of 1e-16 beats none, so every phase
+        # order finishes one component before it enters the other
+        weights = {(b + u, b + v): 1e-16 for b in (0, 4) for u in range(4) for v in range(u + 1, 4)}
+        value, side = global_min_cut(weights, 8)
+        ref_value, ref_spec = global_min_cut_reference(weights, 8)
+        assert (value, _oriented(side, 8)) == (ref_value, ref_spec.side) == (0.0, frozenset(range(4)))
 
     def test_matches_the_reference_on_solver_inputs(self, monkeypatch):
         # every separation of the LP on the benchmark's cold-solve and
@@ -487,10 +493,11 @@ class TestGlobalMinCut:
 class TestShrinkMinCut:
     """The one shrink on float weights, as the LP separation runs it."""
 
-    def test_every_vertex_of_degree_zero_is_recorded(self):
-        # vertex 3 meets only a zero weight, which never merges
+    def test_only_the_lightest_vertex_is_recorded_before_a_merge(self):
+        # vertices 2 and 3 both carry 0; vertex 3 meets only a zero weight,
+        # which never merges, so no merge records it either
         cuts, _, members = shrink_min_cut({(0, 1): 1.0, (1, 3): 0.0}, 4)
-        assert cuts[:2] == [(0, [2]), (0.0, [3])]
+        assert cuts[0] == (0, [2]) and all(side != [3] for _, side in cuts)
         assert sorted(map(sorted, members)) == [[0, 1], [2], [3]]
 
     @given(case=_min_cut_inputs(), isolated=st.integers(0, 2),

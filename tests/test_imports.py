@@ -1,6 +1,7 @@
-"""Every name a kecsm module imports is used in it, and every function and
-class it defines is used by the library; no linter ships with the test
-dependencies, so this reads the source with ``ast``."""
+"""Every name a kecsm module imports is used in it, no import but one sits
+inside a function, and every function and class a module defines is used by
+the library; no linter ships with the test dependencies, so this reads the
+source with ``ast``."""
 
 import ast
 from pathlib import Path
@@ -47,6 +48,40 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py") if p.name != "__init__.py"))
 def test_no_unused_import(path):
     assert unused_imports((SRC / path).read_text()) == []
+
+
+def imports_in_functions(source: str) -> list[str]:
+    """``function (line)`` of each import statement inside a function of
+    ``source``, at any depth; the function is named by its qualified name."""
+    found = []
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name], in_function or not isinstance(child, ast.ClassDef))
+            elif isinstance(child, (ast.Import, ast.ImportFrom)) and in_function:
+                found.append(f"{'.'.join(scope)} (line {child.lineno})")
+            else:
+                visit(child, scope, in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_the_check_finds_an_import_inside_a_function():
+    source = ("import math\n\ndef f():\n    if True:\n        from .core import Edge\n\n"
+              "class A:\n    import sys\n\n    def g(self):\n        import os\n")
+    assert imports_in_functions(source) == ["f (line 5)", "A.g (line 11)"]
+
+
+# the one import in a function breaks the import cycle treedist <-> sampler
+ALLOWED_FUNCTION_IMPORTS = {"treedist.py": ["LambdaWeights._sampler"]}
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))
+def test_imports_stay_at_module_level(path):
+    found = [name.split(" ")[0] for name in imports_in_functions((SRC / path).read_text())]
+    assert found == ALLOWED_FUNCTION_IMPORTS.get(path, [])
 
 
 def unnamed_definitions(sources: dict[str, str]) -> list[str]:

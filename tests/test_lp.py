@@ -22,7 +22,7 @@ from kecsm.lp import (
 )
 from kecsm.pipeline import run_pipeline
 
-from oracles import priced_columns_reference, separate, solve_lp_enumeration
+from oracles import global_min_cut_reference, priced_columns_reference, separate, solve_lp_enumeration
 
 REFERENCES = Path(__file__).resolve().parent.parent / "perfbench" / "references.json"
 FAMILIES = {"euclidean": euclidean_instance, "random-closure": random_closure_instance}
@@ -293,9 +293,9 @@ class TestSolveLP:
         assert list(frac.values) == [e for e in inst.edges() if e in frac.values]
 
     @pytest.mark.parametrize("family, n, counts", [
-        (euclidean_instance, 32, (7, 39, 154, 0, 40)),
+        (euclidean_instance, 32, (5, 34, 154, 0, 40)),
         (random_closure_instance, 32, (5, 24, 167, 0, 68)),
-        (euclidean_instance, 48, (9, 45, 233, 0, 65)),
+        (euclidean_instance, 48, (7, 49, 233, 0, 67)),
         (random_closure_instance, 48, (7, 33, 246, 0, 87)),
     ])
     def test_the_benchmark_cells_keep_their_pivot_path(self, family, n, counts):
@@ -315,6 +315,26 @@ def test_relabelled_vertices_keep_the_lp_value(family, n, k, seed, data):
     relabelled = MetricInstance(n=n, cost=inst.cost[np.ix_(perm, perm)], k=k)
     frac, _ = solve_lp(relabelled)
     ref = solve_lp_enumeration(inst)
+    assert abs(frac.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
+
+
+@settings(max_examples=20, deadline=None)
+@given(family=st.sampled_from([euclidean_instance, random_closure_instance]),
+       n=st.integers(3, 16), seed=st.integers(0, 2**16), order_seed=st.integers(0, 2**32 - 1))
+def test_the_order_of_a_rounds_cuts_keeps_the_lp_value(family, n, seed, order_seed):
+    # the order of the cuts may move the vertex only between alternative optima
+    inst = family(n, 2, seed)
+    ref, _ = solve_lp(inst)
+    rng = np.random.default_rng(order_seed)
+    separated = lp.violated_cuts
+
+    def shuffled(x, k, n):
+        sides, value = separated(x, k, n)
+        return [sides[i] for i in rng.permutation(len(sides))], value
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "violated_cuts", shuffled)
+        frac, _ = solve_lp(inst)
     assert abs(frac.objective - ref.objective) <= 1e-9 * max(1.0, abs(ref.objective))
 
 
@@ -578,53 +598,55 @@ class TestSeparate:
         value = sum(w for (u, v), w in x.items() if (u in spec.side) != (v in spec.side))
         assert value == pytest.approx(2.0)
 
-    def test_disconnected_support_yields_component_cuts_without_min_cut(self, monkeypatch):
+    def test_a_disconnected_support_leaves_no_min_cut_to_run(self, monkeypatch):
+        # as on the LP's supports, every vertex carries 2: the shrink contracts
+        # each component to a supervertex and leaves no rest
         monkeypatch.setattr(lp, "global_min_cut", None)  # must not be called
-        x = {(0, 1): 2.0, (2, 3): 2.0, (4, 5): 2.0, (0, 2): 0.0}
-        sides, value = violated_cuts(x, 2, 6)
+        x = {(0, 3): 2.0, (1, 4): 1.0, (4, 6): 1.0, (1, 6): 1.0, (2, 5): 2.0}
+        _, rest, members = shrink_min_cut(x, 7)
+        assert rest == {} and sorted(map(sorted, members)) == [[0, 3], [1, 4, 6], [2, 5]]
+        sides, value = violated_cuts(x, 2, 7)
         assert value == 0.0
-        assert [np.nonzero(s)[0].tolist() for s in sides] == [[0, 1], [0, 1, 4, 5], [0, 1, 2, 3]]
-        assert separate(x, 2, 6).side == frozenset({0, 1})
+        assert [np.nonzero(s)[0].tolist() for s in sides] == [[0, 3], [0, 2, 3, 5], [0, 1, 3, 4, 6]]
 
     @settings(max_examples=150, deadline=None)
-    @given(sizes=st.lists(st.integers(1, 4), min_size=2, max_size=5), data=st.data())
-    def test_components_come_back_in_order_without_min_cut(self, sizes, data):
-        # each component is a tree on scattered labels, with dyadic weights so
-        # that its cut sums to exactly 0, or an isolated vertex; zero weights
-        # may join components
-        n = sum(sizes)
+    @given(sizes=st.lists(st.integers(1, 5), min_size=1, max_size=4), data=st.data())
+    def test_every_recorded_or_rest_cut_below_k_comes_back(self, sizes, data):
+        # components on scattered labels, each a random tree plus extra edges
+        # with dyadic weights, or an isolated vertex; one component is a
+        # connected support, more give a disconnected one
+        n = max(sum(sizes), 2)
         perm = data.draw(st.permutations(range(n)))
-        comps, x, start = [], {}, 0
+        x, start = {}, 0
         for size in sizes:
             comp = perm[start:start + size]
             start += size
-            comps.append(set(comp))
             for i in range(1, size):
                 parent = comp[data.draw(st.integers(0, i - 1))]
-                x[(parent, comp[i])] = data.draw(st.sampled_from((0.25, 0.5, 1.0, 1.5, 3.0)))
-        for _ in range(data.draw(st.integers(0, 3))):
-            a, b = data.draw(st.sampled_from(range(len(comps)))), data.draw(st.sampled_from(range(len(comps))))
-            if a != b:
-                x[(min(comps[a]), max(comps[b]))] = 0.0
-        comps.sort(key=min)
-        everything = set(range(n))
-        expected = ([comps[0]] if len(comps) > 2 else []) + [everything - c for c in comps[1:]]
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(lp, "global_min_cut", None)  # must not be called
-            sides, value = violated_cuts(x, 2, n)
-        assert value == 0.0
+                x[(min(parent, comp[i]), max(parent, comp[i]))] = data.draw(
+                    st.sampled_from((0.25, 0.5, 1.0, 1.5, 2.0)))
+            for _ in range(data.draw(st.integers(0, size))):
+                u, v = data.draw(st.sampled_from(comp)), data.draw(st.sampled_from(comp))
+                if u != v:
+                    x[(min(u, v), max(u, v))] = data.draw(st.sampled_from((0.25, 0.5, 1.0)))
+        k = data.draw(st.sampled_from((0.5, 1.0, 2.0, 3.0)))
+        cuts, rest, members = shrink_min_cut(x, n)
+        if rest:
+            value, side = global_min_cut(rest, len(members))
+            cuts.append((value, [v for i in side for v in members[i]]))
+        expected = []
+        for value, side in sorted(cuts, key=lambda cut: min(cut[1])):
+            side = set(side) if 0 in side else set(range(n)).difference(side)
+            if value < k - lp.SEPARATION_TOL and side not in expected:
+                expected.append(side)
+        sides, value = violated_cuts(x, k, n)
         assert [set(np.nonzero(s)[0].tolist()) for s in sides] == expected
-        assert all(s[0] for s in sides)
-
-    def test_every_isolated_vertex_gives_its_cut(self):
-        # no merge forms an isolated vertex, so each one is recorded at the start
-        sides, value = violated_cuts({(0, 1): 1.0}, 2, 4)
-        assert value == 0.0
-        assert [np.nonzero(s)[0].tolist() for s in sides] == [[0, 1], [0, 1, 3], [0, 1, 2]]
-
-    def test_two_components_give_one_cut(self):
-        sides, _ = violated_cuts({(0, 1): 1.0, (2, 3): 1.0}, 2, 4)
-        assert [np.nonzero(s)[0].tolist() for s in sides] == [[0, 1]]
+        assert value == min(value for value, _ in cuts)
+        assert value == global_min_cut_reference(x, n)[0]
+        assert (value < k - lp.SEPARATION_TOL) == bool(sides)
+        for s in sides:
+            crossing = sum(w for (u, v), w in x.items() if s[u] != s[v])
+            assert s[0] and crossing < k - lp.SEPARATION_TOL
 
     def test_star_like_not_violated(self):
         # all three cuts by hand: d(0)=4, d(1)=2, d(2)=2, so nothing below k=2
