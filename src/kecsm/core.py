@@ -253,13 +253,6 @@ class MultiEdgeSet:
     def __eq__(self, other):
         return isinstance(other, MultiEdgeSet) and self.multiplicity == other.multiplicity
 
-    def __len__(self):
-        return len(self.multiplicity)
-
-    def __repr__(self):
-        items = ", ".join(f"{e}x{m}" for e, m in sorted(self.multiplicity.items()))
-        return f"MultiEdgeSet({{{items}}})"
-
 
 def shrink_min_cut(weights, n: int) -> tuple[list[tuple], dict[Edge, float], list[list[int]]]:
     """Contract the edges that no minimum cut needs to cross (the exact tests

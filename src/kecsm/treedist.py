@@ -9,13 +9,13 @@ relative slack.
 Targets on the polytope boundary have no finite-weight representation, so the
 fitter decomposes them: an edge at z = 1 is contracted, and more generally a
 tight vertex set S with z(E(S)) = |S| - 1 splits the law into independent
-inside/outside factors, each fitted on its own piece.  When every vertex
-has z-degree at most 2, as on the split LP point, the tight sets are minimum
-cuts, and those one shrink of the support records (``core.shrink_min_cut``)
-are split off before the first sweep; a search after each sweep finds the
-rest.  Sampling a tree per piece and merging is exact for the factored law,
-and a union of independent weighted-tree pieces keeps every cut count a sum
-of independent Bernoullis.
+inside/outside factors, each fitted on its own piece.  Before a piece is
+swept, one max flow per support pair finds the least tight set holding the
+pair, or a set over its tree bound, which rejects z; a piece with no proper
+tight set has a finite fit, swept from weights proportional to z.  Sampling
+a tree per piece and merging is exact for the factored law, and a union of
+independent weighted-tree pieces keeps every cut count a sum of independent
+Bernoullis.
 """
 
 from __future__ import annotations
@@ -25,12 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Edge, NotConnectedError, component_labels, make_edge, shrink_min_cut
+from .core import Edge, NotConnectedError, component_labels, make_edge
 
 # z at or above this is pinned into every tree; at or below the floor it is dropped.
 FORCED_Z = 1.0 - 1e-9
 DELETED_Z = 1e-12
-# slack accepted when testing z(E(S)) = |S| - 1 for tight-set decomposition
+# slack accepted when testing z(E(S)) = |S| - 1 for tight-set decomposition;
+# a residual arc of the tight-set flow at or below it counts as saturated
 TIGHT_SET_TOL = 1e-8
 # a fitted marginal may exceed its target z_e by at most this relative slack
 EPSILON_MARGINAL = 1e-6
@@ -208,83 +209,97 @@ class LambdaWeights:
         return _sampler(self.graph, self.forced, self.pieces)
 
 
-def _is_tight(internal: float, size: int) -> bool:
-    """Whether a vertex set S of ``size`` vertices with z(E(S)) = ``internal``
-    is tight: z(E(S)) >= |S| - 1 - tol."""
-    return internal >= size - 1 - TIGHT_SET_TOL * max(1, size - 1)
+def _tight_set(piece: EdgeGraph, z: np.ndarray) -> list[int] | None:
+    """The least proper tight set S of the target ``z`` on ``piece``, with
+    z(E(S)) = |S| - 1, that holds the ends of some support pair, as a sorted
+    vertex list, or None when no proper set is tight.
 
-
-def _shrunk_tight_sets(graph: EdgeGraph, z: np.ndarray) -> list[list[int]]:
-    """Proper tight sets of the target ``z`` on ``graph`` that one shrink
-    records, smallest first, when every vertex has z-degree d(v) <= 2.
-
-    With an auxiliary vertex joined to each v by 2 - d(v), a set S without
-    it has cut z(delta(S)) + sum over S of (2 - d(v)) = 2 (|S| - z(E(S))),
-    so the minimum cut is 2 and the sides at 2 are the tight sets.
-    ``core.shrink_min_cut`` records the sides it forms as supervertices, a
-    laminar family; each is oriented away from the auxiliary vertex, and kept
-    when it holds no vertex with d(v) < 2 and passes ``_is_tight``.  Empty
-    when some d(v) exceeds 2.
+    Source s feeds each v by max(d(v) - 2, 0) and each v drains to sink t by
+    max(2 - d(v), 0), with d the z-degree and A the source capacities' sum;
+    the piece edges carry z.  The cut around {s} + S is then
+    A + 2 (|S| - z(E(S))) for any z.  For each support pair uv, heaviest
+    first, u and v are tied to s: the max flow is the least such cut over
+    S holding u and v, and the set the residual network reaches from s is the
+    least S that attains it (Cunningham 1984; Padberg and Wolsey 1983).  A
+    flow below A + 2 shows a set over its tree bound: ValueError.  A pair
+    whose edges carry 1 is tight by itself and needs no flow.
     """
-    ends = np.array(graph.edges).reshape(-1, 2)
-    degree = np.bincount(ends.ravel(), weights=np.repeat(z, 2), minlength=graph.n)
-    if degree.max() > 2 + TIGHT_SET_TOL:
-        return []
-    weights = dict.fromkeys(graph.edges, 0.0)
-    for e, w in zip(graph.edges, z.tolist()):
-        weights[e] += w
-    weights.update(((v, graph.n), 2 - d) for v, d in enumerate(degree.tolist()) if d < 2)
-    short = set(np.flatnonzero(degree < 2 - TIGHT_SET_TOL).tolist())
-    sides: dict[frozenset[int], list[int]] = {}  # keyed by vertex set: two sides may orient alike
-    for _, side in shrink_min_cut(weights, graph.n + 1)[0]:
-        side = sorted(set(range(graph.n)).difference(side)) if graph.n in side else sorted(side)
-        if 2 <= len(side) < graph.n and short.isdisjoint(side):
-            inside = np.zeros(graph.n, dtype=bool)
-            inside[side] = True
-            if _is_tight(float(z[inside[ends].all(axis=1)].sum()), len(side)):
-                sides[frozenset(side)] = side
-    return sorted(sides.values(), key=len)
+    n = piece.n
+    cap = [[0.0] * (n + 2) for _ in range(n + 2)]  # s = n, t = n + 1
+    for (a, b), w in zip(piece.edges, z.tolist()):
+        cap[a][b] += w
+        cap[b][a] += w
+    # the arcs a residual network can use: v to its neighbours and to t, s to any v
+    arcs = [[b for b, c in enumerate(row) if c > 0] for row in cap[:n]]
+    pairs = sorted(((a, b) for a in range(n) for b in arcs[a] if a < b), key=lambda e: -cap[e[0]][e[1]])
+    for v, row in enumerate(cap[:n]):
+        d = sum(row)
+        cap[n][v] = max(d - 2, 0.0)
+        row[n + 1] = max(2 - d, 0.0)
+        arcs[v].append(n + 1)
+    arcs.append(list(range(n)))
+    base = sum(cap[n])
+    for u, v in pairs:
+        if abs(cap[u][v] - 1) <= TIGHT_SET_TOL and n > 2:  # a bundle that carries 1 is a tight pair
+            return [u, v]
+        res = [row[:] for row in cap]
+        res[n][u] = res[n][v] = np.inf
+        flow, side = _max_flow(res, arcs, n, n + 1)
+        slack = 2 * TIGHT_SET_TOL * (len(side) - 1)
+        if flow < base + 2 - slack:
+            raise ValueError(f"z outside polytope: z(E(S)) > |S| - 1 on S = {side}")
+        if flow <= base + 2 + slack and len(side) < n:
+            return side
+    return None
 
 
-def _split(piece: EdgeGraph, orig: list[int], tight) -> tuple[list[tuple], list[int]]:
+def _max_flow(res: list[list[float]], arcs: list[list[int]], s: int, t: int) -> tuple[float, list[int]]:
+    """Push a maximum s-t flow along shortest augmenting paths through the
+    residual capacities ``res``, rows of a dense matrix changed in place; a
+    path leaves each vertex a by the arcs to ``arcs[a]`` only.  Returns its
+    value and the vertices other than s that the residual arcs above
+    ``TIGHT_SET_TOL`` reach from s."""
+    flow = 0.0
+    while True:
+        prev = [-1] * len(res)
+        prev[s] = s
+        queue = [s]
+        for a in queue:
+            row = res[a]
+            for b in arcs[a]:
+                if prev[b] < 0 and row[b] > TIGHT_SET_TOL:
+                    prev[b] = a
+                    queue.append(b)
+            if prev[t] >= 0:
+                break
+        else:
+            return flow, sorted(queue[1:])
+        path = [t]
+        while path[-1] != s:
+            path.append(prev[path[-1]])
+        push = min(res[a][b] for b, a in zip(path, path[1:]))
+        for b, a in zip(path, path[1:]):
+            res[a][b] -= push
+            res[b][a] += push
+        flow += push
+
+
+def _split(piece: EdgeGraph, orig: list[int], tight) -> list[tuple]:
     """The inside and the outside of ``piece``, whose edge j is edge
-    ``orig[j]`` of the fitted graph, at the tight vertex list ``tight``: each
-    as (graph, fitted-graph index of each of its edges), and the outside
-    label of every piece vertex.
+    ``orig[j]`` of the fitted graph, at the tight vertex list ``tight``, each
+    as (graph, fitted-graph index of each of its edges).
 
     The inner edges connect the tight set: its inside keeps them with
     vertices renamed by rank in ``tight``, its outside contracts them.
     """
-    rank = np.full(piece.n, -1)
-    rank[tight] = np.arange(len(tight))
-    inside = (rank[np.array(piece.edges)] >= 0).all(axis=1)
-    inner, outer = np.flatnonzero(inside).tolist(), np.flatnonzero(~inside).tolist()
+    rank = [-1] * piece.n
+    for i, v in enumerate(tight):
+        rank[v] = i
+    inner = [i for i, (a, b) in enumerate(piece.edges) if min(rank[a], rank[b]) >= 0]
+    outer = [i for i, (a, b) in enumerate(piece.edges) if min(rank[a], rank[b]) < 0]
     outside = component_labels(piece.n, [piece.edges[i] for i in inner])
-    subs = [contract_edges(piece, label, edges) for label, edges in ((rank.tolist(), inner), (outside, outer))]
-    return [(sub, [orig[i] for i in kept]) for sub, kept, _ in subs], outside
-
-
-def _induced_tight_set(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray):
-    """Search for a proper vertex set S with z(E(S)) >= |S| - 1 - tol.
-
-    Heavily weighted edges cluster inside tight sets, so candidates are the
-    components formed while merging edges in decreasing lam order; each merge
-    yields one candidate component to test.  Returns the vertex list or None.
-    """
-    ends = np.array(graph.edges).reshape(-1, 2)
-    label = np.arange(graph.n)  # label[v] names v's component
-    for i in np.argsort(-lam, kind="stable").tolist():
-        a, b = label[ends[i]].tolist()
-        if a == b:
-            continue
-        label[label == b] = a
-        big = np.flatnonzero(label == a)
-        if len(big) == graph.n:
-            return None
-        inside = label[ends] == a
-        if _is_tight(float(z[inside[:, 0] & inside[:, 1]].sum()), len(big)):
-            return big.tolist()
-    return None
+    subs = [contract_edges(piece, label, edges) for label, edges in ((rank, inner), (outside, outer))]
+    return [(sub, [orig[i] for i in kept]) for sub, kept, _ in subs]
 
 
 def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
@@ -295,9 +310,11 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
     all marginals, then rescales every weight by z_e / p_e and renormalizes
     the geometric mean to 1.  Boundary targets are decomposed (contracted z=1
     edges, tight vertex sets) into independent pieces fitted separately:
-    ``_shrunk_tight_sets`` gives tight sets before the first sweep, and
-    ``_induced_tight_set`` searches for more on every sweep after a piece's
-    first.  ``MAX_UPDATES`` bounds the coordinate updates (sweeps times edges).
+    before any sweep, a piece of three or more vertices is split at the
+    tight set ``_tight_set`` finds, and a piece with none is swept from
+    lam = z / geomean(z), with no search after.  A vertex set S with
+    z(E(S)) > |S| - 1 raises ValueError.  ``MAX_UPDATES`` bounds the
+    coordinate updates (sweeps times edges).
     """
     z = np.asarray(z, dtype=float)
     if z.shape != (len(graph.edges),):
@@ -326,22 +343,16 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
     max_ratio = 0.0
     # pieces still to fit, each with the original index of its local edges;
     # a split pushes its outside below its inside, so pieces fit depth first
-    work = []
-    if kept:
-        # the shrink's tight sets, smallest first, each split off the outside
-        # the smaller ones left; where[v] is the vertex of that outside that
-        # holds vertex v of ``reduced``
-        outer, where = (reduced, kept), np.arange(reduced.n)
-        for side in _shrunk_tight_sets(reduced, z[kept]):
-            (inner, outer), outside = _split(*outer, sorted(set(where[side].tolist())))
-            work.append(inner)
-            where = np.asarray(outside)[where]
-        work = [outer] + work[::-1]
+    work = [(reduced, kept)] if kept else []
     while work:
         piece, orig = work.pop()
         z_piece = z[orig]
-        lam_piece = np.ones(len(orig))
-        first_sweep, searched = sweeps, None
+        tight = _tight_set(piece, z_piece) if piece.n > 2 else None
+        if tight is not None:
+            inner, outer = _split(piece, orig, tight)
+            work += [outer, inner]
+            continue
+        lam_piece = z_piece / np.exp(np.mean(np.log(z_piece)))
         while True:
             try:
                 p_piece = tree_marginals(lam_piece, piece)
@@ -355,17 +366,6 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
             if max_ratio <= 1.0 + EPSILON_MARGINAL:
                 p[orig] = p_piece
                 pieces.append(SamplingPiece(graph=piece, lam=lam_piece, kept=tuple(orig)))
-                break
-            tight = None
-            if sweeps > first_sweep:
-                # the search sees lam only through this order: on the order it
-                # last searched it would find no tight set again
-                order = np.argsort(-lam_piece, kind="stable")
-                if not np.array_equal(order, searched):
-                    tight, searched = _induced_tight_set(piece, z_piece, lam_piece), order
-            if tight is not None:
-                (inner, outer), _ = _split(piece, orig, tight)
-                work += [outer, inner]
                 break
             if sweeps * len(orig) >= MAX_UPDATES:
                 raise FitConvergenceError(

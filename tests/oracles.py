@@ -11,8 +11,8 @@ library code, kept frozen so that tests can require identical results:
 per-tree LCA walk that the batched ``rounding.fundamental_cut_counts``
 replaced, ``validate_metric_reference`` the triple loop that the
 vectorised ``core.validate_metric`` replaced,
-``induced_tight_set_reference`` the per-merge edge loop that the label
-array of ``treedist._induced_tight_set`` replaced,
+``induced_tight_set_reference`` the per-merge edge loop of the search
+that split a fitted piece at a tight set after a sweep,
 ``build_split_graph_reference`` the per-edge loop that the array build of
 ``split.build_split_graph`` replaced, ``identify_back_reference`` the
 pair-multiset identification that ``split.identify_back`` on edge-index
@@ -21,9 +21,12 @@ that the sampler's rooting of each draw replaced, and
 ``priced_columns_reference`` the pricing by two solves with a rebuilt basis
 matrix that ``lp._priced_columns``, reading B^-1 and the duals from the
 tableau, replaced (its results match within round-off, not bit for bit),
-and ``fit_by_search_reference`` the fit that split a piece only at the
-tight sets its search found after a sweep, before
-``treedist.fit_max_entropy`` split at those one shrink records first.
+and ``fit_by_search_reference`` that search's fit, which split a piece
+only at the tight sets the search found from its second sweep on, started
+from lam proportional to z as ``treedist.fit_max_entropy`` is; the library
+now splits every piece before its first sweep at the tight sets one max
+flow per support pair finds.  ``over_and_tight_sets`` checks that rule by
+enumerating the vertex sets.
 
 Four test helpers read trees through the library: ``SpanningTree`` is one
 rooted tree as tuples, ``parents`` rebuilds each vertex's parent from the
@@ -60,7 +63,7 @@ from kecsm.lp import PIVOT_TOL, FractionalSolution, _cut_rows, violated_cuts
 from kecsm.sampler import TreeBatch
 from kecsm.split import SplitGraph
 from kecsm.treedist import (DELETED_Z, EPSILON_MARGINAL, FORCED_Z, MAX_UPDATES, TIGHT_SET_TOL, EdgeGraph,
-                            LambdaWeights, SamplingPiece, _grounded_inverse, _induced_tight_set,
+                            LambdaWeights, SamplingPiece, _grounded_inverse,
                             _pair_resistances, check_finite, contract_edges, tree_marginals,
                             weighted_laplacian)
 
@@ -402,8 +405,9 @@ def induced_tight_set_reference(graph: EdgeGraph, z: np.ndarray, lam: np.ndarray
 
 
 def fit_by_search_reference(graph: EdgeGraph, z) -> LambdaWeights:
-    """The fitted law of a valid target ``z``, each piece split only at a
-    tight set that ``_induced_tight_set`` finds from its second sweep on."""
+    """The fitted law of a valid target ``z``, each piece fitted from lam
+    proportional to z and split only at a tight set that
+    ``induced_tight_set_reference`` finds from its second sweep on."""
     z = np.asarray(z, dtype=float)
     forced = np.flatnonzero(z >= FORCED_Z)
     label = component_labels(graph.n, [graph.edges[i] for i in forced.tolist()])
@@ -414,7 +418,8 @@ def fit_by_search_reference(graph: EdgeGraph, z) -> LambdaWeights:
     work = [(reduced, kept)] if kept else []
     while work:
         piece, orig = work.pop()
-        z_piece, lam = z[orig], np.ones(len(orig))
+        z_piece = z[orig]
+        lam = z_piece / np.exp(np.mean(np.log(z_piece)))
         first_sweep, searched = sweeps, None
         while True:
             p_piece = tree_marginals(lam, piece)
@@ -426,7 +431,7 @@ def fit_by_search_reference(graph: EdgeGraph, z) -> LambdaWeights:
             if sweeps > first_sweep:
                 order = np.argsort(-lam, kind="stable")
                 if not np.array_equal(order, searched):
-                    tight, searched = _induced_tight_set(piece, z_piece, lam), order
+                    tight, searched = induced_tight_set_reference(piece, z_piece, lam), order
             if tight is not None:
                 rank = np.full(piece.n, -1)
                 rank[tight] = np.arange(len(tight))
@@ -583,6 +588,24 @@ def check_tree_polytope(graph: EdgeGraph, z, tol: float = 1e-6) -> list[frozense
         if float(z[inside].sum()) > bound:
             bad.append(frozenset(v for v in range(n) if mask >> v & 1))
     return bad
+
+
+def over_and_tight_sets(graph: EdgeGraph, z) -> tuple[list[frozenset[int]], list[frozenset[int]]]:
+    """By enumeration over the vertex sets S of at least two vertices: those
+    with z(E(S)) above |S| - 1 by more than ``TIGHT_SET_TOL`` (|S| - 1), and
+    the proper ones within that much of |S| - 1, the tight sets."""
+    z = np.asarray(z, dtype=float)
+    over, tight = [], []
+    for size in range(2, graph.n + 1):
+        for subset in itertools.combinations(range(graph.n), size):
+            inside = set(subset)
+            excess = sum(float(z[i]) for i, (a, b) in enumerate(graph.edges)
+                         if a in inside and b in inside) - (size - 1)
+            if excess > TIGHT_SET_TOL * (size - 1):
+                over.append(frozenset(subset))
+            elif excess >= -TIGHT_SET_TOL * (size - 1) and size < graph.n:
+                tight.append(frozenset(subset))
+    return over, tight
 
 
 def degree_value(g0: SplitGraph, v: int) -> float:

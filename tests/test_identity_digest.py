@@ -8,14 +8,14 @@ outputs moved.
 
 from identity_digest import digests
 
-PINNED = "88cc7e4dc93462c0ecb03809bfacb1dcd42e176193fcb1f241b18515bc4ddb83"
+PINNED = "d8bd3fbf79de80b7832524d2b4f7d4b83f1e91644c8ccd3f328fde311def504e"
 PINNED_PARTS = {
-    "batch rows": "1f0d388e37f192140ad8741ef53300f30732f6238a543db64cd120a6c4badf26",
+    "batch rows": "358e92c34261ac67206235532d682a24bf03f7e05e6c79874d2d57e503426601",
     "LP vertices": "5c653c90bf0b4d69de28e06455c7e5c95fdd29964016ac0f2143c95f2a6dbafd",
-    "fits": "dfae16fe211004a35c1dd8bd0aeeacef7d4c8a3ae7d74df49e5074f3b9e153d3",
-    "tree batches": "1c64e5a702e91d273c4a05d86aa06da0692feeab069aa923fa505db6a110048e",
+    "fits": "11a5019d4b331b7837bb3c9d17c7219918a045f11c8b447765fbf35b0624df67",
+    "tree batches": "14d8a3d74ebeca51ad62e40751afc390154e41d10c2ba7cbd07e938107989f8c",
     "MSTs": "cc028a8ba476508c5ddfcc1fbcb69ddd64650d705606ca7a0ebc05e278a18926",
-    "roundings": "23d90b267b7baf23677d7b1c6858c6a90b603053d162079478eee3d7a004cdb5",
+    "roundings": "1c4be8c5ab9ebf8f26f375c5ca9fd028d25079cdbeef02406d60e424f6816cac",
     "baselines": "d61ed0bf22ac4ae5cda8495f1c1141fe93ce981702b9a98d7ddbeb0b0ee70af6",
     "brute force": "2f703cf705b8244849714948d11ceb3c2674dc04f872552366b9edd5961f93d9",
     "enumeration": "63da44b33ddb654a3f5711ca4defb85cc18ac37722a8c9fdac7af8f509f65976",

@@ -376,9 +376,11 @@ class TestBaselines:
         assert rec.connected
 
     def test_karger_repairs_until_connected(self):
-        inst = random_closure_instance(8, 6, seed=2)
-        rec = run_baseline(inst, "karger-independent", seed=5)
-        assert rec.connected
+        # the rounded sample of this LP is not 3-connected until one MST copy is added
+        inst = euclidean_instance(8, 3, 1)
+        rec = run_baseline(inst, "karger-independent", seed=0)
+        assert rec.b > 0 and rec.connected
+        assert rec.cost_b == rec.b * inst.mst().total_cost(inst.cost)
 
     @pytest.mark.parametrize("which", ["naive-mst-double", "karger-independent"])
     def test_zero_costs_read_ratio_one(self, which):

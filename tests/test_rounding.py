@@ -328,9 +328,10 @@ class TestGoldenCertificates:
     and the key order of ``final``, which fixes the order the certificate's
     shrink contracts in, on 20 seeds of each cell.
 
-    The hash was recorded when the fit first split at the tight sets one
-    shrink records, which gives the random-closure n = 48 and euclidean
-    n = 40 laws other pieces or another piece order under the same law.
+    The hash was recorded when the fit first split every piece at the tight
+    sets one max flow per support pair finds, from lam proportional to z:
+    a three-vertex path became its two bundles, the same law, and the
+    weights of a piece its own fit.
     """
 
     CELLS = [("random-closure", 48, 4), ("random-closure", 48, 6), ("euclidean", 40, 4),
@@ -348,7 +349,7 @@ class TestGoldenCertificates:
                 digest.update(repr((cert.min_cut_value, sorted(cert.witness),
                                     list(result.rounding.final.multiplicity.items()))).encode())
         assert digest.hexdigest() == (
-            "754938d98673c606e68f8eae3c2694b8ee3505ed623179341a7d115edfc67a7e")
+            "089b20f9a3c4d3f8389359583785384bb0980dc2b3b49f19d292463dc165f860")
 
 
 def same_rounding_after_scaling(seed: int, power: int) -> bool:

@@ -1,3 +1,4 @@
+import ast
 import itertools
 from functools import lru_cache
 
@@ -28,7 +29,7 @@ from oracles import (
     enumerated_marginals,
     fit_by_search_reference,
     full_lambda,
-    induced_tight_set_reference,
+    over_and_tight_sets,
     sample_batch,
     spanning_tree_count,
 )
@@ -322,10 +323,18 @@ class TestFitMaxEntropy:
             fit_max_entropy(graph, [1.0, 1.0, 1.0])
 
     def test_budget_exhaustion_raises(self, monkeypatch):
-        monkeypatch.setattr(treedist, "MAX_UPDATES", 2000)
-        # infeasible inner structure: subset {0,1,2} over its tree bound
+        # a valid target that takes 27 sweeps, on a budget of 10
+        monkeypatch.setattr(treedist, "MAX_UPDATES", 30)
+        with pytest.raises(FitConvergenceError, match="stalled") as info:
+            fit_max_entropy(TRIANGLE, [0.8, 0.6, 0.6])
+        assert info.value.sweeps == 10
+
+    def test_a_set_over_its_tree_bound_is_rejected_before_any_sweep(self, monkeypatch):
+        # z(E({0, 1, 2})) = 2.7 > 2: this target once ran 50,000 sweeps before
+        # it raised FitConvergenceError
+        monkeypatch.setattr(treedist, "tree_marginals", lambda *args: pytest.fail("a sweep ran"))
         edges = ((0, 1), (0, 2), (1, 2), (0, 3), (1, 3))
-        with pytest.raises(FitConvergenceError):
+        with pytest.raises(ValueError, match=r"^z outside polytope: z\(E\(S\)\) > \|S\| - 1 on S = \[0, 1, 2\]$"):
             fit_max_entropy(EdgeGraph(n=4, edges=edges), [0.9, 0.9, 0.9, 0.15, 0.15])
 
 
@@ -338,9 +347,9 @@ def _fit_of_the_lp_target(n: int, k: int, seed: int):
 
 
 class TestTightSetSplits:
-    """The fitter splits at the tight sets one shrink records before the first
-    sweep, and looks for another on every sweep after the first, so a
-    boundary target splits into its pieces within a few sweeps."""
+    """Before it sweeps a piece, the fitter looks for a proper tight set of it
+    with one max flow per support pair, and splits at the first it finds; a
+    piece with none is fitted from lam proportional to z with no search after."""
 
     def test_all_half_target_reaches_its_pieces_within_ten_sweeps(self):
         z, w = _fit_of_the_lp_target(32, 8, 1)
@@ -355,16 +364,16 @@ class TestTightSetSplits:
         assert w.max_ratio <= 1 + EPSILON_MARGINAL
 
     def test_pieces_of_a_nested_split_keep_their_depth_first_order(self):
-        # three splits give four pieces, so a piece that came from a split
+        # four splits give five pieces, so a piece that came from a split
         # is split again; the inside of each split is fitted before its outside
         w = prepare(random_closure_instance(12, 8, 5)).weights
         assert [piece.kept for piece in w.pieces] == [
-            (47, 65), (44, 59), (49, 53), (6, 7, 10, 11, 12, 13)]
+            (47, 65), (44, 59), (49, 53), (6, 10, 12), (7, 11, 13)]
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_search_matches_the_edge_loop(self, seed):
+    def test_tight_set_matches_enumeration(self, seed):
         # multigraphs with targets that average a few spanning trees, so that
-        # tight sets are common, or arbitrary targets in [0, 1]
+        # tight sets are common, or arbitrary targets in [0, 1], over the bound
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 12))
         edges = [tuple(int(v) for v in rng.choice(n, 2, replace=False)) for _ in range(3 * n)]
@@ -377,29 +386,41 @@ class TestTightSetSplits:
                 z[tree] += 1 / len(trees)
         else:
             z = rng.random(len(edges))
-        lam = np.exp(rng.normal(0.0, 2.0, len(edges)))
-        lam[rng.random(len(edges)) < 0.2] = 1.0  # ties go to the smaller index
-        assert treedist._induced_tight_set(graph, z, lam) == induced_tight_set_reference(graph, z, lam)
+        over, tight = over_and_tight_sets(graph, z)
+        assert bool(over) == (seed % 4 == 0)
+        if over:
+            with pytest.raises(ValueError, match="^z outside polytope") as info:
+                treedist._tight_set(graph, z)
+            assert frozenset(ast.literal_eval(str(info.value).split(" = ")[1])) in over
+            return
+        found = treedist._tight_set(graph, z)
+        if not tight:
+            assert found is None
+            return
+        # the least tight set that holds the two ends of one of its support edges
+        assert frozenset(found) in tight and found == sorted(found)
+        assert any(all(set(found) <= s for s in tight if {a, b} <= s)
+                   for (a, b), w in zip(edges, z) if w > 0 and {a, b} <= set(found))
 
     @pytest.mark.parametrize("family, n, sweeps, sizes", [
-        (euclidean_instance, 32, 0, [3]),
-        (random_closure_instance, 32, 0, [2, 2, 2, 2, 3, 4]),
-        (euclidean_instance, 48, 0, [2, 2, 2, 2, 2, 3]),
-        (random_closure_instance, 48, 25, [2, 2, 2, 2, 2, 2, 2, 3, 4]),
+        (euclidean_instance, 32, 0, [2, 2]),
+        (random_closure_instance, 32, 0, [2, 2, 2, 2, 2, 2, 4]),
+        (euclidean_instance, 48, 0, [2, 2, 2, 2, 2, 2, 2]),
+        (random_closure_instance, 48, 0, [2, 2, 2, 2, 2, 2, 2, 2, 2, 4]),
     ])
     def test_the_benchmark_cells_keep_their_sweeps_and_pieces(self, family, n, sweeps, sizes):
-        # the search alone took 0, 5, 5 and 35 sweeps here
+        # the search alone took 0, 5, 5 and 35 sweeps here, and the split at the
+        # tight sets one shrink records 0, 0, 0 and 25
         w = prepare(family(n, 8, 1)).weights
         assert (w.sweeps, sorted(piece.graph.n for piece in w.pieces)) == (sweeps, sizes)
 
-    def test_a_vertex_of_degree_above_two_leaves_the_split_to_the_search(self):
-        # two triangles on {0, 1, 2} and {2, 3, 4}: each is tight, but d(2) = 2.4
+    def test_a_vertex_of_degree_above_two_splits_before_any_sweep(self):
+        # two triangles on {0, 1, 2} and {2, 3, 4}: each is tight, and d(2) = 2.4
         graph = EdgeGraph(n=5, edges=((0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)))
-        z = np.array([0.8, 0.6, 0.6, 0.6, 0.6, 0.8])
-        assert treedist._shrunk_tight_sets(graph, z) == []
-        w = fit_max_entropy(graph, z)
+        w = fit_max_entropy(graph, [0.8, 0.6, 0.6, 0.6, 0.6, 0.8])
         assert sorted(piece.kept for piece in w.pieces) == [(0, 1, 2), (3, 4, 5)]
-        assert w.sweeps >= 1
+        # every sweep went to a triangle, none to the whole
+        assert w.sweeps == 2 * fit_max_entropy(TRIANGLE, [0.8, 0.6, 0.6]).sweeps
 
 
 # both families at n <= 64, seven instances each: 70 LP targets
@@ -442,7 +463,7 @@ def test_the_split_fit_keeps_the_pieces_and_marginals_of_the_search(family, n, s
 def test_no_small_final_piece_has_a_proper_tight_subset(family, n, seed):
     _, z, w = _lp_target(family, n, seed)
     for piece in w.pieces:
-        if piece.graph.n > 12 or _is_three_vertex_path(piece):
+        if piece.graph.n > 12:
             continue
         ends = np.array(piece.graph.edges)
         z_piece = z[list(piece.kept)]
