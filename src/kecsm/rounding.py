@@ -136,9 +136,10 @@ def run_rounding(g0: SplitGraph, dist: LambdaWeights, params: RoundingParams) ->
     t_star: Counter[int] = Counter(trees.edge_indices.ravel().tolist())
 
     b_set: Counter[int] = Counter()
-    if params.mst_copies:
+    copies = params.mst_copies
+    if copies:
         for i in sorted(mst(g0)):
-            b_set[i] = params.mst_copies
+            b_set[i] = copies
 
     counts, splits_twins = fundamental_cut_counts(trees, t_star, g0)
     # column 0 is the root, which has no tree edge

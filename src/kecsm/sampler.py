@@ -1,29 +1,28 @@
 """Exact spanning-tree sampling from weighted tree laws.
 
-The sampler is Wilson's loop-erased random walk, which is exact for
-arbitrary positive weights and supports parallel edges.  Every law is drawn
-one way: its forced edges plus one walk per piece, rooted into a
-:class:`TreeBatch`.
-
-A law with few trees also keeps a memo from the walks' picks to the rooted
-rows of the tree they give, so that a repeated tree skips the rooting; the
-walks still run, so every draw is the same with or without it.
+A law is its forced edges plus one tree per piece, rooted into a
+:class:`TreeBatch`.  A law with few trees draws a piece by one bisection in
+a table of its spanning trees and memoizes the rooted trees; any other law
+runs Wilson's loop-erased random walk, exact for any positive weights and
+parallel edges, per piece.  Both draw the same law, and a two-vertex piece
+the same edge from the same uniform.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
-from itertools import accumulate, chain
+from itertools import accumulate
 from struct import Struct
 
 import numpy as np
 
-from .core import as_int
+from .core import as_int, spanning_forest
 from .treedist import EdgeGraph, LambdaWeights, SamplingPiece
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32  # draws per generator call; a fitted tree on the n = 32 benchmark laws takes 2-20
-_MEMO_BYTES = 1 << 20  # a law keeps a memo when the rooted rows of all its trees fit in this
+_MEMO_BYTES = 1 << 20  # a law draws by tables and memo when the rooted rows of all its trees fit in this
 # trees times vertices of one batch: its four (T, n) intp arrays stay within 1 GiB
 MAX_BATCH_ENTRIES = 1 << 25
 
@@ -145,6 +144,62 @@ class _Walk:
         return tree
 
 
+def _spanning_trees(graph: EdgeGraph) -> list[tuple[int, ...]]:
+    """Every spanning tree of the connected ``graph`` as its edge indices in
+    increasing order, the trees in lexicographic order.
+
+    A depth-first search over the edges in order takes edge j when it joins
+    two components of the edges taken so far, and also skips it when the
+    edges after it still join those components, so every branch ends in a
+    tree: each tree costs at most n - 1 passes of ``spanning_forest``, not
+    one per (n - 1)-subset of the edges.
+    """
+    n, edges = graph.n, graph.edges
+    trees = []
+    stack = [(list(range(n)), 0, ())]  # component label of each vertex, next edge, edges taken
+    while stack:
+        label, j, taken = stack.pop()
+        while len(taken) < n - 1:
+            a, b = edges[j]
+            j += 1
+            la, lb = label[a], label[b]
+            if la != lb:
+                if len(spanning_forest(n, [edges[i] for i in taken] + list(edges[j:]))[0]) == n - 1:
+                    stack.append((label, j, taken))  # the branch that skips edge j - 1, after this one
+                label = [la if c == lb else c for c in label]
+                taken += (j - 1,)
+        trees.append(taken)
+    return trees
+
+
+def _table(piece: SamplingPiece) -> tuple[list[tuple[int, ...]], list[float], float]:
+    """The spanning trees of ``piece`` (``_spanning_trees``), the cumulative
+    weights of all but the last, and their total, built once per law for
+    every draw; a draw bisects as a walk step does.
+
+    A tree's weight is the product of its lambda_e, each split by
+    ``math.frexp`` into a mantissa in [1/2, 1) and a power of two, so no
+    product overflows or underflows; all weights are then scaled by the one
+    power of two that puts the largest exponent at 0.  On a two-vertex piece
+    the trees are its edges in order, weighted lambda_e times that power of
+    two exactly, so a draw picks the edge the walk's one step picks from the
+    same uniform.
+    """
+    parts = [math.frexp(w) for w in piece.lam.tolist()]
+    trees = _spanning_trees(piece.graph)
+    products = []
+    for tree in trees:
+        mantissa, exponent = 1.0, 0
+        for j in tree:
+            f, e = parts[j]
+            mantissa *= f
+            exponent += e
+        products.append((mantissa, exponent))
+    top = max(exponent for _, exponent in products)
+    cumw = list(accumulate(math.ldexp(mantissa, exponent - top) for mantissa, exponent in products))
+    return trees, cumw[:-1], cumw[-1]
+
+
 def _draw_streams(draw, keys) -> list:
     """``draw(uniform)`` once per stream, given by its Philox key (``_streams``),
     ``uniform()`` giving the stream's ``random()`` draws in order
@@ -208,16 +263,16 @@ def _sampler(graph: EdgeGraph, forced, pieces):
 
     The forced edges and the pieces' kept edges must be distinct, and the
     forced edges plus one tree per piece must number n - 1, so every draw has
-    n - 1 distinct edges.  It keeps a walk per piece, each piece edge lifted
-    to its two incidence entries in ``graph``, and the incidence lists of the
-    forced edges.  A draw runs the walks on one stream, copies those lists,
-    appends the entries of the edges the walks return, roots the tree with
+    n - 1 distinct edges.  A draw picks one tree of each piece, in piece
+    order, on one stream, appends its edges' two incidence entries in
+    ``graph`` to copies of the forced edges' lists, roots the tree with
     ``_root`` and returns its parent edge, preorder and size rows as one
-    block of bytes of ``draw.dtype``, the smallest signed integer that
-    holds n and every edge index.  When the blocks of every tree the pieces
-    could give fit in ``_MEMO_BYTES``, ``draw.memo`` maps the edges the walks
-    returned to the block of each tree rooted so far, and a draw that finds
-    them there returns that block; otherwise ``draw.memo`` is None.
+    block of bytes of ``draw.dtype``, the smallest signed integer that holds
+    n and every edge index.  When the blocks of every tree the pieces could
+    give fit in ``_MEMO_BYTES``, each piece picks by its ``_table`` and
+    ``draw.memo`` maps the drawn tree indices to the block of each tree
+    rooted so far; otherwise each piece picks by its ``_Walk`` and
+    ``draw.memo`` is None.
     """
     # the draw keeps no reference to the law, which caches it: a cycle would
     # hold every law until the cyclic garbage collector runs
@@ -230,19 +285,21 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     if len(distinct) < len(forced) + len(kept) or len(forced) + sum(p.graph.n - 1 for p in pieces) != n - 1:
         raise ValueError(f"a spanning tree on {n} vertices needs {n - 1} distinct edges")
     forced_inc = _incidence(graph, forced)
-    walks = [_Walk(piece) for piece in pieces]
     lifts = [[(a, (b, i), b, (a, i)) for i in piece.kept for a, b in [graph.edges[i]]] for piece in pieces]
     dtype = np.min_scalar_type(-max(n, m) - 1)  # -max - 1 fits, so does max
     pack = Struct(f"{3 * n}{dtype.char}").pack
     memo = {} if _fits(pieces, _MEMO_BYTES // (3 * n * dtype.itemsize)) else None
+    pickers = [_Walk(piece) if memo is None else _table(piece) for piece in pieces]
 
     def draw(uniform) -> bytes:
-        picks = [walk.edges(uniform) for walk in walks]
-        if memo is not None:
-            key = tuple(chain.from_iterable(picks))
+        if memo is None:
+            picks = [walk.edges(uniform) for walk in pickers]
+        else:
+            key = tuple([bisect_right(cuts, uniform() * total) for _, cuts, total in pickers])
             block = memo.get(key)
             if block is not None:
                 return block
+            picks = [trees[i] for (trees, _, _), i in zip(pickers, key)]
         inc = list(map(list, forced_inc))
         for lifted, edges in zip(lifts, picks):
             for j in edges:

@@ -200,10 +200,10 @@ class LambdaWeights:
 
     @cached_property
     def _sampler(self):
-        """Draw function of this law, with a walk per piece and the forced
-        edges' incidence built on the first draw and kept for every later one;
-        for a law with few trees also a memo of the rooted trees it has drawn
-        (``sampler._sampler``)."""
+        """Draw function of this law, with a tree table per piece and a memo
+        of the rooted trees it has drawn for a law with few trees, a walk per
+        piece for any other, and the forced edges' incidence, built on the
+        first draw and kept for every later one (``sampler._sampler``)."""
         from .sampler import _sampler  # the sampler module imports this one
 
         return _sampler(self.graph, self.forced, self.pieces)
@@ -313,7 +313,8 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
     before any sweep, a piece of three or more vertices is split at the
     tight set ``_tight_set`` finds, and a piece with none is swept from
     lam = z / geomean(z), with no search after.  A vertex set S with
-    z(E(S)) > |S| - 1 raises ValueError.  ``MAX_UPDATES`` bounds the
+    z(E(S)) > |S| - 1 raises ValueError, and so does a total of z farther
+    than ``TIGHT_SET_TOL`` * (n - 1) from n - 1.  ``MAX_UPDATES`` bounds the
     coordinate updates (sweeps times edges).
     """
     z = np.asarray(z, dtype=float)
@@ -322,7 +323,7 @@ def fit_max_entropy(graph: EdgeGraph, z) -> LambdaWeights:
     check_finite("z", z)
     if np.any(z < -1e-9) or np.any(z > 1.0 + 1e-9):
         raise ValueError("z outside polytope: entries must lie in [0, 1]")
-    if abs(z.sum() - (graph.n - 1)) > 1e-6:
+    if abs(z.sum() - (graph.n - 1)) > TIGHT_SET_TOL * (graph.n - 1):  # the slack _tight_set gives S = V
         raise ValueError(f"z outside polytope: total {z.sum():.9f} != {graph.n - 1}")
 
     forced = np.flatnonzero(z >= FORCED_Z)

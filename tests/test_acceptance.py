@@ -139,7 +139,8 @@ def test_03_fitted_marginals_dominated_and_sampled():
 
 
 def test_04_sampler_chi_square_on_k4():
-    """Wilson sampling matches enumeration on K4 at significance 1e-3."""
+    """Sampling matches enumeration on K4 at significance 1e-3: K4 has few
+    trees, so its law draws from its tree table."""
     g = complete_graph(4)
     n_samples = 50_000
     critical = chi2.ppf(1 - 1e-3, df=15)

@@ -113,6 +113,16 @@ class TestValidateMetric:
         with pytest.raises(ValueError, match="k is too large for a float"):
             metric_closure(3, top * (1 - np.eye(3)), 10**400)
 
+    def test_a_malformed_cost_matrix_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^cost matrix must be 3x3, got \(2, 2\)$"):
+            MetricInstance(n=3, cost=[[0, 1], [1, 0]], k=2)
+        with pytest.raises(ValueError, match=r"^raw cost matrix must be 3x3, got \(2, 2\)$"):
+            metric_closure(3, [[0, 1], [1, 0]], 2)
+        with pytest.raises(ValueError, match="^raw cost matrix must be symmetric$"):
+            metric_closure(2, [[0, 1], [2, 0]], 2)
+        with pytest.raises(ValueError, match="^raw cost matrix must have a zero diagonal$"):
+            metric_closure(2, [[1, 1], [1, 0]], 2)
+
     @pytest.mark.parametrize("k", [2.5, True, "4", float("nan")])
     def test_non_integer_k_rejected(self, k):
         with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):

@@ -143,6 +143,24 @@ class TestSimplexEngine:
         assert np.all(a @ x >= b - 1e-12)
         assert x.tolist() == again[0].tolist() and (basis, pivots) == again[1:]
 
+    def test_a_stalled_dual_falls_back_to_blands_rule(self, monkeypatch):
+        # min 0 subject to x_i >= i + 1 for 40 rows, from the surplus basis:
+        # no pivot moves the objective, so after STALL_PIVOTS + 1 pivots by the
+        # most negative row (39, 38, ...) the rest go by smallest basic index
+        m = 40
+        t = np.zeros((m + 1, 2 * m + 1))
+        t[np.arange(m), np.arange(m)] = -1.0
+        t[np.arange(m), m + np.arange(m)] = 1.0
+        t[:m, -1] = -1.0 - np.arange(m)
+        rows = []
+        pivot = _Tableau.pivot
+        monkeypatch.setattr(_Tableau, "pivot", lambda tab, row, col: rows.append(row) or pivot(tab, row, col))
+        tab = _Tableau(t, np.arange(m, 2 * m), lead=0)
+        tab.dual()
+        stalled = lp.STALL_PIVOTS + 1
+        assert rows == list(range(m - 1, m - 1 - stalled, -1)) + list(range(m - stalled))
+        assert tab.solution(m).tolist() == list(range(1, m + 1))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_pivot_matches_the_submatrix_update(self, seed):
         # sparse tableaux, pivoted a few times: the row-only update must give

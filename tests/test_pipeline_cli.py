@@ -42,6 +42,7 @@ from kecsm.pipeline import (
 )
 
 UNIT3 = "[[0, 1, 1], [1, 0, 1], [1, 1, 0]]"
+UNIT6 = json.dumps((1 - np.eye(6)).tolist())  # one vertex past the exact search
 HUGE3 = "[[0, 1.5e308, 1.5e308], [1.5e308, 0, 1.5e308], [1.5e308, 1.5e308, 0]]"
 
 
@@ -108,6 +109,21 @@ class TestLoadInstance:
     def test_bad_json_rejected(self):
         with pytest.raises(InstanceFormatError, match="invalid JSON"):
             parse_matrix_json("{nope")
+
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_matrix_json, '{"n": 2, "costs": [[0, 1], [1, 0]]}', "no connectivity target"),
+        (parse_matrix_json, '{"n": 3, "k": 2, "costs": [[0, 1], [1, 0]]}', r"costs must be 3x3, got \(2, 2\)"),
+        (parse_matrix_json, '{"n": 1, "k": 2, "costs": [[0]]}', "need at least 2 vertices, got n=1"),
+        (parse_matrix_json, '{"n": 2, "k": 1, "costs": [[0, 1], [1, 0]]}', "connectivity target must be >= 2, got k=1"),
+        (parse_tsplib_euc2d, "NODE_COORD_SECTION\n1 0\nEOF", "bad coordinate line '1 0'"),
+        (parse_tsplib_euc2d, "EDGE_WEIGHT_TYPE: GEO\nNODE_COORD_SECTION\n1 0 0\nEOF",
+         "only EUC_2D instances are supported, got GEO"),
+        (parse_tsplib_euc2d, "DIMENSION: 2\nEOF", "no NODE_COORD_SECTION found"),
+    ])
+    def test_malformed_input_is_named(self, parse, text, message):
+        # the fuzz tests below reach these only on some of their random examples
+        with pytest.raises(InstanceFormatError, match=f"^{message}"):
+            parse(text, k=None if parse is parse_matrix_json else 2)
 
     def test_unknown_format(self, tmp_path):
         path = tmp_path / "x"
@@ -311,6 +327,14 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="nothing to run"):
             run_batch("euclidean", n=6, instances=1, k_values=[], trials=1, seed_base=0)
 
+    def test_no_trials_rejected(self):
+        with pytest.raises(ValueError, match="^trials must be at least 1$"):
+            run_batch("euclidean", n=6, instances=1, k_values=[2], trials=0, seed_base=0)
+
+    def test_an_unknown_family_is_rejected(self):
+        with pytest.raises(InstanceFormatError, match="^unknown family 'grid' "):
+            family_instance("grid", 6, 2, 0)
+
     @pytest.mark.parametrize("instances", [0, -2])
     def test_no_instances_rejected(self, instances):
         with pytest.raises(ValueError, match="instances must be at least 1"):
@@ -463,6 +487,11 @@ class TestCli:
         assert main(["solve", "--input", str(path)]) == 0
         assert "ratio_lp=1.000000 " in capsys.readouterr().out
 
+    def test_a_numeric_alpha_sets_the_mst_copies(self, instance_file, capsys):
+        # k = 3: alpha 0.5 gives ceil(0.5 * sqrt(1/2)) = 1 copy, the default alpha 0 none
+        assert main(["solve", "--input", instance_file, "--alpha", "0.5"]) == 0
+        assert " b=1 " in capsys.readouterr().out
+
     def test_verify_roundtrip(self, instance_file, tmp_path, capsys):
         sol = str(tmp_path / "sol.json")
         assert main(["solve", "--input", instance_file, "--emit-solution", sol]) == 0
@@ -578,6 +607,9 @@ class TestCli:
         pytest.param("solve --input inst.json --split-vertex 9", None, None, id="split-vertex"),
         pytest.param("solve --input inst.json --alpha nan", None, None, id="alpha-nan"),
         pytest.param("solve --input inst.json --alpha=-1", None, None, id="alpha-negative"),
+        pytest.param("solve --input inst.json --alpha half", None, None, id="alpha-text"),
+        pytest.param("oracle --input big.json", "big.json", '{"n": 6, "k": 2, "costs": %s}' % UNIT6,
+                     id="oracle-too-large"),
         pytest.param("sample --input inst.json --trials 0", None, None, id="sample-trials"),
         pytest.param("batch --k 2 --n 1", None, None, id="batch-n"),
         pytest.param("batch --k 2 --trials 0", None, None, id="batch-trials"),

@@ -81,6 +81,10 @@ class TestParams:
         with pytest.raises(ValueError):
             RoundingParams(k=4, alpha=2.0, seed=0)
 
+    def test_k_below_two_rejected(self):
+        with pytest.raises(ValueError, match="^k must be at least 2$"):
+            RoundingParams.make(1)
+
     def test_nan_alpha_rejected(self):
         # a NaN threshold would never augment, leaving the result below k
         with pytest.raises(ValueError, match=r"alpha=nan outside \["):
@@ -328,10 +332,10 @@ class TestGoldenCertificates:
     and the key order of ``final``, which fixes the order the certificate's
     shrink contracts in, on 20 seeds of each cell.
 
-    The hash was recorded when the fit first split every piece at the tight
-    sets one max flow per support pair finds, from lam proportional to z:
-    a three-vertex path became its two bundles, the same law, and the
-    weights of a piece its own fit.
+    The hash was recorded when a law with few trees first drew each piece
+    from its tree table: the random-closure n = 32 laws, with one (4, 6)
+    piece, draw other trees from the same law; every other cell draws as
+    before.
     """
 
     CELLS = [("random-closure", 48, 4), ("random-closure", 48, 6), ("euclidean", 40, 4),
@@ -349,7 +353,7 @@ class TestGoldenCertificates:
                 digest.update(repr((cert.min_cut_value, sorted(cert.witness),
                                     list(result.rounding.final.multiplicity.items()))).encode())
         assert digest.hexdigest() == (
-            "089b20f9a3c4d3f8389359583785384bb0980dc2b3b49f19d292463dc165f860")
+            "720a484b14731fd3cce32a786ac4619c537cb39cf1f62e6e4b1f8621218c677c")
 
 
 def same_rounding_after_scaling(seed: int, power: int) -> bool:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
 from kecsm import euclidean_instance, prepare, random_closure_instance, sampler
 from kecsm.core import NotConnectedError
@@ -245,21 +246,23 @@ def _digest(batch) -> str:
 
 
 class TestGoldenDraws:
-    """Fixed batches pinned by hash: a change to the walk's draw order or step rule fails here.
+    """Fixed batches pinned by hash: a change to the draw order, the walk's
+    step rule or a table's tree order fails here.
 
-    The first hash was recorded with a walk that rebuilt its adjacency and
-    ``np.cumsum`` weights for every tree and drew each step with
-    ``np.searchsorted``.  The other two were recorded when the fit first
+    The first and the last hash were recorded when a law with few trees
+    first drew each piece from its tree table, which moved the draws of
+    every such law with a piece of three or more vertices (K6 here, a
+    (4, 6) piece in the last).  The second was recorded when the fit first
     split each piece at the tight sets one max flow per support pair finds
-    and started it from lam proportional to z, which gave those laws other
-    pieces and weights.
+    and started it from lam proportional to z; its pieces are all bundles,
+    which the table draws as the walk does.
     """
 
     def test_sample_batch(self):
         g = complete_graph(6)
         lam = 0.25 + np.arange(len(g.edges)) / 4.0
         assert _digest(sample_batch(lam, g, 64, seed=2024)) == (
-            "6d6bd507a92d4683de7e8d4d6a1d2329d22d5cfbf69b206da692349a8b3f2530")
+            "7dd664e40bdcee91bd5984feaf4303f802b662accb22c55cbebabffaca774f22")
 
     def test_sample_fitted_batch(self):
         w = prepare(euclidean_instance(12, 8, 1)).weights
@@ -271,12 +274,15 @@ class TestGoldenDraws:
         w = prepare(random_closure_instance(32, 64, 1)).weights
         assert sorted(piece.graph.n for piece in w.pieces) == [2, 2, 2, 2, 2, 2, 4]
         assert _digest(sample_fitted_batch(w, 64, seed=2024)) == (
-            "d50277ce364b8a74eb19a2f6c549bac594359081e8ac11f597379db32e9be8f2")
+            "686a6d17943750a871c599b319c6ad4f433524ee0d41f90167e5b0bd10f3a845")
 
 
 class TestEmpiricalMarginals:
+    @pytest.mark.parametrize("path", ["table", "walk"])
     @pytest.mark.parametrize("n,seed", [(4, 0), (6, 1)])
-    def test_wilson_matches_laplacian_marginals(self, n, seed):
+    def test_draws_match_laplacian_marginals(self, monkeypatch, n, seed, path):
+        if path == "walk":  # no memo budget: every law draws by walks
+            monkeypatch.setattr(sampler, "_MEMO_BYTES", 0)
         rng = np.random.default_rng(seed)
         g = complete_graph(n)
         lam = rng.random(len(g.edges)) + 0.3
@@ -401,7 +407,7 @@ def _hand_built_law() -> LambdaWeights:
 
 
 class TestCachedSamplerState:
-    """The walks and forced incidence of a law are built once and reused by every draw."""
+    """The tables or walks and the forced incidence of a law are built once and reused by every draw."""
 
     def test_state_is_built_once_and_piece_weights_are_frozen(self):
         w = _hand_built_law()
@@ -498,13 +504,24 @@ def _tree_bound(pieces) -> int:
     return math.prod(math.comb(len(p.graph.edges), p.graph.n - 1) for p in pieces)
 
 
-class TestTreeMemo:
-    """A law whose trees' rooted rows all fit ``_MEMO_BYTES`` keeps them by the
-    walks' picks; the walks still run, so every batch is the same without it."""
+def _bundle_law(m: int) -> LambdaWeights:
+    """The law of one piece of ``m`` parallel edges, weighted 1, 2, ..., m."""
+    graph = EdgeGraph(n=2, edges=((0, 1),) * m)
+    piece = SamplingPiece(graph=graph, lam=np.arange(1.0, m + 1), kept=tuple(range(m)))
+    return LambdaWeights(graph=graph, fitted_marginals=np.ones(m), forced=(), sweeps=0, max_ratio=1.0,
+                         pieces=(piece,))
 
-    @pytest.mark.parametrize("family", ["random-closure", "euclidean"])
-    def test_batches_equal_the_batches_without_a_memo(self, monkeypatch, family):
-        _, w = _law(family, 32, 64, 1, False)
+
+class TestTreeMemo:
+    """A law whose trees' rooted rows all fit ``_MEMO_BYTES`` draws each piece
+    from its tree table and keeps the rooted rows by the drawn tree indices;
+    a piece of two vertices draws the edge the walk's one step draws."""
+
+    @pytest.mark.parametrize("law", [lambda: _law("euclidean", 32, 64, 1, False)[1], lambda: _bundle_law(2000)],
+                             ids=["euclidean", "bundle"])
+    def test_batches_equal_the_batches_without_a_memo(self, monkeypatch, law):
+        w = law()
+        assert {piece.graph.n for piece in w.pieces} == {2}
         with monkeypatch.context() as patch:
             patch.setattr(sampler, "_MEMO_BYTES", 0)
             plain = replace(w)
@@ -561,10 +578,74 @@ class TestTreeMemo:
         batch = sample_batch(lam, g, 2000, seed=12)
         assert len(calls) == len({tree.edge_indices for tree in trees_of(batch)}) == 16
         monkeypatch.setattr(sampler, "_MEMO_BYTES", 0)
-        plain = sample_batch(lam, g, 2000, seed=12)
+        sample_batch(lam, g, 2000, seed=12)
         assert len(calls) == 16 + 2000
-        for name in ROWS:
-            assert np.array_equal(getattr(batch, name), getattr(plain, name))
+
+
+def _whole_graph_piece(graph: EdgeGraph, seed: int) -> SamplingPiece:
+    """One piece on all of ``graph``, with weights drawn from [0.3, 1.3)."""
+    lam = np.random.default_rng(seed).random(len(graph.edges)) + 0.3
+    return SamplingPiece(graph=graph, lam=lam, kept=tuple(range(len(graph.edges))))
+
+
+TABLE_PIECES = {
+    "rc32-piece": lambda: next(p for p in _law("random-closure", 32, 64, 1, False)[1].pieces if p.graph.n > 2),
+    "K5": lambda: _whole_graph_piece(complete_graph(5), 5),
+    "K6": lambda: _whole_graph_piece(complete_graph(6), 6),
+    "multigraph": lambda: _whole_graph_piece(
+        EdgeGraph(n=4, edges=((0, 1), (0, 1), (1, 2), (2, 3), (0, 3), (1, 3), (1, 3))), 4),
+    "bundle": lambda: _bundle_law(3).pieces[0],
+}
+
+
+def _exact_law(piece: SamplingPiece) -> tuple[list[tuple[int, ...]], np.ndarray]:
+    """The spanning trees of ``piece`` as ``enumerate_spanning_trees`` lists
+    them, and each one's probability, its product of lambda over their sum."""
+    trees = enumerate_spanning_trees(piece.graph)
+    weights = np.array([tree_weight(piece.lam, tree) for tree in trees])
+    return trees, weights / weights.sum()
+
+
+class TestTreeTables:
+    """A piece's table lists its spanning trees with their exact probabilities,
+    and a law drawn from tables follows the exact law, as one drawn by walks does."""
+
+    @pytest.mark.parametrize("name", TABLE_PIECES)
+    def test_a_table_holds_every_tree_with_its_probability(self, name):
+        piece = TABLE_PIECES[name]()
+        trees, cuts, total = sampler._table(piece)
+        want, probs = _exact_law(piece)
+        assert trees == want
+        assert np.abs(np.diff([0.0, *cuts, total]) / total - probs).max() <= 1e-12
+
+    @pytest.mark.parametrize("power", [1000, -1000])
+    def test_weights_far_from_one_give_the_same_table(self, power):
+        # each tree's product of four weights near 2**power overflows or underflows a float
+        piece = TABLE_PIECES["K5"]()
+        assert sampler._table(replace(piece, lam=piece.lam * 2.0 ** power)) == sampler._table(piece)
+
+    @pytest.mark.parametrize("path", ["table", "walk"])
+    @pytest.mark.parametrize("name", ["rc32-piece", "K5"])
+    def test_draws_follow_the_exact_law(self, monkeypatch, name, path):
+        # chi-square of the piece's tree counts in 20,000 draws, at significance 1e-3
+        n_samples = 20_000
+        if path == "walk":  # no memo budget: every law draws by walks
+            monkeypatch.setattr(sampler, "_MEMO_BYTES", 0)
+        piece = TABLE_PIECES[name]()
+        if name == "rc32-piece":
+            w = replace(_law("random-closure", 32, 64, 1, False)[1])  # its draw built on this budget
+            batch = sample_fitted_batch(w, n_samples, seed=31)
+            assert (w._sampler.memo is None) == (path == "walk")
+        else:
+            batch = sample_batch(piece.lam, piece.graph, n_samples, seed=31)
+        local = {i: j for j, i in enumerate(piece.kept)}
+        trees, probs = _exact_law(piece)
+        index = {tree: s for s, tree in enumerate(trees)}
+        observed = np.zeros(len(trees))
+        for row in batch.edge_indices.tolist():
+            observed[index[tuple(sorted(local[i] for i in row if i in local))]] += 1
+        expected = probs * n_samples
+        assert ((observed - expected) ** 2 / expected).sum() < chi2.ppf(1 - 1e-3, df=len(trees) - 1)
 
 
 @pytest.mark.parametrize("draw", [

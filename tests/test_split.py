@@ -179,6 +179,12 @@ class TestIdentifyBack:
         merged = identify_back(g0, Counter(dict(enumerate(mult))))
         assert merged.total_cost(inst.cost) == pytest.approx(float(np.dot(g0.cost0, mult)))
 
+    @pytest.mark.parametrize("u", [-1, 3])
+    def test_a_split_vertex_outside_the_instance_is_rejected(self, triangle_unit, u):
+        frac, _ = solve_lp(triangle_unit)
+        with pytest.raises(ValueError, match=rf"^split vertex {u} out of range$"):
+            build_split_graph(triangle_unit, frac, split_vertex=u)
+
     @pytest.mark.parametrize("i", [-1, 5])
     def test_index_outside_the_split_graph_rejected(self, triangle_unit, i):
         frac, _ = solve_lp(triangle_unit)

@@ -86,6 +86,14 @@ class TestTreeMarginals:
         p = tree_marginals(lam, graph)
         assert np.allclose(p, enumerated_marginals(lam, graph), atol=1e-9)
 
+    def test_an_edge_given_from_its_larger_end_has_the_same_marginals(self):
+        lam = np.array([2.0, 1.0, 3.0])
+        flipped = EdgeGraph(n=3, edges=((1, 0), (2, 0), (2, 1)))
+        assert np.array_equal(tree_marginals(lam, flipped), tree_marginals(lam, TRIANGLE))
+
+    def test_one_vertex_has_no_marginals(self):
+        assert tree_marginals([], EdgeGraph(n=1, edges=())).shape == (0,)
+
     def test_parallel_edges_share_resistance(self):
         graph = EdgeGraph(n=2, edges=((0, 1), (0, 1), (0, 1)))
         p = tree_marginals(np.array([1.0, 2.0, 3.0]), graph)
@@ -121,6 +129,10 @@ def test_non_finite_weights_and_targets_raise(bad, monkeypatch):
     for size in (2, 5):  # too few weights once raised IndexError, too many drew trees
         with pytest.raises(ValueError, match="^one weight per edge required$"):
             sample_batch(np.ones(size), TRIANGLE, 3, seed=0)
+        with pytest.raises(ValueError, match="^one weight per edge required$"):
+            tree_marginals(np.ones(size), TRIANGLE)
+        with pytest.raises(ValueError, match="^one weight per edge required$"):
+            SamplingPiece(graph=TRIANGLE, lam=np.ones(size), kept=(0, 1, 2))
     with pytest.raises(ValueError, match=rf"^z\[0\] = {bad} is not finite$"):
         fit_max_entropy(TRIANGLE, [bad, 1.0, 1.0])
     # -inf is no positive weight; nan and inf make the marginals sum to nan
@@ -287,6 +299,23 @@ class TestFitMaxEntropy:
         with pytest.raises(ValueError, match="outside polytope"):
             fit_max_entropy(TRIANGLE, [1.0, 1.0, 1.0])
 
+    @pytest.mark.parametrize("shift, total", [(2e-7, "2.000000600"), (-2e-7, "1.999999400")])
+    def test_a_total_past_the_tight_set_slack_is_rejected(self, shift, total):
+        # the total is 6e-7 from 2, past TIGHT_SET_TOL * 2: the target above
+        # once raised only at the tight-set search, on S = [0, 1, 2], and the
+        # one below fitted
+        with pytest.raises(ValueError, match=rf"^z outside polytope: total {total} != 2$"):
+            fit_max_entropy(TRIANGLE, [2 / 3 + shift] * 3)
+
+    @pytest.mark.parametrize("shift", [5e-9, -5e-9])
+    def test_a_total_within_the_tight_set_slack_fits(self, shift):
+        w = fit_max_entropy(TRIANGLE, [2 / 3 + shift] * 3)
+        assert len(w.pieces) == 1 and w.max_ratio <= 1 + EPSILON_MARGINAL
+
+    def test_an_entry_outside_zero_to_one_is_rejected(self):
+        with pytest.raises(ValueError, match=r"^z outside polytope: entries must lie in \[0, 1\]$"):
+            fit_max_entropy(TRIANGLE, [1.5, 0.25, 0.25])
+
     @pytest.mark.parametrize("z", [[2 / 3] * 2, [2 / 3] * 4, [[2 / 3] * 3]])
     def test_z_of_wrong_shape_rejected(self, z):
         with pytest.raises(ValueError, match="one entry per edge"):
@@ -321,6 +350,11 @@ class TestFitMaxEntropy:
         graph = EdgeGraph(n=4, edges=((0, 1), (2, 3), (0, 1)))
         with pytest.raises((NotConnectedError, ValueError)):
             fit_max_entropy(graph, [1.0, 1.0, 1.0])
+        # vertex 3 meets only a zero: z(E({0, 1, 2})) = 3 is over its bound,
+        # but the support is found disconnected first
+        graph = EdgeGraph(n=4, edges=((0, 1), (0, 1), (1, 2), (0, 2), (2, 3)))
+        with pytest.raises(NotConnectedError, match="^support of z does not connect the graph$"):
+            fit_max_entropy(graph, [0.75, 0.75, 0.75, 0.75, 0.0])
 
     def test_budget_exhaustion_raises(self, monkeypatch):
         # a valid target that takes 27 sweeps, on a budget of 10
