@@ -226,6 +226,8 @@ def _cmd_batch(args) -> int:
         raise UsageError(f"bad --k list {args.k!r}") from None
     if not k_values or min(k_values) < 2 or max(k_values) > sys.float_info.max:
         raise UsageError(f"--k needs connectivity targets >= 2 that a float can hold, got {args.k!r}")
+    if len(set(k_values)) < len(k_values):
+        raise UsageError(f"--k lists a connectivity target more than once, got {args.k!r}")
     report = run_batch(
         family=args.family,
         n=args.n,

@@ -187,11 +187,16 @@ def run_batch(family: str, n: int, instances: int, k_values, trials: int,
     """Random-instance experiment grid over (instance, k, trial).
 
     The relaxation and fit are computed once per instance and shared by its
-    k values and trials, which only differ in k and the rounding seed.
+    k values and trials, which only differ in k and the rounding seed.  A k
+    may be listed once: a repeated k has the same seeds, so it would repeat
+    its trials.
     """
     k_values = list(k_values)
     if not k_values:
         raise ValueError("nothing to run: empty k list")
+    repeated = sorted({k for k in k_values if k_values.count(k) > 1})
+    if repeated:
+        raise ValueError(f"k {repeated[0]} is listed more than once; a repeated k repeats its trials")
     if instances < 1:
         raise ValueError("instances must be at least 1")
     if trials < 1:

@@ -1,11 +1,12 @@
 """Exact spanning-tree sampling from weighted tree laws.
 
 A law is its forced edges plus one tree per piece, rooted into a
-:class:`TreeBatch`.  A law with few trees draws a piece by one bisection in
-a table of its spanning trees and memoizes the rooted trees; any other law
-runs Wilson's loop-erased random walk, exact for any positive weights and
-parallel edges, per piece.  Both draw the same law, and a two-vertex piece
-the same edge from the same uniform.
+:class:`TreeBatch`.  A law with few trees draws a whole batch at once: one
+bisection picks every piece of every tree in the tables of the pieces'
+spanning trees, and each tree is rooted once and then gathered from a table
+of rooted rows.  Any other law runs Wilson's loop-erased random walk, exact
+for any positive weights and parallel edges, per piece and tree.  Both draw
+the same law, and a two-vertex piece the same edge from the same uniform.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from .core import as_int, spanning_forest
 from .treedist import EdgeGraph, LambdaWeights, SamplingPiece
 
 _MASK64 = (1 << 64) - 1
-_BLOCK = 32  # draws per generator call; a fitted tree on the n = 32 benchmark laws takes 2-20
-_MEMO_BYTES = 1 << 20  # a law draws by tables and memo when the rooted rows of all its trees fit in this
+_BLOCK = 32  # draws per generator call of a walk; a tree of the random-closure n = 48 laws takes 12-36
+_MEMO_BYTES = 1 << 20  # a law draws by tables when the rooted rows of all its trees fit in this
 # trees times vertices of one batch: its four (T, n) intp arrays stay within 1 GiB
 MAX_BATCH_ENTRIES = 1 << 25
 
@@ -200,32 +201,36 @@ def _table(piece: SamplingPiece) -> tuple[list[tuple[int, ...]], list[float], fl
     return trees, cumw[:-1], cumw[-1]
 
 
-def _draw_streams(draw, keys) -> list:
-    """``draw(uniform)`` once per stream, given by its Philox key (``_streams``),
-    ``uniform()`` giving the stream's ``random()`` draws in order
-    (``random(size)`` gives the same numbers).
+def _generators(keys):
+    """A generator in the state of a fresh ``generator(seed, stream)`` for
+    each stream's Philox key (``_streams``) in turn, one object reset per key.
 
     One Philox serves every stream: set to a state with the stream's key,
-    counter 0 and an empty buffer, it is in the state of a fresh
-    ``generator(seed, stream)``, at a quarter of the cost of building one.
-    The state setter copies the arrays and takes the key as a tuple of ints,
-    so one state dict serves too, with its key swapped.
+    counter 0 and an empty buffer, it is in the state of a fresh generator,
+    at a quarter of the cost of building one.  The state setter copies the
+    arrays and takes the key as a tuple of ints, so one state dict serves
+    too, with its key swapped.
     """
     bits = np.random.Philox(key=0)
     gen = np.random.Generator(bits)
     fresh = {"bit_generator": "Philox", "state": {"counter": np.zeros(4, np.uint64), "key": None},
              "buffer": np.zeros(4, np.uint64), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-    def uniforms():
-        while True:
-            yield from gen.random(_BLOCK).tolist()
-
-    out = []
     for key in keys:
         fresh["state"]["key"] = key
         bits.state = fresh
-        out.append(draw(uniforms().__next__))
-    return out
+        yield gen
+
+
+def _draw_streams(draw, keys) -> list:
+    """``draw(uniform)`` once per stream, given by its Philox key (``_streams``),
+    ``uniform()`` giving the stream's ``random()`` draws in order
+    (``random(size)`` gives the same numbers)."""
+
+    def uniforms(gen):
+        while True:
+            yield from gen.random(_BLOCK).tolist()
+
+    return [draw(uniforms(gen).__next__) for gen in _generators(keys)]
 
 
 def _streams(t: int, seed: int) -> list[tuple[int, int]]:
@@ -258,21 +263,25 @@ def _fits(pieces, room: int) -> bool:
 
 
 def _sampler(graph: EdgeGraph, forced, pieces):
-    """Draw function of the tree law on ``graph`` that holds the ``forced`` edges
-    and one tree of every piece, built once per law (``LambdaWeights._sampler``).
+    """Batch draw of the tree law on ``graph`` that holds the ``forced`` edges
+    and one tree of every piece, built once per law (``LambdaWeights._sampler``):
+    ``draw(keys)`` is the ``TreeBatch`` of one tree per Philox key (``_streams``).
 
     The forced edges and the pieces' kept edges must be distinct, and the
-    forced edges plus one tree per piece must number n - 1, so every draw has
-    n - 1 distinct edges.  A draw picks one tree of each piece, in piece
-    order, on one stream, appends its edges' two incidence entries in
-    ``graph`` to copies of the forced edges' lists, roots the tree with
-    ``_root`` and returns its parent edge, preorder and size rows as one
-    block of bytes of ``draw.dtype``, the smallest signed integer that holds
-    n and every edge index.  When the blocks of every tree the pieces could
-    give fit in ``_MEMO_BYTES``, each piece picks by its ``_table`` and
-    ``draw.memo`` maps the drawn tree indices to the block of each tree
-    rooted so far; otherwise each piece picks by its ``_Walk`` and
-    ``draw.memo`` is None.
+    forced edges plus one tree per piece must number n - 1, so every tree has
+    n - 1 distinct edges.  A tree, one tree of each piece in piece order on one
+    stream, is rooted by ``_root`` into its parent edge, preorder and size rows
+    in ``draw.dtype``, the smallest signed integer that holds n and every edge
+    index.  When the rows of every tree the pieces could give fit in
+    ``_MEMO_BYTES``, a batch takes the first len(pieces) uniforms of each
+    stream and picks every piece of every tree by one ``np.searchsorted`` over
+    the cuts of all the pieces' ``_table``, keyed as complex (piece, cut) and
+    queried at (piece, uniform times total): numpy orders complex numbers
+    lexicographically, so each pick is ``bisect_right`` within its piece.  A tree's picks fold into one
+    mixed-radix code; ``draw.rows``, a (trees, 3, n) array, holds the rows of
+    each code rooted so far, and the batch is one gather of it.  Otherwise
+    each piece runs its ``_Walk`` per stream (``_draw_streams``) and
+    ``draw.rows`` is None.
     """
     # the draw keeps no reference to the law, which caches it: a cycle would
     # hold every law until the cyclic garbage collector runs
@@ -287,39 +296,56 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     forced_inc = _incidence(graph, forced)
     lifts = [[(a, (b, i), b, (a, i)) for i in piece.kept for a, b in [graph.edges[i]]] for piece in pieces]
     dtype = np.min_scalar_type(-max(n, m) - 1)  # -max - 1 fits, so does max
-    pack = Struct(f"{3 * n}{dtype.char}").pack
-    memo = {} if _fits(pieces, _MEMO_BYTES // (3 * n * dtype.itemsize)) else None
-    pickers = [_Walk(piece) if memo is None else _table(piece) for piece in pieces]
 
-    def draw(uniform) -> bytes:
-        if memo is None:
-            picks = [walk.edges(uniform) for walk in pickers]
-        else:
-            key = tuple([bisect_right(cuts, uniform() * total) for _, cuts, total in pickers])
-            block = memo.get(key)
-            if block is not None:
-                return block
-            picks = [trees[i] for (trees, _, _), i in zip(pickers, key)]
+    def tree_rows(picks) -> tuple[list[int], list[int], list[int]]:
         inc = list(map(list, forced_inc))
         for lifted, edges in zip(lifts, picks):
             for j in edges:
                 a, at_a, b, at_b = lifted[j]
                 inc[a].append(at_a)
                 inc[b].append(at_b)
-        parent_edge, order, size = _root(n, inc)
-        block = pack(*parent_edge, *order, *size)
-        if memo is not None:
-            memo[key] = block
-        return block
+        return _root(n, inc)
 
-    draw.dtype, draw.memo = dtype, memo
+    if not _fits(pieces, _MEMO_BYTES // (3 * n * dtype.itemsize)):
+        walks = [_Walk(piece) for piece in pieces]
+        pack = Struct(f"{3 * n}{dtype.char}").pack
+
+        def tree(uniform) -> bytes:
+            parent_edge, order, size = tree_rows([walk.edges(uniform) for walk in walks])
+            return pack(*parent_edge, *order, *size)
+
+        def draw(keys) -> TreeBatch:
+            blocks = _draw_streams(tree, keys)
+            return TreeBatch(np.frombuffer(b"".join(blocks), dtype).reshape(len(blocks), 3, n))
+
+        draw.dtype, draw.rows = dtype, None
+        return draw
+
+    tables = [_table(piece) for piece in pieces]
+    sizes = [len(trees) for trees, _, _ in tables]
+    radix = np.array([math.prod(sizes[p + 1:]) for p in range(len(sizes))], np.intp)  # code: sum of pick * radix
+    cut_keys = np.array([complex(p, cut) for p, (_, cuts, _) in enumerate(tables) for cut in cuts], complex)
+    places = np.arange(len(tables))
+    offset = np.searchsorted(cut_keys.real, places) @ radix  # each pick counts the keys of the pieces before it
+    totals = np.array([total for _, _, total in tables])
+    rows = np.zeros((math.prod(sizes), 3, n), dtype)
+    rooted = np.zeros(len(rows), bool)  # set after a code's rows are written: no batch reads a part
+
+    def draw(keys) -> TreeBatch:
+        uniforms = np.empty((len(keys), len(tables)))
+        for row, gen in zip(uniforms, _generators(keys)):
+            gen.random(out=row)
+        query = np.empty(uniforms.shape, complex)
+        query.real = places
+        np.multiply(uniforms, totals, out=query.imag)
+        codes = np.searchsorted(cut_keys, query, side="right") @ radix - offset
+        for code in set(codes[~rooted[codes]].tolist()):
+            rows[code] = tree_rows([trees[i] for (trees, _, _), i in zip(tables, np.unravel_index(code, sizes))])
+            rooted[code] = True
+        return TreeBatch(rows[codes])
+
+    draw.dtype, draw.rows = dtype, rows
     return draw
-
-
-def _batch(draw, keys) -> TreeBatch:
-    """The trees ``draw`` gives on the streams with Philox keys ``keys``, one ``TreeBatch`` row each."""
-    blocks = _draw_streams(draw, keys)
-    return TreeBatch(np.frombuffer(b"".join(blocks), draw.dtype).reshape(len(blocks), 3, -1))
 
 
 def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> TreeBatch:
@@ -328,4 +354,4 @@ def sample_fitted_batch(dist: LambdaWeights, t: int, seed: int) -> TreeBatch:
     ``check_batch_size`` bounds t."""
     t = as_int(t, "t")
     check_batch_size(t, dist.graph.n)
-    return _batch(dist._sampler, _streams(t, seed))
+    return dist._sampler(_streams(t, seed))

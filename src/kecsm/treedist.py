@@ -200,10 +200,10 @@ class LambdaWeights:
 
     @cached_property
     def _sampler(self):
-        """Draw function of this law, with a tree table per piece and a memo
-        of the rooted trees it has drawn for a law with few trees, a walk per
-        piece for any other, and the forced edges' incidence, built on the
-        first draw and kept for every later one (``sampler._sampler``)."""
+        """Batch draw of this law, with a tree table per piece and a table
+        of the rows of the trees it has rooted for a law with few trees, a
+        walk per piece for any other, and the forced edges' incidence, built
+        on the first draw and kept for every later one (``sampler._sampler``)."""
         from .sampler import _sampler  # the sampler module imports this one
 
         return _sampler(self.graph, self.forced, self.pieces)

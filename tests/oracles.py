@@ -4,7 +4,7 @@ The oracles here deliberately use the most direct definition available
 (exhaustive enumeration, component splitting) so they share no code path
 with the implementations they cross-check; ``solve_lp_enumeration`` checks
 every cut and solves with HiGHS (``scipy.optimize.linprog``), not the
-library's simplex.  The exceptions: nine references are earlier versions of
+library's simplex.  The exceptions: ten references are earlier versions of
 library code, kept frozen so that tests can require identical results:
 ``global_min_cut_reference`` is the Stoer-Wagner over a numpy matrix that
 ``core.global_min_cut`` replaced, ``fundamental_cut_counts_reference`` the
@@ -17,7 +17,9 @@ that split a fitted piece at a tight set after a sweep,
 ``split.build_split_graph`` replaced, ``identify_back_reference`` the
 pair-multiset identification that ``split.identify_back`` on edge-index
 counts replaced, ``tree_from_edges`` the rooting of a sorted edge list
-that the sampler's rooting of each draw replaced, and
+that the sampler's rooting of each draw replaced, ``table_batch_reference``
+the draw of a law with few trees one tree at a time that the sampler's
+batch draw replaced, and
 ``priced_columns_reference`` the pricing by two solves with a rebuilt basis
 matrix that ``lp._priced_columns``, reading B^-1 and the duals from the
 tableau, replaced (its results match within round-off, not bit for bit),
@@ -51,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,7 +168,33 @@ def sample_batch(lam, graph: EdgeGraph, t: int, seed: int) -> TreeBatch:
     # the piece raises NotConnectedError unless the support connects the graph
     piece = SamplingPiece(graph=EdgeGraph(n=graph.n, edges=tuple(graph.edges[i] for i in support)),
                           lam=lam[support], kept=tuple(support))
-    return sampler._batch(sampler._sampler(graph, (), (piece,)), rngs)
+    return sampler._sampler(graph, (), (piece,))(rngs)
+
+
+def table_batch_reference(law: LambdaWeights, t: int, seeds) -> list[TreeBatch]:
+    """The batch of ``t`` trees of ``law`` on each of ``seeds``, drawn from the
+    pieces' tables one tree at a time, as the sampler drew them before it
+    drew a batch at once: tree s takes one ``random()`` per piece from a
+    fresh ``generator(seed, s)``, in piece order, bisects the cumulative
+    weights of that piece's ``sampler._table``, and roots the forced edges
+    plus the picked trees' edges with ``sampler._root`` (each vertex's
+    entries in that order)."""
+    tables = [sampler._table(piece) for piece in law.pieces]
+    batches = []
+    for seed in seeds:
+        rows = []
+        for s in range(t):
+            gen = sampler.generator(seed, s)
+            inc = sampler._incidence(law.graph, law.forced)
+            for piece, (trees, cuts, total) in zip(law.pieces, tables):
+                for j in trees[bisect_right(cuts, gen.random() * total)]:
+                    i = piece.kept[j]
+                    a, b = law.graph.edges[i]
+                    inc[a].append((b, i))
+                    inc[b].append((a, i))
+            rows.append(sampler._root(law.graph.n, inc))
+        batches.append(TreeBatch(rows))
+    return batches
 
 
 def exhaustive_min_cut(weights: dict, n: int) -> float:

@@ -327,6 +327,12 @@ class TestRunBatch:
         with pytest.raises(ValueError, match="nothing to run"):
             run_batch("euclidean", n=6, instances=1, k_values=[], trials=1, seed_base=0)
 
+    @pytest.mark.parametrize("ks, k", [([4, 4], 4), ([2, 8, 3, 8, 2], 2)])
+    def test_a_repeated_k_is_rejected(self, ks, k):
+        # a repeated k once ran the same seeds twice: each row counted twice in its aggregate
+        with pytest.raises(ValueError, match=rf"^k {k} is listed more than once; a repeated k repeats its trials$"):
+            run_batch("euclidean", n=6, instances=1, k_values=ks, trials=3, seed_base=0)
+
     def test_no_trials_rejected(self):
         with pytest.raises(ValueError, match="^trials must be at least 1$"):
             run_batch("euclidean", n=6, instances=1, k_values=[2], trials=0, seed_base=0)
@@ -561,6 +567,16 @@ class TestCli:
         assert main(["batch", "--k", "2", "--instances", instances, "--emit", str(out_csv)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "must be at least 1" in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("ks", ["4,4", "4,02,4", "3,3,3"])
+    def test_batch_with_a_repeated_k_is_exit_three_and_writes_nothing(self, tmp_path, capsys, ks):
+        out_csv = tmp_path / "batch.csv"
+        assert main(["batch", "--family", "euclidean", "--n", "6", "--k", ks, "--instances", "1",
+                     "--trials", "3", "--emit", str(out_csv)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --k lists a connectivity target more than once, got {ks!r}\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_batch_emits_reports(self, tmp_path, capsys):

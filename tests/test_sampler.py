@@ -1,6 +1,8 @@
 import gc
 import hashlib
 import math
+import sys
+import threading
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -31,6 +33,7 @@ from oracles import (
     fundamental_cut_counts_reference,
     sample_batch,
     sample_tree_enumeration,
+    table_batch_reference,
     tree_from_edges,
     tree_weight,
     trees_of,
@@ -104,17 +107,20 @@ def test_reset_generator_matches_a_fresh_philox(seed):
 @pytest.mark.parametrize("seed", [-5, 3])
 def test_every_key_draws_what_its_generator_draws(monkeypatch, seed):
     # keys at or above 2**63, from a negative seed or a large stream, reach
-    # the reset Philox unchanged
+    # the reset Philox unchanged, on the walk path and on the table path
     streams = [2**63 + s for s in range(4)]
     keys = [(seed % 2**64, stream) for stream in streams]
     draws = _draw_streams(lambda uniform: [uniform() for _ in range(5)], keys)
     assert draws == [generator(seed, stream).random(5).tolist() for stream in streams]
+    assert [gen.random(5).tolist() for gen in sampler._generators(keys)] == draws
     g = complete_graph(6)
     lam = np.arange(1.0, len(g.edges) + 1)
-    batch = sample_batch(lam, g, 8, seed=seed)
-    monkeypatch.setattr(sampler, "_draw_streams", lambda draw, keys: [
-        draw(iter(generator(*key).random(1000).tolist()).__next__) for key in keys])
-    assert _digest(sample_batch(lam, g, 8, seed=seed)) == _digest(batch)
+    for budget in (sampler._MEMO_BYTES, 0):  # the table path, then the walk path
+        monkeypatch.setattr(sampler, "_MEMO_BYTES", budget)
+        batch = sample_batch(lam, g, 8, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(sampler, "_generators", lambda keys: (generator(*key) for key in keys))
+            assert _digest(sample_batch(lam, g, 8, seed=seed)) == _digest(batch)
 
 
 @pytest.mark.filterwarnings("error")
@@ -504,18 +510,30 @@ def _tree_bound(pieces) -> int:
     return math.prod(math.comb(len(p.graph.edges), p.graph.n - 1) for p in pieces)
 
 
+def _rooted(draw) -> int:
+    """The count of trees whose rows ``draw``, a table law's batch draw, has
+    rooted: each one's root has size n in ``draw.rows``, the others 0."""
+    return int(np.count_nonzero(draw.rows[:, 2, 0]))
+
+
+def _whole_graph_law(piece: SamplingPiece) -> LambdaWeights:
+    """The law of ``piece`` alone, on its own graph: no forced edge."""
+    m = len(piece.graph.edges)
+    return LambdaWeights(graph=piece.graph, fitted_marginals=np.ones(m), forced=(), sweeps=0, max_ratio=1.0,
+                         pieces=(piece,))
+
+
 def _bundle_law(m: int) -> LambdaWeights:
     """The law of one piece of ``m`` parallel edges, weighted 1, 2, ..., m."""
     graph = EdgeGraph(n=2, edges=((0, 1),) * m)
-    piece = SamplingPiece(graph=graph, lam=np.arange(1.0, m + 1), kept=tuple(range(m)))
-    return LambdaWeights(graph=graph, fitted_marginals=np.ones(m), forced=(), sweeps=0, max_ratio=1.0,
-                         pieces=(piece,))
+    return _whole_graph_law(SamplingPiece(graph=graph, lam=np.arange(1.0, m + 1), kept=tuple(range(m))))
 
 
 class TestTreeMemo:
     """A law whose trees' rooted rows all fit ``_MEMO_BYTES`` draws each piece
-    from its tree table and keeps the rooted rows by the drawn tree indices;
-    a piece of two vertices draws the edge the walk's one step draws."""
+    from its tree table and keeps the rooted rows of each tree it has drawn
+    in ``draw.rows``; a piece of two vertices draws the edge the walk's one
+    step draws."""
 
     @pytest.mark.parametrize("law", [lambda: _law("euclidean", 32, 64, 1, False)[1], lambda: _bundle_law(2000)],
                              ids=["euclidean", "bundle"])
@@ -525,9 +543,9 @@ class TestTreeMemo:
         with monkeypatch.context() as patch:
             patch.setattr(sampler, "_MEMO_BYTES", 0)
             plain = replace(w)
-            assert plain._sampler.memo is None
+            assert plain._sampler.rows is None
         memoized = replace(w)
-        assert memoized._sampler.memo == {}
+        assert _rooted(memoized._sampler) == 0
         expected = {(t, seed): sample_fitted_batch(plain, t, seed)
                     for t in (1, 4, 128) for seed in range(200)}
         for _ in range(2):  # the second pass repeats every seed the first one drew
@@ -535,7 +553,7 @@ class TestTreeMemo:
                 got = sample_fitted_batch(memoized, t, seed)
                 for name in ROWS:
                     assert np.array_equal(getattr(got, name), getattr(want, name)), (t, seed, name)
-        assert 1 < len(memoized._sampler.memo) <= _tree_bound(w.pieces)
+        assert 1 < _rooted(memoized._sampler) <= _tree_bound(w.pieces)
 
     def test_writing_into_a_batch_leaves_a_later_batch(self):
         _, w = _law("random-closure", 32, 64, 1, False)
@@ -558,15 +576,15 @@ class TestTreeMemo:
         draw = w._sampler
         assert _tree_bound(w.pieces) == bound
         assert (bound * 3 * w.graph.n * draw.dtype.itemsize <= sampler._MEMO_BYTES) == memoized
-        assert (draw.memo is not None) == memoized
+        assert (draw.rows is not None) == memoized
         sample_fitted_batch(w, 64, seed=0)
         if memoized:
-            assert 0 < len(draw.memo) <= bound
+            assert 0 < _rooted(draw) <= bound
 
     def test_a_whole_graph_law_at_large_n_keeps_no_memo(self):
         g = complete_graph(64)
         whole = SamplingPiece(graph=g, lam=np.ones(len(g.edges)), kept=tuple(range(len(g.edges))))
-        assert sampler._sampler(g, (), (whole,)).memo is None
+        assert sampler._sampler(g, (), (whole,)).rows is None
 
     def test_sample_batch_on_k4_roots_each_tree_once(self, monkeypatch):
         # K4 has 16 trees and the bound C(6, 3) = 20
@@ -635,7 +653,7 @@ class TestTreeTables:
         if name == "rc32-piece":
             w = replace(_law("random-closure", 32, 64, 1, False)[1])  # its draw built on this budget
             batch = sample_fitted_batch(w, n_samples, seed=31)
-            assert (w._sampler.memo is None) == (path == "walk")
+            assert (w._sampler.rows is None) == (path == "walk")
         else:
             batch = sample_batch(piece.lam, piece.graph, n_samples, seed=31)
         local = {i: j for j, i in enumerate(piece.kept)}
@@ -646,6 +664,76 @@ class TestTreeTables:
             observed[index[tuple(sorted(local[i] for i in row if i in local))]] += 1
         expected = probs * n_samples
         assert ((observed - expected) ** 2 / expected).sum() < chi2.ppf(1 - 1e-3, df=len(trees) - 1)
+
+
+BATCH_LAWS = {
+    "rc32": lambda: _law("random-closure", 32, 64, 1, False)[1],
+    "euc32": lambda: _law("euclidean", 32, 64, 1, False)[1],
+    "bundle": lambda: _bundle_law(2000),
+    "K5": lambda: _whole_graph_law(TABLE_PIECES["K5"]()),
+    "K6": lambda: _whole_graph_law(TABLE_PIECES["K6"]()),
+    "multigraph": lambda: _whole_graph_law(TABLE_PIECES["multigraph"]()),
+}
+
+
+def _path_and_k5_law(n: int) -> LambdaWeights:
+    """The forced path 0 - 1 - ... - (n - 5) and one K5 piece on the last five vertices."""
+    path = tuple((v, v + 1) for v in range(n - 5))
+    k5 = complete_graph(5)
+    graph = EdgeGraph(n=n, edges=path + tuple((a + n - 5, b + n - 5) for a, b in k5.edges))
+    piece = SamplingPiece(graph=k5, lam=np.arange(1.0, 11.0), kept=tuple(range(len(path), len(graph.edges))))
+    return LambdaWeights(graph=graph, fitted_marginals=np.ones(len(graph.edges)), forced=tuple(range(len(path))),
+                         sweeps=0, max_ratio=1.0, pieces=(piece,))
+
+
+class TestBatchDraws:
+    """A law with few trees draws a whole batch at once, and each tree of it
+    is the tree that the per-tree draw of ``table_batch_reference`` gives on
+    the tree's own fresh stream, from exactly one uniform per piece."""
+
+    @pytest.mark.parametrize("name", BATCH_LAWS)
+    def test_batches_equal_the_per_tree_draws(self, monkeypatch, name):
+        w = replace(BATCH_LAWS[name]())  # its draw built afresh, with no tree rooted
+        draw = w._sampler
+        assert draw.rows is not None and _rooted(draw) == 0
+        # tree s depends on (seed, s) alone, so a batch of t trees is the first t of 128
+        want = table_batch_reference(w, 128, range(200))
+        for again in (False, True):
+            if again:  # every tree of the second pass was rooted in the first: _root is not called
+                monkeypatch.setattr(sampler, "_root", None)
+            for t in (1, 2, 3, 64, 128):
+                for seed, ref in enumerate(want):
+                    got = sample_fitted_batch(w, t, seed)
+                    for row in ROWS:
+                        assert np.array_equal(getattr(got, row), getattr(ref, row)[:t]), (t, seed, row)
+            assert 0 < _rooted(draw) <= len(draw.rows)
+
+    def test_threads_that_share_a_law_read_only_whole_rows(self):
+        # four threads draw from one law while its row table fills, switching
+        # as often as the interpreter allows: each gets the batches drawn alone
+        want = [sample_fitted_batch(_path_and_k5_law(200), 8, seed) for seed in range(60)]
+        w = _path_and_k5_law(200)
+        assert w._sampler.rows is not None and len(w._sampler.rows) == 125
+        wrong, finished = [], []
+
+        def work():
+            for seed, ref in enumerate(want):
+                got = sample_fitted_batch(w, 8, seed)
+                wrong.extend(seed for row in ROWS if not np.array_equal(getattr(got, row), getattr(ref, row)))
+            finished.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads) and len(finished) == 4
+        assert wrong == []
 
 
 @pytest.mark.parametrize("draw", [
