@@ -13,13 +13,16 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from itertools import accumulate
+from itertools import accumulate, chain, combinations
 from struct import Struct
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import as_int, spanning_forest
-from .treedist import EdgeGraph, LambdaWeights, SamplingPiece
+
+if TYPE_CHECKING:
+    from .treedist import EdgeGraph, LambdaWeights, SamplingPiece
 
 _MASK64 = (1 << 64) - 1
 _BLOCK = 32  # draws per generator call of a walk; a tree of the random-closure n = 48 laws takes 12-36
@@ -145,40 +148,15 @@ class _Walk:
         return tree
 
 
-def _spanning_trees(graph: EdgeGraph) -> list[tuple[int, ...]]:
-    """Every spanning tree of the connected ``graph`` as its edge indices in
-    increasing order, the trees in lexicographic order.
-
-    A depth-first search over the edges in order takes edge j when it joins
-    two components of the edges taken so far, and also skips it when the
-    edges after it still join those components, so every branch ends in a
-    tree: each tree costs at most n - 1 passes of ``spanning_forest``, not
-    one per (n - 1)-subset of the edges.
-    """
-    n, edges = graph.n, graph.edges
-    trees = []
-    stack = [(list(range(n)), 0, ())]  # component label of each vertex, next edge, edges taken
-    while stack:
-        label, j, taken = stack.pop()
-        while len(taken) < n - 1:
-            a, b = edges[j]
-            j += 1
-            la, lb = label[a], label[b]
-            if la != lb:
-                if len(spanning_forest(n, [edges[i] for i in taken] + list(edges[j:]))[0]) == n - 1:
-                    stack.append((label, j, taken))  # the branch that skips edge j - 1, after this one
-                label = [la if c == lb else c for c in label]
-                taken += (j - 1,)
-        trees.append(taken)
-    return trees
-
-
 def _table(piece: SamplingPiece) -> tuple[list[tuple[int, ...]], list[float], float]:
-    """The spanning trees of ``piece`` (``_spanning_trees``), the cumulative
-    weights of all but the last, and their total, built once per law for
-    every draw; a draw bisects as a walk step does.
+    """The spanning trees of ``piece`` as its edge indices in increasing
+    order, the trees in lexicographic order, the cumulative weights of all
+    but the last, and their total, built once per law for every draw; a draw
+    bisects as a walk step does.
 
-    A tree's weight is the product of its lambda_e, each split by
+    The trees are the (n - 1)-subsets of the edges that ``spanning_forest``
+    finds spanning: a law draws by tables only when ``_fits`` bounds their
+    count.  A tree's weight is the product of its lambda_e, each split by
     ``math.frexp`` into a mantissa in [1/2, 1) and a power of two, so no
     product overflows or underflows; all weights are then scaled by the one
     power of two that puts the largest exponent at 0.  On a two-vertex piece
@@ -186,8 +164,10 @@ def _table(piece: SamplingPiece) -> tuple[list[tuple[int, ...]], list[float], fl
     two exactly, so a draw picks the edge the walk's one step picks from the
     same uniform.
     """
+    n, edges = piece.graph.n, piece.graph.edges
+    trees = [tree for tree in combinations(range(len(edges)), n - 1)
+             if len(spanning_forest(n, [edges[i] for i in tree])[0]) == n - 1]
     parts = [math.frexp(w) for w in piece.lam.tolist()]
-    trees = _spanning_trees(piece.graph)
     products = []
     for tree in trees:
         mantissa, exponent = 1.0, 0
@@ -221,16 +201,14 @@ def _generators(keys):
         yield gen
 
 
-def _draw_streams(draw, keys) -> list:
-    """``draw(uniform)`` once per stream, given by its Philox key (``_streams``),
-    ``uniform()`` giving the stream's ``random()`` draws in order
-    (``random(size)`` gives the same numbers)."""
-
-    def uniforms(gen):
-        while True:
-            yield from gen.random(_BLOCK).tolist()
-
-    return [draw(uniforms(gen).__next__) for gen in _generators(keys)]
+def _uniforms(keys):
+    """``uniform()`` for each stream, given by its Philox key (``_streams``),
+    in turn: the stream's ``random()`` draws in order, read ``_BLOCK`` at a
+    time (``random(size)`` gives the same numbers).  Each one is read to its
+    last use before the next is taken, as every stream shares one generator
+    (``_generators``)."""
+    for gen in _generators(keys):
+        yield chain.from_iterable(iter(lambda: gen.random(_BLOCK).tolist(), [])).__next__
 
 
 def _streams(t: int, seed: int) -> list[tuple[int, int]]:
@@ -251,15 +229,9 @@ def check_batch_size(t: int, n: int):
 
 def _fits(pieces, room: int) -> bool:
     """Whether the product over the pieces of C(edges, vertices - 1), which
-    bounds the law's tree count, is at most ``room``; stops once it is not."""
-    bound = 1
-    for piece in pieces:
-        m, r = len(piece.graph.edges), piece.graph.n - 1
-        for i in range(1, r + 1):  # this piece's factor is now C(m - r + i, i), exact and rising
-            bound = bound * (m - r + i) // i
-            if bound > room:
-                return False
-    return bound <= room
+    bounds the law's tree count and each piece's (n - 1)-subsets, is at most
+    ``room``."""
+    return math.prod(math.comb(len(p.graph.edges), p.graph.n - 1) for p in pieces) <= room
 
 
 def _sampler(graph: EdgeGraph, forced, pieces):
@@ -272,15 +244,16 @@ def _sampler(graph: EdgeGraph, forced, pieces):
     n - 1 distinct edges.  A tree, one tree of each piece in piece order on one
     stream, is rooted by ``_root`` into its parent edge, preorder and size rows
     in ``draw.dtype``, the smallest signed integer that holds n and every edge
-    index.  When the rows of every tree the pieces could give fit in
+    index.  When the rows of as many trees as ``_fits`` bounds fit in
     ``_MEMO_BYTES``, a batch takes the first len(pieces) uniforms of each
     stream and picks every piece of every tree by one ``np.searchsorted`` over
     the cuts of all the pieces' ``_table``, keyed as complex (piece, cut) and
     queried at (piece, uniform times total): numpy orders complex numbers
-    lexicographically, so each pick is ``bisect_right`` within its piece.  A tree's picks fold into one
-    mixed-radix code; ``draw.rows``, a (trees, 3, n) array, holds the rows of
-    each code rooted so far, and the batch is one gather of it.  Otherwise
-    each piece runs its ``_Walk`` per stream (``_draw_streams``) and
+    lexicographically, so each pick is ``bisect_right`` within its piece.  A
+    tree's picks fold into one mixed-radix code; ``draw.rows``, a (trees, 3, n)
+    array, holds the rows of each code rooted so far, and the batch is one
+    gather of it.  Otherwise each piece runs its ``_Walk`` on every stream's
+    ``uniform()`` in turn (``_uniforms``), each tree is packed into bytes, and
     ``draw.rows`` is None.
     """
     # the draw keeps no reference to the law, which caches it: a cycle would
@@ -310,13 +283,10 @@ def _sampler(graph: EdgeGraph, forced, pieces):
         walks = [_Walk(piece) for piece in pieces]
         pack = Struct(f"{3 * n}{dtype.char}").pack
 
-        def tree(uniform) -> bytes:
-            parent_edge, order, size = tree_rows([walk.edges(uniform) for walk in walks])
-            return pack(*parent_edge, *order, *size)
-
         def draw(keys) -> TreeBatch:
-            blocks = _draw_streams(tree, keys)
-            return TreeBatch(np.frombuffer(b"".join(blocks), dtype).reshape(len(blocks), 3, n))
+            trees = (tree_rows([walk.edges(uniform) for walk in walks]) for uniform in _uniforms(keys))
+            blocks = b"".join(pack(*parent_edge, *order, *size) for parent_edge, order, size in trees)
+            return TreeBatch(np.frombuffer(blocks, dtype).reshape(len(keys), 3, n))
 
         draw.dtype, draw.rows = dtype, None
         return draw

@@ -26,6 +26,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import Edge, NotConnectedError, component_labels, make_edge
+from .sampler import _sampler
 
 # z at or above this is pinned into every tree; at or below the floor it is dropped.
 FORCED_Z = 1.0 - 1e-9
@@ -204,8 +205,6 @@ class LambdaWeights:
         of the rows of the trees it has rooted for a law with few trees, a
         walk per piece for any other, and the forced edges' incidence, built
         on the first draw and kept for every later one (``sampler._sampler``)."""
-        from .sampler import _sampler  # the sampler module imports this one
-
         return _sampler(self.graph, self.forced, self.pieces)
 
 

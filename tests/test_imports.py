@@ -1,6 +1,6 @@
-"""Every name a kecsm module imports is used in it, no import but one sits
-inside a function, and every function and class a module defines is used by
-the library; no linter ships with the test dependencies, so this reads the
+"""Every name a kecsm module imports is used in it, no import sits inside a
+function, and every function and class a module defines is used by the
+library; no linter ships with the test dependencies, so this reads the
 source with ``ast``."""
 
 import ast
@@ -74,8 +74,7 @@ def test_the_check_finds_an_import_inside_a_function():
     assert imports_in_functions(source) == ["f (line 5)", "A.g (line 11)"]
 
 
-# the one import in a function breaks the import cycle treedist <-> sampler
-ALLOWED_FUNCTION_IMPORTS = {"treedist.py": ["LambdaWeights._sampler"]}
+ALLOWED_FUNCTION_IMPORTS = {}
 
 
 @pytest.mark.parametrize("path", sorted(p.name for p in SRC.glob("*.py")))

@@ -19,7 +19,7 @@ from kecsm.core import NotConnectedError
 from kecsm.rounding import fundamental_cut_counts, mst
 from kecsm.sampler import (
     _BLOCK,
-    _draw_streams,
+    _uniforms,
     generator,
     sample_fitted_batch,
 )
@@ -98,7 +98,8 @@ class TestTreeFromEdges:
 def test_reset_generator_matches_a_fresh_philox(seed):
     # one generator, reset per stream, draws what each stream's own generator draws
     count = 2 * _BLOCK + 5
-    draws = _draw_streams(lambda uniform: [uniform() for _ in range(count)], sampler._streams(64, seed))
+    draws = [[uniform() for _ in range(count)] for uniform in _uniforms(sampler._streams(64, seed))]
+    assert len(draws) == 64
     for s, got in enumerate(draws):
         assert got == generator(seed, s).random(count).tolist()
 
@@ -110,7 +111,7 @@ def test_every_key_draws_what_its_generator_draws(monkeypatch, seed):
     # the reset Philox unchanged, on the walk path and on the table path
     streams = [2**63 + s for s in range(4)]
     keys = [(seed % 2**64, stream) for stream in streams]
-    draws = _draw_streams(lambda uniform: [uniform() for _ in range(5)], keys)
+    draws = [[uniform() for _ in range(5)] for uniform in _uniforms(keys)]
     assert draws == [generator(seed, stream).random(5).tolist() for stream in streams]
     assert [gen.random(5).tolist() for gen in sampler._generators(keys)] == draws
     g = complete_graph(6)
@@ -575,6 +576,7 @@ class TestTreeMemo:
         _, w = _law(family, n, k, instance_seed, False)
         draw = w._sampler
         assert _tree_bound(w.pieces) == bound
+        assert sampler._fits(w.pieces, bound) and not sampler._fits(w.pieces, bound - 1)
         assert (bound * 3 * w.graph.n * draw.dtype.itemsize <= sampler._MEMO_BYTES) == memoized
         assert (draw.rows is not None) == memoized
         sample_fitted_batch(w, 64, seed=0)
@@ -584,7 +586,16 @@ class TestTreeMemo:
     def test_a_whole_graph_law_at_large_n_keeps_no_memo(self):
         g = complete_graph(64)
         whole = SamplingPiece(graph=g, lam=np.ones(len(g.edges)), kept=tuple(range(len(g.edges))))
-        assert sampler._sampler(g, (), (whole,)).rows is None
+        draw = sampler._sampler(g, (), (whole,))
+        assert draw.rows is None
+        batch = draw(sampler._streams(3, 5))
+        assert len(batch) == 3
+        for row in batch.edge_indices.tolist():
+            tree_from_edges(g, row)  # ValueError unless the walks drew a spanning tree of g
+
+    def test_a_law_with_no_piece_fits_one_tree(self):
+        # the empty product is 1: the forced edges alone are the one tree
+        assert sampler._fits([], 1) and not sampler._fits([], 0)
 
     def test_sample_batch_on_k4_roots_each_tree_once(self, monkeypatch):
         # K4 has 16 trees and the bound C(6, 3) = 20
@@ -635,6 +646,24 @@ class TestTreeTables:
         want, probs = _exact_law(piece)
         assert trees == want
         assert np.abs(np.diff([0.0, *cuts, total]) / total - probs).max() <= 1e-12
+
+    def test_a_table_counts_the_trees_of_the_matrix_tree_theorem(self):
+        # Kirchhoff: a connected multigraph has det L[1:, 1:] spanning trees,
+        # L its unit-weight Laplacian; 250 random ones with n <= 7, m <= 14
+        rng = np.random.default_rng(2024)
+        for _ in range(250):
+            n = int(rng.integers(2, 8))
+            label = rng.permutation(n)
+            edges = [(v, int(rng.integers(v))) for v in range(1, n)]  # a random tree, then any extra pairs
+            edges += [tuple(rng.choice(n, 2, replace=False).tolist()) for _ in range(int(rng.integers(16 - n)))]
+            edges = [(int(label[a]), int(label[b])) for a, b in rng.permutation(edges).tolist()]
+            laplacian = np.zeros((n, n))
+            for a, b in edges:
+                laplacian[[a, b], [a, b]] += 1
+                laplacian[[a, b], [b, a]] -= 1
+            piece = SamplingPiece(graph=EdgeGraph(n=n, edges=tuple(edges)), lam=np.ones(len(edges)),
+                                  kept=tuple(range(len(edges))))
+            assert len(sampler._table(piece)[0]) == round(np.linalg.det(laplacian[1:, 1:])), edges
 
     @pytest.mark.parametrize("power", [1000, -1000])
     def test_weights_far_from_one_give_the_same_table(self, power):
